@@ -12,9 +12,9 @@ from .lagrangian import (LagrangianSpec, MobilitySpec, TemporalWeight,
                          energy, energy_mobility, validate_assumption_A,
                          validate_assumption_f, weak_operator_N,
                          weak_operator_Nf)
-from .jko import (JkoConfig, JkoTrajectory, LagrangianMapEnergy,
-                  MobilityMapEnergy, ThinFilmMapEnergy, jko_step,
-                  penalized_objective, refine_study, run)
+from .jko import (JkoConfig, JkoTrajectory, MobilityMapEnergy,
+                  ThinFilmMapEnergy, jko_step, penalized_objective,
+                  refine_study, run)
 from .diagnostics import (SobolevNorms, apriori_bounds, boundary_sign_check,
                           check_discrete_weak_A, check_discrete_weak_f,
                           check_energy_monotone, check_entropy_dissipation_A,

@@ -306,6 +306,17 @@ def _halton(n: int, dim: int) -> np.ndarray:
     return qmc.Halton(d=dim, seed=0).random(n)
 
 
+def _schur_pi_form(H: np.ndarray) -> np.ndarray:
+    """Exact min of each quadratic form H (batched ...x3x3) over directions
+    with pi = 1: the Schur complement of the (x, z) block, by least squares
+    where the block is singular."""
+    b = H[..., :2, 2:]
+    # rcond = 2 eps is the cutoff lstsq(rcond=None) uses for 2x2 systems
+    best = np.linalg.pinv(H[..., :2, :2], rcond=2 * np.finfo(float).eps) @ -b
+    dirs = np.concatenate([best, np.ones_like(b[..., :1, :])], axis=-2)
+    return np.einsum("...ji,...jk,...ki->...", dirs, H, dirs)
+
+
 def validate_assumption_A(F: LagrangianSpec, x_range=(0.0, 1.0),
                           z_range=(1e-3, 4.0), p_range=(-8.0, 8.0),
                           n_samples: int = 10_000,
@@ -343,16 +354,9 @@ def validate_assumption_A(F: LagrangianSpec, x_range=(0.0, 1.0),
     quad = np.einsum("ni,nij,nj->n", d, H, d)
     pi2 = d[:, 2] ** 2
     psd = np.min(quad / np.maximum(np.einsum("ni,ni->n", d, d), 1e-12))
-    # exact min of the quadratic form over directions with pi = 1: the
-    # Schur complement of the (x, z) block — random sampling alone misses
-    # degenerate directions when the block entries are large
-    block = H[..., :2, :2]
-    b = H[..., :2, 2]
-    best = np.stack([np.linalg.lstsq(block[i], -b[i], rcond=None)[0]
-                     for i in range(n_samples)])
-    dirs = np.concatenate([best, np.ones((n_samples, 1))], axis=1)
-    gamma_dir = np.einsum("ni,nij,nj->n", dirs, H, dirs)
-    gamma_obs = float(np.min(gamma_dir))
+    # random sampling alone misses degenerate directions when the (x, z)
+    # block entries are large
+    gamma_obs = float(np.min(_schur_pi_form(H)))
     margins["hessian_gamma"] = min(
         (gamma_obs - F.gamma) / max(F.gamma, 1.0), float(psd))
 

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradflow1d
 from gradflow1d import ConfigurationError
 from gradflow1d.cli import (ALL_CHECKS, execute, load_config,
                             load_config_dict, main, sweep)
@@ -190,9 +193,13 @@ def test_main_corruption_flag(tmp_path):
 
 def test_console_entry_point(tmp_path):
     path = write_config(tmp_path, {"checks": ["energy_monotone"]})
+    # the child imports the same package as the tests, installed or not
+    src = str(Path(gradflow1d.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "gradflow1d.cli", "--config", str(path)],
-        capture_output=True)
+        capture_output=True, env=env)
     assert proc.returncode == 0
 
 

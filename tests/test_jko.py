@@ -8,7 +8,7 @@ from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         check_holder_continuity, check_total_square_distance,
                         jko_step, map_from_density, penalized_objective,
                         refine_study, run, wasserstein2)
-from gradflow1d.jko import _Objective
+from gradflow1d.jko import BW, _Objective
 from gradflow1d.transport import w2sq_between_maps
 
 UNIT = Interval(0.0, 1.0)
@@ -71,6 +71,37 @@ def test_objective_quadratic_term_matches_exact_w2():
                                  rel=1e-12)
 
 
+def _fd_hessian(obj, x, eps):
+    """Dense central-difference Hessian of the objective's gradient."""
+    n = len(x)
+    H = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = eps
+        H[:, j] = (obj(x + e)[1] - obj(x - e)[1]) / (2 * eps)
+    return H
+
+
+@pytest.mark.parametrize("k", [16, 257])
+@pytest.mark.parametrize("f", [MobilitySpec.identity(),
+                               MobilitySpec.sqrt_mobility(),
+                               MobilitySpec.power_mobility(1.0, 0.7)],
+                         ids=lambda f: f.name)
+def test_exact_hessian_matches_fd(f, k):
+    rng = np.random.default_rng(k)
+    widths = rng.uniform(0.5, 1.5, k)
+    x = np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum()
+    x_prev = x + 0.1 * rng.uniform(-1, 1, k + 1) * np.diff(x).min()
+    obj = _Objective(MobilityMapEnergy(f), x_prev, 1e-4)
+    H = obj.hessian_banded(x)
+    for off in range(1, BW + 1):  # symmetric banded storage
+        assert np.array_equal(H[BW - off, off:], H[BW + off, :-off])
+    dense = sum(np.diag(H[BW - off, max(off, 0):k + 1 + min(off, 0)], off)
+                for off in range(-BW, BW + 1))
+    ref = _fd_hessian(obj, x, 1e-5 * np.diff(x).min())
+    assert np.abs(dense - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
 # --- single steps -----------------------------------------------------------
 
 def test_uniform_is_fixed_point():
@@ -106,6 +137,35 @@ def test_step_against_brute_force():
                                 "xatol": 1e-10})
         best = min(best, res.fun)
     assert fval <= best + 1e-8
+
+
+@pytest.mark.parametrize("f", [MobilitySpec.identity(),
+                               MobilitySpec.sqrt_mobility()],
+                         ids=lambda f: f.name)
+def test_stationary_to_working_precision(f):
+    # one ulp off the uniform fixed point the gradient is rounding noise far
+    # above gtol; with the iteration budget spent the step still counts as
+    # converged, while a map far from stationary does not
+    e = MobilityMapEnergy(f)
+    x = np.linspace(0.0, 1.0, 257)
+    x[1:-1:3] = np.nextafter(x[1:-1:3], 2.0)
+    assert np.linalg.norm(_Objective(e, x, 1e-4)(x)[1]) > 1e-9
+    assert jko_step(x, e, 1e-4, 0.0, 1.0, 1e-9, max_iter=0)[2]
+    u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
+    x1 = map_from_density(u0, 256).positions
+    assert not jko_step(x1, e, 1e-4, 0.0, 1.0, 1e-9, max_iter=0)[2]
+
+
+def test_step_on_odd_mode_data():
+    u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=3)
+    x0 = map_from_density(u0, 256).positions
+    e = ThinFilmMapEnergy()
+    tau = 1e-5
+    f0 = _Objective(e, x0, tau)(x0)[0]
+    xn, fval, conv = jko_step(x0, e, tau, 0.0, 1.0, 1e-9)
+    assert conv
+    assert fval < f0
+    assert fval == pytest.approx(_Objective(e, x0, tau)(xn)[0], rel=1e-12)
 
 
 # --- trajectories -----------------------------------------------------------

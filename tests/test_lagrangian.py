@@ -8,6 +8,7 @@ from gradflow1d import (ConfigurationError, GridDensity, Interval,
                         energy, energy_mobility, validate_assumption_A,
                         validate_assumption_f, weak_operator_N,
                         weak_operator_Nf)
+from gradflow1d.lagrangian import _halton, _schur_pi_form
 
 UNIT = Interval(0.0, 1.0)
 THIN = LagrangianSpec.thin_film()
@@ -221,3 +222,24 @@ def test_dissipation_constants():
     assert chi8 == pytest.approx(np.sqrt(0.5), abs=1e-12)
     with pytest.raises(ConfigurationError):
         dissipation_constants(MobilitySpec.identity(), 1)
+
+
+@pytest.mark.parametrize("spec", [
+    THIN, LagrangianSpec.from_mobility(MobilitySpec.sqrt_mobility())])
+def test_schur_step_matches_per_sample_lstsq(spec):
+    # the batched Schur-complement step of validate_assumption_A against a
+    # per-sample least-squares solve on its own (default-range) samples
+    n = 200
+    q = _halton(n, 3)
+    H = spec.hessian(q[:, 0], 1e-3 + q[:, 1] * (4.0 - 1e-3),
+                     -8.0 + 16.0 * q[:, 2])
+    ref = np.empty(n)
+    for i in range(n):
+        best = np.linalg.lstsq(H[i, :2, :2], -H[i, :2, 2], rcond=None)[0]
+        d = np.append(best, 1.0)
+        ref[i] = d @ H[i] @ d
+    scale = np.abs(H).max(axis=(1, 2))
+    assert np.all(np.abs(_schur_pi_form(H) - ref) <= 1e-12 * scale)
+    rep = validate_assumption_A(spec, n_samples=n)
+    assert rep.context["gamma_observed"] == pytest.approx(
+        ref.min(), abs=1e-12 * scale.max())
