@@ -8,6 +8,8 @@ rely on, and with the weak-form operators N and N_f.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -302,8 +304,20 @@ def weak_operator_Nf(f: MobilitySpec, u: GridDensity,
 # --- assumption validators ------------------------------------------------
 
 def _halton(n: int, dim: int) -> np.ndarray:
-    from scipy.stats import qmc
-    return qmc.Halton(d=dim, seed=0).random(n)
+    """First n points of the scrambled Halton sequence, bitwise equal to
+    scipy.stats.qmc.Halton(d=dim, seed=0).random(n) (Owen's digit
+    permutations), in numpy alone: importing scipy.stats takes ~0.5 s."""
+    rng = np.random.default_rng(0)
+    primes = (b for b in itertools.count(2) if all(b % d for d in range(2, b)))
+    out = np.zeros((n, dim))
+    for col, b in zip(range(dim), primes):
+        q, weight = np.arange(n), 1.0 / b
+        # one permutation per digit while b**-digit still shows next to 1.0
+        for _ in range(math.ceil(54 / math.log2(b)) - 1):
+            out[:, col] += rng.permutation(b)[q % b] * weight
+            weight /= b     # not b**-(digit+1): that is 1 ulp off
+            q //= b
+    return out
 
 
 def _schur_pi_form(H: np.ndarray) -> np.ndarray:

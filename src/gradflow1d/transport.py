@@ -226,13 +226,43 @@ def boltzmann_entropy(u: GridDensity) -> float:
 
 # --- map <-> density conversions ------------------------------------------
 
+def _newton_inverse(spline, target, x, lo, hi, slope_floor, sweeps):
+    """Entrywise solve of spline(x) = target by clipped Newton sweeps.
+
+    Returns bitwise what `sweeps` plain sweeps from x would return. A sweep
+    updates each entry from its own value alone, so once an entry repeats
+    the value it had p <= 4 sweeps ago (a fixed point, or a cycle in
+    rounding noise) its value after the last sweep is already known; the
+    sweeps stop when every entry has done so.
+    """
+    hist = [x]                              # the last five iterates
+    for n in range(1, sweeps + 1):
+        y = hist[-1]
+        y = np.clip(y - (spline(y) - target)
+                    / np.maximum(spline(y, 1), slope_floor), lo, hi)
+        hist = hist[-4:] + [y]
+        # compare bit patterns, so signed zeros and NaNs repeat exactly too
+        bits = y.view(np.int64)
+        period = np.zeros(y.size, dtype=int)
+        for p in range(len(hist) - 1, 0, -1):
+            period[hist[-1 - p].view(np.int64) == bits] = p
+        if period.all():
+            # period p from sweep n - p on, so sweep `sweeps` repeats
+            # sweep n - back with back = p - (sweeps - n) mod p
+            back = period - (sweeps - n) % period
+            return np.array(hist)[-1 - back, np.arange(y.size)]
+    return hist[-1]
+
+
 def map_from_density(u: GridDensity, k: int = 256) -> TransportMap:
     """Quantile map of u at K+1 uniform mass levels.
 
     The CDF is interpolated by a clamped cubic spline (end slopes equal to
-    the boundary density values) and inverted by a safeguarded Newton
-    iteration; this keeps second derivatives of the represented density
-    meaningful, which the piecewise-linear inverse would destroy.
+    the boundary density values) and inverted by 50 safeguarded Newton
+    sweeps; this keeps second derivatives of the represented density
+    meaningful, which the piecewise-linear inverse would destroy.  The
+    sweeps stop once every level has settled (see `_newton_inverse`) and
+    still return the 50-sweep result bitwise.
     """
     if k < 8:
         raise ConfigurationError("need K >= 8 map cells")
@@ -246,10 +276,8 @@ def map_from_density(u: GridDensity, k: int = 256) -> TransportMap:
     spline = CubicSpline(u.edges, cdf, bc_type=((1, v[0]), (1, v[-1])))
     levels = np.linspace(0.0, 1.0, k + 1)
     linear = np.interp(levels, cdf, u.edges)
-    x = linear.copy()
     lo, hi = u.domain.lo, u.domain.hi
-    for _ in range(50):
-        x = np.clip(x - (spline(x) - levels) / np.maximum(spline(x, 1), 1e-13), lo, hi)
+    x = _newton_inverse(spline, levels, linear, lo, hi, 1e-13, 50)
     bad = np.abs(spline(x) - levels) > np.abs(spline(linear) - levels) + 1e-15
     x = np.where(bad, linear, x)
     # pin the ends to the support edges of the sampled density
@@ -269,8 +297,10 @@ def density_from_map(x: TransportMap, m: int | None = None) -> GridDensity:
     """Pushforward density of the map on a uniform M-cell grid.
 
     The quantile function is interpolated by a cubic spline in the mass
-    variable; cell values are exact mass differences over the cells, so the
-    output has unit mass by construction.
+    variable and inverted at the cell edges by 30 safeguarded Newton sweeps,
+    which stop once every edge has settled (see `_newton_inverse`) and still
+    return the 30-sweep result bitwise.  Cell values are exact mass
+    differences over the cells, so the output has unit mass by construction.
     """
     m = x.k if m is None else m
     pos = x.positions
@@ -282,9 +312,7 @@ def density_from_map(x: TransportMap, m: int | None = None) -> GridDensity:
     edges = np.linspace(dom.lo, dom.hi, m + 1)
     target = np.clip(edges, pos[0], pos[-1])
     linear = np.interp(edges, pos, levels)
-    s = linear.copy()
-    for _ in range(30):
-        s = np.clip(s - (spline(s) - target) / np.maximum(spline(s, 1), 1e-14), 0.0, 1.0)
+    s = _newton_inverse(spline, target, linear, 0.0, 1.0, 1e-14, 30)
     # where the spline is non-monotone (rough maps) Newton can run away;
     # keep the piecewise-linear inverse wherever it has a smaller residual
     bad = np.abs(spline(s) - target) > np.abs(spline(linear) - target) + 1e-15

@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradflow1d
 from gradflow1d import (ConfigurationError, GridDensity, Interval,
                         LagrangianSpec, MobilitySpec, TemporalWeight,
                         TestFunction, alpha_window, dissipation_constants,
@@ -243,3 +250,26 @@ def test_schur_step_matches_per_sample_lstsq(spec):
     rep = validate_assumption_A(spec, n_samples=n)
     assert rep.context["gamma_observed"] == pytest.approx(
         ref.min(), abs=1e-12 * scale.max())
+
+
+@pytest.mark.parametrize("n", [1, 200, 10_000])
+def test_halton_matches_scipy(n):
+    from scipy.stats import qmc
+    assert np.array_equal(_halton(n, 3), qmc.Halton(d=3, seed=0).random(n))
+
+
+def test_thin_film_config_load_skips_scipy_stats(tmp_path):
+    # validate_assumption_A runs on load; scipy.stats alone costs ~0.5 s
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m": 32, "k": 32, "tau": 1e-4, "n_steps": 1,
+                                "out": str(tmp_path / "out")}))
+    src = str(Path(gradflow1d.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from gradflow1d.cli import load_config; "
+            "cfg = load_config(sys.argv[1]); assert not cfg.is_mobility; "
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradflow1d import (ConfigurationError, DegenerateQuantileError,
-                        GridDensity, Interval, MonotonicityError,
-                        StepTooLargeError, TestFunction, TransportMap,
+                        GridDensity, Interval, JkoConfig, MobilityMapEnergy,
+                        MobilitySpec, MonotonicityError, StepTooLargeError,
+                        TestFunction, ThinFilmMapEnergy, TransportMap,
                         boltzmann_entropy, density_from_map, map_from_density,
-                        perturbation_flow, quantile, volume_distortion_check,
-                        wasserstein2)
+                        perturbation_flow, quantile, run, transport,
+                        volume_distortion_check, wasserstein2)
+from gradflow1d.transport import _newton_inverse
 
 UNIT = Interval(0.0, 1.0)
 
@@ -188,6 +190,111 @@ def test_round_trip_property(u):
     # rough samples smear over a few cells; compare in transport distance
     assert wasserstein2(u, v) < 3 * u.h
     assert abs(v.mass - 1.0) < 1e-10
+
+
+# --- early-stopping Newton inversion ----------------------------------------
+
+SWEEPS = list(range(1, 13)) + [30, 50]  # every period and parity up to 4
+
+
+def fixed_sweeps(spline, target, x, lo, hi, slope_floor, sweeps):
+    # the plain loop _newton_inverse must reproduce bitwise
+    for _ in range(sweeps):
+        x = np.clip(x - (spline(x) - target)
+                    / np.maximum(spline(x, 1), slope_floor), lo, hi)
+    return x
+
+
+def inversions(call):
+    """Arguments (without the sweep count) of every inversion call() makes."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args[:-1])
+        return _newton_inverse(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_newton_inverse", spy)
+        call()
+    return seen
+
+
+def assert_exact_for_all_sweeps(args):
+    for n in SWEEPS:
+        assert np.array_equal(_newton_inverse(*args, n),
+                              fixed_sweeps(*args, n)), n
+
+
+def rough_map(seed, k=64):
+    gaps = np.random.default_rng(seed).lognormal(0.0, 2.0, k)
+    return TransportMap(UNIT, np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum())
+
+
+@settings(max_examples=20, deadline=None)
+@given(densities())
+def test_newton_inverse_exact_on_rough_densities(u):
+    calls = inversions(lambda: density_from_map(map_from_density(u, 64), u.m))
+    assert len(calls) == 2
+    for args in calls:
+        assert_exact_for_all_sweeps(args)
+
+
+@pytest.mark.parametrize("seed", range(2, 6))
+def test_newton_inverse_exact_on_rough_maps(seed):
+    (args,) = inversions(lambda: density_from_map(rough_map(seed), 50))
+    assert_exact_for_all_sweeps(args)
+    # the spline is non-monotone here: the piecewise-linear fallback fires
+    spline, target, linear = args[:3]
+    s = _newton_inverse(*args, 30)
+    assert np.any(np.abs(spline(s) - target)
+                  > np.abs(spline(linear) - target) + 1e-15)
+
+
+class Logistic:
+    # a stand-in spline whose Newton sweep is x -> r x (1 - x): fixed
+    # points, cycles of period 2 to 4 and orbits that never repeat
+    def __init__(self, r):
+        self.r = r
+
+    def __call__(self, x, nu=0):
+        return x - self.r * x * (1 - x) if nu == 0 else np.ones_like(x)
+
+
+@pytest.mark.parametrize("r", [2.5, 3.2, 3.5, 3.83, 4.0])
+def test_newton_inverse_exact_on_cycles_and_chaos(r):
+    x0 = np.random.default_rng(0).uniform(0.0, 1.0, 200)
+    assert_exact_for_all_sweeps((Logistic(r), np.zeros(200), x0, 0.0, 1.0, 1e-14))
+
+
+def conversions(traj, k):
+    """Every state's pushforward and every state's quantile map (None where
+    a detached wall left a vacuum the quantile map rejects)."""
+    out = []
+    for x, u in zip(traj.maps, traj.states):
+        try:
+            positions = map_from_density(u, k).positions
+        except DegenerateQuantileError:
+            positions = None
+        out.append((density_from_map(x, k).values, positions))
+    return out
+
+
+@pytest.mark.parametrize("energy", [ThinFilmMapEnergy(),
+                                    MobilityMapEnergy(MobilitySpec.sqrt_mobility())])
+@pytest.mark.parametrize("k", [64, 1024])
+@pytest.mark.parametrize("mode", [2, 3])
+def test_conversions_match_fixed_sweeps_on_trajectories(energy, k, mode):
+    u0 = GridDensity.cosine(UNIT, k, eps=0.5, k=mode)
+    traj = run(u0, energy, JkoConfig(tau=1e-5, n_steps=4, k=k, m=k))
+    got = conversions(traj, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_newton_inverse", fixed_sweeps)
+        ref = conversions(traj, k)
+    for (state, positions), (ref_state, ref_positions) in zip(got, ref):
+        assert np.array_equal(state, ref_state)
+        assert (positions is None) == (ref_positions is None)
+        if positions is not None:
+            assert np.array_equal(positions, ref_positions)
 
 
 # --- perturbation flow ------------------------------------------------------
