@@ -15,9 +15,9 @@ from .lagrangian import (LagrangianSpec, MobilitySpec, TemporalWeight,
 from .jko import (JkoConfig, JkoTrajectory, MobilityMapEnergy,
                   ThinFilmMapEnergy, jko_step, penalized_objective,
                   refine_study, run)
-from .diagnostics import (SobolevNorms, apriori_bounds, boundary_sign_check,
-                          check_discrete_weak_A, check_discrete_weak_f,
-                          check_energy_monotone, check_entropy_dissipation_A,
+from .diagnostics import (SobolevNorms, apriori_bounds, check_discrete_weak_A,
+                          check_discrete_weak_f, check_energy_monotone,
+                          check_entropy_dissipation_A,
                           check_entropy_dissipation_f, check_holder_continuity,
                           check_total_square_distance,
                           flow_interchange_dissipation, heat_flow,

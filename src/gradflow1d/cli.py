@@ -15,7 +15,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,8 +30,7 @@ from .jko import (JkoConfig, MobilityMapEnergy, ThinFilmMapEnergy, run,
 from . import diagnostics as dg
 
 ALL_CHECKS = ("energy_monotone", "total_square_distance", "holder_continuity",
-              "entropy_dissipation", "discrete_weak", "apriori",
-              "boundary_sign")
+              "entropy_dissipation", "discrete_weak", "apriori")
 
 DEFAULTS = {
     "domain": [0.0, 1.0],
@@ -45,7 +43,6 @@ DEFAULTS = {
     "refine_levels": 0,
     "checks": list(ALL_CHECKS),
     "out": "out",
-    "seed": 0,
 }
 
 
@@ -61,7 +58,6 @@ class RunConfig:
     refine_levels: int
     checks: list
     out: Path
-    seed: int
     inject_corruption: bool = False
     raw: dict = field(default_factory=dict)
 
@@ -103,12 +99,18 @@ class RunConfig:
         raise ConfigurationError(f"unknown initial datum '{name}'")
 
 
-def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    """Parse, default-fill and eagerly validate a JSON run configuration."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+def load_config(source: str | Path | dict,
+                overrides: dict | None = None) -> RunConfig:
+    """Default-fill and eagerly validate a run configuration, given as the
+    path of a JSON file or as an already-parsed dict."""
+    if isinstance(source, dict):
+        raw = source
+    else:
+        try:
+            raw = json.loads(Path(source).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigurationError(
+                f"cannot read config {source}: {exc}") from exc
     merged = {**DEFAULTS, **raw, **(overrides or {})}
     for key in raw:
         if key not in DEFAULTS and key != "inject_corruption":
@@ -124,7 +126,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         tau=float(merged["tau"]), n_steps=int(merged["n_steps"]),
         refine_levels=int(merged["refine_levels"]),
         checks=list(merged["checks"]), out=Path(merged["out"]),
-        seed=int(merged["seed"]),
         inject_corruption=bool(merged.get("inject_corruption", False)),
         raw=merged)
     if cfg.tau <= 0 or cfg.n_steps < 0 or cfg.m < 8 or cfg.k < 8:
@@ -145,13 +146,14 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         rep = validate_assumption_A(LagrangianSpec.thin_film())
         if not rep.passed:
             raise ConfigurationError("thin-film Lagrangian validation failed")
-    cfg.build_initial()  # raises on bad initial-datum parameters
+    u0 = cfg.build_initial()  # raises on bad initial-datum parameters
+    if u0.m != cfg.m:  # only a file datum sets its own cell count
+        raise ConfigurationError(
+            f"initial datum has {u0.m} cells but m is {cfg.m}")
     return cfg
 
 
 def _certificates(cfg: RunConfig, traj) -> list[CertificateReport]:
-    reports = []
-    enabled = set(cfg.checks)
     f = cfg.build_mobility()
 
     def eval_check(name):
@@ -179,14 +181,12 @@ def _certificates(cfg: RunConfig, traj) -> list[CertificateReport]:
             c_lower = 0.5
             transform = None if f is None else (lambda v: f.f(np.maximum(v, 0.0)))
             return [dg.apriori_bounds(traj, c_lower, transform)]
-        if name == "boundary_sign":
-            return [dg.boundary_sign_check(traj.states[-1])]
         raise ConfigurationError(f"unknown check '{name}'")
 
-    names = [n for n in ALL_CHECKS if n in enabled]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for result in pool.map(eval_check, names):
-            reports.extend(result)
+    reports = []
+    for name in ALL_CHECKS:
+        if name in cfg.checks:
+            reports.extend(eval_check(name))
     return reports
 
 
@@ -233,12 +233,11 @@ def _write_outputs(cfg: RunConfig, traj, reports, elapsed: float,
 
 def execute(cfg: RunConfig) -> int:
     """Run the scheme and certificate suite; returns the process exit code."""
-    np.random.seed(cfg.seed)
     t0 = time.time()
     try:
         energy = cfg.build_energy()
         u0 = cfg.build_initial()
-        jcfg = JkoConfig(tau=cfg.tau, n_steps=cfg.n_steps, k=cfg.k, m=cfg.m)
+        jcfg = JkoConfig(tau=cfg.tau, n_steps=cfg.n_steps, k=cfg.k)
         corrupt = (max(cfg.n_steps // 2, 1),) if cfg.inject_corruption else ()
         traj = run(u0, energy, jcfg, corrupt_steps=corrupt)
         gaps = None
@@ -255,11 +254,25 @@ def execute(cfg: RunConfig) -> int:
 
 
 def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
-    """One run per value of the swept parameter; rows evaluated in parallel."""
+    """One run per value of the swept parameter, in the order given.
+
+    Each row loads and validates its own config and runs it as `execute`
+    would; a row whose config is rejected records the error and exit code 2.
+    """
     if axis not in ("tau", "alpha", "eps"):
         raise ConfigurationError(f"unknown sweep axis '{axis}'")
+    # an axis the configured run never reads would give identical rows
+    if axis == "alpha" and cfg.lagrangian.get("name") != "power_mobility":
+        raise ConfigurationError(
+            f"sweep axis 'alpha' is not read by lagrangian "
+            f"'{cfg.lagrangian.get('name')}'")
+    if axis == "eps" and cfg.initial.get("name") != "cosine":
+        raise ConfigurationError(
+            f"sweep axis 'eps' is not read by initial datum "
+            f"'{cfg.initial.get('name')}'")
 
-    def one(val):
+    rows = []
+    for val in values:
         raw = dict(cfg.raw)
         raw["out"] = str(cfg.out / f"{axis}={val:g}")
         if axis == "tau":
@@ -270,7 +283,7 @@ def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
             raw["initial"] = {**raw["initial"], "eps": val}
         row = {axis: val}
         try:
-            sub = load_config_dict(raw)
+            sub = load_config(raw)
             code = execute(sub)
             summary = json.loads((sub.out / "summary.json").read_text())
             row.update(final_energy=summary["final_energy"],
@@ -282,25 +295,12 @@ def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
                        exit_code=code)
         except (ConfigurationError, OSError) as exc:
             row.update(error=str(exc), exit_code=2)
-        return row
+        rows.append(row)
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(one, values))
     worst = max((r["exit_code"] for r in rows), default=0)
     cfg.out.mkdir(parents=True, exist_ok=True)
     (cfg.out / "sweep.json").write_text(json.dumps(rows, indent=2))
     return rows, worst
-
-
-def load_config_dict(raw: dict) -> RunConfig:
-    import tempfile
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(raw, fh)
-        name = fh.name
-    try:
-        return load_config(name)
-    finally:
-        Path(name).unlink(missing_ok=True)
 
 
 def main(argv=None) -> int:
@@ -314,7 +314,6 @@ def main(argv=None) -> int:
     ap.add_argument("--check-all", action="store_true")
     ap.add_argument("--check", action="append", default=None, metavar="NAME")
     ap.add_argument("--sweep", metavar="AXIS=V1,V2,...")
-    ap.add_argument("--seed", type=int)
     ap.add_argument("--inject-corruption", action="store_true")
     args = ap.parse_args(argv)
 
@@ -325,8 +324,6 @@ def main(argv=None) -> int:
         overrides["tau"] = args.tau
     if args.steps is not None:
         overrides["n_steps"] = args.steps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.check_all:
         overrides["checks"] = list(ALL_CHECKS)
     elif args.check:

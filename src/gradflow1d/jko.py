@@ -27,7 +27,6 @@ class JkoConfig:
     tau: float
     n_steps: int
     k: int = 256
-    m: int = 256
     inner_max_iter: int = 60
     gtol: float = 1e-11
 
@@ -319,8 +318,7 @@ def refine_study(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
     for lev in range(levels):
         tau = cfg.tau / 2 ** lev
         c = JkoConfig(tau=tau, n_steps=cfg.n_steps * 2 ** lev, k=cfg.k,
-                      m=cfg.m, inner_max_iter=cfg.inner_max_iter,
-                      gtol=cfg.gtol)
+                      inner_max_iter=cfg.inner_max_iter, gtol=cfg.gtol)
         trajectories.append(run(u0, energy, c))
     stamps = np.arange(1, cfg.n_steps + 1) * cfg.tau
     stamps = stamps[stamps <= horizon + 1e-12]

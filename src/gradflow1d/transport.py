@@ -211,11 +211,18 @@ def wasserstein2_maps(a: TransportMap, b: TransportMap) -> float:
     return float(np.sqrt(w2sq_between_maps(a.positions, b.positions)))
 
 
-def w2sq_between_maps(xa: np.ndarray, xb: np.ndarray) -> float:
+def w2sq_between_maps(xa: np.ndarray, xb: np.ndarray) -> float | np.ndarray:
+    """Exact W2^2 between the pushforwards of maps with node positions xa, xb.
+
+    The last axis holds the nodes; leading axes are batch axes (broadcast
+    between xa and xb), and the result has their shape, a float for one pair.
+    """
     # exact integral of the piecewise-linear quantile difference squared
     d = xa - xb
-    dm = 1.0 / (len(xa) - 1)
-    return float((dm / 3.0) * np.sum(d[:-1] ** 2 + d[:-1] * d[1:] + d[1:] ** 2))
+    a, b = d[..., :-1], d[..., 1:]
+    dm = 1.0 / (d.shape[-1] - 1)
+    q = (dm / 3.0) * np.sum(a ** 2 + a * b + b ** 2, axis=-1)
+    return float(q) if q.ndim == 0 else q
 
 
 def boltzmann_entropy(u: GridDensity) -> float:

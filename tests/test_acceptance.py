@@ -12,7 +12,7 @@ import pytest
 from gradflow1d import (GridDensity, Interval, JkoConfig, LagrangianSpec,
                         MobilityMapEnergy, MobilitySpec, TemporalWeight,
                         TestFunction, ThinFilmMapEnergy, alpha_window,
-                        apriori_bounds, boundary_sign_check,
+                        apriori_bounds,
                         check_discrete_weak_A, check_discrete_weak_f,
                         check_energy_monotone, check_entropy_dissipation_A,
                         check_entropy_dissipation_f, check_holder_continuity,
@@ -31,14 +31,14 @@ SQRT = MobilitySpec.sqrt_mobility()
 @pytest.fixture(scope="module")
 def thin_run():
     u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
-    cfg = JkoConfig(tau=1e-4, n_steps=200, k=256, m=256)
+    cfg = JkoConfig(tau=1e-4, n_steps=200, k=256)
     return run(u0, ThinFilmMapEnergy(), cfg)
 
 
 @pytest.fixture(scope="module")
 def mob_run():
     u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
-    cfg = JkoConfig(tau=1e-4, n_steps=100, k=256, m=256)
+    cfg = JkoConfig(tau=1e-4, n_steps=100, k=256)
     return run(u0, MobilityMapEnergy(SQRT), cfg)
 
 
@@ -55,8 +55,7 @@ def weak_runs():
     horizon = 0.02
     out = {}
     for tau in (1e-3, 5e-4, 2.5e-4):
-        cfg = JkoConfig(tau=tau, n_steps=int(round(horizon / tau)),
-                        k=256, m=256)
+        cfg = JkoConfig(tau=tau, n_steps=int(round(horizon / tau)), k=256)
         out[tau] = run(u0, ThinFilmMapEnergy(), cfg)
     return out
 
@@ -64,7 +63,7 @@ def weak_runs():
 @pytest.fixture(scope="module")
 def mob_weak_run():
     u0 = GridDensity.cosine(WIDE, 256, eps=0.5, k=2)
-    cfg = JkoConfig(tau=1e-3, n_steps=20, k=256, m=256)
+    cfg = JkoConfig(tau=1e-3, n_steps=20, k=256)
     return run(u0, MobilityMapEnergy(SQRT), cfg)
 
 
@@ -239,7 +238,7 @@ def test_admissible_exponent_windows():
 
 def test_refinement_gaps_shrink():
     u0 = GridDensity.cosine(WIDE, 256, eps=0.5, k=2)
-    cfg = JkoConfig(tau=1e-3, n_steps=20, k=256, m=256)
+    cfg = JkoConfig(tau=1e-3, n_steps=20, k=256)
     _, gaps = refine_study(u0, ThinFilmMapEnergy(), cfg, levels=4)
     assert len(gaps) == 3
     assert gaps[0] > gaps[1] > gaps[2] > 0
@@ -253,13 +252,9 @@ def test_apriori_sup_h1_bound(thin_run):
     assert rep.passed, (rep.lhs, rep.rhs)
 
 
-def test_boundary_sign_condition(thin_run):
-    assert boundary_sign_check(thin_run.states[-1]).lhs == 0.0
-
-
 def test_corruption_is_detected():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
-    cfg = JkoConfig(tau=1e-4, n_steps=8, k=128, m=128)
+    cfg = JkoConfig(tau=1e-4, n_steps=8, k=128)
     traj = run(u0, ThinFilmMapEnergy(), cfg, corrupt_steps=(4,))
     reports = check_entropy_dissipation_A(traj, THIN)
     assert not all(r.passed for r in reports)

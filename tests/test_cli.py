@@ -9,8 +9,7 @@ import pytest
 
 import gradflow1d
 from gradflow1d import ConfigurationError
-from gradflow1d.cli import (ALL_CHECKS, execute, load_config,
-                            load_config_dict, main, sweep)
+from gradflow1d.cli import ALL_CHECKS, execute, load_config, main, sweep
 
 BASE = {
     "m": 64,
@@ -72,6 +71,33 @@ def test_bad_initial_rejected_eagerly(tmp_path):
         load_config(path)
 
 
+def write_datum(tmp_path, m):
+    x = np.linspace(0, 1, m)
+    path = tmp_path / "u0.csv"
+    np.savetxt(path, np.column_stack([x, 1.0 + 0.3 * np.cos(2 * np.pi * x)]),
+               delimiter=",")
+    return path
+
+
+def test_file_datum_must_have_m_cells(tmp_path):
+    path = write_config(tmp_path, {
+        "initial": {"name": "file", "path": str(write_datum(tmp_path, 32))}})
+    with pytest.raises(ConfigurationError, match="32 cells but m is 64"):
+        load_config(path)
+
+
+def test_load_config_dict_matches_path(tmp_path):
+    raw = {**BASE, "out": str(tmp_path / "out"),
+           "lagrangian": {"name": "sqrt_mobility"}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    overrides = {"tau": 5e-5}
+    assert load_config(raw, overrides) == load_config(path, overrides)
+    with pytest.raises(ConfigurationError):  # validated as eagerly
+        load_config({**raw, "lagrangian": {"name": "power_mobility",
+                                           "alpha": 1.0}})
+
+
 # --- execution --------------------------------------------------------------
 
 def test_execute_writes_outputs(tmp_path):
@@ -117,12 +143,8 @@ def test_deterministic_outputs(tmp_path):
 
 
 def test_initial_from_csv_file(tmp_path):
-    x = np.linspace(0, 1, 64)
-    vals = 1.0 + 0.3 * np.cos(2 * np.pi * x)
-    data = tmp_path / "u0.csv"
-    np.savetxt(data, np.column_stack([x, vals]), delimiter=",")
     cfg = load_config(write_config(tmp_path, {
-        "initial": {"name": "file", "path": str(data)},
+        "initial": {"name": "file", "path": str(write_datum(tmp_path, 64))},
         "checks": ["energy_monotone", "total_square_distance"]}))
     assert execute(cfg) == 0
 
@@ -146,6 +168,37 @@ def test_sweep_tau(tmp_path):
     assert all(r["exit_code"] == 0 for r in rows)
     doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
     assert [r["tau"] for r in doc] == [1e-4, 5e-5]
+
+
+def test_sweep_row_matches_execute(tmp_path):
+    path = write_config(tmp_path)
+    rows, code = sweep(load_config(path), "tau", [5e-5])
+    alone = load_config(path, {"tau": 5e-5, "out": str(tmp_path / "alone")})
+    assert execute(alone) == code == rows[0]["exit_code"]
+    for fname in ("certificates.csv", "trajectory.json"):
+        assert (tmp_path / "out" / "tau=5e-05" / fname).read_bytes() == \
+            (tmp_path / "alone" / fname).read_bytes()
+
+
+@pytest.mark.parametrize("extra, axis", [
+    ({}, "alpha"),
+    ({"lagrangian": {"name": "sqrt_mobility"}}, "alpha"),
+    ({"initial": {"name": "uniform"}}, "eps"),
+    ({"initial": {"name": "bump"}}, "eps"),
+])
+def test_sweep_axis_the_run_never_reads(tmp_path, extra, axis):
+    path = write_config(tmp_path, extra)
+    with pytest.raises(ConfigurationError, match="not read"):
+        sweep(load_config(path), axis, [0.6, 0.7])
+    assert not (tmp_path / "out").exists()  # rejected before any row ran
+    assert main(["--config", str(path), "--sweep", f"{axis}=0.6,0.7"]) == 2
+
+
+def test_sweep_eps_on_cosine(tmp_path):
+    cfg = load_config(write_config(tmp_path, {"checks": ["energy_monotone"]}))
+    rows, code = sweep(cfg, "eps", [0.3, 0.5])
+    assert code == 0
+    assert rows[0]["final_energy"] != rows[1]["final_energy"]
 
 
 def test_sweep_empty_axis(tmp_path):
@@ -180,10 +233,10 @@ def test_main_exit_codes(tmp_path):
 def test_main_check_selection(tmp_path):
     path = write_config(tmp_path)
     assert main(["--config", str(path), "--check", "energy_monotone",
-                 "--check", "boundary_sign"]) == 0
+                 "--check", "total_square_distance"]) == 0
     lines = (tmp_path / "out" / "certificates.csv").read_text().splitlines()
     names = {line.split(",")[0] for line in lines[2:]}
-    assert names == {"energy_monotone", "boundary_sign"}
+    assert names == {"energy_monotone", "total_square_distance"}
 
 
 def test_main_corruption_flag(tmp_path):
@@ -201,8 +254,3 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "gradflow1d.cli", "--config", str(path)],
         capture_output=True, env=env)
     assert proc.returncode == 0
-
-
-def test_load_config_dict_round_trip(tmp_path):
-    cfg = load_config_dict({**BASE, "out": str(tmp_path / "out")})
-    assert cfg.tau == BASE["tau"]

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         LagrangianSpec, MobilityMapEnergy, MobilitySpec,
                         TemporalWeight, TestFunction, ThinFilmMapEnergy,
-                        apriori_bounds, boltzmann_entropy, boundary_sign_check,
+                        apriori_bounds, boltzmann_entropy,
                         check_discrete_weak_A, check_discrete_weak_f,
                         check_entropy_dissipation_A,
-                        check_entropy_dissipation_f, dissipation_constants,
+                        check_entropy_dissipation_f, check_holder_continuity,
+                        dissipation_constants,
                         energy, energy_mobility, flow_interchange_dissipation,
                         heat_flow, run, sobolev_norms, traceless_lemma_check)
 
@@ -18,14 +21,14 @@ THIN = LagrangianSpec.thin_film()
 @pytest.fixture(scope="module")
 def thin_traj():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
-    cfg = JkoConfig(tau=1e-4, n_steps=20, k=128, m=128)
+    cfg = JkoConfig(tau=1e-4, n_steps=20, k=128)
     return run(u0, ThinFilmMapEnergy(), cfg)
 
 
 @pytest.fixture(scope="module")
 def mob_traj():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
-    cfg = JkoConfig(tau=1e-4, n_steps=20, k=128, m=128)
+    cfg = JkoConfig(tau=1e-4, n_steps=20, k=128)
     return run(u0, MobilityMapEnergy(MobilitySpec.sqrt_mobility()), cfg)
 
 
@@ -119,6 +122,55 @@ def test_flow_interchange_dominates_h2():
     assert q >= THIN.gamma * n.h2 ** 2 * (1.0 - 1e-3)
 
 
+# --- Hoelder continuity -----------------------------------------------------
+
+def holder_double_loop(traj):
+    """Reference: every stamp pair in (i, j) order, one distance at a time."""
+    e0 = traj.energies[0]
+    worst, worst_pair = -np.inf, (0, 0)
+    pos = [mp.positions for mp in traj.maps]
+    for i in range(traj.n_steps + 1):
+        for j in range(i + 1, traj.n_steps + 1):
+            d = pos[i] - pos[j]
+            dm = 1.0 / (len(d) - 1)
+            w2sq = (dm / 3.0) * np.sum(d[:-1] ** 2 + d[:-1] * d[1:] + d[1:] ** 2)
+            gap = np.sqrt(w2sq) - np.sqrt(2.0 * e0 * ((j - i) * traj.tau
+                                                     + traj.tau))
+            if gap > worst:
+                worst, worst_pair = gap, (i, j)
+    return float(worst), worst_pair
+
+
+@pytest.fixture(scope="module")
+def corrupted_traj():
+    u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
+    cfg = JkoConfig(tau=1e-4, n_steps=10, k=128)
+    return run(u0, ThinFilmMapEnergy(), cfg, corrupt_steps=(4, 5))
+
+
+@pytest.fixture(scope="module")
+def tied_traj(thin_traj):
+    """Maps A, A, B, B with a zero bound: the four A-B pairs tie, the first
+    in (i, j) order is (0, 2), and lag 1 finds its tie at i = 1 first."""
+    a, b = thin_traj.maps[0], thin_traj.maps[-1]
+    return replace(thin_traj, states=thin_traj.states[:4], maps=[a, a, b, b],
+                   energies=np.zeros(4))
+
+
+@pytest.mark.parametrize("name", ["thin_traj", "mob_traj", "corrupted_traj",
+                                  "tied_traj"])
+def test_holder_matches_double_loop(name, request):
+    traj = request.getfixturevalue(name)
+    rep = check_holder_continuity(traj)
+    lhs, pair = holder_double_loop(traj)
+    assert np.array_equal(rep.lhs, lhs)  # bitwise
+    assert rep.context["worst_pair"] == pair
+
+
+def test_holder_tie_order(tied_traj):
+    assert check_holder_continuity(tied_traj).context["worst_pair"] == (0, 2)
+
+
 # --- per-step dissipation certificates -------------------------------------
 
 def test_entropy_dissipation_thin_film(thin_traj):
@@ -136,7 +188,7 @@ def test_entropy_dissipation_mobility(mob_traj):
 
 def test_entropy_dissipation_fails_on_corruption():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
-    cfg = JkoConfig(tau=1e-4, n_steps=6, k=128, m=128)
+    cfg = JkoConfig(tau=1e-4, n_steps=6, k=128)
     traj = run(u0, ThinFilmMapEnergy(), cfg, corrupt_steps=(3,))
     reports = check_entropy_dissipation_A(traj, THIN)
     assert not reports[2].passed  # frozen step: no entropy drop, full lhs
@@ -152,7 +204,7 @@ def weak_setup(n_steps=20, tau=1e-4):
 
 def test_weak_form_stationary_zero(thin_traj):
     u0 = GridDensity.uniform(UNIT, 64)
-    cfg = JkoConfig(tau=1e-4, n_steps=10, k=64, m=64)
+    cfg = JkoConfig(tau=1e-4, n_steps=10, k=64)
     traj = run(u0, ThinFilmMapEnergy(), cfg)
     phi, eta = weak_setup(10)
     rep = check_discrete_weak_A(traj, THIN, phi, eta)
@@ -184,7 +236,7 @@ def test_weak_form_mobility(mob_traj):
 
 def test_apriori_uniform_trajectory():
     u0 = GridDensity.uniform(UNIT, 64)
-    cfg = JkoConfig(tau=1e-4, n_steps=5, k=64, m=64)
+    cfg = JkoConfig(tau=1e-4, n_steps=5, k=64)
     traj = run(u0, ThinFilmMapEnergy(), cfg)
     rep = apriori_bounds(traj, c_lower=THIN.c)
     assert rep.passed
@@ -225,9 +277,3 @@ def test_traceless_preconditions():
                               np.array([1.0, 0.0]))
     with pytest.raises(ConfigurationError):
         traceless_lemma_check(np.eye(2), np.array([1.0, 0.0]))
-
-
-def test_boundary_sign_is_exactly_zero():
-    u = GridDensity.cosine(UNIT, 64, eps=0.5, k=2)
-    rep = boundary_sign_check(u)
-    assert rep.passed and rep.lhs == 0.0

@@ -17,7 +17,7 @@ UNIT = Interval(0.0, 1.0)
 @pytest.fixture(scope="module")
 def thin_traj():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
-    cfg = JkoConfig(tau=1e-4, n_steps=30, k=128, m=128)
+    cfg = JkoConfig(tau=1e-4, n_steps=30, k=128)
     return run(u0, ThinFilmMapEnergy(), cfg)
 
 
@@ -197,7 +197,7 @@ def test_interpolant_ceiling_convention(thin_traj):
 
 def test_relaxation_toward_uniform():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
-    cfg = JkoConfig(tau=2e-3, n_steps=60, k=128, m=128)
+    cfg = JkoConfig(tau=2e-3, n_steps=60, k=128)
     traj = run(u0, ThinFilmMapEnergy(), cfg)
     assert np.all(np.diff(traj.energies) <= 0)
     assert np.all(np.diff(traj.energies[:5]) < 0)
@@ -209,7 +209,7 @@ def test_relaxation_toward_uniform():
 
 def test_corruption_breaks_dissipation():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
-    cfg = JkoConfig(tau=1e-4, n_steps=10, k=128, m=128)
+    cfg = JkoConfig(tau=1e-4, n_steps=10, k=128)
     traj = run(u0, ThinFilmMapEnergy(), cfg, corrupt_steps=(5,))
     assert traj.energies[5] == pytest.approx(traj.energies[4], abs=1e-15)
     assert traj.step_distances[4] == 0.0
@@ -217,7 +217,7 @@ def test_corruption_breaks_dissipation():
 
 def test_mobility_trajectory_dissipates():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
-    cfg = JkoConfig(tau=1e-4, n_steps=10, k=128, m=128)
+    cfg = JkoConfig(tau=1e-4, n_steps=10, k=128)
     traj = run(u0, MobilityMapEnergy(MobilitySpec.sqrt_mobility()), cfg)
     assert all(r.passed for r in check_energy_monotone(traj))
     assert check_total_square_distance(traj).passed
@@ -227,7 +227,7 @@ def test_mobility_trajectory_dissipates():
 
 def test_refine_study_uniform_gaps_vanish():
     u0 = GridDensity.uniform(UNIT, 64)
-    cfg = JkoConfig(tau=1e-3, n_steps=4, k=64, m=64)
+    cfg = JkoConfig(tau=1e-3, n_steps=4, k=64)
     _, gaps = refine_study(u0, ThinFilmMapEnergy(), cfg, levels=3)
     assert len(gaps) == 2
     assert max(gaps) < 1e-8
@@ -235,6 +235,6 @@ def test_refine_study_uniform_gaps_vanish():
 
 def test_refine_study_gaps_shrink():
     u0 = GridDensity.cosine(UNIT, 64, eps=0.5, k=2)
-    cfg = JkoConfig(tau=1e-3, n_steps=5, k=64, m=64)
+    cfg = JkoConfig(tau=1e-3, n_steps=5, k=64)
     _, gaps = refine_study(u0, ThinFilmMapEnergy(), cfg, levels=3)
     assert gaps[1] < gaps[0]

@@ -9,7 +9,7 @@ from gradflow1d import (ConfigurationError, DegenerateQuantileError,
                         boltzmann_entropy, density_from_map, map_from_density,
                         perturbation_flow, quantile, run, transport,
                         volume_distortion_check, wasserstein2)
-from gradflow1d.transport import _newton_inverse
+from gradflow1d.transport import _newton_inverse, w2sq_between_maps
 
 UNIT = Interval(0.0, 1.0)
 
@@ -132,6 +132,21 @@ def test_w2_grid_translation_is_exact():
     shift = 64  # cells = 0.25 length units
     v = positive_density(np.roll(base, shift))
     assert wasserstein2(u, v) == pytest.approx(0.25, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64, 129, 1024])
+def test_w2sq_batched_matches_single_pairs(k):
+    rng = np.random.default_rng(k)
+    xa = np.sort(rng.uniform(0.0, 1.0, (5, 3, k + 1)), axis=-1)
+    xb = np.sort(rng.uniform(0.0, 1.0, (3, k + 1)), axis=-1)
+    batched = w2sq_between_maps(xa, xb)  # xb broadcast over the first axis
+    assert batched.shape == (5, 3)
+    for idx in np.ndindex(5, 3):
+        d = xa[idx] - xb[idx[1]]
+        single = (1.0 / k / 3.0) * np.sum(d[:-1] ** 2 + d[:-1] * d[1:]
+                                          + d[1:] ** 2)
+        assert np.array_equal(batched[idx], single)  # bitwise
+        assert isinstance(w2sq_between_maps(xa[idx], xb[idx[1]]), float)
 
 
 # --- entropy ----------------------------------------------------------------
@@ -285,7 +300,7 @@ def conversions(traj, k):
 @pytest.mark.parametrize("mode", [2, 3])
 def test_conversions_match_fixed_sweeps_on_trajectories(energy, k, mode):
     u0 = GridDensity.cosine(UNIT, k, eps=0.5, k=mode)
-    traj = run(u0, energy, JkoConfig(tau=1e-5, n_steps=4, k=k, m=k))
+    traj = run(u0, energy, JkoConfig(tau=1e-5, n_steps=4, k=k))
     got = conversions(traj, k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "_newton_inverse", fixed_sweeps)
