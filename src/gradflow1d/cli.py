@@ -231,8 +231,12 @@ def _write_outputs(cfg: RunConfig, traj, reports, elapsed: float,
     return summary
 
 
-def execute(cfg: RunConfig) -> int:
-    """Run the scheme and certificate suite; returns the process exit code."""
+def execute(cfg: RunConfig, row: dict | None = None) -> int:
+    """Run the scheme and certificate suite; returns the process exit code.
+
+    A sweep passes its `row`, which receives the run's final energy, path
+    length and worst slack, or the error text of a runtime error.
+    """
     t0 = time.time()
     try:
         energy = cfg.build_energy()
@@ -249,15 +253,24 @@ def execute(cfg: RunConfig) -> int:
         raise
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        if row is not None:
+            row["error"] = str(exc)
         return 3
+    if row is not None:
+        row.update(final_energy=summary["final_energy"],
+                   path_length=float(np.sum(traj.step_distances)),
+                   worst_slack=min(summary["worst_slack"].values(),
+                                   default=0.0))
     return 0 if summary["n_failed"] == 0 else 1
 
 
 def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
     """One run per value of the swept parameter, in the order given.
 
-    Each row loads and validates its own config and runs it as `execute`
-    would; a row whose config is rejected records the error and exit code 2.
+    Each row loads and validates its own config and runs it through
+    `execute`, into the directory <axis>=<value:g>; a row whose config is
+    rejected records the error and exit code 2, one that fails at run time
+    the error and exit code 3.
     """
     if axis not in ("tau", "alpha", "eps"):
         raise ConfigurationError(f"unknown sweep axis '{axis}'")
@@ -270,11 +283,15 @@ def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
         raise ConfigurationError(
             f"sweep axis 'eps' is not read by initial datum "
             f"'{cfg.initial.get('name')}'")
+    dirs = [f"{axis}={val:g}" for val in values]
+    if len(set(dirs)) < len(dirs):
+        raise ConfigurationError(
+            f"sweep values {values} name the same output directory twice")
 
     rows = []
-    for val in values:
+    for val, name in zip(values, dirs):
         raw = dict(cfg.raw)
-        raw["out"] = str(cfg.out / f"{axis}={val:g}")
+        raw["out"] = str(cfg.out / name)
         if axis == "tau":
             raw["tau"] = val
         elif axis == "alpha":
@@ -284,15 +301,7 @@ def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
         row = {axis: val}
         try:
             sub = load_config(raw)
-            code = execute(sub)
-            summary = json.loads((sub.out / "summary.json").read_text())
-            row.update(final_energy=summary["final_energy"],
-                       path_length=float(np.sum(json.loads(
-                           (sub.out / "trajectory.json").read_text()
-                       )["step_distances"])),
-                       worst_slack=min(summary["worst_slack"].values(),
-                                       default=0.0),
-                       exit_code=code)
+            row["exit_code"] = execute(sub, row)
         except (ConfigurationError, OSError) as exc:
             row.update(error=str(exc), exit_code=2)
         rows.append(row)
@@ -335,7 +344,14 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
         if args.sweep:
             axis, _, vals = args.sweep.partition("=")
-            values = [float(v) for v in vals.split(",") if v]
+            try:
+                values = [float(v) for v in vals.split(",") if v]
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"--sweep {args.sweep}: {exc}") from None
+            if not values:
+                raise ConfigurationError(
+                    f"--sweep {args.sweep}: no values (AXIS=V1,V2,...)")
             _, code = sweep(cfg, axis, values)
             return code
         return execute(cfg)

@@ -4,7 +4,10 @@ Each step minimizes W2^2/(2 tau) + Phi over monotone node positions; the
 transport term is exactly quadratic in this parametrization and mass /
 nonnegativity are automatic.  The inner solver is a damped banded Newton
 method with an endpoint active set, on the exact pentadiagonal Hessian
-assembled from one local interface kernel.
+assembled from one local interface kernel.  Its line-search trials evaluate
+the objective value only; each accepted point gets one gradient and one
+Hessian, which share that point's interface arrays, and each banded system
+goes directly to LAPACK gbsv.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .transport import (ConfigurationError, GridDensity, TransportMap,
                         boltzmann_entropy, density_from_map, map_from_density,
@@ -71,7 +74,9 @@ class MobilityMapEnergy:
     widths a = dX_i, b = dX_{i+1}, with W(t) = f(dm / t): the staggered
     difference quotient of w = f(u) over the control volume (a + b)/2; the two
     wall nodes carry p = 0 (the Neumann closure).  The gradient and the exact
-    banded Hessian in the nodes are assembled from the derivatives of T.
+    banded Hessian in the nodes are assembled from the derivatives of T; both
+    accept the interface arrays of `_interfaces(x)`, so a Newton iteration
+    computes them once for its gradient and Hessian.
     """
 
     def __init__(self, f: MobilitySpec):
@@ -85,8 +90,14 @@ class MobilityMapEnergy:
         w1 = -self.f.f1(u) * u / dx  # W'(t) = -f'(u) dm / t^2
         return dx, u, w1, np.diff(self.f.f(u)), dx[:-1] + dx[1:]
 
-    def value_and_grad(self, x):
-        dx, u, w1, d, s = self._interfaces(x)
+    def value(self, x):
+        """The energy alone: the value of `value_and_grad`, without W'."""
+        dx = np.diff(x)
+        d = np.diff(self.f.f(1.0 / ((len(x) - 1) * dx)))
+        return float(np.sum(d * (d / (dx[:-1] + dx[1:]))))
+
+    def value_and_grad(self, x, iface=None):
+        dx, u, w1, d, s = self._interfaces(x) if iface is None else iface
         r = d / s
         # T_a = -r (2 W'(a) + r) and T_b = r (2 W'(b) - r)
         g_dx = np.zeros_like(dx)
@@ -97,7 +108,7 @@ class MobilityMapEnergy:
         gx[:-1] -= g_dx
         return float(np.sum(d * r)), gx
 
-    def hessian_banded(self, x):
+    def hessian_banded(self, x, iface=None):
         """Exact Hessian in the nodes, in (BW, BW) banded storage.
 
         With r = d/s, A = W'(a) + r and B = W'(b) - r, each interface adds the
@@ -105,7 +116,7 @@ class MobilityMapEnergy:
         the tridiagonal Hessian in the cell widths; the node Hessian is
         D^T H D with D the difference matrix dX = D x.
         """
-        dx, u, w1, d, s = self._interfaces(x)
+        dx, u, w1, d, s = self._interfaces(x) if iface is None else iface
         # W''(t) = f''(u) dm^2 / t^4 + 2 f'(u) dm / t^3
         w2 = (self.f.f2(u) * u + 2 * self.f.f1(u)) * u / dx ** 2
         r = d / s
@@ -132,26 +143,37 @@ class ThinFilmMapEnergy(MobilityMapEnergy):
 # --- inner solver ---------------------------------------------------------
 
 class _Objective:
+    """Phi(x) + W2^2(x#, x_prev#)/(2 tau), the transport term exactly
+    quadratic in the nodes."""
+
     def __init__(self, energy: MobilityMapEnergy, x_prev: np.ndarray,
                  tau: float):
         self.energy = energy
         self.x_prev = x_prev
         self.tau = tau
 
-    def __call__(self, x):
-        phi, gphi = self.energy.value_and_grad(x)
+    def _transport(self, x):
+        """Node displacement d, mass per cell dm and W2^2(x#, x_prev#)."""
         d = x - self.x_prev
         dm = 1.0 / (len(x) - 1)
         q = (dm / 3.0) * np.sum(d[:-1] ** 2 + d[:-1] * d[1:] + d[1:] ** 2)
+        return d, dm, q
+
+    def value(self, x):
+        return self.energy.value(x) + self._transport(x)[2] / (2 * self.tau)
+
+    def __call__(self, x, iface=None):
+        phi, gphi = self.energy.value_and_grad(x, iface)
+        d, dm, q = self._transport(x)
         gq = np.zeros_like(x)
         gq[:-1] += (dm / 3.0) * (2 * d[:-1] + d[1:])
         gq[1:] += (dm / 3.0) * (2 * d[1:] + d[:-1])
         return phi + q / (2 * self.tau), gphi + gq / (2 * self.tau)
 
-    def hessian_banded(self, x):
+    def hessian_banded(self, x, iface=None):
         """Energy Hessian plus the constant P1 mass matrix of the transport
         term, dm/(6 tau) tridiag(1, 4, 1) with 2 on the two wall rows."""
-        H = self.energy.hessian_banded(x)
+        H = self.energy.hessian_banded(x, iface)
         c = 1.0 / (6.0 * (len(x) - 1) * self.tau)
         H[BW] += 4 * c
         H[BW, [0, -1]] -= 2 * c
@@ -169,6 +191,33 @@ def _g_free(g, x, lo, hi):
     return gf
 
 
+# LAPACK's banded solver takes the band with BW fill-in rows above it:
+# entry (i, j) of the matrix sits at ab[2 BW + i - j, j].  _PIN[j] holds the
+# (rows, columns) of row and column j of a wall node j in that storage.
+_gbsv, = get_lapack_funcs(("gbsv",), (np.zeros(1),))
+_o = np.arange(BW + 1)
+_PIN = {0: (np.r_[2 * BW - _o, 2 * BW + _o], np.r_[_o, 0 * _o]),
+        -1: (np.r_[2 * BW + _o, 2 * BW - _o], np.r_[-1 - _o, -1 + 0 * _o])}
+
+
+def _newton_direction(ab, H, lam, g, pinned):
+    """Solve (H + lam I) p = -g with the wall nodes in `pinned` held fixed,
+    overwriting the (3 BW + 1, n) work array ab.  None where the system has
+    a non-finite entry or is singular."""
+    ab[:BW] = 0.0
+    ab[BW:] = H
+    ab[2 * BW] += lam
+    rhs = -g
+    for j in pinned:
+        ab[_PIN[j]] = 0.0
+        ab[2 * BW, j] = 1.0
+        rhs[j] = 0.0
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        return None
+    _, _, p, info = _gbsv(BW, BW, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    return p if info == 0 else None
+
+
 def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
              lo: float, hi: float, gap: float,
              max_iter: int = 60, gtol: float = 1e-11,
@@ -178,56 +227,43 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     Damped Newton on the penalized objective with the exact banded Hessian
     of the local interface kernel, Levenberg regularization when a step is
     rejected, an active set pinning wall nodes, and Armijo backtracking under
-    clipping.  Returns (positions, objective value, converged flag); descent
-    from the starting point is guaranteed, so the per-step energy estimates
-    hold regardless of the flag.
+    clipping.  Line-search trials evaluate the objective value only; the
+    gradient is evaluated once per accepted point, and the next Hessian
+    reuses that point's interface arrays.  Each banded system goes straight
+    to LAPACK gbsv in one work array.  Returns (positions, objective value,
+    converged flag); descent from the starting point is guaranteed, so the
+    per-step energy estimates hold regardless of the flag.
     """
     obj = _Objective(energy, x_prev, tau)
     x = x_prev.copy()
-    f, g = obj(x)
+    iface = energy._interfaces(x)
+    f, g = obj(x, iface)
     gref = max(np.linalg.norm(g), 1e-30)
     lam = 0.0
-    n = len(x)
+    ab = np.empty((3 * BW + 1, len(x)))
     converged = np.linalg.norm(_g_free(g, x, lo, hi)) <= gtol
     for _ in range(max_iter if not converged else 0):
-        H = obj.hessian_banded(x)
+        H = obj.hessian_banded(x, iface)
         moved = False
         for _trial in range(30):
-            fixed = np.zeros(n, bool)
-            p = None
+            pinned = []
             for _resolve in range(3):
-                Hd = H.copy()
-                Hd[BW] = H[BW] + lam
-                rhs = -g.copy()
-                for j in np.nonzero(fixed)[0]:
-                    l0, l1 = max(0, j - BW), min(n, j + BW + 1)
-                    idx = np.arange(l0, l1)
-                    Hd[BW + j - idx, idx] = 0.0
-                    Hd[BW + idx - j, np.full(l1 - l0, j)] = 0.0
-                    Hd[BW, j] = 1.0
-                    rhs[j] = 0.0
-                try:
-                    p = solve_banded((BW, BW), Hd, rhs)
-                except Exception:
-                    p = None
+                p = _newton_direction(ab, H, lam, g, pinned)
                 if p is None:
                     break
-                newfix = False
-                if x[0] + p[0] < lo - 1e-15 and not fixed[0]:
-                    fixed[0] = True
-                    newfix = True
-                if x[-1] + p[-1] > hi + 1e-15 and not fixed[-1]:
-                    fixed[-1] = True
-                    newfix = True
-                if not newfix:
+                new = [j for j, out in ((0, x[0] + p[0] < lo - 1e-15),
+                                        (-1, x[-1] + p[-1] > hi + 1e-15))
+                       if out and j not in pinned]
+                if not new:
                     break
-            if p is not None and p @ g < -1e-30:
+                pinned += new
+            if p is not None and (slope := p @ g) < -1e-30:
                 alpha = 1.0
                 for _ in range(40):
                     xn = np.clip(x + alpha * p, lo, hi)
                     if np.all(np.diff(xn) > gap):
-                        fn, gn = obj(xn)
-                        if fn <= f + 1e-4 * alpha * (p @ g) or (fn < f and alpha < 1e-6):
+                        fn = obj.value(xn)
+                        if fn <= f + 1e-4 * alpha * slope or (fn < f and alpha < 1e-6):
                             moved = True
                             break
                     alpha *= 0.5
@@ -237,7 +273,8 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         if not moved:
             break
         df = f - fn
-        x, f, g = xn, fn, gn
+        iface = energy._interfaces(xn)
+        x, f, g = xn, fn, obj(xn, iface)[1]
         lam *= 0.1
         if (np.linalg.norm(_g_free(g, x, lo, hi)) < gtol * gref
                 or df < ftol * max(abs(f), 1e-30)):
@@ -248,7 +285,7 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         # to working precision if each free gradient component is within
         # what moving the nodes by one ulp of the domain scale changes it by
         ulp = np.spacing(max(abs(lo), abs(hi)))
-        row = np.abs(obj.hessian_banded(x)).sum(axis=0)
+        row = np.abs(obj.hessian_banded(x, iface)).sum(axis=0)
         converged = bool(np.all(np.abs(_g_free(g, x, lo, hi)) <= ulp * row))
     return x, f, converged
 
@@ -259,7 +296,7 @@ def penalized_objective(candidate: TransportMap, v_prev: GridDensity,
     map parametrization at matched mass levels."""
     x_prev = map_from_density(v_prev, candidate.k).positions
     q = w2sq_between_maps(candidate.positions, x_prev)
-    return q / (2 * tau) + energy.value_and_grad(candidate.positions)[0]
+    return q / (2 * tau) + energy.value(candidate.positions)
 
 
 # --- trajectories ---------------------------------------------------------
@@ -277,7 +314,7 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
     """
     dom = u0.domain
     x = map_from_density(u0, cfg.k).positions
-    e0, _ = energy.value_and_grad(x)
+    e0 = energy.value(x)
     traj = JkoTrajectory(
         tau=cfg.tau,
         times=np.arange(cfg.n_steps + 1) * cfg.tau,
@@ -300,7 +337,7 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
         state = density_from_map(xmap, u0.m)
         traj.maps.append(xmap)
         traj.states.append(state)
-        traj.energies[nstep] = energy.value_and_grad(xn)[0]
+        traj.energies[nstep] = energy.value(xn)
         traj.step_distances[nstep - 1] = np.sqrt(w2sq_between_maps(xn, x))
         traj.entropies[nstep] = boltzmann_entropy(state)
         traj.converged[nstep - 1] = conv

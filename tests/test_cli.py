@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gradflow1d
-from gradflow1d import ConfigurationError
+from gradflow1d import ConfigurationError, cli
 from gradflow1d.cli import ALL_CHECKS, execute, load_config, main, sweep
 
 BASE = {
@@ -219,6 +219,73 @@ def test_sweep_records_per_row_errors(tmp_path):
     rows, code = sweep(cfg, "tau", [1e-4, -1.0])
     assert code == 2
     assert rows[0]["exit_code"] == 0 and "error" in rows[1]
+
+
+def _fail_run_at_tau(monkeypatch, tau):
+    run = cli.run
+
+    def failing(u0, energy, jcfg, **kw):
+        if jcfg.tau == tau:
+            raise FloatingPointError("step blew up")
+        return run(u0, energy, jcfg, **kw)
+
+    monkeypatch.setattr(cli, "run", failing)
+
+
+def test_sweep_runtime_error_row(tmp_path, monkeypatch):
+    cfg = load_config(write_config(tmp_path, {"checks": ["energy_monotone"]}))
+    _fail_run_at_tau(monkeypatch, 5e-5)
+    rows, code = sweep(cfg, "tau", [1e-4, 5e-5])
+    assert code == 3
+    assert rows[0]["exit_code"] == 0 and "final_energy" in rows[0]
+    assert rows[1] == {"tau": 5e-5, "error": "step blew up", "exit_code": 3}
+    doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    assert doc == rows
+
+
+def test_sweep_runtime_error_ignores_stale_outputs(tmp_path, monkeypatch):
+    # an earlier run left summary.json in the row's directory
+    cfg = load_config(write_config(tmp_path, {"checks": ["energy_monotone"]}))
+    first, _ = sweep(cfg, "tau", [5e-5])
+    assert (tmp_path / "out" / "tau=5e-05" / "summary.json").exists()
+    _fail_run_at_tau(monkeypatch, 5e-5)
+    rows, code = sweep(cfg, "tau", [5e-5])
+    assert code == 3
+    assert rows == [{"tau": 5e-5, "error": "step blew up", "exit_code": 3}]
+    assert first[0]["exit_code"] == 0 and "path_length" in first[0]
+
+
+def test_sweep_row_numbers_match_outputs(tmp_path):
+    cfg = load_config(write_config(tmp_path))
+    rows, _ = sweep(cfg, "tau", [1e-4])
+    out = tmp_path / "out" / "tau=0.0001"
+    summary = json.loads((out / "summary.json").read_text())
+    traj = json.loads((out / "trajectory.json").read_text())
+    assert rows[0] == {
+        "tau": 1e-4,
+        "final_energy": summary["final_energy"],
+        "path_length": float(np.sum(traj["step_distances"])),
+        "worst_slack": min(summary["worst_slack"].values()),
+        "exit_code": 1 if summary["n_failed"] else 0}
+
+
+@pytest.mark.parametrize("values", [[1e-4, 1e-4], [1e-4, 1.0000001e-4]])
+def test_sweep_values_sharing_a_directory(tmp_path, values):
+    path = write_config(tmp_path)
+    with pytest.raises(ConfigurationError, match="same output directory"):
+        sweep(load_config(path), "tau", values)
+    assert not (tmp_path / "out").exists()  # rejected before any row ran
+    spec = "tau=" + ",".join(repr(v) for v in values)
+    assert main(["--config", str(path), "--sweep", spec]) == 2
+
+
+@pytest.mark.parametrize("spec", ["tau=abc", "tau=1e-4,x", "tau", "tau=",
+                                  "tau=,"])
+def test_main_rejects_bad_sweep_spec(tmp_path, spec, capsys):
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "--sweep", spec]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # --- entry point ------------------------------------------------------------

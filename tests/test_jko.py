@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.optimize import minimize
 
 from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
@@ -8,10 +9,13 @@ from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         check_holder_continuity, check_total_square_distance,
                         jko_step, map_from_density, penalized_objective,
                         refine_study, run, wasserstein2)
-from gradflow1d.jko import BW, _Objective
+from gradflow1d import jko
+from gradflow1d.jko import BW, _g_free, _Objective
 from gradflow1d.transport import w2sq_between_maps
 
 UNIT = Interval(0.0, 1.0)
+MOBILITIES = [MobilitySpec.identity(), MobilitySpec.sqrt_mobility(),
+              MobilitySpec.power_mobility(1.0, 0.7)]
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +242,192 @@ def test_refine_study_gaps_shrink():
     cfg = JkoConfig(tau=1e-3, n_steps=5, k=64)
     _, gaps = refine_study(u0, ThinFilmMapEnergy(), cfg, levels=3)
     assert gaps[1] < gaps[0]
+
+
+# --- parity of the inner loop with the plain damped Newton loop -------------
+
+def _reference_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
+                        gtol=1e-11, ftol=1e-15):
+    """The inner loop in its plain form: every line-search trial evaluates
+    value and gradient, each Hessian recomputes its interface arrays, and
+    wall pins are scattered into a copy of the Hessian for scipy's
+    solve_banded.  jko_step must return bitwise what this returns."""
+    obj = _Objective(energy, x_prev, tau)
+    x = x_prev.copy()
+    f, g = obj(x)
+    gref = max(np.linalg.norm(g), 1e-30)
+    lam = 0.0
+    n = len(x)
+    converged = np.linalg.norm(_g_free(g, x, lo, hi)) <= gtol
+    for _ in range(max_iter if not converged else 0):
+        H = obj.hessian_banded(x)
+        moved = False
+        for _trial in range(30):
+            fixed = np.zeros(n, bool)
+            p = None
+            for _resolve in range(3):
+                Hd = H.copy()
+                Hd[BW] = H[BW] + lam
+                rhs = -g.copy()
+                for j in np.nonzero(fixed)[0]:
+                    l0, l1 = max(0, j - BW), min(n, j + BW + 1)
+                    idx = np.arange(l0, l1)
+                    Hd[BW + j - idx, idx] = 0.0
+                    Hd[BW + idx - j, np.full(l1 - l0, j)] = 0.0
+                    Hd[BW, j] = 1.0
+                    rhs[j] = 0.0
+                try:
+                    p = solve_banded((BW, BW), Hd, rhs)
+                except Exception:
+                    p = None
+                if p is None:
+                    break
+                newfix = False
+                if x[0] + p[0] < lo - 1e-15 and not fixed[0]:
+                    fixed[0] = True
+                    newfix = True
+                if x[-1] + p[-1] > hi + 1e-15 and not fixed[-1]:
+                    fixed[-1] = True
+                    newfix = True
+                if not newfix:
+                    break
+            if p is not None and p @ g < -1e-30:
+                alpha = 1.0
+                for _ in range(40):
+                    xn = np.clip(x + alpha * p, lo, hi)
+                    if np.all(np.diff(xn) > gap):
+                        fn, gn = obj(xn)
+                        if fn <= f + 1e-4 * alpha * (p @ g) or (fn < f and alpha < 1e-6):
+                            moved = True
+                            break
+                    alpha *= 0.5
+                if moved:
+                    break
+            lam = 1e-3 * np.abs(H[BW]).max() if lam == 0 else 10 * lam
+        if not moved:
+            break
+        df = f - fn
+        x, f, g = xn, fn, gn
+        lam *= 0.1
+        if (np.linalg.norm(_g_free(g, x, lo, hi)) < gtol * gref
+                or df < ftol * max(abs(f), 1e-30)):
+            converged = True
+            break
+    if not converged:
+        ulp = np.spacing(max(abs(lo), abs(hi)))
+        row = np.abs(obj.hessian_banded(x)).sum(axis=0)
+        converged = bool(np.all(np.abs(_g_free(g, x, lo, hi)) <= ulp * row))
+    return x, f, converged
+
+
+def _same_step(x, energy, tau):
+    ref = _reference_jko_step(x, energy, tau, 0.0, 1.0, UNIT.gap)
+    out = jko_step(x, energy, tau, 0.0, 1.0, UNIT.gap)
+    assert np.array_equal(out[0], ref[0])
+    assert out[1] == ref[1]
+    assert out[2] == ref[2]
+    return out
+
+
+@pytest.mark.parametrize("f", MOBILITIES, ids=lambda f: f.name)
+def test_value_matches_value_and_grad(f):
+    e = MobilityMapEnergy(f)
+    rng = np.random.default_rng(3)
+    for k in (16, 257):
+        x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, k))])
+        x /= x[-1]
+        obj = _Objective(e, x + 0.01 * rng.uniform(-1, 1, k + 1) / k, 1e-4)
+        assert e.value(x) == e.value_and_grad(x)[0]
+        assert obj.value(x) == obj(x)[0]
+        iface = e._interfaces(x)
+        assert np.array_equal(obj(x, iface)[1], obj(x)[1])
+        assert np.array_equal(obj.hessian_banded(x, iface),
+                              obj.hessian_banded(x))
+
+
+@pytest.mark.parametrize("tau", [1e-5, 1e-4, 1e-2])
+@pytest.mark.parametrize("k", [16, 64, 1024])
+@pytest.mark.parametrize("f", MOBILITIES, ids=lambda f: f.name)
+def test_step_matches_reference(f, k, tau):
+    # two steps from even (k=2) and odd (k=3) cosine data; the odd mode
+    # pushes a wall node out of the domain, so its steps re-solve with a pin
+    e = MobilityMapEnergy(f)
+    for mode in (2, 3):
+        x = map_from_density(GridDensity.cosine(UNIT, k, eps=0.5, k=mode),
+                             k).positions
+        for _ in range(2):
+            x = _same_step(x, e, tau)[0]
+
+
+def test_odd_mode_steps_pin_a_wall(monkeypatch):
+    pins = []
+    solve = jko._newton_direction
+
+    def record(ab, H, lam, g, pinned):
+        pins.append(len(pinned))
+        return solve(ab, H, lam, g, pinned)
+
+    monkeypatch.setattr(jko, "_newton_direction", record)
+    x = map_from_density(GridDensity.cosine(UNIT, 64, eps=0.5, k=3),
+                         64).positions
+    _same_step(x, ThinFilmMapEnergy(), 1e-4)
+    assert pins.count(1) > 0  # re-solves with a pinned wall
+
+
+def test_stationary_exit_matches_reference():
+    # the acceptance fixture's step 187 starts at the rounding floor, spends
+    # its whole Newton budget on noise-sized moves and is converged only by
+    # the working-precision stationarity test
+    u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
+    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=186,
+                                                  k=256))
+    x = traj.maps[-1].positions
+    assert _same_step(x, ThinFilmMapEnergy(), 1e-4)[2]
+    e = ThinFilmMapEnergy()
+    grads = []
+    value_and_grad = e.value_and_grad
+    e.value_and_grad = lambda *a: grads.append(1) or value_and_grad(*a)
+    jko_step(x, e, 1e-4, 0.0, 1.0, UNIT.gap)
+    assert len(grads) == 61  # the start and all 60 accepted iterations
+
+
+class _NanHessian(ThinFilmMapEnergy):
+    def __init__(self, entry):
+        super().__init__()
+        self.entry = entry
+
+    def hessian_banded(self, x, iface=None):
+        H = super().hessian_banded(x, iface)
+        H[self.entry] = np.nan
+        return H
+
+
+class _SingularHessian(ThinFilmMapEnergy):
+    """Cancels the transport term's mass matrix: the Newton system is 0."""
+
+    def __init__(self, tau):
+        super().__init__()
+        self.tau = tau
+
+    def hessian_banded(self, x, iface=None):
+        c = 1.0 / (6.0 * (len(x) - 1) * self.tau)
+        H = np.zeros((2 * BW + 1, len(x)))
+        H[BW] = -4 * c
+        H[BW, [0, -1]] = -2 * c
+        H[BW - 1, 1:] = H[BW + 1, :-1] = -c
+        return H
+
+
+@pytest.mark.parametrize("energy", [_NanHessian((BW, 5)),
+                                    _NanHessian((0, 0)),
+                                    _SingularHessian(1e-4)],
+                         ids=["nan_diagonal", "nan_unused_corner",
+                              "singular"])
+def test_unsolvable_systems_match_reference(energy):
+    # scipy's solve_banded refuses a non-finite band (unused corners
+    # included) and a singular system; either means no Newton step
+    x0 = map_from_density(GridDensity.cosine(UNIT, 64, eps=0.5, k=2),
+                          64).positions
+    x, _, converged = _same_step(x0, energy, 1e-4)
+    assert np.array_equal(x, x0)
+    assert not converged
