@@ -2,12 +2,13 @@
 
 Each step minimizes W2^2/(2 tau) + Phi over monotone node positions; the
 transport term is exactly quadratic in this parametrization and mass /
-nonnegativity are automatic.  The inner solver is a damped banded Newton
-method with an endpoint active set, on the exact pentadiagonal Hessian
-assembled from one local interface kernel.  Its line-search trials evaluate
-the objective value only; each accepted point gets one gradient and one
-Hessian, which share that point's interface arrays, and each banded system
-goes directly to LAPACK gbsv.
+nonnegativity are automatic.  The domain is fixed, so the two end nodes stay
+on the walls and the unknowns are the interior nodes.  The inner solver is a
+damped banded Newton method on the interior block of the exact pentadiagonal
+Hessian, assembled from one local interface kernel.  Its line-search trials
+evaluate the objective value only; each accepted point gets one gradient and
+one Hessian, which share that point's interface arrays, and each banded
+system goes directly to LAPACK gbsv.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class JkoConfig:
     gtol: float = 1e-11
 
     def __post_init__(self):
-        if self.tau <= 0 or self.k < 8 or self.n_steps < 0:
+        if not 0 < self.tau < np.inf or self.k < 8 or self.n_steps < 0:
             raise ConfigurationError("invalid scheme configuration")
 
 
@@ -172,46 +173,30 @@ class _Objective:
 
     def hessian_banded(self, x, iface=None):
         """Energy Hessian plus the constant P1 mass matrix of the transport
-        term, dm/(6 tau) tridiag(1, 4, 1) with 2 on the two wall rows."""
+        term, dm/(6 tau) tridiag(1, 4, 1); exact in the interior rows, the
+        only ones the solver reads (a wall row's diagonal would take 2)."""
         H = self.energy.hessian_banded(x, iface)
         c = 1.0 / (6.0 * (len(x) - 1) * self.tau)
         H[BW] += 4 * c
-        H[BW, [0, -1]] -= 2 * c
         H[BW - 1, 1:] += c
         H[BW + 1, :-1] += c
         return H
 
 
-def _g_free(g, x, lo, hi):
-    gf = g.copy()
-    if x[0] <= lo + 1e-14 and gf[0] > 0:
-        gf[0] = 0.0
-    if x[-1] >= hi - 1e-14 and gf[-1] < 0:
-        gf[-1] = 0.0
-    return gf
-
-
 # LAPACK's banded solver takes the band with BW fill-in rows above it:
-# entry (i, j) of the matrix sits at ab[2 BW + i - j, j].  _PIN[j] holds the
-# (rows, columns) of row and column j of a wall node j in that storage.
+# entry (i, j) of the matrix sits at ab[2 BW + i - j, j].
 _gbsv, = get_lapack_funcs(("gbsv",), (np.zeros(1),))
-_o = np.arange(BW + 1)
-_PIN = {0: (np.r_[2 * BW - _o, 2 * BW + _o], np.r_[_o, 0 * _o]),
-        -1: (np.r_[2 * BW + _o, 2 * BW - _o], np.r_[-1 - _o, -1 + 0 * _o])}
 
 
-def _newton_direction(ab, H, lam, g, pinned):
-    """Solve (H + lam I) p = -g with the wall nodes in `pinned` held fixed,
-    overwriting the (3 BW + 1, n) work array ab.  None where the system has
-    a non-finite entry or is singular."""
+def _newton_direction(ab, H, lam, g):
+    """Solve (H + lam I) p = -g on the interior nodes, whose block of the
+    node Hessian H is columns 1:-1 of its band storage (LAPACK ignores the
+    corners outside the block).  Overwrites the (3 BW + 1, n - 2) work array
+    ab; None where the system has a non-finite entry or is singular."""
     ab[:BW] = 0.0
-    ab[BW:] = H
+    ab[BW:] = H[:, 1:-1]
     ab[2 * BW] += lam
     rhs = -g
-    for j in pinned:
-        ab[_PIN[j]] = 0.0
-        ab[2 * BW, j] = 1.0
-        rhs[j] = 0.0
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         return None
     _, _, p, info = _gbsv(BW, BW, ab, rhs, overwrite_ab=True, overwrite_b=True)
@@ -219,48 +204,41 @@ def _newton_direction(ab, H, lam, g, pinned):
 
 
 def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
-             lo: float, hi: float, gap: float,
-             max_iter: int = 60, gtol: float = 1e-11,
+             gap: float, max_iter: int = 60, gtol: float = 1e-11,
              ftol: float = 1e-15) -> tuple[np.ndarray, float, bool]:
     """One minimizing-movement step from the previous map's node positions.
 
-    Damped Newton on the penalized objective with the exact banded Hessian
-    of the local interface kernel, Levenberg regularization when a step is
-    rejected, an active set pinning wall nodes, and Armijo backtracking under
-    clipping.  Line-search trials evaluate the objective value only; the
-    gradient is evaluated once per accepted point, and the next Hessian
-    reuses that point's interface arrays.  Each banded system goes straight
-    to LAPACK gbsv in one work array.  Returns (positions, objective value,
-    converged flag); descent from the starting point is guaranteed, so the
-    per-step energy estimates hold regardless of the flag.
+    The end nodes x_prev[0] and x_prev[-1] are the fixed walls; the interior
+    nodes are the unknowns.  Damped Newton on the penalized objective with
+    the interior block of the exact banded Hessian of the local interface
+    kernel, Levenberg regularization when a step is rejected, and Armijo
+    backtracking that keeps every cell wider than gap.  Line-search trials
+    evaluate the objective value only; the gradient is evaluated once per
+    accepted point, and the next Hessian reuses that point's interface
+    arrays.  Each banded system goes straight to LAPACK gbsv in one work
+    array.  Returns (positions, objective value, converged flag); descent
+    from the starting point is guaranteed, so the per-step energy estimates
+    hold regardless of the flag.
     """
     obj = _Objective(energy, x_prev, tau)
     x = x_prev.copy()
     iface = energy._interfaces(x)
     f, g = obj(x, iface)
+    g = g[1:-1]
     gref = max(np.linalg.norm(g), 1e-30)
     lam = 0.0
-    ab = np.empty((3 * BW + 1, len(x)))
-    converged = np.linalg.norm(_g_free(g, x, lo, hi)) <= gtol
+    ab = np.empty((3 * BW + 1, len(x) - 2))
+    converged = np.linalg.norm(g) <= gtol
     for _ in range(max_iter if not converged else 0):
         H = obj.hessian_banded(x, iface)
         moved = False
         for _trial in range(30):
-            pinned = []
-            for _resolve in range(3):
-                p = _newton_direction(ab, H, lam, g, pinned)
-                if p is None:
-                    break
-                new = [j for j, out in ((0, x[0] + p[0] < lo - 1e-15),
-                                        (-1, x[-1] + p[-1] > hi + 1e-15))
-                       if out and j not in pinned]
-                if not new:
-                    break
-                pinned += new
+            p = _newton_direction(ab, H, lam, g)
             if p is not None and (slope := p @ g) < -1e-30:
                 alpha = 1.0
                 for _ in range(40):
-                    xn = np.clip(x + alpha * p, lo, hi)
+                    xn = x.copy()
+                    xn[1:-1] += alpha * p
                     if np.all(np.diff(xn) > gap):
                         fn = obj.value(xn)
                         if fn <= f + 1e-4 * alpha * slope or (fn < f and alpha < 1e-6):
@@ -269,24 +247,23 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
                     alpha *= 0.5
                 if moved:
                     break
-            lam = 1e-3 * np.abs(H[BW]).max() if lam == 0 else 10 * lam
+            lam = 1e-3 * np.abs(H[BW, 1:-1]).max() if lam == 0 else 10 * lam
         if not moved:
             break
         df = f - fn
         iface = energy._interfaces(xn)
-        x, f, g = xn, fn, obj(xn, iface)[1]
+        x, f, g = xn, fn, obj(xn, iface)[1][1:-1]
         lam *= 0.1
-        if (np.linalg.norm(_g_free(g, x, lo, hi)) < gtol * gref
-                or df < ftol * max(abs(f), 1e-30)):
+        if np.linalg.norm(g) < gtol * gref or df < ftol * max(abs(f), 1e-30):
             converged = True
             break
     if not converged:
         # stalled in rounding noise near equilibrium: x is still stationary
-        # to working precision if each free gradient component is within
-        # what moving the nodes by one ulp of the domain scale changes it by
-        ulp = np.spacing(max(abs(lo), abs(hi)))
-        row = np.abs(obj.hessian_banded(x, iface)).sum(axis=0)
-        converged = bool(np.all(np.abs(_g_free(g, x, lo, hi)) <= ulp * row))
+        # to working precision if each gradient component is within what
+        # moving the nodes by one ulp of the domain scale changes it by
+        ulp = np.spacing(max(abs(x[0]), abs(x[-1])))
+        row = np.abs(obj.hessian_banded(x, iface)[:, 1:-1]).sum(axis=0)
+        converged = bool(np.all(np.abs(g) <= ulp * row))
     return x, f, converged
 
 
@@ -331,7 +308,7 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
         if nstep in corrupt_steps:
             xn, conv = x.copy(), True
         else:
-            xn, _, conv = jko_step(x, energy, cfg.tau, dom.lo, dom.hi, dom.gap,
+            xn, _, conv = jko_step(x, energy, cfg.tau, dom.gap,
                                    cfg.inner_max_iter, cfg.gtol)
         xmap = TransportMap(dom, xn.copy())
         state = density_from_map(xmap, u0.m)

@@ -245,6 +245,33 @@ def test_refinement_gaps_shrink():
     assert gaps[2] <= 0.5 * gaps[0], gaps
 
 
+# --- 13: known answer: linearized decay of a cosine mode --------------------
+
+def _cosine_coefficient(x, k):
+    """Exact cos(k pi x) coefficient on [0, 1] of the piecewise-constant
+    pushforward of the map with nodes x."""
+    u = 1.0 / ((len(x) - 1) * np.diff(x))
+    return 2 * np.sum(u * np.diff(np.sin(k * np.pi * x))) / (k * np.pi)
+
+
+@pytest.mark.parametrize("K", [64, 128, 256])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("f", [MobilitySpec.identity(), SQRT],
+                         ids=lambda f: f.name)
+def test_cosine_mode_decays_at_implicit_euler_rate(f, k, K):
+    # around u = 1 both energies linearize to u_t = -f'(1)^2 u_xxxx, so
+    # cos(k pi x) decays at lambda_k = f'(1)^2 (k pi)^4 and one implicit
+    # Euler step divides its amplitude by 1 + tau lambda_k
+    horizon, n = 2e-3 / k ** 4, 20
+    tau = horizon / n
+    u0 = GridDensity.cosine(UNIT, K, eps=1e-3, k=k)
+    traj = run(u0, MobilityMapEnergy(f), JkoConfig(tau=tau, n_steps=n, k=K))
+    a0, an = (_cosine_coefficient(traj.maps[i].positions, k) for i in (0, n))
+    rate = np.log(a0 / an) / horizon
+    lam = f.f1(1.0) ** 2 * (k * np.pi) ** 4
+    assert rate == pytest.approx(np.log1p(tau * lam) / tau, rel=2e-6)
+
+
 # --- supporting controls -----------------------------------------------------
 
 def test_apriori_sup_h1_bound(thin_run):

@@ -10,7 +10,7 @@ from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         jko_step, map_from_density, penalized_objective,
                         refine_study, run, wasserstein2)
 from gradflow1d import jko
-from gradflow1d.jko import BW, _g_free, _Objective
+from gradflow1d.jko import BW, _Objective
 from gradflow1d.transport import w2sq_between_maps
 
 UNIT = Interval(0.0, 1.0)
@@ -32,6 +32,9 @@ def test_config_validation():
         JkoConfig(tau=-1.0, n_steps=5)
     with pytest.raises(ConfigurationError):
         JkoConfig(tau=1e-4, n_steps=-1)
+    for tau in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            JkoConfig(tau=tau, n_steps=5)
 
 
 # --- map energies and objective --------------------------------------------
@@ -102,15 +105,16 @@ def test_exact_hessian_matches_fd(f, k):
         assert np.array_equal(H[BW - off, off:], H[BW + off, :-off])
     dense = sum(np.diag(H[BW - off, max(off, 0):k + 1 + min(off, 0)], off)
                 for off in range(-BW, BW + 1))
-    ref = _fd_hessian(obj, x, 1e-5 * np.diff(x).min())
-    assert np.abs(dense - ref).max() <= 1e-6 * np.abs(ref).max()
+    # the interior rows: the fixed walls' own rows are never read
+    ref = _fd_hessian(obj, x, 1e-5 * np.diff(x).min())[1:-1]
+    assert np.abs(dense[1:-1] - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
 # --- single steps -----------------------------------------------------------
 
 def test_uniform_is_fixed_point():
     x0 = np.linspace(0, 1, 65)
-    xn, fval, conv = jko_step(x0, ThinFilmMapEnergy(), 1e-4, 0.0, 1.0, 1e-9)
+    xn, fval, conv = jko_step(x0, ThinFilmMapEnergy(), 1e-4, 1e-9)
     assert conv
     assert np.max(np.abs(xn - x0)) < 1e-9
     assert fval < 1e-15
@@ -124,7 +128,7 @@ def test_step_against_brute_force():
     tau = 1e-3
     e = ThinFilmMapEnergy()
     obj = _Objective(e, x0, tau)
-    xn, fval, _ = jko_step(x0, e, tau, 0.0, 1.0, 1e-9)
+    xn, fval, _ = jko_step(x0, e, tau, 1e-9)
 
     def fun(z):
         x = np.concatenate([[0.0], np.sort(z), [1.0]])
@@ -154,10 +158,10 @@ def test_stationary_to_working_precision(f):
     x = np.linspace(0.0, 1.0, 257)
     x[1:-1:3] = np.nextafter(x[1:-1:3], 2.0)
     assert np.linalg.norm(_Objective(e, x, 1e-4)(x)[1]) > 1e-9
-    assert jko_step(x, e, 1e-4, 0.0, 1.0, 1e-9, max_iter=0)[2]
+    assert jko_step(x, e, 1e-4, 1e-9, max_iter=0)[2]
     u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
     x1 = map_from_density(u0, 256).positions
-    assert not jko_step(x1, e, 1e-4, 0.0, 1.0, 1e-9, max_iter=0)[2]
+    assert not jko_step(x1, e, 1e-4, 1e-9, max_iter=0)[2]
 
 
 def test_step_on_odd_mode_data():
@@ -166,7 +170,7 @@ def test_step_on_odd_mode_data():
     e = ThinFilmMapEnergy()
     tau = 1e-5
     f0 = _Objective(e, x0, tau)(x0)[0]
-    xn, fval, conv = jko_step(x0, e, tau, 0.0, 1.0, 1e-9)
+    xn, fval, conv = jko_step(x0, e, tau, 1e-9)
     assert conv
     assert fval < f0
     assert fval == pytest.approx(_Objective(e, x0, tau)(xn)[0], rel=1e-12)
@@ -246,55 +250,33 @@ def test_refine_study_gaps_shrink():
 
 # --- parity of the inner loop with the plain damped Newton loop -------------
 
-def _reference_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
-                        gtol=1e-11, ftol=1e-15):
-    """The inner loop in its plain form: every line-search trial evaluates
-    value and gradient, each Hessian recomputes its interface arrays, and
-    wall pins are scattered into a copy of the Hessian for scipy's
+def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
+                        ftol=1e-15):
+    """The inner loop in its plain form: the end nodes stay on the walls,
+    every line-search trial evaluates value and gradient, each Hessian
+    recomputes its interface arrays, and the interior block goes to scipy's
     solve_banded.  jko_step must return bitwise what this returns."""
     obj = _Objective(energy, x_prev, tau)
     x = x_prev.copy()
     f, g = obj(x)
+    g = g[1:-1]
     gref = max(np.linalg.norm(g), 1e-30)
     lam = 0.0
-    n = len(x)
-    converged = np.linalg.norm(_g_free(g, x, lo, hi)) <= gtol
+    converged = np.linalg.norm(g) <= gtol
     for _ in range(max_iter if not converged else 0):
-        H = obj.hessian_banded(x)
+        H = obj.hessian_banded(x)[:, 1:-1]
         moved = False
         for _trial in range(30):
-            fixed = np.zeros(n, bool)
-            p = None
-            for _resolve in range(3):
-                Hd = H.copy()
-                Hd[BW] = H[BW] + lam
-                rhs = -g.copy()
-                for j in np.nonzero(fixed)[0]:
-                    l0, l1 = max(0, j - BW), min(n, j + BW + 1)
-                    idx = np.arange(l0, l1)
-                    Hd[BW + j - idx, idx] = 0.0
-                    Hd[BW + idx - j, np.full(l1 - l0, j)] = 0.0
-                    Hd[BW, j] = 1.0
-                    rhs[j] = 0.0
-                try:
-                    p = solve_banded((BW, BW), Hd, rhs)
-                except Exception:
-                    p = None
-                if p is None:
-                    break
-                newfix = False
-                if x[0] + p[0] < lo - 1e-15 and not fixed[0]:
-                    fixed[0] = True
-                    newfix = True
-                if x[-1] + p[-1] > hi + 1e-15 and not fixed[-1]:
-                    fixed[-1] = True
-                    newfix = True
-                if not newfix:
-                    break
+            Hd = H.copy()
+            Hd[BW] += lam
+            try:
+                p = solve_banded((BW, BW), Hd, -g)
+            except (ValueError, np.linalg.LinAlgError):
+                p = None
             if p is not None and p @ g < -1e-30:
                 alpha = 1.0
                 for _ in range(40):
-                    xn = np.clip(x + alpha * p, lo, hi)
+                    xn = np.concatenate(([x[0]], x[1:-1] + alpha * p, [x[-1]]))
                     if np.all(np.diff(xn) > gap):
                         fn, gn = obj(xn)
                         if fn <= f + 1e-4 * alpha * (p @ g) or (fn < f and alpha < 1e-6):
@@ -307,22 +289,21 @@ def _reference_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
         if not moved:
             break
         df = f - fn
-        x, f, g = xn, fn, gn
+        x, f, g = xn, fn, gn[1:-1]
         lam *= 0.1
-        if (np.linalg.norm(_g_free(g, x, lo, hi)) < gtol * gref
-                or df < ftol * max(abs(f), 1e-30)):
+        if np.linalg.norm(g) < gtol * gref or df < ftol * max(abs(f), 1e-30):
             converged = True
             break
     if not converged:
-        ulp = np.spacing(max(abs(lo), abs(hi)))
-        row = np.abs(obj.hessian_banded(x)).sum(axis=0)
-        converged = bool(np.all(np.abs(_g_free(g, x, lo, hi)) <= ulp * row))
+        ulp = np.spacing(max(abs(x[0]), abs(x[-1])))
+        row = np.abs(obj.hessian_banded(x)[:, 1:-1]).sum(axis=0)
+        converged = bool(np.all(np.abs(g) <= ulp * row))
     return x, f, converged
 
 
-def _same_step(x, energy, tau):
-    ref = _reference_jko_step(x, energy, tau, 0.0, 1.0, UNIT.gap)
-    out = jko_step(x, energy, tau, 0.0, 1.0, UNIT.gap)
+def _same_step(x, energy, tau, max_iter=60):
+    ref = _reference_jko_step(x, energy, tau, UNIT.gap, max_iter)
+    out = jko_step(x, energy, tau, UNIT.gap, max_iter)
     assert np.array_equal(out[0], ref[0])
     assert out[1] == ref[1]
     assert out[2] == ref[2]
@@ -349,8 +330,7 @@ def test_value_matches_value_and_grad(f):
 @pytest.mark.parametrize("k", [16, 64, 1024])
 @pytest.mark.parametrize("f", MOBILITIES, ids=lambda f: f.name)
 def test_step_matches_reference(f, k, tau):
-    # two steps from even (k=2) and odd (k=3) cosine data; the odd mode
-    # pushes a wall node out of the domain, so its steps re-solve with a pin
+    # two steps from even (k=2) and odd (k=3) cosine data
     e = MobilityMapEnergy(f)
     for mode in (2, 3):
         x = map_from_density(GridDensity.cosine(UNIT, k, eps=0.5, k=mode),
@@ -359,36 +339,149 @@ def test_step_matches_reference(f, k, tau):
             x = _same_step(x, e, tau)[0]
 
 
-def test_odd_mode_steps_pin_a_wall(monkeypatch):
-    pins = []
-    solve = jko._newton_direction
-
-    def record(ab, H, lam, g, pinned):
-        pins.append(len(pinned))
-        return solve(ab, H, lam, g, pinned)
-
-    monkeypatch.setattr(jko, "_newton_direction", record)
-    x = map_from_density(GridDensity.cosine(UNIT, 64, eps=0.5, k=3),
-                         64).positions
-    _same_step(x, ThinFilmMapEnergy(), 1e-4)
-    assert pins.count(1) > 0  # re-solves with a pinned wall
+@pytest.mark.parametrize("mode", [1, 3])
+@pytest.mark.parametrize("f", MOBILITIES, ids=lambda f: f.name)
+def test_odd_mode_steps_keep_both_walls(f, mode):
+    # an odd mode moves mass from one wall towards the other; both end
+    # nodes stay exactly on the walls while the interior moves
+    dom = Interval(-1.0, 2.0)
+    u0 = GridDensity.cosine(dom, 64, eps=0.5, k=mode)
+    traj = run(u0, MobilityMapEnergy(f), JkoConfig(tau=1e-2, n_steps=5, k=64))
+    for xmap in traj.maps:
+        assert xmap.positions[0] == dom.lo
+        assert xmap.positions[-1] == dom.hi
+    assert np.abs(traj.maps[-1].positions - traj.maps[0].positions).max() > 1e-3
 
 
 def test_stationary_exit_matches_reference():
-    # the acceptance fixture's step 187 starts at the rounding floor, spends
-    # its whole Newton budget on noise-sized moves and is converged only by
-    # the working-precision stationarity test
+    # the acceptance fixture's step 187 starts at the rounding floor and
+    # takes 16 noise-sized Newton iterations; on a budget of 8 it spends the
+    # budget and is converged only by the working-precision stationarity
+    # test
     u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
     traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=186,
                                                   k=256))
     x = traj.maps[-1].positions
-    assert _same_step(x, ThinFilmMapEnergy(), 1e-4)[2]
+    assert _same_step(x, ThinFilmMapEnergy(), 1e-4, max_iter=8)[2]
     e = ThinFilmMapEnergy()
     grads = []
     value_and_grad = e.value_and_grad
     e.value_and_grad = lambda *a: grads.append(1) or value_and_grad(*a)
-    jko_step(x, e, 1e-4, 0.0, 1.0, UNIT.gap)
-    assert len(grads) == 61  # the start and all 60 accepted iterations
+    jko_step(x, e, 1e-4, UNIT.gap, max_iter=8)
+    assert len(grads) == 9  # the start and all 8 accepted iterations
+
+
+# --- parity with the free-wall solver where its walls never moved ----------
+# The solver this one replaced let a wall node leave its wall through an
+# endpoint active set.  On even-mode data at small steps its walls stayed
+# put, so holding them fixed must give bitwise its results there.  Below is
+# that solver verbatim, with its objective's wall-row mass-matrix entries.
+
+class _FreeWallObjective(_Objective):
+    def hessian_banded(self, x, iface=None):
+        H = super().hessian_banded(x, iface)
+        H[BW, [0, -1]] -= 2.0 / (6.0 * (len(x) - 1) * self.tau)
+        return H
+
+
+def _g_free(g, x, lo, hi):
+    gf = g.copy()
+    if x[0] <= lo + 1e-14 and gf[0] > 0:
+        gf[0] = 0.0
+    if x[-1] >= hi - 1e-14 and gf[-1] < 0:
+        gf[-1] = 0.0
+    return gf
+
+
+_o = np.arange(BW + 1)
+_PIN = {0: (np.r_[2 * BW - _o, 2 * BW + _o], np.r_[_o, 0 * _o]),
+        -1: (np.r_[2 * BW + _o, 2 * BW - _o], np.r_[-1 - _o, -1 + 0 * _o])}
+
+
+def _free_wall_direction(ab, H, lam, g, pinned):
+    ab[:BW] = 0.0
+    ab[BW:] = H
+    ab[2 * BW] += lam
+    rhs = -g
+    for j in pinned:
+        ab[_PIN[j]] = 0.0
+        ab[2 * BW, j] = 1.0
+        rhs[j] = 0.0
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        return None
+    _, _, p, info = jko._gbsv(BW, BW, ab, rhs, overwrite_ab=True,
+                              overwrite_b=True)
+    return p if info == 0 else None
+
+
+def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
+                        gtol=1e-11, ftol=1e-15):
+    obj = _FreeWallObjective(energy, x_prev, tau)
+    x = x_prev.copy()
+    iface = energy._interfaces(x)
+    f, g = obj(x, iface)
+    gref = max(np.linalg.norm(g), 1e-30)
+    lam = 0.0
+    ab = np.empty((3 * BW + 1, len(x)))
+    converged = np.linalg.norm(_g_free(g, x, lo, hi)) <= gtol
+    for _ in range(max_iter if not converged else 0):
+        H = obj.hessian_banded(x, iface)
+        moved = False
+        for _trial in range(30):
+            pinned = []
+            for _resolve in range(3):
+                p = _free_wall_direction(ab, H, lam, g, pinned)
+                if p is None:
+                    break
+                new = [j for j, out in ((0, x[0] + p[0] < lo - 1e-15),
+                                        (-1, x[-1] + p[-1] > hi + 1e-15))
+                       if out and j not in pinned]
+                if not new:
+                    break
+                pinned += new
+            if p is not None and (slope := p @ g) < -1e-30:
+                alpha = 1.0
+                for _ in range(40):
+                    xn = np.clip(x + alpha * p, lo, hi)
+                    if np.all(np.diff(xn) > gap):
+                        fn = obj.value(xn)
+                        if fn <= f + 1e-4 * alpha * slope or (fn < f and alpha < 1e-6):
+                            moved = True
+                            break
+                    alpha *= 0.5
+                if moved:
+                    break
+            lam = 1e-3 * np.abs(H[BW]).max() if lam == 0 else 10 * lam
+        if not moved:
+            break
+        df = f - fn
+        iface = energy._interfaces(xn)
+        x, f, g = xn, fn, obj(xn, iface)[1]
+        lam *= 0.1
+        if (np.linalg.norm(_g_free(g, x, lo, hi)) < gtol * gref
+                or df < ftol * max(abs(f), 1e-30)):
+            converged = True
+            break
+    if not converged:
+        ulp = np.spacing(max(abs(lo), abs(hi)))
+        row = np.abs(obj.hessian_banded(x, iface)).sum(axis=0)
+        converged = bool(np.all(np.abs(_g_free(g, x, lo, hi)) <= ulp * row))
+    return x, f, converged
+
+
+@pytest.mark.parametrize("tau", [1e-5, 1e-4])
+@pytest.mark.parametrize("k", [16, 64, 1024])
+@pytest.mark.parametrize("f", MOBILITIES, ids=lambda f: f.name)
+def test_even_mode_steps_match_free_wall_solver(f, k, tau):
+    e = MobilityMapEnergy(f)
+    x = map_from_density(GridDensity.cosine(UNIT, k, eps=0.5, k=2),
+                         k).positions
+    for _ in range(2):
+        out = jko_step(x, e, tau, UNIT.gap)
+        ref = _free_wall_jko_step(x, e, tau, 0.0, 1.0, UNIT.gap)
+        assert np.array_equal(out[0], ref[0])
+        assert out[1:] == ref[1:]
+        x = out[0]
 
 
 class _NanHessian(ThinFilmMapEnergy):
@@ -413,19 +506,19 @@ class _SingularHessian(ThinFilmMapEnergy):
         c = 1.0 / (6.0 * (len(x) - 1) * self.tau)
         H = np.zeros((2 * BW + 1, len(x)))
         H[BW] = -4 * c
-        H[BW, [0, -1]] = -2 * c
         H[BW - 1, 1:] = H[BW + 1, :-1] = -c
         return H
 
 
 @pytest.mark.parametrize("energy", [_NanHessian((BW, 5)),
-                                    _NanHessian((0, 0)),
+                                    _NanHessian((BW - 1, 1)),
                                     _SingularHessian(1e-4)],
                          ids=["nan_diagonal", "nan_unused_corner",
                               "singular"])
 def test_unsolvable_systems_match_reference(energy):
-    # scipy's solve_banded refuses a non-finite band (unused corners
-    # included) and a singular system; either means no Newton step
+    # scipy's solve_banded refuses a non-finite band (the unused corners of
+    # the interior block included) and a singular system; either means no
+    # Newton step
     x0 = map_from_density(GridDensity.cosine(UNIT, 64, eps=0.5, k=2),
                           64).positions
     x, _, converged = _same_step(x0, energy, 1e-4)

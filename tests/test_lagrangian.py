@@ -259,7 +259,7 @@ def test_halton_matches_scipy(n):
 
 
 def test_thin_film_config_load_skips_scipy_stats(tmp_path):
-    # validate_assumption_A runs on load; scipy.stats alone costs ~0.5 s
+    # a thin-film config load must not import scipy.stats (~0.5 s alone)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"m": 32, "k": 32, "tau": 1e-4, "n_steps": 1,
                                 "out": str(tmp_path / "out")}))
