@@ -4,7 +4,8 @@ from .report import CSV_HEADER, CSV_SCHEMA_VERSION, CertificateReport
 from .transport import (ConfigurationError, DegenerateQuantileError,
                         GridDensity, Interval, MonotonicityError,
                         StepTooLargeError, TransportMap, boltzmann_entropy,
-                        density_from_map, map_from_density, perturbation_flow,
+                        densities_from_maps, density_from_map,
+                        map_from_density, perturbation_flow,
                         quantile, volume_distortion_check, wasserstein2,
                         wasserstein2_maps)
 from .lagrangian import (LagrangianSpec, MobilitySpec, TemporalWeight,

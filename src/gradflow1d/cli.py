@@ -296,7 +296,8 @@ def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
             raw["lagrangian"] = {**raw["lagrangian"], "alpha": val}
         else:
             raw["initial"] = {**raw["initial"], "eps": val}
-        row = {axis: val}
+        # strict JSON has no NaN or infinity: such a value is kept as text
+        row = {axis: val if np.isfinite(val) else str(val)}
         try:
             sub = load_config(raw)
             row["exit_code"] = execute(sub, row)

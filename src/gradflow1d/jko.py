@@ -19,11 +19,15 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .transport import (ConfigurationError, GridDensity, TransportMap,
-                        boltzmann_entropy, density_from_map, map_from_density,
-                        w2sq_between_maps, wasserstein2_maps)
+                        boltzmann_entropy, densities_from_maps,
+                        map_from_density, w2sq_between_maps,
+                        wasserstein2_maps)
 from .lagrangian import MobilitySpec
 
 BW = 2  # Hessian bandwidth of the staggered map-coordinate energies
+# grid-edge entries per batched pushforward in `run`: bounds the temporaries
+# of resampling a whole trajectory
+RESAMPLE_BLOCK = 4096
 
 
 @dataclass
@@ -91,9 +95,10 @@ class MobilityMapEnergy:
         w1 = -self.f.f1(u) * u / dx  # W'(t) = -f'(u) dm / t^2
         return dx, u, w1, np.diff(self.f.f(u)), dx[:-1] + dx[1:]
 
-    def value(self, x):
-        """The energy alone: the value of `value_and_grad`, without W'."""
-        dx = np.diff(x)
+    def value(self, x, dx=None):
+        """The energy alone: the value of `value_and_grad`, without W'.
+        dx, if given, is np.diff(x)."""
+        dx = np.diff(x) if dx is None else dx
         d = np.diff(self.f.f(1.0 / ((len(x) - 1) * dx)))
         return float(np.sum(d * (d / (dx[:-1] + dx[1:]))))
 
@@ -160,8 +165,9 @@ class _Objective:
         q = (dm / 3.0) * np.sum(d[:-1] ** 2 + d[:-1] * d[1:] + d[1:] ** 2)
         return d, dm, q
 
-    def value(self, x):
-        return self.energy.value(x) + self._transport(x)[2] / (2 * self.tau)
+    def value(self, x, dx=None):
+        return (self.energy.value(x, dx)
+                + self._transport(x)[2] / (2 * self.tau))
 
     def __call__(self, x, iface=None):
         phi, gphi = self.energy.value_and_grad(x, iface)
@@ -213,12 +219,13 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     the interior block of the exact banded Hessian of the local interface
     kernel, Levenberg regularization when a step is rejected, and Armijo
     backtracking that keeps every cell wider than gap.  Line-search trials
-    evaluate the objective value only; the gradient is evaluated once per
-    accepted point, and the next Hessian reuses that point's interface
-    arrays.  Each banded system goes straight to LAPACK gbsv in one work
-    array.  Returns (positions, objective value, converged flag); descent
-    from the starting point is guaranteed, so the per-step energy estimates
-    hold regardless of the flag.
+    evaluate the objective value only, from the cell widths of their
+    feasibility check; the gradient is evaluated once per accepted point,
+    and the next Hessian reuses that point's interface arrays.  Each banded
+    system goes straight to LAPACK gbsv in one work array.  Returns
+    (positions, objective value, converged flag); descent from the starting
+    point is guaranteed, so the per-step energy estimates hold regardless of
+    the flag.
     """
     obj = _Objective(energy, x_prev, tau)
     x = x_prev.copy()
@@ -239,8 +246,9 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
                 for _ in range(40):
                     xn = x.copy()
                     xn[1:-1] += alpha * p
-                    if np.all(np.diff(xn) > gap):
-                        fn = obj.value(xn)
+                    dxn = np.diff(xn)
+                    if np.all(dxn > gap):
+                        fn = obj.value(xn, dxn)
                         if fn <= f + 1e-4 * alpha * slope or (fn < f and alpha < 1e-6):
                             moved = True
                             break
@@ -282,12 +290,15 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
         corrupt_steps: tuple = ()) -> JkoTrajectory:
     """Iterate the scheme n_steps times from u0.
 
-    states[0] is the supplied initial datum verbatim; later states are the
-    pushforwards of the minimizing maps.  Energies are evaluated in map
-    coordinates (the coordinates actually minimized), so monotonicity is a
-    property of the optimization, not of resampling.  A step listed in
-    corrupt_steps copies the previous state instead of minimizing — a
-    negative control that breaks the dissipation certificates downstream.
+    The loop only steps, keeping the maps, their energies and the step
+    distances.  Energies are evaluated in map coordinates (the coordinates
+    actually minimized), so monotonicity is a property of the optimization,
+    not of resampling.  The grid states are a view of the maps: after the
+    loop they are built as pushforwards on u0's grid, in batches of about
+    RESAMPLE_BLOCK grid edges, and the entropies from them; states[0] is the
+    supplied initial datum verbatim.  A step listed in corrupt_steps copies
+    the previous state instead of minimizing — a negative control that
+    breaks the dissipation certificates downstream.
     """
     dom = u0.domain
     x = map_from_density(u0, cfg.k).positions
@@ -303,22 +314,21 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
         converged=np.ones(cfg.n_steps, dtype=bool),
     )
     traj.energies[0] = e0
-    traj.entropies[0] = boltzmann_entropy(u0)
     for nstep in range(1, cfg.n_steps + 1):
         if nstep in corrupt_steps:
             xn, conv = x.copy(), True
         else:
             xn, _, conv = jko_step(x, energy, cfg.tau, dom.gap,
                                    cfg.inner_max_iter, cfg.gtol)
-        xmap = TransportMap(dom, xn.copy())
-        state = density_from_map(xmap, u0.m)
-        traj.maps.append(xmap)
-        traj.states.append(state)
+        traj.maps.append(TransportMap(dom, xn.copy()))
         traj.energies[nstep] = energy.value(xn)
         traj.step_distances[nstep - 1] = np.sqrt(w2sq_between_maps(xn, x))
-        traj.entropies[nstep] = boltzmann_entropy(state)
         traj.converged[nstep - 1] = conv
         x = xn
+    rows = max(RESAMPLE_BLOCK // (u0.m + 1), 1)
+    for i in range(1, cfg.n_steps + 1, rows):
+        traj.states.extend(densities_from_maps(traj.maps[i:i + rows], u0.m))
+    traj.entropies[:] = [boltzmann_entropy(u) for u in traj.states]
     return traj
 
 

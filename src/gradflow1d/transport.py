@@ -233,8 +233,40 @@ def boltzmann_entropy(u: GridDensity) -> float:
 
 # --- map <-> density conversions ------------------------------------------
 
+class _SplineColumns:
+    """Value and slope of each column of a cubic spline at its own points.
+
+    Stands in for `PPoly.__call__` on the spline's coefficients and returns
+    bitwise what it returns: the interval lookup (closed on the right at the
+    last breakpoint, extrapolating beyond both ends) is done once for the
+    value and the slope, and each coefficient is gathered with `take` from a
+    contiguous (column, interval) array.  The power sums keep scipy's
+    operation order.
+    """
+
+    def __init__(self, spline):
+        self.x = spline.x
+        self.n = self.x.size - 1
+        c = spline.c.reshape(4, self.n, -1)
+        # row j holds coefficient j of every (column, interval), flattened
+        self.c = np.ascontiguousarray(c.transpose(0, 2, 1)).reshape(4, -1)
+        cols = c.shape[2]
+        self.offset = np.arange(cols)[:, None] * self.n if cols > 1 else 0
+
+    def __call__(self, t):
+        """(value, slope) at t, one row of points per column; a single
+        column also takes a 1-D array."""
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.n - 1)
+        s = t - self.x.take(i)
+        c0, c1, c2, c3 = (cj.take(i + self.offset) for cj in self.c)
+        s2 = s * s
+        return (c3 + c2 * s + c1 * s2 + c0 * (s2 * s),
+                c2 + (c1 * s) * 2 + (c0 * s2) * 3)
+
+
 def _newton_inverse(spline, target, x, lo, hi, slope_floor, sweeps):
-    """Entrywise solve of spline(x) = target by clipped Newton sweeps.
+    """Entrywise solve of value(x) = target by clipped Newton sweeps, where
+    spline(x) returns (value, slope); x may have any shape.
 
     Returns bitwise what `sweeps` plain sweeps from x would return. A sweep
     updates each entry from its own value alone, so once an entry repeats
@@ -245,19 +277,21 @@ def _newton_inverse(spline, target, x, lo, hi, slope_floor, sweeps):
     hist = [x]                              # the last five iterates
     for n in range(1, sweeps + 1):
         y = hist[-1]
-        y = np.clip(y - (spline(y) - target)
-                    / np.maximum(spline(y, 1), slope_floor), lo, hi)
+        value, slope = spline(y)
+        y = np.clip(y - (value - target) / np.maximum(slope, slope_floor),
+                    lo, hi)
         hist = hist[-4:] + [y]
         # compare bit patterns, so signed zeros and NaNs repeat exactly too
         bits = y.view(np.int64)
-        period = np.zeros(y.size, dtype=int)
+        period = np.zeros(y.shape, dtype=int)
         for p in range(len(hist) - 1, 0, -1):
             period[hist[-1 - p].view(np.int64) == bits] = p
         if period.all():
             # period p from sweep n - p on, so sweep `sweeps` repeats
             # sweep n - back with back = p - (sweeps - n) mod p
             back = period - (sweeps - n) % period
-            return np.array(hist)[-1 - back, np.arange(y.size)]
+            return np.take_along_axis(np.array(hist),
+                                      (len(hist) - 1 - back)[None], 0)[0]
     return hist[-1]
 
 
@@ -280,12 +314,14 @@ def map_from_density(u: GridDensity, k: int = 256) -> TransportMap:
         raise DegenerateQuantileError(
             "zero-density plateau wider than one grid cell")
     cdf = u.cdf_at_edges()
-    spline = CubicSpline(u.edges, cdf, bc_type=((1, v[0]), (1, v[-1])))
+    spline = _SplineColumns(
+        CubicSpline(u.edges, cdf, bc_type=((1, v[0]), (1, v[-1]))))
     levels = np.linspace(0.0, 1.0, k + 1)
     linear = np.interp(levels, cdf, u.edges)
     lo, hi = u.domain.lo, u.domain.hi
     x = _newton_inverse(spline, levels, linear, lo, hi, 1e-13, 50)
-    bad = np.abs(spline(x) - levels) > np.abs(spline(linear) - levels) + 1e-15
+    bad = (np.abs(spline(x)[0] - levels)
+           > np.abs(spline(linear)[0] - levels) + 1e-15)
     x = np.where(bad, linear, x)
     # pin the ends to the support edges of the sampled density
     x[0], x[-1] = u.edges[np.argmax(v > 0)], u.edges[v.size - np.argmax(v[::-1] > 0)]
@@ -300,37 +336,49 @@ def map_from_density(u: GridDensity, k: int = 256) -> TransportMap:
     return TransportMap(u.domain, x)
 
 
-def density_from_map(x: TransportMap, m: int | None = None) -> GridDensity:
-    """Pushforward density of the map on a uniform M-cell grid.
+def densities_from_maps(maps, m: int | None = None) -> list:
+    """Pushforward densities of a batch of maps on a uniform M-cell grid.
 
-    The quantile function is interpolated by a cubic spline in the mass
-    variable and inverted at the cell edges by 30 safeguarded Newton sweeps,
-    which stop once every edge has settled (see `_newton_inverse`) and still
-    return the 30-sweep result bitwise.  Cell values are exact mass
-    differences over the cells, so the output has unit mass by construction.
+    The maps share their domain and mass levels.  Each quantile function is
+    interpolated by a cubic spline in the mass variable (one column of a
+    single multi-column spline) and inverted at the cell edges by 30
+    safeguarded Newton sweeps, which stop once every edge of the batch has
+    settled (see `_newton_inverse`) and still return the 30-sweep result
+    bitwise.  Cell values are exact mass differences over the cells, so each
+    output has unit mass by construction.
     """
-    m = x.k if m is None else m
-    pos = x.positions
-    levels = x.masses
+    dom, levels = maps[0].domain, maps[0].masses
+    if any(x.domain != dom or not np.array_equal(x.masses, levels)
+           for x in maps):
+        raise ConfigurationError("maps differ in domain or mass levels")
+    m = maps[0].k if m is None else m
+    pos = np.array([x.positions for x in maps])
     if np.any(np.diff(pos) <= 0):
         raise MonotonicityError("map positions must be strictly increasing")
-    spline = CubicSpline(levels, pos)
-    dom = x.domain
+    spline = _SplineColumns(CubicSpline(levels, pos.T))
     edges = np.linspace(dom.lo, dom.hi, m + 1)
-    target = np.clip(edges, pos[0], pos[-1])
-    linear = np.interp(edges, pos, levels)
+    first, last = pos[:, :1], pos[:, -1:]
+    target = np.clip(edges, first, last)
+    linear = np.array([np.interp(edges, p, levels) for p in pos])
     s = _newton_inverse(spline, target, linear, 0.0, 1.0, 1e-14, 30)
     # where the spline is non-monotone (rough maps) Newton can run away;
     # keep the piecewise-linear inverse wherever it has a smaller residual
-    bad = np.abs(spline(s) - target) > np.abs(spline(linear) - target) + 1e-15
+    bad = (np.abs(spline(s)[0] - target)
+           > np.abs(spline(linear)[0] - target) + 1e-15)
     s = np.where(bad, linear, s)
     # pin levels outside the map's range: a non-monotone spline can offer a
     # wrong-branch preimage with a smaller residual at the walls
-    s = np.where(edges <= pos[0], 0.0, s)
-    s = np.where(edges >= pos[-1], 1.0, s)
-    s = np.maximum.accumulate(np.clip(s, 0.0, 1.0))
-    vals = np.diff(s) / (dom.length / m)
-    return GridDensity(dom, np.maximum(vals, 0.0))
+    s = np.where(edges <= first, 0.0, s)
+    s = np.where(edges >= last, 1.0, s)
+    s = np.maximum.accumulate(np.clip(s, 0.0, 1.0), axis=-1)
+    vals = np.diff(s, axis=-1) / (dom.length / m)
+    return [GridDensity(dom, np.maximum(v, 0.0)) for v in vals]
+
+
+def density_from_map(x: TransportMap, m: int | None = None) -> GridDensity:
+    """Pushforward density of one map on a uniform M-cell grid: the batch
+    of one of `densities_from_maps`."""
+    return densities_from_maps([x], m)[0]
 
 
 # --- perturbation flow ----------------------------------------------------

@@ -344,10 +344,17 @@ def test_infinite_tau_in_config_rejected(tmp_path):
 
 def test_sweep_nan_tau_row_is_a_configuration_error(tmp_path):
     path = write_config(tmp_path, {"checks": ["energy_monotone"]})
-    assert main(["--config", str(path), "--sweep", "tau=1e-4,nan"]) == 2
-    rows = json.loads((tmp_path / "out" / "sweep.json").read_text())
-    assert rows[0]["exit_code"] == 0
-    assert rows[1]["exit_code"] == 2 and "error" in rows[1]
+    assert main(["--config", str(path), "--sweep", "tau=1e-4,nan,inf"]) == 2
+
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    rows = json.loads((tmp_path / "out" / "sweep.json").read_text(),
+                      parse_constant=reject)
+    assert rows[0]["exit_code"] == 0 and rows[0]["tau"] == 1e-4
+    for row, text in zip(rows[1:], ("nan", "inf")):
+        assert row["tau"] == text
+        assert row["exit_code"] == 2 and "error" in row
 
 
 def test_main_check_selection(tmp_path):

@@ -5,10 +5,10 @@ from scipy.optimize import minimize
 
 from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         MobilityMapEnergy, MobilitySpec, ThinFilmMapEnergy,
-                        TransportMap, check_energy_monotone,
+                        TransportMap, boltzmann_entropy, check_energy_monotone,
                         check_holder_continuity, check_total_square_distance,
-                        jko_step, map_from_density, penalized_objective,
-                        refine_study, run, wasserstein2)
+                        density_from_map, jko_step, map_from_density,
+                        penalized_objective, refine_study, run, wasserstein2)
 from gradflow1d import jko
 from gradflow1d.jko import BW, _Objective
 from gradflow1d.transport import w2sq_between_maps
@@ -229,6 +229,62 @@ def test_mobility_trajectory_dissipates():
     traj = run(u0, MobilityMapEnergy(MobilitySpec.sqrt_mobility()), cfg)
     assert all(r.passed for r in check_energy_monotone(traj))
     assert check_total_square_distance(traj).passed
+
+
+# --- batched resampling -----------------------------------------------------
+
+def assert_states_are_pushforwards(traj, u0):
+    # run resamples in blocks after stepping; each state and entropy must be
+    # what resampling its map alone gives
+    assert traj.states[0] is u0
+    assert len(traj.states) == len(traj.maps) == traj.n_steps + 1
+    single = [u0] + [density_from_map(x, u0.m) for x in traj.maps[1:]]
+    for u, ref in zip(traj.states, single):
+        assert np.array_equal(u.values, ref.values)
+    assert np.array_equal(traj.entropies,
+                          [boltzmann_entropy(u) for u in single])
+
+
+@pytest.mark.parametrize("u0", [GridDensity.cosine(UNIT, 64, eps=0.9, k=1),
+                                GridDensity.cosine(UNIT, 64, eps=0.5, k=3),
+                                GridDensity.bump(UNIT, 64),
+                                GridDensity.cosine(UNIT, 48, eps=0.5, k=3)],
+                         ids=["k1", "k3", "bump", "k3-m48"])
+@pytest.mark.parametrize("n_steps", [0, 1, 6])
+def test_run_states_match_one_map_at_a_time(u0, n_steps):
+    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=n_steps,
+                                                  k=96))
+    assert_states_are_pushforwards(traj, u0)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_run_resamples_in_blocks(extra):
+    # m = 256 cells take RESAMPLE_BLOCK // 257 maps per block; step counts
+    # on both sides of the first block boundary
+    u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=3)
+    rows = jko.RESAMPLE_BLOCK // 257
+    n_steps = rows + extra
+    sizes = []
+    batch = jko.densities_from_maps
+
+    def spy(maps, m):
+        sizes.append(len(maps))
+        return batch(maps, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jko, "densities_from_maps", spy)
+        traj = run(u0, MobilityMapEnergy(MobilitySpec.sqrt_mobility()),
+                   JkoConfig(tau=1e-4, n_steps=n_steps, k=32))
+    assert sizes == [min(n_steps, rows)] + [1] * (extra == 1)
+    assert_states_are_pushforwards(traj, u0)
+
+
+def test_run_resamples_corrupted_steps():
+    u0 = GridDensity.cosine(UNIT, 64, eps=0.5, k=1)
+    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=4, k=64),
+               corrupt_steps=(1, 3))
+    assert_states_are_pushforwards(traj, u0)
+    assert np.array_equal(traj.states[3].values, traj.states[2].values)
 
 
 # --- refinement -------------------------------------------------------------

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline, PPoly
 
 from gradflow1d import (ConfigurationError, DegenerateQuantileError,
                         GridDensity, Interval, JkoConfig, MobilityMapEnergy,
                         MobilitySpec, MonotonicityError, StepTooLargeError,
                         TestFunction, ThinFilmMapEnergy, TransportMap,
-                        boltzmann_entropy, density_from_map, map_from_density,
-                        perturbation_flow, quantile, run, transport,
-                        volume_distortion_check, wasserstein2)
-from gradflow1d.transport import _newton_inverse, w2sq_between_maps
+                        boltzmann_entropy, densities_from_maps,
+                        density_from_map, map_from_density, perturbation_flow,
+                        quantile, run, transport, volume_distortion_check,
+                        wasserstein2)
+from gradflow1d.transport import (_newton_inverse, _SplineColumns,
+                                  w2sq_between_maps)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -212,11 +215,30 @@ def test_round_trip_property(u):
 SWEEPS = list(range(1, 13)) + [30, 50]  # every period and parity up to 4
 
 
+def scipy_columns(spline):
+    """(value, slope) from scipy's own PPoly on the coefficients of a
+    _SplineColumns, row j of the points in column j (1-D points for one
+    column): the reference the evaluator must reproduce."""
+    cols = spline.c.reshape(4, -1, spline.n)
+    polys = [PPoly(np.ascontiguousarray(cols[:, j]), spline.x)
+             for j in range(cols.shape[1])]
+
+    def pair(t):
+        rows = np.reshape(t, (len(polys), -1))
+        return tuple(np.array([p(r, nu) for p, r in zip(polys, rows)])
+                     .reshape(np.shape(t)) for nu in (0, 1))
+    return pair
+
+
 def fixed_sweeps(spline, target, x, lo, hi, slope_floor, sweeps):
-    # the plain loop _newton_inverse must reproduce bitwise
+    # the plain loop _newton_inverse must reproduce bitwise; a spline is
+    # evaluated by PPoly, a stand-in as it is
+    if isinstance(spline, _SplineColumns):
+        spline = scipy_columns(spline)
     for _ in range(sweeps):
-        x = np.clip(x - (spline(x) - target)
-                    / np.maximum(spline(x, 1), slope_floor), lo, hi)
+        value, slope = spline(x)
+        x = np.clip(x - (value - target) / np.maximum(slope, slope_floor),
+                    lo, hi)
     return x
 
 
@@ -261,8 +283,16 @@ def test_newton_inverse_exact_on_rough_maps(seed):
     # the spline is non-monotone here: the piecewise-linear fallback fires
     spline, target, linear = args[:3]
     s = _newton_inverse(*args, 30)
-    assert np.any(np.abs(spline(s) - target)
-                  > np.abs(spline(linear) - target) + 1e-15)
+    assert np.any(np.abs(spline(s)[0] - target)
+                  > np.abs(spline(linear)[0] - target) + 1e-15)
+
+
+def test_newton_inverse_exact_on_a_batch():
+    # one inversion for the whole batch, on a 2-D array of edges
+    maps = [rough_map(seed) for seed in range(2, 7)]
+    (args,) = inversions(lambda: densities_from_maps(maps, 50))
+    assert args[2].shape == (5, 51)
+    assert_exact_for_all_sweeps(args)
 
 
 class Logistic:
@@ -271,14 +301,89 @@ class Logistic:
     def __init__(self, r):
         self.r = r
 
-    def __call__(self, x, nu=0):
-        return x - self.r * x * (1 - x) if nu == 0 else np.ones_like(x)
+    def __call__(self, x):
+        return x - self.r * x * (1 - x), np.ones_like(x)
 
 
 @pytest.mark.parametrize("r", [2.5, 3.2, 3.5, 3.83, 4.0])
 def test_newton_inverse_exact_on_cycles_and_chaos(r):
     x0 = np.random.default_rng(0).uniform(0.0, 1.0, 200)
     assert_exact_for_all_sweeps((Logistic(r), np.zeros(200), x0, 0.0, 1.0, 1e-14))
+
+
+def test_newton_inverse_exact_on_a_2d_batch_of_cycles():
+    # each row has its own r, so rows settle or cycle at different sweeps
+    x0 = np.random.default_rng(1).uniform(0.0, 1.0, (5, 40))
+    r = np.array([[2.5], [3.2], [3.5], [3.83], [4.0]])
+    assert_exact_for_all_sweeps((Logistic(r), np.zeros(x0.shape), x0, 0.0,
+                                 1.0, 1e-14))
+
+
+def test_batch_matches_one_map_at_a_time():
+    # rough maps make non-monotone splines, on which the fallback fires
+    maps = [rough_map(seed) for seed in range(2, 10)]
+    for m in (50, 64, 200):
+        batch = densities_from_maps(maps, m)
+        assert len(batch) == len(maps)
+        for x, u in zip(maps, batch):
+            assert np.array_equal(u.values, density_from_map(x, m).values)
+
+
+def test_batch_rejects_mixed_levels():
+    a = rough_map(2)
+    b = TransportMap(UNIT, a.positions, np.linspace(0.0, 1.0, a.k + 1) ** 2)
+    with pytest.raises(ConfigurationError):
+        densities_from_maps([a, b])
+
+
+# --- spline evaluator -------------------------------------------------------
+
+def evaluation_points(x, rng):
+    """Every breakpoint, their neighbours on both sides, points beyond both
+    ends and random interior points."""
+    span = x[-1] - x[0]
+    return np.concatenate([
+        x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+        [x[0] - 0.3 * span, x[-1] + 0.3 * span],
+        rng.uniform(x[0], x[-1], 100)])
+
+
+def assert_matches_ppoly(spline, t):
+    # row j of t is evaluated in column j; a 1-D t by a one-column spline
+    value, slope = _SplineColumns(spline)(t)
+    assert value.shape == slope.shape == t.shape
+    rows = np.atleast_2d(t)
+    for j, r in enumerate(rows):
+        ref_value, ref_slope = spline(r), spline(r, 1)
+        if ref_value.ndim == 2:
+            ref_value, ref_slope = ref_value[:, j], ref_slope[:, j]
+        assert np.array_equal(np.atleast_2d(value)[j], ref_value)
+        assert np.array_equal(np.atleast_2d(slope)[j], ref_slope)
+
+
+def test_evaluator_matches_ppoly_on_not_a_knot_splines():
+    rng = np.random.default_rng(0)
+    levels = np.linspace(0.0, 1.0, 65)
+    pos = np.array([rough_map(seed).positions for seed in range(2, 8)])
+    multi = CubicSpline(levels, pos.T)
+    assert_matches_ppoly(multi, np.array(
+        [evaluation_points(levels, rng) for _ in pos]))
+    for p in pos:
+        assert_matches_ppoly(CubicSpline(levels, p),
+                             evaluation_points(levels, rng))
+
+
+@pytest.mark.parametrize("u", [GridDensity.cosine(UNIT, 64, eps=0.9, k=1),
+                               GridDensity.bump(UNIT, 128),
+                               positive_density(np.random.default_rng(1)
+                                                .uniform(0.05, 10.0, 32))],
+                         ids=["cosine", "bump", "rough"])
+def test_evaluator_matches_ppoly_on_clamped_splines(u):
+    v = u.values
+    spline = CubicSpline(u.edges, u.cdf_at_edges(),
+                         bc_type=((1, v[0]), (1, v[-1])))
+    assert_matches_ppoly(spline, evaluation_points(u.edges,
+                                                   np.random.default_rng(2)))
 
 
 def conversions(traj, k):
