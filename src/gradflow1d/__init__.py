@@ -11,16 +11,13 @@ from .transport import (ConfigurationError, DegenerateQuantileError,
 from .lagrangian import (LagrangianSpec, MobilitySpec, TemporalWeight,
                          TestFunction, alpha_window, dissipation_constants,
                          energy, energy_mobility, validate_assumption_A,
-                         validate_assumption_f, weak_operator_N,
-                         weak_operator_Nf)
+                         validate_assumption_f, weak_operator_Nf)
 from .jko import (JkoConfig, JkoTrajectory, MobilityMapEnergy,
                   ThinFilmMapEnergy, jko_step, penalized_objective,
                   refine_study, run)
-from .diagnostics import (SobolevNorms, apriori_bounds, check_discrete_weak_A,
-                          check_discrete_weak_f, check_energy_monotone,
-                          check_entropy_dissipation_A,
-                          check_entropy_dissipation_f, check_holder_continuity,
-                          check_total_square_distance,
+from .diagnostics import (SobolevNorms, apriori_bounds, check_discrete_weak_f,
+                          check_energy_monotone, check_entropy_dissipation_f,
+                          check_holder_continuity, check_total_square_distance,
                           flow_interchange_dissipation, heat_flow,
                           sobolev_norms, traceless_lemma_check)
 

@@ -22,11 +22,10 @@ import numpy as np
 
 from .report import CSV_HEADER, CSV_SCHEMA_VERSION, CertificateReport
 from .transport import ConfigurationError, GridDensity, Interval
-from .lagrangian import (LagrangianSpec, MobilitySpec, TemporalWeight,
-                         TestFunction, alpha_window, dissipation_constants,
+from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction,
+                         alpha_window, dissipation_constants,
                          validate_assumption_f)
-from .jko import (JkoConfig, MobilityMapEnergy, ThinFilmMapEnergy, run,
-                  refine_study)
+from .jko import JkoConfig, MobilityMapEnergy, run, refine_study
 from . import diagnostics as dg
 
 ALL_CHECKS = ("energy_monotone", "total_square_distance", "holder_continuity",
@@ -61,24 +60,20 @@ class RunConfig:
     inject_corruption: bool = False
     raw: dict = field(default_factory=dict)
 
-    @property
-    def is_mobility(self) -> bool:
-        return self.lagrangian.get("name") != "thin_film"
-
-    def build_mobility(self) -> MobilitySpec | None:
+    def build_mobility(self) -> MobilitySpec:
+        """The energy's mobility f; thin film is the identity."""
         lag = self.lagrangian
         name = lag.get("name")
         if name == "thin_film":
-            return None
+            return MobilitySpec.identity()
         if name == "sqrt_mobility":
             return MobilitySpec.sqrt_mobility()
         if name == "power_mobility":
             return MobilitySpec.power_mobility(lag.get("C", 1.0), lag["alpha"])
         raise ConfigurationError(f"unknown lagrangian '{name}'")
 
-    def build_energy(self):
-        f = self.build_mobility()
-        return ThinFilmMapEnergy() if f is None else MobilityMapEnergy(f)
+    def build_energy(self) -> MobilityMapEnergy:
+        return MobilityMapEnergy(self.build_mobility())
 
     def build_initial(self) -> GridDensity:
         ini = self.initial
@@ -118,33 +113,44 @@ def load_config(source: str | Path | dict,
     unknown = [c for c in merged["checks"] if c not in ALL_CHECKS]
     if unknown:
         raise ConfigurationError(f"unknown checks {unknown}")
-    cfg = RunConfig(
-        domain=Interval(float(merged["domain"][0]), float(merged["domain"][1])),
-        m=int(merged["m"]), k=int(merged["k"]),
-        lagrangian=dict(merged["lagrangian"]),
-        initial=dict(merged["initial"]),
-        tau=float(merged["tau"]), n_steps=int(merged["n_steps"]),
-        refine_levels=int(merged["refine_levels"]),
-        checks=list(merged["checks"]), out=Path(merged["out"]),
-        inject_corruption=bool(merged.get("inject_corruption", False)),
-        raw=merged)
-    if not 0 < cfg.tau < np.inf or cfg.n_steps < 0 or cfg.m < 8 or cfg.k < 8:
+    try:
+        cfg = RunConfig(
+            domain=Interval(float(merged["domain"][0]),
+                            float(merged["domain"][1])),
+            m=int(merged["m"]), k=int(merged["k"]),
+            lagrangian=dict(merged["lagrangian"]),
+            initial=dict(merged["initial"]),
+            tau=float(merged["tau"]), n_steps=int(merged["n_steps"]),
+            refine_levels=int(merged["refine_levels"]),
+            checks=list(merged["checks"]), out=Path(merged["out"]),
+            inject_corruption=bool(merged.get("inject_corruption", False)),
+            raw=merged)
+        if not (0 < cfg.tau < np.inf and cfg.n_steps >= 1
+                and cfg.m >= 8 and cfg.k >= 8):
+            raise ConfigurationError(
+                "0 < tau < inf, n_steps >= 1, m >= 8, k >= 8 required")
+        # eager assumption validation before any stepping.  Thin film runs
+        # as the identity mobility, which is linear, not strictly concave;
+        # its Lagrangian's Assumption (A) is certified by the tests instead
+        f = cfg.build_mobility()
+        if cfg.lagrangian.get("name") != "thin_film":
+            if not alpha_window(1) < f.alpha <= 1.0:
+                raise ConfigurationError(
+                    f"mobility exponent {f.alpha} outside the admissible "
+                    f"window ({alpha_window(1)}, 1]")
+            rep = validate_assumption_f(f, dimension=1)
+            if not rep.passed:
+                raise ConfigurationError(
+                    "mobility fails structure assumption, clause "
+                    + rep.context["worst_clause"])
+        u0 = cfg.build_initial()  # raises on bad initial-datum parameters
+    except ConfigurationError:
+        raise
+    # a malformed number, a short domain, a missing key, an unreadable or
+    # one-column datum file
+    except (ValueError, IndexError, KeyError, OSError) as exc:
         raise ConfigurationError(
-            "0 < tau < inf, n_steps >= 0, m >= 8, k >= 8 required")
-    # eager assumption validation before any stepping; the thin-film
-    # Lagrangian is fixed, and its Assumption (A) is certified by the tests
-    f = cfg.build_mobility()
-    if f is not None:
-        if not alpha_window(1) < f.alpha <= 1.0:
-            raise ConfigurationError(
-                f"mobility exponent {f.alpha} outside the admissible window "
-                f"({alpha_window(1)}, 1]")
-        rep = validate_assumption_f(f, dimension=1)
-        if not rep.passed:
-            raise ConfigurationError(
-                "mobility fails structure assumption, clause "
-                + rep.context["worst_clause"])
-    u0 = cfg.build_initial()  # raises on bad initial-datum parameters
+            f"malformed config: {type(exc).__name__}: {exc}") from exc
     if u0.m != cfg.m:  # only a file datum sets its own cell count
         raise ConfigurationError(
             f"initial datum has {u0.m} cells but m is {cfg.m}")
@@ -162,23 +168,17 @@ def _certificates(cfg: RunConfig, traj) -> list[CertificateReport]:
         if name == "holder_continuity":
             return [dg.check_holder_continuity(traj)]
         if name == "entropy_dissipation":
-            if f is None:
-                return dg.check_entropy_dissipation_A(
-                    traj, LagrangianSpec.thin_film())
             delta = dissipation_constants(f, 1)[1]
             return dg.check_entropy_dissipation_f(traj, f, delta)
         if name == "discrete_weak":
             horizon = cfg.tau * cfg.n_steps
             phi = TestFunction.cosine(cfg.domain.lo, cfg.domain.hi, k=2)
             eta = TemporalWeight.smooth_bump(0.1 * horizon, 0.8 * horizon)
-            if f is None:
-                return [dg.check_discrete_weak_A(
-                    traj, LagrangianSpec.thin_film(), phi, eta)]
             return [dg.check_discrete_weak_f(traj, f, phi, eta)]
         if name == "apriori":
-            c_lower = 0.5
-            transform = None if f is None else (lambda v: f.f(np.maximum(v, 0.0)))
-            return [dg.apriori_bounds(traj, c_lower, transform)]
+            return [dg.apriori_bounds(
+                traj, c_lower=0.5,
+                transform=lambda v: f.f(np.maximum(v, 0.0)))]
         raise ConfigurationError(f"unknown check '{name}'")
 
     reports = []
@@ -301,7 +301,7 @@ def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
         try:
             sub = load_config(raw)
             row["exit_code"] = execute(sub, row)
-        except (ConfigurationError, OSError) as exc:
+        except ConfigurationError as exc:
             row.update(error=str(exc), exit_code=2)
         rows.append(row)
 

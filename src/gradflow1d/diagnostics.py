@@ -3,7 +3,11 @@
 Every check returns CertificateReport objects oriented as lhs <= rhs, so a
 nonnegative slack means the estimate holds.  The heat flow and the flow
 interchange quotient provide the regularity side; the discrete weak
-formulations provide the consistency side.
+formulation provides the consistency side.
+
+The per-step dissipation and weak-form checks take a mobility f and serve
+every energy of the class: thin film is the identity mobility, for which the
+dissipation constant is delta = 1.  Each report is named after its check.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ from scipy.linalg import solve_banded
 
 from .report import CertificateReport
 from .transport import ConfigurationError, GridDensity, boltzmann_entropy
-from .lagrangian import (LagrangianSpec, MobilitySpec, TemporalWeight,
-                         TestFunction, d2, staggered_gradient_quadrature,
-                         weak_operator_N, weak_operator_Nf)
+from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction, d2,
+                         staggered_gradient_quadrature, weak_operator_Nf)
 from .jko import JkoTrajectory
 
 SLACK_FACTOR = 2.0   # headroom on the discrete weak-formulation envelopes
@@ -142,32 +145,6 @@ def check_holder_continuity(traj: JkoTrajectory) -> CertificateReport:
 
 # --- per-step dissipation certificates ------------------------------------
 
-def check_entropy_dissipation_A(traj: JkoTrajectory, F: LagrangianSpec,
-                                C3: float = 0.0) -> list[CertificateReport]:
-    """Per step: ||u_n''||^2 <= (Ent(u_{n-1}) - Ent(u_n))/(gamma tau) + C3 (...).
-
-    For x-independent Lagrangians the proof's constant vanishes, so C3 = 0
-    and the check is a sharp per-step entropy-dissipation certificate.
-    10% multiplicative slack plus a small absolute floor for near-stationary
-    steps where the entropy difference is at rounding level.
-    """
-    if F.x_dependent and C3 == 0.0:
-        C3 = F.D
-    out = []
-    for n in range(1, traj.n_steps + 1):
-        un = traj.states[n]
-        norms = sobolev_norms(un.values, un.h)
-        lhs = norms.h2 ** 2
-        dent = traj.entropies[n - 1] - traj.entropies[n]
-        rhs = dent / (F.gamma * traj.tau) + C3 * (norms.h1 ** 2 + 1.0)
-        # absolute floor: entropy differences are evaluated at rounding level
-        tol = 0.1 * lhs + 1e-12 / (F.gamma * traj.tau)
-        out.append(CertificateReport(
-            name="entropy_dissipation", lhs=lhs, rhs=rhs, tolerance=tol,
-            step=n, context={"entropy_drop": float(dent)}))
-    return out
-
-
 def check_entropy_dissipation_f(traj: JkoTrajectory, f: MobilitySpec,
                                 delta: float) -> list[CertificateReport]:
     """Per step: ||(f o u_n)''||^2 <= (Ent(u_{n-1}) - Ent(u_n))/(delta tau)."""
@@ -180,43 +157,12 @@ def check_entropy_dissipation_f(traj: JkoTrajectory, f: MobilitySpec,
         rhs = dent / (delta * traj.tau)
         tol = 0.1 * lhs + 1e-12 / (delta * traj.tau)
         out.append(CertificateReport(
-            name="entropy_dissipation_mobility", lhs=lhs, rhs=rhs,
-            tolerance=tol, step=n, context={"entropy_drop": float(dent)}))
+            name="entropy_dissipation", lhs=lhs, rhs=rhs, tolerance=tol,
+            step=n, context={"entropy_drop": float(dent)}))
     return out
 
 
 # --- discrete weak formulations -------------------------------------------
-
-def _weak_sums(traj: JkoTrajectory, phi: TestFunction, eta: TemporalWeight,
-               operator_values: np.ndarray) -> tuple[float, float]:
-    if eta.support_hi > traj.times[-1] + 1e-12:
-        raise ConfigurationError("temporal weight support exceeds the horizon")
-    tau = traj.tau
-    n_steps = traj.n_steps
-    eta_n = np.array([eta(n * tau) for n in range(1, n_steps + 2)])
-    mass_phi = np.array([
-        traj.states[n].h * np.sum(traj.states[n].values
-                                  * phi.f(traj.states[n].midpoints))
-        for n in range(1, n_steps + 1)])
-    t_transport = float(np.sum((eta_n[:-1] - eta_n[1:]) * mass_phi))
-    t_operator = float(tau * np.sum(eta_n[:-1] * operator_values))
-    return t_transport, t_operator
-
-
-def check_discrete_weak_A(traj: JkoTrajectory, F: LagrangianSpec,
-                          phi: TestFunction, eta: TemporalWeight,
-                          slack_factor: float = SLACK_FACTOR) -> CertificateReport:
-    """|sum_n (eta_n - eta_{n+1}) int u_n phi + tau sum_n eta_n int N(u_n)|
-    <= slack_factor * tau ||phi||_C2 ||eta||_C0 Phi(u_0)."""
-    nvals = np.array([weak_operator_N(F, traj.states[n], phi)
-                      for n in range(1, traj.n_steps + 1)])
-    t1, t2 = _weak_sums(traj, phi, eta, nvals)
-    residual = abs(t1 + t2)
-    bound = slack_factor * traj.tau * phi.c2_norm * eta.c0_norm * traj.energies[0]
-    return CertificateReport(
-        name="discrete_weak", lhs=residual, rhs=bound, tolerance=0.0,
-        context={"transport_term": t1, "operator_term": t2, "tau": traj.tau})
-
 
 def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
                           phi: TestFunction, eta: TemporalWeight,
@@ -224,16 +170,24 @@ def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
                           slack_factor: float = SLACK_FACTOR) -> CertificateReport:
     """Two-sided discrete weak formulation for the mobility class.
 
-    The transport + operator sum is sandwiched by the kappa tau Phi(u_0)
-    envelope tightened by beta-weighted entropy differences with |eta|:
+    The transport + operator sum
+    mid = sum_n (eta_n - eta_{n+1}) int u_n phi + tau sum_n eta_n int N_f(u_n)
+    is sandwiched by the kappa tau Phi(u_0) envelope tightened by
+    beta-weighted entropy differences with |eta|:
     -env + B <= mid <= env - B where B = beta sum (|eta|_n - |eta|_{n+1}) Ent_n.
     """
-    nvals = np.array([weak_operator_Nf(f, traj.states[n], phi)
-                      for n in range(1, traj.n_steps + 1)])
-    t1, t2 = _weak_sums(traj, phi, eta, nvals)
-    mid = t1 + t2
+    if eta.support_hi > traj.times[-1] + 1e-12:
+        raise ConfigurationError("temporal weight support exceeds the horizon")
     tau = traj.tau
-    abs_eta = np.array([abs(eta(n * tau)) for n in range(1, traj.n_steps + 2)])
+    states = traj.states[1:traj.n_steps + 1]
+    eta_n = np.array([eta(n * tau) for n in range(1, traj.n_steps + 2)])
+    mass_phi = np.array([u.h * np.sum(u.values * phi.f(u.midpoints))
+                         for u in states])
+    nvals = np.array([weak_operator_Nf(f, u, phi) for u in states])
+    t_transport = float(np.sum((eta_n[:-1] - eta_n[1:]) * mass_phi))
+    t_operator = float(tau * np.sum(eta_n[:-1] * nvals))
+    mid = t_transport + t_operator
+    abs_eta = np.abs(eta_n)
     ent = traj.entropies[1:traj.n_steps + 1]
     bterm = float(beta * np.sum((abs_eta[:-1] - abs_eta[1:]) * ent))
     kappa = phi.sup_d2()
@@ -241,7 +195,7 @@ def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
     lower, upper = -env + bterm, env - bterm
     violation = max(lower - mid, mid - upper)
     return CertificateReport(
-        name="discrete_weak_mobility", lhs=violation, rhs=0.0, tolerance=0.0,
+        name="discrete_weak", lhs=violation, rhs=0.0, tolerance=0.0,
         context={"mid": mid, "lower": lower, "upper": upper, "beta": beta,
                  "kappa": kappa, "tau": tau})
 

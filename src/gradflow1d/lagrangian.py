@@ -2,8 +2,10 @@
 
 Two energy classes are covered: convex Lagrangians Phi(u) = int F(x, u, u')
 and concave-mobility energies Phi(u) = 1/2 int |(f o u)'|^2.  Both come with
-sampling-based validators for the structural assumptions the certificates
-rely on, and with the weak-form operators N and N_f.
+sampling-based validators for their structural assumptions.  The
+certificates run every mobility, thin film included as the identity, through
+the mobility class and its weak-form operator N_f; the Lagrangian validator
+checks that thin film also meets the convex-Lagrangian Assumption (A).
 """
 
 from __future__ import annotations
@@ -149,7 +151,6 @@ class LagrangianSpec:
     c: float
     C: float
     D: float
-    x_dependent: bool = False
 
     @classmethod
     def thin_film(cls) -> "LagrangianSpec":
@@ -259,30 +260,6 @@ def energy_mobility(f: MobilitySpec, u: GridDensity) -> float:
 
 
 # --- weak-form operators --------------------------------------------------
-
-def weak_operator_N(F: LagrangianSpec, u: GridDensity,
-                    phi: TestFunction) -> float:
-    """int N(x, u, phi) with
-    N = F_x phi' + (F - u F_z) phi'' - F_p (u' phi'' + u phi''' + phi'' u').
-
-    The sign of the F_p group is fixed by the chain-rule derivation of the
-    operator (and by agreement with the mobility-case operator at f =
-    identity); the transport pairing is sum (eta_n - eta_{n+1}) int u_n phi
-    + tau sum eta_n int N(u_n) ~ 0.
-
-    u-derivatives use the central reflecting stencil at cell centers;
-    phi-derivatives are analytic.
-    """
-    v = u.values
-    h = u.h
-    x = u.midpoints
-    up = d1(v, h)
-    p1, p2, p3 = phi.d1(x), phi.d2(x), phi.d3(x)
-    n = (F.F_x(x, v, up) * p1
-         + (F.F(x, v, up) - v * F.F_z(x, v, up)) * p2
-         - F.F_p(x, v, up) * (up * p2 + v * p3 + p2 * up))
-    return float(h * np.sum(n))
-
 
 def weak_operator_Nf(f: MobilitySpec, u: GridDensity,
                      phi: TestFunction) -> float:
@@ -459,12 +436,16 @@ def dissipation_constants(f: MobilitySpec, dimension: int = 1) -> tuple[float, f
 
     chi = sqrt(d / (d + 8)); delta is the largest value in (0, 1) keeping
     delta_bar - delta (delta_bar + 1 - d/2 + sqrt(d^2 + 8 d)/2 - 2) >= 0,
-    found by bisection and then halved as a safety margin.
+    found by bisection and then halved as a safety margin.  A linear
+    mobility f(z) = C z (thin film) has delta = 1: there
+    d/dt Ent = -||(f o u)''||^2 holds exactly.
     """
-    if f.delta_bar <= 0:
-        raise ConfigurationError("mobility must declare delta_bar > 0")
     d = dimension
     chi = float(np.sqrt(d / (d + 8.0)))
+    if f.alpha == 1.0:
+        return chi, 1.0
+    if f.delta_bar <= 0:
+        raise ConfigurationError("mobility must declare delta_bar > 0")
     bracket = f.delta_bar + 1.0 - d / 2.0 + 0.5 * np.sqrt(d ** 2 + 8.0 * d) - 2.0
 
     def ok(delta):

@@ -13,8 +13,7 @@ from gradflow1d import (GridDensity, Interval, JkoConfig, LagrangianSpec,
                         MobilityMapEnergy, MobilitySpec, TemporalWeight,
                         TestFunction, ThinFilmMapEnergy, alpha_window,
                         apriori_bounds,
-                        check_discrete_weak_A, check_discrete_weak_f,
-                        check_energy_monotone, check_entropy_dissipation_A,
+                        check_discrete_weak_f, check_energy_monotone,
                         check_entropy_dissipation_f, check_holder_continuity,
                         check_total_square_distance, dissipation_constants,
                         energy, flow_interchange_dissipation, heat_flow,
@@ -26,6 +25,7 @@ UNIT = Interval(0.0, 1.0)
 WIDE = Interval(0.0, 2.0)
 THIN = LagrangianSpec.thin_film()
 SQRT = MobilitySpec.sqrt_mobility()
+IDENTITY = MobilitySpec.identity()  # thin film in the mobility class
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,9 @@ def test_holder_continuity_in_time(thin_run):
 # --- 5-6: per-step entropy dissipation -------------------------------------
 
 def test_entropy_dissipation_thin_film(thin_run):
-    reports = check_entropy_dissipation_A(thin_run, THIN)
+    _, delta = dissipation_constants(IDENTITY, 1)
+    assert delta == 1.0
+    reports = check_entropy_dissipation_f(thin_run, IDENTITY, delta)
     assert all(r.passed for r in reports), \
         min(r.slack for r in reports)
 
@@ -140,9 +142,9 @@ def test_discrete_weak_residual_and_scaling(weak_runs):
     phi, eta = weak_test_pair()
     residuals = []
     for tau in (1e-3, 5e-4, 2.5e-4):
-        rep = check_discrete_weak_A(weak_runs[tau], THIN, phi, eta)
-        assert rep.passed, (tau, rep.lhs, rep.rhs)
-        residuals.append(rep.lhs)
+        rep = check_discrete_weak_f(weak_runs[tau], IDENTITY, phi, eta)
+        assert rep.passed, (tau, rep.context)
+        residuals.append(abs(rep.context["mid"]))
     # first-order consistency: halving tau should roughly halve the residual
     for coarse, fine in zip(residuals[:-1], residuals[1:]):
         assert 1.33 <= coarse / fine <= 3.0, residuals
@@ -283,5 +285,5 @@ def test_corruption_is_detected():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=8, k=128)
     traj = run(u0, ThinFilmMapEnergy(), cfg, corrupt_steps=(4,))
-    reports = check_entropy_dissipation_A(traj, THIN)
+    reports = check_entropy_dissipation_f(traj, IDENTITY, 1.0)
     assert not all(r.passed for r in reports)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import gradflow1d
-from gradflow1d import ConfigurationError, cli
+from gradflow1d import (ConfigurationError, JkoConfig, LagrangianSpec,
+                        apriori_bounds, cli, run, sobolev_norms)
 from gradflow1d.cli import ALL_CHECKS, execute, load_config, main, sweep
 
 BASE = {
@@ -33,7 +34,7 @@ def test_defaults_fill_in(tmp_path):
     cfg = load_config(write_config(tmp_path))
     assert cfg.domain.lo == 0.0 and cfg.domain.hi == 1.0
     assert cfg.checks == list(ALL_CHECKS)
-    assert not cfg.is_mobility
+    assert cfg.build_mobility().name == "identity"  # thin film
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -80,6 +81,33 @@ def write_datum(tmp_path, m):
     return path
 
 
+@pytest.mark.parametrize("extra", [
+    {"tau": "fast"}, {"m": "many"}, {"domain": [0]},
+    {"lagrangian": {"name": "power_mobility"}},
+    {"initial": {"name": "file"}},
+    {"initial": {"name": "file", "path": "absent.csv"}},
+    {"initial": {"name": "file", "path": "one_column.csv"}},
+], ids=["tau_text", "m_text", "short_domain", "power_without_alpha",
+        "file_without_path", "missing_datum_file", "one_column_datum"])
+def test_malformed_config_is_a_configuration_error(tmp_path, extra, capsys):
+    np.savetxt(tmp_path / "one_column.csv", np.ones(64))
+    if "path" in extra.get("initial", {}):
+        path = str(tmp_path / extra["initial"]["path"])
+        extra = {"initial": {**extra["initial"], "path": path}}
+    assert main(["--config", str(write_config(tmp_path, extra))]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_steps_rejected(tmp_path):
+    # a run without steps has no weak-form horizon and no Holder pair
+    path = write_config(tmp_path, {"n_steps": 0})
+    with pytest.raises(ConfigurationError, match="n_steps >= 1"):
+        load_config(path)
+    assert main(["--config", str(write_config(tmp_path)), "--steps", "0"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_file_datum_must_have_m_cells(tmp_path):
     path = write_config(tmp_path, {
         "initial": {"name": "file", "path": str(write_datum(tmp_path, 32))}})
@@ -122,7 +150,11 @@ ODD_MODE = {"initial": {"name": "cosine", "eps": 0.5, "k": 3}}
 
 @pytest.mark.parametrize("extra", [
     ODD_MODE, {**ODD_MODE, "lagrangian": {"name": "sqrt_mobility"}},
-    {**ODD_MODE, "tau": 1e-2}], ids=["thin_film", "sqrt_mobility", "tau=1e-2"])
+    {**ODD_MODE, "tau": 1e-2}, {**ODD_MODE, "m": 128, "k": 64},
+    {**ODD_MODE, "tau": 1e-6},
+    {**ODD_MODE, "lagrangian": {"name": "power_mobility", "alpha": 0.7}}],
+    ids=["thin_film", "sqrt_mobility", "tau=1e-2", "m128_k64", "tau=1e-6",
+         "power_0.7"])
 def test_odd_mode_default_run_passes(tmp_path, extra):
     # the default run (m = k = 256, 50 steps, every check) on odd-mode data
     assert execute(load_config({**extra, "out": str(tmp_path)})) == 0
@@ -143,6 +175,52 @@ def test_hard_data_fails_only_grid_dissipation_and_h1(tmp_path, initial):
     assert failed <= {"entropy_dissipation", "apriori_h1"}
 
 
+def check_entropy_dissipation_A(traj, F, C3=0.0):
+    """The thin-film entropy-dissipation certificate as it was computed before
+    thin film ran as the identity mobility, from the Lagrangian F (its
+    clause for x-dependent Lagrangians dropped: thin film is not one)."""
+    out = []
+    for n in range(1, traj.n_steps + 1):
+        un = traj.states[n]
+        norms = sobolev_norms(un.values, un.h)
+        lhs = norms.h2 ** 2
+        dent = traj.entropies[n - 1] - traj.entropies[n]
+        rhs = dent / (F.gamma * traj.tau) + C3 * (norms.h1 ** 2 + 1.0)
+        # absolute floor: entropy differences are evaluated at rounding level
+        tol = 0.1 * lhs + 1e-12 / (F.gamma * traj.tau)
+        out.append(gradflow1d.CertificateReport(
+            name="entropy_dissipation", lhs=lhs, rhs=rhs, tolerance=tol,
+            step=n, context={"entropy_drop": float(dent)}))
+    return out
+
+
+@pytest.mark.parametrize("extra", [
+    ODD_MODE, {**ODD_MODE, "tau": 1e-2}, {**ODD_MODE, "m": 128, "k": 64},
+    {**ODD_MODE, "tau": 1e-6},
+    {"initial": {"name": "cosine", "eps": 0.9, "k": 1}},
+    {"initial": {"name": "bump"}}],
+    ids=["k3", "tau=1e-2", "m128_k64", "tau=1e-6", "cosine_eps0.9_k1",
+         "bump"])
+def test_thin_film_certificates_match_lagrangian_reference(tmp_path, extra):
+    # thin film certified as the identity mobility (delta = 1) against the
+    # Lagrangian thin-film certificate, failing steps included
+    cfg = load_config({**extra, "out": str(tmp_path),
+                       "checks": ["entropy_dissipation", "apriori"]})
+    traj = run(cfg.build_initial(), cfg.build_energy(),
+               JkoConfig(tau=cfg.tau, n_steps=cfg.n_steps, k=cfg.k))
+    *rows, h1 = cli._certificates(cfg, traj)
+    ref = check_entropy_dissipation_A(traj, LagrangianSpec.thin_film())
+    assert len(rows) == len(ref) == cfg.n_steps
+    for new, old in zip(rows, ref):
+        assert (new.name, new.step) == (old.name, old.step)
+        assert new.rhs == old.rhs  # bitwise
+        assert abs(new.lhs - old.lhs) <= 2 * np.spacing(old.lhs)
+        assert new.passed == old.passed
+    old_h1 = apriori_bounds(traj, c_lower=0.5)
+    assert (h1.lhs, h1.rhs, h1.passed) == (old_h1.lhs, old_h1.rhs,
+                                           old_h1.passed)
+
+
 def test_corruption_yields_failure_exit(tmp_path):
     cfg = load_config(write_config(tmp_path), {"inject_corruption": True})
     assert execute(cfg) == 1
@@ -153,7 +231,7 @@ def test_corruption_yields_failure_exit(tmp_path):
 def test_mobility_run(tmp_path):
     cfg = load_config(write_config(tmp_path, {
         "lagrangian": {"name": "sqrt_mobility"}}))
-    assert cfg.is_mobility
+    assert cfg.build_mobility().name == "sqrt"
     assert execute(cfg) == 0
 
 

@@ -7,15 +7,15 @@ from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         LagrangianSpec, MobilityMapEnergy, MobilitySpec,
                         TemporalWeight, TestFunction, ThinFilmMapEnergy,
                         apriori_bounds, boltzmann_entropy,
-                        check_discrete_weak_A, check_discrete_weak_f,
-                        check_entropy_dissipation_A,
-                        check_entropy_dissipation_f, check_holder_continuity,
+                        check_discrete_weak_f, check_entropy_dissipation_f,
+                        check_holder_continuity,
                         dissipation_constants,
                         energy, energy_mobility, flow_interchange_dissipation,
                         heat_flow, run, sobolev_norms, traceless_lemma_check)
 
 UNIT = Interval(0.0, 1.0)
 THIN = LagrangianSpec.thin_film()
+IDENTITY = MobilitySpec.identity()  # thin film in the mobility class
 
 
 @pytest.fixture(scope="module")
@@ -173,8 +173,13 @@ def test_holder_tie_order(tied_traj):
 
 # --- per-step dissipation certificates -------------------------------------
 
+def thin_film_entropy_dissipation(traj):
+    _, delta = dissipation_constants(IDENTITY, 1)
+    return check_entropy_dissipation_f(traj, IDENTITY, delta)
+
+
 def test_entropy_dissipation_thin_film(thin_traj):
-    reports = check_entropy_dissipation_A(thin_traj, THIN)
+    reports = thin_film_entropy_dissipation(thin_traj)
     assert len(reports) == thin_traj.n_steps
     assert all(r.passed for r in reports)
 
@@ -190,7 +195,7 @@ def test_entropy_dissipation_fails_on_corruption():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=6, k=128)
     traj = run(u0, ThinFilmMapEnergy(), cfg, corrupt_steps=(3,))
-    reports = check_entropy_dissipation_A(traj, THIN)
+    reports = thin_film_entropy_dissipation(traj)
     assert not reports[2].passed  # frozen step: no entropy drop, full lhs
 
 
@@ -207,13 +212,13 @@ def test_weak_form_stationary_zero(thin_traj):
     cfg = JkoConfig(tau=1e-4, n_steps=10, k=64)
     traj = run(u0, ThinFilmMapEnergy(), cfg)
     phi, eta = weak_setup(10)
-    rep = check_discrete_weak_A(traj, THIN, phi, eta)
-    assert rep.passed and rep.lhs < 1e-10
+    rep = check_discrete_weak_f(traj, IDENTITY, phi, eta)
+    assert rep.passed and abs(rep.context["mid"]) < 1e-10
 
 
 def test_weak_form_thin_film(thin_traj):
     phi, eta = weak_setup()
-    rep = check_discrete_weak_A(thin_traj, THIN, phi, eta)
+    rep = check_discrete_weak_f(thin_traj, IDENTITY, phi, eta)
     assert rep.passed, rep.context
 
 
@@ -221,7 +226,7 @@ def test_weak_form_support_must_fit_horizon(thin_traj):
     phi = TestFunction.cosine(0, 1, k=2)
     eta = TemporalWeight.smooth_bump(1e-4, 1.0)
     with pytest.raises(ConfigurationError):
-        check_discrete_weak_A(thin_traj, THIN, phi, eta)
+        check_discrete_weak_f(thin_traj, IDENTITY, phi, eta)
 
 
 def test_weak_form_mobility(mob_traj):
@@ -230,6 +235,13 @@ def test_weak_form_mobility(mob_traj):
                                 phi, eta)
     assert rep.passed, rep.context
     assert rep.context["lower"] <= rep.context["mid"] <= rep.context["upper"]
+    # the envelope from its definition, one step at a time
+    tau, ent = mob_traj.tau, mob_traj.entropies
+    bterm = 1e-3 * sum((abs(eta(n * tau)) - abs(eta((n + 1) * tau))) * ent[n]
+                       for n in range(1, mob_traj.n_steps + 1))
+    env = 2.0 * phi.sup_d2() * tau * eta.c0_norm * mob_traj.energies[0]
+    assert rep.context["lower"] == pytest.approx(-env + bterm, rel=1e-12)
+    assert rep.context["upper"] == pytest.approx(env - bterm, rel=1e-12)
 
 
 # --- a priori bounds --------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,12 @@ from gradflow1d import (ConfigurationError, GridDensity, Interval,
                         LagrangianSpec, MobilitySpec, TemporalWeight,
                         TestFunction, alpha_window, dissipation_constants,
                         energy, energy_mobility, validate_assumption_A,
-                        validate_assumption_f, weak_operator_N,
-                        weak_operator_Nf)
+                        validate_assumption_f, weak_operator_Nf)
 from gradflow1d.lagrangian import _halton, _schur_pi_form
 
 UNIT = Interval(0.0, 1.0)
 THIN = LagrangianSpec.thin_film()
+IDENTITY = MobilitySpec.identity()  # thin film in the mobility class
 
 
 # --- test functions and weights --------------------------------------------
@@ -92,7 +93,7 @@ def test_energy_coercivity_lower_bound():
 
 def test_weak_operator_constant_phi_zero():
     u = GridDensity.cosine(UNIT, 64, eps=0.4, k=2)
-    assert weak_operator_N(THIN, u, TestFunction.constant(0, 1)) == 0.0
+    assert weak_operator_Nf(IDENTITY, u, TestFunction.constant(0, 1)) == 0.0
     assert weak_operator_Nf(MobilitySpec.sqrt_mobility(), u,
                             TestFunction.constant(0, 1)) == 0.0
 
@@ -100,19 +101,19 @@ def test_weak_operator_constant_phi_zero():
 def test_weak_operator_uniform_density_zero():
     u = GridDensity.uniform(UNIT, 64)
     phi = TestFunction.cosine(0, 1, k=2)
-    assert weak_operator_N(THIN, u, phi) == pytest.approx(0.0, abs=1e-12)
+    assert weak_operator_Nf(IDENTITY, u, phi) == pytest.approx(0.0, abs=1e-12)
     assert weak_operator_Nf(MobilitySpec.sqrt_mobility(), u, phi) == \
         pytest.approx(0.0, abs=1e-10)
 
 
 def test_weak_operator_thin_film_analytic_value():
     # u = 1 + a cos(wx), phi = cos(wx), w = 2 pi:
-    # int N = int(-3/2 u'^2 phi'' - u u' phi''') = a w^4 / 2
+    # at f = identity, int N_f = int(u'' u' phi' + u u'' phi'') = a w^4 / 2
     a, w = 0.5, 2 * np.pi
     u = GridDensity.cosine(UNIT, 512, eps=a, k=2)
     phi = TestFunction.cosine(0, 1, k=2)
-    assert weak_operator_N(THIN, u, phi) == pytest.approx(a * w ** 4 / 2,
-                                                          rel=2e-3)
+    assert weak_operator_Nf(IDENTITY, u, phi) == pytest.approx(a * w ** 4 / 2,
+                                                               rel=2e-3)
 
 
 def test_weak_operator_linear_in_phi():
@@ -126,31 +127,10 @@ def test_weak_operator_linear_in_phi():
         d1=lambda x: a * p1.d1(x) + b * p2.d1(x),
         d2=lambda x: a * p1.d2(x) + b * p2.d2(x),
         d3=lambda x: a * p1.d3(x) + b * p2.d3(x))
-    lhs = weak_operator_N(THIN, u, combo)
-    rhs = a * weak_operator_N(THIN, u, p1) + b * weak_operator_N(THIN, u, p2)
+    lhs = weak_operator_Nf(IDENTITY, u, combo)
+    rhs = (a * weak_operator_Nf(IDENTITY, u, p1)
+           + b * weak_operator_Nf(IDENTITY, u, p2))
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_weak_operator_identity_mobility_matches_lagrangian():
-    u = GridDensity.bump(UNIT, 256)
-    phi = TestFunction.cosine(0, 1, k=2)
-    na = weak_operator_N(THIN, u, phi)
-    nf = weak_operator_Nf(MobilitySpec.identity(), u, phi)
-    assert na == pytest.approx(nf, rel=5e-3)
-
-
-def test_weak_operator_c2_bound():
-    # |int N| <= K ||phi||_C2 (1 + ||u'||^2) with K from the declared bounds
-    from gradflow1d.lagrangian import d1
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        u = GridDensity.from_samples(UNIT, rng.uniform(0.3, 2.0, 64))
-        phi = TestFunction.cosine(0, 1, k=int(rng.integers(1, 4)))
-        up = d1(u.values, u.h)
-        grad_sq = u.h * float(np.sum(up * up))
-        kconst = THIN.D + THIN.C + 1.0 + 2 * np.sqrt(THIN.D) * 2
-        bound = 4 * kconst * phi.c2_norm * (1.0 + grad_sq)
-        assert abs(weak_operator_N(THIN, u, phi)) <= bound
 
 
 # --- validators -------------------------------------------------------------
@@ -227,8 +207,10 @@ def test_dissipation_constants():
     assert delta == pytest.approx(0.5, abs=1e-12)
     chi8, _ = dissipation_constants(sq, 8)
     assert chi8 == pytest.approx(np.sqrt(0.5), abs=1e-12)
+    # a linear mobility dissipates exactly: delta = 1
+    assert dissipation_constants(IDENTITY, 1) == (chi, 1.0)
     with pytest.raises(ConfigurationError):
-        dissipation_constants(MobilitySpec.identity(), 1)
+        dissipation_constants(replace(sq, delta_bar=0.0), 1)
 
 
 @pytest.mark.parametrize("spec", [
@@ -267,7 +249,8 @@ def test_thin_film_config_load_skips_scipy_stats(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys; from gradflow1d.cli import load_config; "
-            "cfg = load_config(sys.argv[1]); assert not cfg.is_mobility; "
+            "cfg = load_config(sys.argv[1]); "
+            "assert cfg.build_mobility().name == 'identity'; "
             "print('scipy.stats' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code, str(path)],
                           capture_output=True, text=True, env=env)
