@@ -3,18 +3,15 @@
 from .report import CSV_HEADER, CSV_SCHEMA_VERSION, CertificateReport
 from .transport import (ConfigurationError, DegenerateQuantileError,
                         GridDensity, Interval, MonotonicityError,
-                        StepTooLargeError, TransportMap, boltzmann_entropy,
-                        densities_from_maps, density_from_map,
-                        map_from_density, perturbation_flow,
-                        quantile, volume_distortion_check, wasserstein2,
-                        wasserstein2_maps)
+                        TransportMap, boltzmann_entropy, densities_from_maps,
+                        density_from_map, map_from_density, quantile,
+                        wasserstein2, wasserstein2_maps)
 from .lagrangian import (LagrangianSpec, MobilitySpec, TemporalWeight,
                          TestFunction, alpha_window, dissipation_constants,
                          energy, energy_mobility, validate_assumption_A,
                          validate_assumption_f, weak_operator_Nf)
 from .jko import (JkoConfig, JkoTrajectory, MobilityMapEnergy,
-                  ThinFilmMapEnergy, jko_step, penalized_objective,
-                  refine_study, run)
+                  ThinFilmMapEnergy, jko_step, refine_study, run)
 from .diagnostics import (SobolevNorms, apriori_bounds, check_discrete_weak_f,
                           check_energy_monotone, check_entropy_dissipation_f,
                           check_holder_continuity, check_total_square_distance,

@@ -50,8 +50,10 @@ class RunConfig:
     domain: Interval
     m: int
     k: int
-    lagrangian: dict
-    initial: dict
+    # the energy's mobility (thin film: the identity) and the initial datum,
+    # built once from `raw`, which equality compares instead
+    mobility: MobilitySpec = field(compare=False)
+    u0: GridDensity = field(compare=False)
     tau: float
     n_steps: int
     refine_levels: int
@@ -60,44 +62,39 @@ class RunConfig:
     inject_corruption: bool = False
     raw: dict = field(default_factory=dict)
 
-    def build_mobility(self) -> MobilitySpec:
-        """The energy's mobility f; thin film is the identity."""
-        lag = self.lagrangian
-        name = lag.get("name")
-        if name == "thin_film":
-            return MobilitySpec.identity()
-        if name == "sqrt_mobility":
-            return MobilitySpec.sqrt_mobility()
-        if name == "power_mobility":
-            return MobilitySpec.power_mobility(lag.get("C", 1.0), lag["alpha"])
-        raise ConfigurationError(f"unknown lagrangian '{name}'")
 
-    def build_energy(self) -> MobilityMapEnergy:
-        return MobilityMapEnergy(self.build_mobility())
+def _mobility(lag: dict) -> MobilitySpec:
+    name = lag.get("name")
+    if name == "thin_film":
+        return MobilitySpec.identity()
+    if name == "sqrt_mobility":
+        return MobilitySpec.sqrt_mobility()
+    if name == "power_mobility":
+        return MobilitySpec.power_mobility(lag.get("C", 1.0), lag["alpha"])
+    raise ConfigurationError(f"unknown lagrangian '{name}'")
 
-    def build_initial(self) -> GridDensity:
-        ini = self.initial
-        name = ini.get("name")
-        if name == "uniform":
-            return GridDensity.uniform(self.domain, self.m)
-        if name == "cosine":
-            return GridDensity.cosine(self.domain, self.m,
-                                      eps=ini.get("eps", 0.5),
-                                      k=ini.get("k", 2))
-        if name == "bump":
-            return GridDensity.bump(self.domain, self.m,
-                                    center=ini.get("center"),
-                                    width=ini.get("width"))
-        if name == "file":
-            data = np.loadtxt(ini["path"], delimiter=",")
-            return GridDensity.from_samples(self.domain, data[:, 1])
-        raise ConfigurationError(f"unknown initial datum '{name}'")
+
+def _initial(ini: dict, domain: Interval, m: int) -> GridDensity:
+    name = ini.get("name")
+    if name == "uniform":
+        return GridDensity.uniform(domain, m)
+    if name == "cosine":
+        return GridDensity.cosine(domain, m, eps=ini.get("eps", 0.5),
+                                  k=ini.get("k", 2))
+    if name == "bump":
+        return GridDensity.bump(domain, m, center=ini.get("center"),
+                                width=ini.get("width"))
+    if name == "file":
+        data = np.loadtxt(ini["path"], delimiter=",")
+        return GridDensity.from_samples(domain, data[:, 1])
+    raise ConfigurationError(f"unknown initial datum '{name}'")
 
 
 def load_config(source: str | Path | dict,
                 overrides: dict | None = None) -> RunConfig:
     """Default-fill and eagerly validate a run configuration, given as the
-    path of a JSON file or as an already-parsed dict."""
+    path of a JSON file or as an already-parsed dict, and build its mobility
+    and initial datum."""
     if isinstance(source, dict):
         raw = source
     else:
@@ -110,30 +107,24 @@ def load_config(source: str | Path | dict,
     for key in raw:
         if key not in DEFAULTS and key != "inject_corruption":
             raise ConfigurationError(f"unknown config key '{key}'")
-    unknown = [c for c in merged["checks"] if c not in ALL_CHECKS]
-    if unknown:
-        raise ConfigurationError(f"unknown checks {unknown}")
     try:
-        cfg = RunConfig(
-            domain=Interval(float(merged["domain"][0]),
-                            float(merged["domain"][1])),
-            m=int(merged["m"]), k=int(merged["k"]),
-            lagrangian=dict(merged["lagrangian"]),
-            initial=dict(merged["initial"]),
-            tau=float(merged["tau"]), n_steps=int(merged["n_steps"]),
-            refine_levels=int(merged["refine_levels"]),
-            checks=list(merged["checks"]), out=Path(merged["out"]),
-            inject_corruption=bool(merged.get("inject_corruption", False)),
-            raw=merged)
-        if not (0 < cfg.tau < np.inf and cfg.n_steps >= 1
-                and cfg.m >= 8 and cfg.k >= 8):
+        unknown = [c for c in merged["checks"] if c not in ALL_CHECKS]
+        if unknown:
+            raise ConfigurationError(f"unknown checks {unknown}")
+        domain = Interval(float(merged["domain"][0]),
+                          float(merged["domain"][1]))
+        m, k = int(merged["m"]), int(merged["k"])
+        tau, n_steps = float(merged["tau"]), int(merged["n_steps"])
+        if not (0 < tau < np.inf and n_steps >= 1 and m >= 8 and k >= 8):
             raise ConfigurationError(
                 "0 < tau < inf, n_steps >= 1, m >= 8, k >= 8 required")
+        merged["lagrangian"] = dict(merged["lagrangian"])
+        merged["initial"] = dict(merged["initial"])
         # eager assumption validation before any stepping.  Thin film runs
         # as the identity mobility, which is linear, not strictly concave;
         # its Lagrangian's Assumption (A) is certified by the tests instead
-        f = cfg.build_mobility()
-        if cfg.lagrangian.get("name") != "thin_film":
+        f = _mobility(merged["lagrangian"])
+        if merged["lagrangian"]["name"] != "thin_film":
             if not alpha_window(1) < f.alpha <= 1.0:
                 raise ConfigurationError(
                     f"mobility exponent {f.alpha} outside the admissible "
@@ -143,22 +134,28 @@ def load_config(source: str | Path | dict,
                 raise ConfigurationError(
                     "mobility fails structure assumption, clause "
                     + rep.context["worst_clause"])
-        u0 = cfg.build_initial()  # raises on bad initial-datum parameters
+        u0 = _initial(merged["initial"], domain, m)
+        cfg = RunConfig(
+            domain=domain, m=m, k=k, mobility=f, u0=u0, tau=tau,
+            n_steps=n_steps, refine_levels=int(merged["refine_levels"]),
+            checks=list(merged["checks"]), out=Path(merged["out"]),
+            inject_corruption=bool(merged.get("inject_corruption", False)),
+            raw=merged)
     except ConfigurationError:
         raise
-    # a malformed number, a short domain, a missing key, an unreadable or
-    # one-column datum file
-    except (ValueError, IndexError, KeyError, OSError) as exc:
+    # a malformed or wrongly typed value, a short domain, a missing key, an
+    # unreadable or one-column datum file
+    except (ValueError, TypeError, IndexError, KeyError, OSError) as exc:
         raise ConfigurationError(
             f"malformed config: {type(exc).__name__}: {exc}") from exc
-    if u0.m != cfg.m:  # only a file datum sets its own cell count
+    if u0.m != m:  # only a file datum sets its own cell count
         raise ConfigurationError(
-            f"initial datum has {u0.m} cells but m is {cfg.m}")
+            f"initial datum has {u0.m} cells but m is {m}")
     return cfg
 
 
 def _certificates(cfg: RunConfig, traj) -> list[CertificateReport]:
-    f = cfg.build_mobility()
+    f = cfg.mobility
 
     def eval_check(name):
         if name == "energy_monotone":
@@ -179,7 +176,6 @@ def _certificates(cfg: RunConfig, traj) -> list[CertificateReport]:
             return [dg.apriori_bounds(
                 traj, c_lower=0.5,
                 transform=lambda v: f.f(np.maximum(v, 0.0)))]
-        raise ConfigurationError(f"unknown check '{name}'")
 
     reports = []
     for name in ALL_CHECKS:
@@ -237,14 +233,14 @@ def execute(cfg: RunConfig, row: dict | None = None) -> int:
     """
     t0 = time.time()
     try:
-        energy = cfg.build_energy()
-        u0 = cfg.build_initial()
+        energy = MobilityMapEnergy(cfg.mobility)
         jcfg = JkoConfig(tau=cfg.tau, n_steps=cfg.n_steps, k=cfg.k)
         corrupt = (max(cfg.n_steps // 2, 1),) if cfg.inject_corruption else ()
-        traj = run(u0, energy, jcfg, corrupt_steps=corrupt)
+        traj = run(cfg.u0, energy, jcfg, corrupt_steps=corrupt)
         gaps = None
         if cfg.refine_levels > 1:
-            _, gaps = refine_study(u0, energy, jcfg, levels=cfg.refine_levels)
+            _, gaps = refine_study(cfg.u0, energy, jcfg,
+                                   levels=cfg.refine_levels)
         reports = _certificates(cfg, traj)
         summary = _write_outputs(cfg, traj, reports, time.time() - t0, gaps)
     except ConfigurationError:
@@ -273,14 +269,14 @@ def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
     if axis not in ("tau", "alpha", "eps"):
         raise ConfigurationError(f"unknown sweep axis '{axis}'")
     # an axis the configured run never reads would give identical rows
-    if axis == "alpha" and cfg.lagrangian.get("name") != "power_mobility":
+    lagrangian = cfg.raw["lagrangian"]["name"]
+    initial = cfg.raw["initial"]["name"]
+    if axis == "alpha" and lagrangian != "power_mobility":
         raise ConfigurationError(
-            f"sweep axis 'alpha' is not read by lagrangian "
-            f"'{cfg.lagrangian.get('name')}'")
-    if axis == "eps" and cfg.initial.get("name") != "cosine":
+            f"sweep axis 'alpha' is not read by lagrangian '{lagrangian}'")
+    if axis == "eps" and initial != "cosine":
         raise ConfigurationError(
-            f"sweep axis 'eps' is not read by initial datum "
-            f"'{cfg.initial.get('name')}'")
+            f"sweep axis 'eps' is not read by initial datum '{initial}'")
     dirs = [f"{axis}={val:g}" for val in values]
     if len(set(dirs)) < len(dirs):
         raise ConfigurationError(

@@ -13,7 +13,7 @@ system goes directly to LAPACK gbsv.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -273,15 +273,6 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         row = np.abs(obj.hessian_banded(x, iface)[:, 1:-1]).sum(axis=0)
         converged = bool(np.all(np.abs(g) <= ulp * row))
     return x, f, converged
-
-
-def penalized_objective(candidate: TransportMap, v_prev: GridDensity,
-                        tau: float, energy: MobilityMapEnergy) -> float:
-    """(1/2 tau) W2^2(candidate#, v_prev) + Phi(candidate#), exactly in the
-    map parametrization at matched mass levels."""
-    x_prev = map_from_density(v_prev, candidate.k).positions
-    q = w2sq_between_maps(candidate.positions, x_prev)
-    return q / (2 * tau) + energy.value(candidate.positions)
 
 
 # --- trajectories ---------------------------------------------------------

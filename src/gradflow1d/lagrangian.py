@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -60,7 +60,6 @@ class TestFunction:
     f: Callable
     d1: Callable
     d2: Callable
-    d3: Callable
 
     def __post_init__(self):
         lim = 1e-9 * max(1.0, abs(self.d1(0.5 * (self.domain_lo + self.domain_hi))))
@@ -68,12 +67,6 @@ class TestFunction:
             if abs(self.d1(x)) > lim:
                 raise ConfigurationError("test function derivative must vanish "
                                          "at both endpoints")
-
-    @property
-    def c2_norm(self) -> float:
-        x = np.linspace(self.domain_lo, self.domain_hi, 2001)
-        return float(max(np.max(np.abs(self.f(x))), np.max(np.abs(self.d1(x))),
-                         np.max(np.abs(self.d2(x)))))
 
     def sup_d2(self) -> float:
         x = np.linspace(self.domain_lo, self.domain_hi, 2001)
@@ -88,14 +81,13 @@ class TestFunction:
         return cls(lo, hi,
                    f=lambda x: a * np.cos(om * (x - lo)),
                    d1=lambda x: -a * om * np.sin(om * (x - lo)),
-                   d2=lambda x: -a * om ** 2 * np.cos(om * (x - lo)),
-                   d3=lambda x: a * om ** 3 * np.sin(om * (x - lo)))
+                   d2=lambda x: -a * om ** 2 * np.cos(om * (x - lo)))
 
     @classmethod
     def constant(cls, lo: float, hi: float, value: float = 1.0) -> "TestFunction":
         z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         return cls(lo, hi, f=lambda x: np.full_like(np.asarray(x, float), value),
-                   d1=z, d2=z, d3=z)
+                   d1=z, d2=z)
 
 
 @dataclass
@@ -261,10 +253,10 @@ def energy_mobility(f: MobilitySpec, u: GridDensity) -> float:
 
 # --- weak-form operators --------------------------------------------------
 
-def weak_operator_Nf(f: MobilitySpec, u: GridDensity,
-                     phi: TestFunction) -> float:
-    """int N_f(u, phi) with
-    N_f = (f(u))'' (f(u))' phi' + u f'(u) (f(u))'' phi''.
+def nf_density(f: MobilitySpec, u: GridDensity,
+               phi: TestFunction) -> np.ndarray:
+    """N_f(u, phi) = (f(u))'' (f(u))' phi' + u f'(u) (f(u))'' phi'' at the
+    cell midpoints.
 
     u f'(u) is evaluated at densities clipped below at U_FLOOR; the product
     stays finite because z f'(z) has a limit at 0.
@@ -274,8 +266,13 @@ def weak_operator_Nf(f: MobilitySpec, u: GridDensity,
     x = u.midpoints
     w = f.f(v)
     wp, wpp = d1(w, h), d2(w, h)
-    n = wpp * wp * phi.d1(x) + v * f.f1(v) * wpp * phi.d2(x)
-    return float(h * np.sum(n))
+    return wpp * wp * phi.d1(x) + v * f.f1(v) * wpp * phi.d2(x)
+
+
+def weak_operator_Nf(f: MobilitySpec, u: GridDensity,
+                     phi: TestFunction) -> float:
+    """int N_f(u, phi): the midpoint sum of `nf_density`."""
+    return float(u.h * np.sum(nf_density(f, u, phi)))
 
 
 # --- assumption validators ------------------------------------------------

@@ -7,17 +7,14 @@ quadratic Wasserstein distance is a plain weighted L2 distance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .report import CertificateReport
-
 MASS_TOL = 1e-12
 GAP_REL = 1e-9          # minimum node spacing, relative to domain length
 W2_LEVELS = 4097        # mass-grid resolution for quantile-based distances
-TOL_FD = 1e-5           # relative tolerance of finite-difference identity checks
 
 
 class ConfigurationError(ValueError):
@@ -30,10 +27,6 @@ class MonotonicityError(ValueError):
 
 class DegenerateQuantileError(ValueError):
     """Density vanishes on a plateau wider than the grid resolution."""
-
-
-class StepTooLargeError(ValueError):
-    """A perturbation flow step destroyed monotonicity."""
 
 
 @dataclass(frozen=True)
@@ -133,6 +126,8 @@ class GridDensity:
         """Smooth compactly supported bump plus a small uniform background."""
         center = 0.5 * (domain.lo + domain.hi) if center is None else center
         width = 0.5 * domain.length if width is None else width
+        if not 0.0 < width < np.inf:
+            raise ConfigurationError("bump width must be finite and positive")
         x = domain.lo + (np.arange(m) + 0.5) * domain.length / m
         y = (x - center) / (0.5 * width)
         v = np.where(np.abs(y) < 1, np.exp(-1.0 / np.maximum(1 - y * y, 1e-300)), 0.0)
@@ -145,14 +140,11 @@ class TransportMap:
 
     domain: Interval
     positions: np.ndarray
-    masses: np.ndarray = field(default=None)
 
     def __post_init__(self):
         x = np.asarray(self.positions, dtype=float)
         if x.ndim != 1 or x.size < 9:
             raise ConfigurationError("need at least 9 map nodes (K >= 8)")
-        if self.masses is None:
-            self.masses = np.linspace(0.0, 1.0, x.size)
         if np.any(np.diff(x) <= self.domain.gap):
             raise MonotonicityError("map positions not increasing above gap")
         if x[0] < self.domain.lo - 1e-12 or x[-1] > self.domain.hi + 1e-12:
@@ -339,19 +331,19 @@ def map_from_density(u: GridDensity, k: int = 256) -> TransportMap:
 def densities_from_maps(maps, m: int | None = None) -> list:
     """Pushforward densities of a batch of maps on a uniform M-cell grid.
 
-    The maps share their domain and mass levels.  Each quantile function is
-    interpolated by a cubic spline in the mass variable (one column of a
-    single multi-column spline) and inverted at the cell edges by 30
-    safeguarded Newton sweeps, which stop once every edge of the batch has
-    settled (see `_newton_inverse`) and still return the 30-sweep result
-    bitwise.  Cell values are exact mass differences over the cells, so each
+    The maps share their domain and node count, so also their mass levels
+    i/K.  Each quantile function is interpolated by a cubic spline in the
+    mass variable (one column of a single multi-column spline) and inverted
+    at the cell edges by 30 safeguarded Newton sweeps, which stop once every
+    edge of the batch has settled (see `_newton_inverse`) and still return
+    the 30-sweep result bitwise.  Cell values are exact mass differences over the cells, so each
     output has unit mass by construction.
     """
-    dom, levels = maps[0].domain, maps[0].masses
-    if any(x.domain != dom or not np.array_equal(x.masses, levels)
-           for x in maps):
-        raise ConfigurationError("maps differ in domain or mass levels")
-    m = maps[0].k if m is None else m
+    dom, k = maps[0].domain, maps[0].k
+    if any(x.domain != dom or x.k != k for x in maps):
+        raise ConfigurationError("maps differ in domain or node count")
+    m = k if m is None else m
+    levels = np.linspace(0.0, 1.0, k + 1)
     pos = np.array([x.positions for x in maps])
     if np.any(np.diff(pos) <= 0):
         raise MonotonicityError("map positions must be strictly increasing")
@@ -379,68 +371,3 @@ def density_from_map(x: TransportMap, m: int | None = None) -> GridDensity:
     """Pushforward density of one map on a uniform M-cell grid: the batch
     of one of `densities_from_maps`."""
     return densities_from_maps([x], m)[0]
-
-
-# --- perturbation flow ----------------------------------------------------
-
-def perturbation_flow(x: TransportMap, phi, s: float) -> TransportMap:
-    """Advance every node by one RK4 step of dy/ds = phi'(y) over time s."""
-    d1 = phi.d1
-    y = x.positions
-    k1 = d1(y)
-    k2 = d1(y + 0.5 * s * k1)
-    k3 = d1(y + 0.5 * s * k2)
-    k4 = d1(y + s * k3)
-    ynew = y + (s / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    ynew = np.clip(ynew, x.domain.lo, x.domain.hi)
-    if np.any(np.diff(ynew) <= x.domain.gap):
-        raise StepTooLargeError("flow step destroyed monotonicity")
-    return TransportMap(x.domain, ynew)
-
-
-def volume_distortion_check(x: TransportMap, phi, s: float = 2e-5,
-                            tol: float = TOL_FD) -> CertificateReport:
-    """Finite-difference check of the volume-distortion identities.
-
-    At s = 0 the derivative of the cell volume ratio equals phi'' and the
-    derivative of the transported density gradient equals
-    -u' phi'' - u phi''' - phi'' u', all evaluated with the same staggered
-    map-cell stencils on both sides.
-    """
-    xp = perturbation_flow(x, phi, s).positions
-    xm = perturbation_flow(x, phi, -s).positions
-    x0 = x.positions
-    dm = x.dm
-    dx0 = np.diff(x0)
-
-    # phi'' in the cell-divided-difference form the map arithmetic sees;
-    # evaluating phi.d2 at midpoints instead would add an O(dX^2) quadrature
-    # error far above tol_fd
-    a = np.diff(phi.d1(x0)) / dx0
-
-    # identity 1: d/ds det(grad X_s)|_0 = phi'' (per map cell)
-    fd_v = (np.diff(xp) - np.diff(xm)) / (2 * s * dx0)
-    scale_v = max(np.max(np.abs(a)), 1e-30)
-    err_v = float(np.max(np.abs(fd_v - a)) / scale_v)
-
-    def transported_gradient(xs):
-        us = dm / np.diff(xs)
-        dxb = 0.5 * (np.diff(xs)[:-1] + np.diff(xs)[1:])
-        return (us[1:] - us[:-1]) / dxb
-
-    # identity 2 at interior nodes: d/ds grad(u o X_s^{-1})|_0
-    # = -(u' phi'' + u phi''' + phi'' u'), with the u phi''' + u' phi'' part
-    # grouped as the staggered difference of u phi'' over the node volume
-    fd_g = (transported_gradient(xp) - transported_gradient(xm)) / (2 * s)
-    u0 = dm / dx0
-    dxb0 = 0.5 * (dx0[:-1] + dx0[1:])
-    p0 = (u0[1:] - u0[:-1]) / dxb0
-    rhs_g = -((u0[1:] * a[1:] - u0[:-1] * a[:-1]) / dxb0
-              + p0 * (dx0[:-1] * a[:-1] + dx0[1:] * a[1:]) / (2 * dxb0))
-    scale_g = max(np.max(np.abs(rhs_g)), 1e-30)
-    err_g = float(np.max(np.abs(fd_g - rhs_g)) / scale_g)
-
-    err = max(err_v, err_g)
-    return CertificateReport(
-        name="volume_distortion", lhs=err, rhs=tol, tolerance=0.0,
-        context={"err_volume": err_v, "err_gradient": err_g, "s": s})

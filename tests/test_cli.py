@@ -10,7 +10,8 @@ import pytest
 
 import gradflow1d
 from gradflow1d import (ConfigurationError, JkoConfig, LagrangianSpec,
-                        apriori_bounds, cli, run, sobolev_norms)
+                        MobilityMapEnergy, apriori_bounds, cli, run,
+                        sobolev_norms)
 from gradflow1d.cli import ALL_CHECKS, execute, load_config, main, sweep
 
 BASE = {
@@ -34,7 +35,7 @@ def test_defaults_fill_in(tmp_path):
     cfg = load_config(write_config(tmp_path))
     assert cfg.domain.lo == 0.0 and cfg.domain.hi == 1.0
     assert cfg.checks == list(ALL_CHECKS)
-    assert cfg.build_mobility().name == "identity"  # thin film
+    assert cfg.mobility.name == "identity"  # thin film
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -87,8 +88,12 @@ def write_datum(tmp_path, m):
     {"initial": {"name": "file"}},
     {"initial": {"name": "file", "path": "absent.csv"}},
     {"initial": {"name": "file", "path": "one_column.csv"}},
+    {"m": None}, {"checks": 5},
+    {"lagrangian": {"name": "power_mobility", "alpha": "0.7"}},
+    {"initial": {"name": "bump", "width": 0}},
 ], ids=["tau_text", "m_text", "short_domain", "power_without_alpha",
-        "file_without_path", "missing_datum_file", "one_column_datum"])
+        "file_without_path", "missing_datum_file", "one_column_datum",
+        "m_null", "checks_number", "alpha_text", "bump_zero_width"])
 def test_malformed_config_is_a_configuration_error(tmp_path, extra, capsys):
     np.savetxt(tmp_path / "one_column.csv", np.ones(64))
     if "path" in extra.get("initial", {}):
@@ -206,7 +211,7 @@ def test_thin_film_certificates_match_lagrangian_reference(tmp_path, extra):
     # Lagrangian thin-film certificate, failing steps included
     cfg = load_config({**extra, "out": str(tmp_path),
                        "checks": ["entropy_dissipation", "apriori"]})
-    traj = run(cfg.build_initial(), cfg.build_energy(),
+    traj = run(cfg.u0, MobilityMapEnergy(cfg.mobility),
                JkoConfig(tau=cfg.tau, n_steps=cfg.n_steps, k=cfg.k))
     *rows, h1 = cli._certificates(cfg, traj)
     ref = check_entropy_dissipation_A(traj, LagrangianSpec.thin_film())
@@ -221,6 +226,15 @@ def test_thin_film_certificates_match_lagrangian_reference(tmp_path, extra):
                                            old_h1.passed)
 
 
+@pytest.mark.parametrize("m", [32, 64, 256])
+def test_stationary_datum_passes(tmp_path, m):
+    # the uniform density is stationary: the weak-form envelope is exactly 0
+    # and its middle sum is rounding noise, within the check's error bound
+    path = write_config(tmp_path, {"m": m, "k": m, "n_steps": 2,
+                                   "initial": {"name": "uniform"}})
+    assert main(["--config", str(path)]) == 0
+
+
 def test_corruption_yields_failure_exit(tmp_path):
     cfg = load_config(write_config(tmp_path), {"inject_corruption": True})
     assert execute(cfg) == 1
@@ -231,7 +245,7 @@ def test_corruption_yields_failure_exit(tmp_path):
 def test_mobility_run(tmp_path):
     cfg = load_config(write_config(tmp_path, {
         "lagrangian": {"name": "sqrt_mobility"}}))
-    assert cfg.build_mobility().name == "sqrt"
+    assert cfg.mobility.name == "sqrt"
     assert execute(cfg) == 0
 
 

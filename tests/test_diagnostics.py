@@ -12,6 +12,7 @@ from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         dissipation_constants,
                         energy, energy_mobility, flow_interchange_dissipation,
                         heat_flow, run, sobolev_norms, traceless_lemma_check)
+from gradflow1d.lagrangian import nf_density
 
 UNIT = Interval(0.0, 1.0)
 THIN = LagrangianSpec.thin_film()
@@ -242,6 +243,15 @@ def test_weak_form_mobility(mob_traj):
     env = 2.0 * phi.sup_d2() * tau * eta.c0_norm * mob_traj.energies[0]
     assert rep.context["lower"] == pytest.approx(-env + bterm, rel=1e-12)
     assert rep.context["upper"] == pytest.approx(env - bterm, rel=1e-12)
+    # the tolerance is the rounding bound of mid, from its definition
+    f, states = MobilitySpec.sqrt_mobility(), mob_traj.states
+    terms = sum(
+        abs(eta(n * tau) - eta((n + 1) * tau))
+        * u.h * np.sum(np.abs(u.values * phi.f(u.midpoints)))
+        + tau * abs(eta(n * tau)) * u.h * np.sum(np.abs(nf_density(f, u, phi)))
+        for n, u in enumerate(states[1:], 1))
+    bound = (states[0].m + mob_traj.n_steps + 2) * np.finfo(float).eps * terms
+    assert 0 < rep.tolerance == pytest.approx(bound, rel=1e-12, abs=0)
 
 
 # --- a priori bounds --------------------------------------------------------

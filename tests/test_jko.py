@@ -8,7 +8,7 @@ from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         TransportMap, boltzmann_entropy, check_energy_monotone,
                         check_holder_continuity, check_total_square_distance,
                         density_from_map, jko_step, map_from_density,
-                        penalized_objective, refine_study, run, wasserstein2)
+                        refine_study, run, wasserstein2)
 from gradflow1d import jko
 from gradflow1d.jko import BW, _Objective
 from gradflow1d.transport import w2sq_between_maps
@@ -51,14 +51,6 @@ def test_map_energy_gradient_matches_fd():
         xm = x.copy(); xm[i] -= eps
         fd = (e.value_and_grad(xp)[0] - e.value_and_grad(xm)[0]) / (2 * eps)
         assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-
-
-def test_penalized_objective_at_prev_is_energy():
-    u = GridDensity.cosine(UNIT, 128, eps=0.4, k=2)
-    e = ThinFilmMapEnergy()
-    cand = TransportMap(UNIT, map_from_density(u, 64).positions)
-    val = penalized_objective(cand, u, tau=1e-3, energy=e)
-    assert val == pytest.approx(e.value_and_grad(cand.positions)[0], abs=1e-12)
 
 
 def test_w2sq_between_maps_translation():

@@ -27,13 +27,11 @@ IDENTITY = MobilitySpec.identity()  # thin film in the mobility class
 def test_cosine_test_function_is_neumann():
     phi = TestFunction.cosine(0, 1, k=3, amplitude=2.0)
     assert phi.d1(0.0) == 0.0 and phi.d1(1.0) == pytest.approx(0.0, abs=1e-12)
-    assert phi.c2_norm == pytest.approx(2.0 * (3 * np.pi) ** 2, rel=1e-6)
 
 
 def test_non_neumann_function_rejected():
     with pytest.raises(ConfigurationError):
-        TestFunction(0, 1, f=np.sin, d1=np.cos,
-                     d2=lambda x: -np.sin(x), d3=lambda x: -np.cos(x))
+        TestFunction(0, 1, f=np.sin, d1=np.cos, d2=lambda x: -np.sin(x))
 
 
 def test_temporal_weight_bump():
@@ -125,8 +123,7 @@ def test_weak_operator_linear_in_phi():
         0, 1,
         f=lambda x: a * p1.f(x) + b * p2.f(x),
         d1=lambda x: a * p1.d1(x) + b * p2.d1(x),
-        d2=lambda x: a * p1.d2(x) + b * p2.d2(x),
-        d3=lambda x: a * p1.d3(x) + b * p2.d3(x))
+        d2=lambda x: a * p1.d2(x) + b * p2.d2(x))
     lhs = weak_operator_Nf(IDENTITY, u, combo)
     rhs = (a * weak_operator_Nf(IDENTITY, u, p1)
            + b * weak_operator_Nf(IDENTITY, u, p2))
@@ -250,7 +247,7 @@ def test_thin_film_config_load_skips_scipy_stats(tmp_path):
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys; from gradflow1d.cli import load_config; "
             "cfg = load_config(sys.argv[1]); "
-            "assert cfg.build_mobility().name == 'identity'; "
+            "assert cfg.mobility.name == 'identity'; "
             "print('scipy.stats' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code, str(path)],
                           capture_output=True, text=True, env=env)

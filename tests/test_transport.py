@@ -5,12 +5,10 @@ from scipy.interpolate import CubicSpline, PPoly
 
 from gradflow1d import (ConfigurationError, DegenerateQuantileError,
                         GridDensity, Interval, JkoConfig, MobilityMapEnergy,
-                        MobilitySpec, MonotonicityError, StepTooLargeError,
-                        TestFunction, ThinFilmMapEnergy, TransportMap,
-                        boltzmann_entropy, densities_from_maps,
-                        density_from_map, map_from_density, perturbation_flow,
-                        quantile, run, transport, volume_distortion_check,
-                        wasserstein2)
+                        MobilitySpec, MonotonicityError, ThinFilmMapEnergy,
+                        TransportMap, boltzmann_entropy, densities_from_maps,
+                        density_from_map, map_from_density, quantile, run,
+                        transport, wasserstein2)
 from gradflow1d.transport import (_newton_inverse, _SplineColumns,
                                   w2sq_between_maps)
 
@@ -44,6 +42,13 @@ def test_density_rejects_negative_and_small():
         GridDensity(UNIT, np.array([1.0] * 8 + [-0.5] + [1.0] * 7))
     with pytest.raises(ConfigurationError):
         GridDensity(UNIT, np.ones(4))
+
+
+@pytest.mark.parametrize("width", [0.0, -0.1, float("inf"), float("nan")])
+def test_bump_rejects_width_not_finite_positive(width):
+    # a zero width divided by zero and returned the bare uniform background
+    with pytest.raises(ConfigurationError, match="width"):
+        GridDensity.bump(UNIT, 64, width=width)
 
 
 def test_from_samples_normalizes():
@@ -329,11 +334,13 @@ def test_batch_matches_one_map_at_a_time():
             assert np.array_equal(u.values, density_from_map(x, m).values)
 
 
-def test_batch_rejects_mixed_levels():
+def test_batch_rejects_mismatched_maps():
     a = rough_map(2)
-    b = TransportMap(UNIT, a.positions, np.linspace(0.0, 1.0, a.k + 1) ** 2)
-    with pytest.raises(ConfigurationError):
-        densities_from_maps([a, b])
+    coarse = TransportMap(UNIT, a.positions[::2])
+    other = TransportMap(Interval(0.0, 2.0), a.positions)
+    for b in (coarse, other):
+        with pytest.raises(ConfigurationError):
+            densities_from_maps([a, b])
 
 
 # --- spline evaluator -------------------------------------------------------
@@ -415,66 +422,3 @@ def test_conversions_match_fixed_sweeps_on_trajectories(energy, k, mode):
         assert (positions is None) == (ref_positions is None)
         if positions is not None:
             assert np.array_equal(positions, ref_positions)
-
-
-# --- perturbation flow ------------------------------------------------------
-
-def test_flow_zero_time_is_identity():
-    x = map_from_density(GridDensity.cosine(UNIT, 64), 32)
-    phi = TestFunction.cosine(0, 1, k=1)
-    np.testing.assert_array_equal(perturbation_flow(x, phi, 0.0).positions,
-                                  x.positions)
-
-
-def test_flow_constant_potential_is_identity():
-    x = map_from_density(GridDensity.cosine(UNIT, 64), 32)
-    phi = TestFunction.constant(0, 1)
-    np.testing.assert_allclose(perturbation_flow(x, phi, 0.01).positions,
-                               x.positions, atol=1e-15)
-
-
-def test_flow_node_velocity():
-    x = TransportMap(UNIT, np.linspace(0, 1, 33))
-    phi = TestFunction.cosine(0, 1, k=1)  # phi = cos(pi y), phi' = -pi sin
-    s = 1e-5
-    moved = perturbation_flow(x, phi, s).positions
-    mid = moved[16] - x.positions[16]
-    assert mid == pytest.approx(-np.pi * s, rel=1e-6)
-
-
-def test_flow_forward_backward_compose():
-    x = map_from_density(GridDensity.cosine(UNIT, 64), 32)
-    phi = TestFunction.cosine(0, 1, k=2)
-    s = 1e-3
-    back = perturbation_flow(perturbation_flow(x, phi, s), phi, -s)
-    assert np.max(np.abs(back.positions - x.positions)) < 10 * s ** 2
-
-
-def test_flow_step_too_large():
-    x = TransportMap(UNIT, np.linspace(0, 1, 33))
-    phi = TestFunction.cosine(0, 1, k=4, amplitude=5.0)
-    with pytest.raises(StepTooLargeError):
-        perturbation_flow(x, phi, 0.5)
-
-
-# --- volume distortion ------------------------------------------------------
-
-def test_volume_distortion_identities():
-    u = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
-    x = map_from_density(u, 256)
-    for k, amp in [(1, 0.5), (2, 1.0), (3, 0.6)]:
-        rep = volume_distortion_check(x, TestFunction.cosine(0, 1, k=k,
-                                                             amplitude=amp))
-        assert rep.passed, rep.context
-
-
-def test_volume_distortion_linear_potential():
-    # phi'' = 0: both derivatives vanish identically
-    x = map_from_density(GridDensity.cosine(UNIT, 64), 64)
-    lin = TestFunction(0, 1,
-                       f=lambda y: np.full_like(np.asarray(y, float), 1.0),
-                       d1=lambda y: np.zeros_like(np.asarray(y, float)),
-                       d2=lambda y: np.zeros_like(np.asarray(y, float)),
-                       d3=lambda y: np.zeros_like(np.asarray(y, float)))
-    rep = volume_distortion_check(x, lin)
-    assert rep.passed and rep.context["err_volume"] == 0.0
