@@ -118,6 +118,13 @@ def load_config(source: str | Path | dict,
         if not (0 < tau < np.inf and n_steps >= 1 and m >= 8 and k >= 8):
             raise ConfigurationError(
                 "0 < tau < inf, n_steps >= 1, m >= 8, k >= 8 required")
+        # 0 skips the refinement study, which needs at least two levels
+        refine_levels = int(merged["refine_levels"])
+        if (refine_levels != merged["refine_levels"] or refine_levels < 0
+                or refine_levels == 1):
+            raise ConfigurationError(
+                f"refine_levels must be 0 or an integer >= 2, "
+                f"not {merged['refine_levels']!r}")
         merged["lagrangian"] = dict(merged["lagrangian"])
         merged["initial"] = dict(merged["initial"])
         # eager assumption validation before any stepping.  Thin film runs
@@ -137,7 +144,7 @@ def load_config(source: str | Path | dict,
         u0 = _initial(merged["initial"], domain, m)
         cfg = RunConfig(
             domain=domain, m=m, k=k, mobility=f, u0=u0, tau=tau,
-            n_steps=n_steps, refine_levels=int(merged["refine_levels"]),
+            n_steps=n_steps, refine_levels=refine_levels,
             checks=list(merged["checks"]), out=Path(merged["out"]),
             inject_corruption=bool(merged.get("inject_corruption", False)),
             raw=merged)

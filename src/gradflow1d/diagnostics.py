@@ -8,6 +8,13 @@ formulation provides the consistency side.
 The per-step dissipation and weak-form checks take a mobility f and serve
 every energy of the class: thin film is the identity mobility, for which the
 dissipation constant is delta = 1.  Each report is named after its check.
+
+The per-state parts of the dissipation, weak-form and a priori checks are
+computed by array passes over the stacked (states x M) cell values, in
+blocks of about RESAMPLE_BLOCK values (`JkoTrajectory.per_state`): the
+stencils, norms and N_f work along the last axis, and each row of a row
+reduction is bitwise the one-dimensional sum over that state, so the
+reports equal those of a loop over states.
 """
 
 from __future__ import annotations
@@ -38,13 +45,17 @@ def sobolev_norms(values: np.ndarray, h: float) -> SobolevNorms:
 
     The gradient part uses interface differences (consistent with the energy
     quadrature); the second derivative uses the reflecting 3-point stencil.
+    A (..., M) stack of rows gives arrays of the leading shape, each entry
+    the norm of that row alone.
     """
     v = np.asarray(values, dtype=float)
-    l2sq = h * np.sum(v * v)
+    l2sq = h * np.sum(v * v, axis=-1)
     gradsq = 2.0 * staggered_gradient_quadrature(v, h)
-    h2 = np.sqrt(h * np.sum(d2(v, h) ** 2))
-    return SobolevNorms(l2=float(np.sqrt(l2sq)),
-                        h1=float(np.sqrt(l2sq + gradsq)), h2=float(h2))
+    norms = (np.sqrt(l2sq), np.sqrt(l2sq + gradsq),
+             np.sqrt(h * np.sum(d2(v, h) ** 2, axis=-1)))
+    if v.ndim == 1:
+        norms = [float(n) for n in norms]
+    return SobolevNorms(*norms)
 
 
 # --- heat flow and flow interchange ---------------------------------------
@@ -147,22 +158,31 @@ def check_holder_continuity(traj: JkoTrajectory) -> CertificateReport:
 
 def check_entropy_dissipation_f(traj: JkoTrajectory, f: MobilitySpec,
                                 delta: float) -> list[CertificateReport]:
-    """Per step: ||(f o u_n)''||^2 <= (Ent(u_{n-1}) - Ent(u_n))/(delta tau)."""
-    out = []
-    for n in range(1, traj.n_steps + 1):
-        un = traj.states[n]
-        w = f.f(np.maximum(un.values, 0.0))
-        lhs = float(un.h * np.sum(d2(w, un.h) ** 2))
-        dent = traj.entropies[n - 1] - traj.entropies[n]
-        rhs = dent / (delta * traj.tau)
-        tol = 0.1 * lhs + 1e-12 / (delta * traj.tau)
-        out.append(CertificateReport(
-            name="entropy_dissipation", lhs=lhs, rhs=rhs, tolerance=tol,
-            step=n, context={"entropy_drop": float(dent)}))
-    return out
+    """Per step: ||(f o u_n)''||^2 <= (Ent(u_{n-1}) - Ent(u_n))/(delta tau).
+
+    The left sides of all steps come from array passes over the stacked
+    states.
+    """
+    h = traj.states[0].h
+    lhs = traj.per_state(
+        lambda v: h * np.sum(d2(f.f(np.maximum(v, 0.0)), h) ** 2, axis=-1),
+        first=1)
+    dent = traj.entropies[:-1] - traj.entropies[1:]
+    rhs = dent / (delta * traj.tau)
+    tol = 0.1 * lhs + 1e-12 / (delta * traj.tau)
+    return [CertificateReport(
+        name="entropy_dissipation", lhs=float(lhs[i]), rhs=float(rhs[i]),
+        tolerance=float(tol[i]), step=i + 1,
+        context={"entropy_drop": float(dent[i])})
+        for i in range(traj.n_steps)]
 
 
 # --- discrete weak formulations -------------------------------------------
+
+def _quadratures(a: np.ndarray, h: float) -> tuple:
+    """Midpoint sums h sum(a) and h sum(|a|) of each row of a stack."""
+    return h * np.sum(a, axis=-1), h * np.sum(np.abs(a), axis=-1)
+
 
 def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
                           phi: TestFunction, eta: TemporalWeight,
@@ -182,21 +202,20 @@ def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
     if eta.support_hi > traj.times[-1] + 1e-12:
         raise ConfigurationError("temporal weight support exceeds the horizon")
     tau = traj.tau
-    states = traj.states[1:traj.n_steps + 1]
-    eta_n = np.array([eta(n * tau) for n in range(1, traj.n_steps + 2)])
-    uphi = [u.values * phi.f(u.midpoints) for u in states]
-    nf = [nf_density(f, u, phi) for u in states]
-    h = states[0].h
-    mass_phi = np.array([h * np.sum(a) for a in uphi])
-    nvals = np.array([h * np.sum(n) for n in nf])
+    u1 = traj.states[1]
+    # array passes over the step times and the stacked states u_1 .. u_N
+    eta_n = eta(np.arange(1, traj.n_steps + 2) * tau)
+    h = u1.h
+    phi_mid = phi.f(u1.midpoints)
+    mass_phi, abs_phi, nvals, abs_nf = traj.per_state(
+        lambda v: (_quadratures(v * phi_mid, h)
+                   + _quadratures(nf_density(f, u1, phi, v), h)), first=1)
     d_eta = eta_n[:-1] - eta_n[1:]
     t_transport = float(np.sum(d_eta * mass_phi))
     t_operator = float(tau * np.sum(eta_n[:-1] * nvals))
     mid = t_transport + t_operator
     abs_eta = np.abs(eta_n)
-    abs_phi = np.array([h * np.sum(np.abs(a)) for a in uphi])
-    abs_nf = np.array([h * np.sum(np.abs(n)) for n in nf])
-    rounding = float((states[0].m + traj.n_steps + 2) * np.finfo(float).eps
+    rounding = float((u1.m + traj.n_steps + 2) * np.finfo(float).eps
                      * (np.sum(np.abs(d_eta) * abs_phi)
                         + tau * np.sum(abs_eta[:-1] * abs_nf)))
     ent = traj.entropies[1:traj.n_steps + 1]
@@ -217,7 +236,8 @@ def apriori_bounds(traj: JkoTrajectory, c_lower: float,
                    transform=None) -> CertificateReport:
     """sup-in-time H1 control from energy coercivity.
 
-    With w = u (or w = f(u)), the orthogonal split of w into its mean and
+    With w = u (or w = transform(u), such as f(u), applied elementwise to
+    the stacked states), the orthogonal split of w into its mean and
     oscillation plus the sharp interval Poincare constant (L/pi) gives
     Phi >= C0 ||w||_H1^2 - C1 with C0 = c/(1 + (L/pi)^2) and
     C1 = C0 (int w)^2 / L; the certificate checks
@@ -226,17 +246,18 @@ def apriori_bounds(traj: JkoTrajectory, c_lower: float,
     u0 = traj.states[0]
     L = u0.domain.length
     c0 = c_lower / (1.0 + (L / np.pi) ** 2)
-    sup_h1 = 0.0
+
+    def norms_and_mass(v):
+        w = v if transform is None else transform(v)
+        norms = sobolev_norms(w, u0.h)
+        return norms.h1, norms.h2, np.sum(w, axis=-1) * u0.h
+
+    h1, h2s, wmasses = traj.per_state(norms_and_mass)
+    sup_h1 = max(0.0, float(h1.max()))
     h2_integral = 0.0
-    wmass = 1.0
-    for n, state in enumerate(traj.states):
-        w = state.values if transform is None else transform(state.values)
-        norms = sobolev_norms(w, state.h)
-        sup_h1 = max(sup_h1, norms.h1)
-        if n >= 1:
-            h2_integral += traj.tau * norms.h2 ** 2
-        if n == 0:
-            wmass = float(np.sum(w) * state.h)
+    for h2 in h2s[1:].tolist():  # a running sum in step order, not pairwise
+        h2_integral += traj.tau * h2 ** 2
+    wmass = float(wmasses[0])
     c1 = c0 * wmass ** 2 / L
     bound = float(np.sqrt((traj.energies[0] + c1) / c0))
     return CertificateReport(

@@ -6,13 +6,18 @@ nonnegativity are automatic.  The domain is fixed, so the two end nodes stay
 on the walls and the unknowns are the interior nodes.  The inner solver is a
 damped banded Newton method on the interior block of the exact pentadiagonal
 Hessian, assembled from one local interface kernel.  Its line-search trials
-evaluate the objective value only; each accepted point gets one gradient and
-one Hessian, which share that point's interface arrays, and each banded
-system goes directly to LAPACK gbsv.
+evaluate the objective value only.  An accepted point keeps its trial's
+value and evaluates only the gradient, plus one Hessian; both share that
+point's interface arrays (cell widths, densities, f'(u)).  Each Hessian's
+band is checked finite once for all its trials, and each banded system goes
+directly to LAPACK gbsv.  After the stepping loop, the step distances and
+the entropies are computed by array passes over the stacked maps and
+states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +30,9 @@ from .transport import (ConfigurationError, GridDensity, TransportMap,
 from .lagrangian import MobilitySpec
 
 BW = 2  # Hessian bandwidth of the staggered map-coordinate energies
-# grid-edge entries per batched pushforward in `run`: bounds the temporaries
-# of resampling a whole trajectory
+# grid-edge entries per batched pushforward in `run`, and cell values per
+# stacked block of the per-state array passes: bounds the temporaries of
+# resampling and certifying a whole trajectory
 RESAMPLE_BLOCK = 4096
 
 
@@ -68,6 +74,24 @@ class JkoTrajectory:
         n = min(int(np.ceil(t / self.tau - 1e-12)), self.n_steps)
         return self.maps[max(n, 0)]
 
+    def per_state(self, fn, first: int = 0):
+        """fn's per-state results over states[first:], from array passes.
+
+        fn maps a stack of cell values (one row per state) to an array, or a
+        tuple of arrays, with one entry per row; it runs on stacked blocks
+        of about RESAMPLE_BLOCK values, and the blocks' results are
+        concatenated in state order.
+        """
+        m = self.states[0].m
+        rows = max(RESAMPLE_BLOCK // m, 1)
+        # at least one block, empty if states[first:] is
+        parts = [fn(np.array([u.values for u in self.states[i:i + rows]])
+                    .reshape(-1, m))
+                 for i in range(first, max(len(self.states), first + 1), rows)]
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(p) for p in zip(*parts))
+        return np.concatenate(parts)
+
 
 # --- map-coordinate energies ----------------------------------------------
 
@@ -87,32 +111,35 @@ class MobilityMapEnergy:
     def __init__(self, f: MobilitySpec):
         self.f = f
 
-    def _interfaces(self, x):
-        """Cell widths t, densities u, W'(t), and per interface
-        d = W(b) - W(a), s = a + b."""
-        dx = np.diff(x)
+    def _interfaces(self, x, dx=None):
+        """Cell widths t, densities u, f'(u), W'(t), and per interface
+        d = W(b) - W(a), s = a + b.  dx, if given, holds the widths."""
+        dx = x[1:] - x[:-1] if dx is None else dx
         u = 1.0 / ((len(x) - 1) * dx)
-        w1 = -self.f.f1(u) * u / dx  # W'(t) = -f'(u) dm / t^2
-        return dx, u, w1, np.diff(self.f.f(u)), dx[:-1] + dx[1:]
+        f1 = self.f.f1(u)
+        w = self.f.f(u)
+        # W'(t) = -f'(u) dm / t^2
+        return dx, u, f1, -f1 * u / dx, w[1:] - w[:-1], dx[:-1] + dx[1:]
 
     def value(self, x, dx=None):
         """The energy alone: the value of `value_and_grad`, without W'.
-        dx, if given, is np.diff(x)."""
-        dx = np.diff(x) if dx is None else dx
-        d = np.diff(self.f.f(1.0 / ((len(x) - 1) * dx)))
-        return float(np.sum(d * (d / (dx[:-1] + dx[1:]))))
+        dx, if given, holds the cell widths x[1:] - x[:-1]."""
+        dx = x[1:] - x[:-1] if dx is None else dx
+        w = self.f.f(1.0 / ((len(x) - 1) * dx))
+        d = w[1:] - w[:-1]
+        return float((d * (d / (dx[:-1] + dx[1:]))).sum())
 
     def value_and_grad(self, x, iface=None):
-        dx, u, w1, d, s = self._interfaces(x) if iface is None else iface
+        dx, u, f1, w1, d, s = self._interfaces(x) if iface is None else iface
         r = d / s
         # T_a = -r (2 W'(a) + r) and T_b = r (2 W'(b) - r)
-        g_dx = np.zeros_like(dx)
+        g_dx = np.zeros(len(dx))
         g_dx[:-1] -= r * (2 * w1[:-1] + r)
         g_dx[1:] += r * (2 * w1[1:] - r)
-        gx = np.zeros_like(x)
+        gx = np.zeros(len(x))
         gx[1:] += g_dx
         gx[:-1] -= g_dx
-        return float(np.sum(d * r)), gx
+        return float((d * r).sum()), gx
 
     def hessian_banded(self, x, iface=None):
         """Exact Hessian in the nodes, in (BW, BW) banded storage.
@@ -122,16 +149,17 @@ class MobilityMapEnergy:
         the tridiagonal Hessian in the cell widths; the node Hessian is
         D^T H D with D the difference matrix dX = D x.
         """
-        dx, u, w1, d, s = self._interfaces(x) if iface is None else iface
+        dx, u, f1, w1, d, s = self._interfaces(x) if iface is None else iface
         # W''(t) = f''(u) dm^2 / t^4 + 2 f'(u) dm / t^3
-        w2 = (self.f.f2(u) * u + 2 * self.f.f1(u)) * u / dx ** 2
+        w2 = (self.f.f2(u) * u + 2 * f1) * u / dx ** 2
         r = d / s
         a, b = w1[:-1] + r, w1[1:] - r
         off = -2 * a * b / s
-        diag = np.zeros_like(dx)
+        diag = np.zeros(len(dx))
         diag[:-1] += 2 * (a * a - d * w2[:-1]) / s
         diag[1:] += 2 * (b * b + d * w2[1:]) / s
-        o = np.concatenate(([0.0], off, [0.0]))  # o[j]: cells j-1, j
+        o = np.zeros(len(x))  # o[j]: cells j-1, j
+        o[1:-1] = off
         H = np.zeros((2 * BW + 1, len(x)))
         H[BW, :-1] += diag
         H[BW, 1:] += diag
@@ -158,24 +186,27 @@ class _Objective:
         self.x_prev = x_prev
         self.tau = tau
 
-    def _transport(self, x):
-        """Node displacement d, mass per cell dm and W2^2(x#, x_prev#)."""
-        d = x - self.x_prev
-        dm = 1.0 / (len(x) - 1)
-        q = (dm / 3.0) * np.sum(d[:-1] ** 2 + d[:-1] * d[1:] + d[1:] ** 2)
-        return d, dm, q
-
     def value(self, x, dx=None):
-        return (self.energy.value(x, dx)
-                + self._transport(x)[2] / (2 * self.tau))
+        """The objective value; dx, if given, holds the cell widths."""
+        d = x - self.x_prev
+        a, b = d[:-1], d[1:]
+        q = (1.0 / (len(x) - 1) / 3.0) * (a * a + a * b + b * b).sum()
+        return self.energy.value(x, dx) + q / (2 * self.tau)
+
+    def grad(self, x, iface=None):
+        """The objective gradient alone, from the energy's interface arrays
+        (or x's own when iface is None)."""
+        gphi = self.energy.value_and_grad(x, iface)[1]
+        d = x - self.x_prev
+        c = 1.0 / (len(x) - 1) / 3.0
+        two = 2 * d
+        gq = np.zeros(len(x))
+        gq[:-1] += c * (two[:-1] + d[1:])
+        gq[1:] += c * (two[1:] + d[:-1])
+        return gphi + gq / (2 * self.tau)
 
     def __call__(self, x, iface=None):
-        phi, gphi = self.energy.value_and_grad(x, iface)
-        d, dm, q = self._transport(x)
-        gq = np.zeros_like(x)
-        gq[:-1] += (dm / 3.0) * (2 * d[:-1] + d[1:])
-        gq[1:] += (dm / 3.0) * (2 * d[1:] + d[:-1])
-        return phi + q / (2 * self.tau), gphi + gq / (2 * self.tau)
+        return self.value(x), self.grad(x, iface)
 
     def hessian_banded(self, x, iface=None):
         """Energy Hessian plus the constant P1 mass matrix of the transport
@@ -194,18 +225,19 @@ class _Objective:
 _gbsv, = get_lapack_funcs(("gbsv",), (np.zeros(1),))
 
 
-def _newton_direction(ab, H, lam, g):
+def _newton_direction(ab, band, lam, g):
     """Solve (H + lam I) p = -g on the interior nodes, whose block of the
-    node Hessian H is columns 1:-1 of its band storage (LAPACK ignores the
-    corners outside the block).  Overwrites the (3 BW + 1, n - 2) work array
-    ab; None where the system has a non-finite entry or is singular."""
-    ab[:BW] = 0.0
-    ab[BW:] = H[:, 1:-1]
-    ab[2 * BW] += lam
-    rhs = -g
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+    node Hessian H is `band`, columns 1:-1 of its band storage (LAPACK
+    ignores the corners outside the block).  The caller passes band = None
+    where it or g has a non-finite entry.  Overwrites the (3 BW + 1, n - 2)
+    work array ab; None where the system has a non-finite entry or is
+    singular."""
+    if band is None or not lam < np.inf:
         return None
-    _, _, p, info = _gbsv(BW, BW, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    ab[:BW] = 0.0
+    ab[BW:] = band
+    ab[2 * BW] += lam
+    _, _, p, info = _gbsv(BW, BW, ab, -g, overwrite_ab=True, overwrite_b=True)
     return p if info == 0 else None
 
 
@@ -220,9 +252,11 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     kernel, Levenberg regularization when a step is rejected, and Armijo
     backtracking that keeps every cell wider than gap.  Line-search trials
     evaluate the objective value only, from the cell widths of their
-    feasibility check; the gradient is evaluated once per accepted point,
-    and the next Hessian reuses that point's interface arrays.  Each banded
-    system goes straight to LAPACK gbsv in one work array.  Returns
+    feasibility check.  An accepted point already has its value from the
+    line search and evaluates the gradient alone; its interface arrays,
+    built from those widths, serve that gradient and the next Hessian.
+    Each Hessian's band is checked finite once for all its trials, and each
+    banded system goes straight to LAPACK gbsv in one work array.  Returns
     (positions, objective value, converged flag); descent from the starting
     point is guaranteed, so the per-step energy estimates hold regardless of
     the flag.
@@ -230,24 +264,27 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     obj = _Objective(energy, x_prev, tau)
     x = x_prev.copy()
     iface = energy._interfaces(x)
-    f, g = obj(x, iface)
-    g = g[1:-1]
-    gref = max(np.linalg.norm(g), 1e-30)
+    f, g = obj.value(x, iface[0]), obj.grad(x, iface)[1:-1]
+    gnorm = math.sqrt(g @ g)  # bitwise np.linalg.norm(g)
+    gref = max(gnorm, 1e-30)
     lam = 0.0
     ab = np.empty((3 * BW + 1, len(x) - 2))
-    converged = np.linalg.norm(g) <= gtol
+    converged = gnorm <= gtol
     for _ in range(max_iter if not converged else 0):
         H = obj.hessian_banded(x, iface)
+        band = H[:, 1:-1]
+        if not (np.isfinite(band).all() and np.isfinite(g).all()):
+            band = None
         moved = False
         for _trial in range(30):
-            p = _newton_direction(ab, H, lam, g)
+            p = _newton_direction(ab, band, lam, g)
             if p is not None and (slope := p @ g) < -1e-30:
                 alpha = 1.0
                 for _ in range(40):
                     xn = x.copy()
                     xn[1:-1] += alpha * p
-                    dxn = np.diff(xn)
-                    if np.all(dxn > gap):
+                    dxn = xn[1:] - xn[:-1]
+                    if (dxn > gap).all():
                         fn = obj.value(xn, dxn)
                         if fn <= f + 1e-4 * alpha * slope or (fn < f and alpha < 1e-6):
                             moved = True
@@ -259,10 +296,10 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         if not moved:
             break
         df = f - fn
-        iface = energy._interfaces(xn)
-        x, f, g = xn, fn, obj(xn, iface)[1][1:-1]
+        iface = energy._interfaces(xn, dxn)
+        x, f, g = xn, fn, obj.grad(xn, iface)[1:-1]
         lam *= 0.1
-        if np.linalg.norm(g) < gtol * gref or df < ftol * max(abs(f), 1e-30):
+        if math.sqrt(g @ g) < gtol * gref or df < ftol * max(abs(f), 1e-30):
             converged = True
             break
     if not converged:
@@ -271,7 +308,7 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         # moving the nodes by one ulp of the domain scale changes it by
         ulp = np.spacing(max(abs(x[0]), abs(x[-1])))
         row = np.abs(obj.hessian_banded(x, iface)[:, 1:-1]).sum(axis=0)
-        converged = bool(np.all(np.abs(g) <= ulp * row))
+        converged = bool((np.abs(g) <= ulp * row).all())
     return x, f, converged
 
 
@@ -281,15 +318,17 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
         corrupt_steps: tuple = ()) -> JkoTrajectory:
     """Iterate the scheme n_steps times from u0.
 
-    The loop only steps, keeping the maps, their energies and the step
-    distances.  Energies are evaluated in map coordinates (the coordinates
-    actually minimized), so monotonicity is a property of the optimization,
-    not of resampling.  The grid states are a view of the maps: after the
-    loop they are built as pushforwards on u0's grid, in batches of about
-    RESAMPLE_BLOCK grid edges, and the entropies from them; states[0] is the
-    supplied initial datum verbatim.  A step listed in corrupt_steps copies
-    the previous state instead of minimizing — a negative control that
-    breaks the dissipation certificates downstream.
+    The loop only steps, keeping the maps and their energies.  Energies are
+    evaluated in map coordinates (the coordinates actually minimized), so
+    monotonicity is a property of the optimization, not of resampling.
+    After the loop the step distances come from one pass over the stacked
+    maps.  The grid states are a view of the maps: they are built as
+    pushforwards on u0's grid, in batches of about RESAMPLE_BLOCK grid
+    edges, and the entropies by array passes over the stacked states
+    (`per_state`); states[0] is the supplied initial datum verbatim.  A
+    step listed in corrupt_steps copies the previous state instead of
+    minimizing — a negative control that breaks the dissipation
+    certificates downstream.
     """
     dom = u0.domain
     x = map_from_density(u0, cfg.k).positions
@@ -313,13 +352,14 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
                                    cfg.inner_max_iter, cfg.gtol)
         traj.maps.append(TransportMap(dom, xn.copy()))
         traj.energies[nstep] = energy.value(xn)
-        traj.step_distances[nstep - 1] = np.sqrt(w2sq_between_maps(xn, x))
         traj.converged[nstep - 1] = conv
         x = xn
+    pos = np.array([mp.positions for mp in traj.maps])
+    traj.step_distances[:] = np.sqrt(w2sq_between_maps(pos[1:], pos[:-1]))
     rows = max(RESAMPLE_BLOCK // (u0.m + 1), 1)
     for i in range(1, cfg.n_steps + 1, rows):
         traj.states.extend(densities_from_maps(traj.maps[i:i + rows], u0.m))
-    traj.entropies[:] = [boltzmann_entropy(u) for u in traj.states]
+    traj.entropies[:] = traj.per_state(lambda v: boltzmann_entropy(u0, v))
     return traj
 
 

@@ -24,27 +24,31 @@ U_FLOOR = 1e-12  # density clip before mobility derivatives near vacuum
 
 
 # --- finite-difference stencils (reflecting Neumann closure) ---------------
+# Each works along the last axis, so a (states x M) stack is differenced in
+# one array pass; every row equals the helper applied to that row alone.
 
 def d1(w: np.ndarray, h: float) -> np.ndarray:
     """Central first difference with even (reflecting) endpoint extension."""
-    wg = np.concatenate([[w[0]], w, [w[-1]]])
-    return (wg[2:] - wg[:-2]) / (2 * h)
+    wg = np.concatenate([w[..., :1], w, w[..., -1:]], axis=-1)
+    return (wg[..., 2:] - wg[..., :-2]) / (2 * h)
 
 
 def d2(w: np.ndarray, h: float) -> np.ndarray:
     """Central second difference with even endpoint extension."""
-    wg = np.concatenate([[w[0]], w, [w[-1]]])
-    return (wg[2:] - 2 * wg[1:-1] + wg[:-2]) / h ** 2
+    wg = np.concatenate([w[..., :1], w, w[..., -1:]], axis=-1)
+    return (wg[..., 2:] - 2 * wg[..., 1:-1] + wg[..., :-2]) / h ** 2
 
 
-def staggered_gradient_quadrature(w: np.ndarray, h: float) -> float:
-    """1/2 int |w'|^2 using interface differences (zero at the walls).
+def staggered_gradient_quadrature(w: np.ndarray, h: float):
+    """1/2 int |w'|^2 using interface differences (zero at the walls): a
+    float, or an array of the leading shape for a stack of rows.
 
     With this stencil the discrete integration by parts against the 3-point
     Neumann Laplacian is exact, which the dissipation certificates need.
     """
     dw = np.diff(w) / h
-    return float(0.5 * h * np.sum(dw * dw))
+    q = 0.5 * h * np.sum(dw * dw, axis=-1)
+    return float(q) if q.ndim == 0 else q
 
 
 # --- test functions and temporal weights -----------------------------------
@@ -92,7 +96,9 @@ class TestFunction:
 
 @dataclass
 class TemporalWeight:
-    """Smooth weight eta on [0, inf) with compact support in (0, inf)."""
+    """Smooth weight eta on [0, inf) with compact support in (0, inf).
+
+    f takes a float or an array of times (elementwise)."""
 
     f: Callable
     support_lo: float
@@ -253,15 +259,17 @@ def energy_mobility(f: MobilitySpec, u: GridDensity) -> float:
 
 # --- weak-form operators --------------------------------------------------
 
-def nf_density(f: MobilitySpec, u: GridDensity,
-               phi: TestFunction) -> np.ndarray:
+def nf_density(f: MobilitySpec, u: GridDensity, phi: TestFunction,
+               values: np.ndarray | None = None) -> np.ndarray:
     """N_f(u, phi) = (f(u))'' (f(u))' phi' + u f'(u) (f(u))'' phi'' at the
     cell midpoints.
 
+    `values`, if given, is a (..., M) stack of cell values on u's grid,
+    taken in place of u.values; each row is then the density of that row.
     u f'(u) is evaluated at densities clipped below at U_FLOOR; the product
     stays finite because z f'(z) has a limit at 0.
     """
-    v = np.maximum(u.values, U_FLOOR)
+    v = np.maximum(u.values if values is None else values, U_FLOOR)
     h = u.h
     x = u.midpoints
     w = f.f(v)

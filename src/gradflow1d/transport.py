@@ -131,6 +131,12 @@ class GridDensity:
         x = domain.lo + (np.arange(m) + 0.5) * domain.length / m
         y = (x - center) / (0.5 * width)
         v = np.where(np.abs(y) < 1, np.exp(-1.0 / np.maximum(1 - y * y, 1e-300)), 0.0)
+        # a bump that misses every cell, or is flat across the grid, would
+        # be the stationary uniform datum
+        if v.min() == v.max():
+            raise ConfigurationError(
+                "bump is constant on the grid: it misses every cell or is "
+                "wider than the grid resolves")
         return cls.from_samples(domain, v + 1e-3 / domain.length)
 
 
@@ -217,10 +223,17 @@ def w2sq_between_maps(xa: np.ndarray, xb: np.ndarray) -> float | np.ndarray:
     return float(q) if q.ndim == 0 else q
 
 
-def boltzmann_entropy(u: GridDensity) -> float:
-    """int u log u with the 0 log 0 = 0 convention."""
-    v = u.values
-    return float(u.h * np.sum(np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)))
+def boltzmann_entropy(u: GridDensity, values: np.ndarray | None = None):
+    """int u log u with the 0 log 0 = 0 convention.
+
+    `values`, if given, is a (..., M) stack of cell values on u's grid,
+    taken in place of u.values: the result is then an array of the leading
+    shape, each entry equal to the entropy of that row alone.
+    """
+    v = u.values if values is None else values
+    e = u.h * np.sum(np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0),
+                     axis=-1)
+    return float(e) if values is None else e
 
 
 # --- map <-> density conversions ------------------------------------------

@@ -91,9 +91,11 @@ def write_datum(tmp_path, m):
     {"m": None}, {"checks": 5},
     {"lagrangian": {"name": "power_mobility", "alpha": "0.7"}},
     {"initial": {"name": "bump", "width": 0}},
+    {"refine_levels": -3}, {"refine_levels": 1}, {"refine_levels": 2.5},
 ], ids=["tau_text", "m_text", "short_domain", "power_without_alpha",
         "file_without_path", "missing_datum_file", "one_column_datum",
-        "m_null", "checks_number", "alpha_text", "bump_zero_width"])
+        "m_null", "checks_number", "alpha_text", "bump_zero_width",
+        "refine_negative", "refine_one_level", "refine_fraction"])
 def test_malformed_config_is_a_configuration_error(tmp_path, extra, capsys):
     np.savetxt(tmp_path / "one_column.csv", np.ones(64))
     if "path" in extra.get("initial", {}):
@@ -102,6 +104,30 @@ def test_malformed_config_is_a_configuration_error(tmp_path, extra, capsys):
     assert main(["--config", str(write_config(tmp_path, extra))]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bump", [
+    {"center": 5}, {"center": -0.3, "width": 0.5}, {"width": 1e9}],
+    ids=["right_of_domain", "left_of_domain", "flat"])
+def test_bump_constant_on_the_grid_rejected(tmp_path, bump, capsys):
+    # such a bump is the bare uniform background: the stationary datum
+    extra = {"initial": {"name": "bump", **bump}}
+    assert main(["--config", str(write_config(tmp_path, extra))]) == 2
+    assert "bump is constant on the grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bump_overlapping_the_domain_accepted(tmp_path):
+    # centred outside, but reaching the last cells
+    cfg = load_config(write_config(
+        tmp_path, {"initial": {"name": "bump", "center": 1.2, "width": 0.5}}))
+    assert np.ptp(cfg.u0.values) > 0
+
+
+@pytest.mark.parametrize("levels", [0, 2, 3])
+def test_refine_levels_accepted(tmp_path, levels):
+    cfg = load_config(write_config(tmp_path, {"refine_levels": levels}))
+    assert cfg.refine_levels == levels
 
 
 def test_zero_steps_rejected(tmp_path):

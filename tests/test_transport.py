@@ -51,6 +51,16 @@ def test_bump_rejects_width_not_finite_positive(width):
         GridDensity.bump(UNIT, 64, width=width)
 
 
+@pytest.mark.parametrize("center, width", [(5.0, None), (-0.3, 0.5),
+                                           (None, 1e9)])
+def test_bump_rejects_constant_samples(center, width):
+    # missing every cell, or flat across the grid, it was the bare uniform
+    # background
+    with pytest.raises(ConfigurationError, match="constant on the grid"):
+        GridDensity.bump(UNIT, 32, center=center, width=width)
+    assert np.ptp(GridDensity.bump(UNIT, 32, center=1.2, width=0.5).values) > 0
+
+
 def test_from_samples_normalizes():
     u = positive_density(np.random.default_rng(0).uniform(0.1, 2.0, 64))
     assert abs(u.mass - 1.0) < 1e-12
