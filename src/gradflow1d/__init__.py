@@ -5,7 +5,7 @@ from .transport import (ConfigurationError, DegenerateQuantileError,
                         GridDensity, Interval, MonotonicityError,
                         TransportMap, boltzmann_entropy, densities_from_maps,
                         density_from_map, map_from_density, quantile,
-                        wasserstein2, wasserstein2_maps)
+                        wasserstein2)
 from .lagrangian import (LagrangianSpec, MobilitySpec, TemporalWeight,
                          TestFunction, alpha_window, dissipation_constants,
                          energy, energy_mobility, validate_assumption_A,

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .report import CSV_HEADER, CSV_SCHEMA_VERSION, CertificateReport
-from .transport import ConfigurationError, GridDensity, Interval
+from .transport import (ConfigurationError, GridDensity, Interval,
+                        reject_zero_plateau)
 from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction,
                          alpha_window, dissipation_constants,
                          validate_assumption_f)
@@ -158,6 +159,7 @@ def load_config(source: str | Path | dict,
     if u0.m != m:  # only a file datum sets its own cell count
         raise ConfigurationError(
             f"initial datum has {u0.m} cells but m is {m}")
+    reject_zero_plateau(u0)  # the run starts from u0's quantile map
     return cfg
 
 
@@ -201,9 +203,13 @@ def _write_outputs(cfg: RunConfig, traj, reports, elapsed: float,
         "entropies": traj.entropies.tolist(),
         "step_distances": traj.step_distances.tolist(),
         "converged": traj.converged.tolist(),
-        "states": [s.values.tolist() for s in traj.states],
     }
-    (cfg.out / "trajectory.json").write_text(json.dumps(traj_doc))
+    # the text of json.dumps(doc with "states" last), one state at a time
+    with open(cfg.out / "trajectory.json", "w") as fh:
+        fh.write(json.dumps(traj_doc)[:-1] + ', "states": [')
+        for n, row in enumerate(traj.values):
+            fh.write((", " if n else "") + json.dumps(row.tolist()))
+        fh.write("]}")
 
     with open(cfg.out / "certificates.csv", "w", newline="") as fh:
         fh.write(f"# schema_version={CSV_SCHEMA_VERSION}\n")

@@ -1,17 +1,17 @@
 """Numerical certificates for the discrete estimates behind the scheme.
 
 Every check returns CertificateReport objects oriented as lhs <= rhs, so a
-nonnegative slack means the estimate holds.  The heat flow and the flow
-interchange quotient provide the regularity side; the discrete weak
-formulation provides the consistency side.
+nonnegative slack means the estimate holds.  The trajectory checks read a
+run's stacked map nodes and grid states (`JkoTrajectory`).  The heat flow
+and the flow interchange quotient are tools that no certificate calls.
 
 The per-step dissipation and weak-form checks take a mobility f and serve
 every energy of the class: thin film is the identity mobility, for which the
 dissipation constant is delta = 1.  Each report is named after its check.
 
 The per-state parts of the dissipation, weak-form and a priori checks are
-computed by array passes over the stacked (states x M) cell values, in
-blocks of about RESAMPLE_BLOCK values (`JkoTrajectory.per_state`): the
+computed by array passes over blocks of rows of the (states x M) cell
+values, about RESAMPLE_BLOCK values each (`JkoTrajectory.per_state`): the
 stencils, norms and N_f work along the last axis, and each row of a row
 reduction is bitwise the one-dimensional sum over that state, so the
 reports equal those of a loop over states.
@@ -142,7 +142,7 @@ def check_holder_continuity(traj: JkoTrajectory) -> CertificateReport:
     e0 = traj.energies[0]
     worst = -np.inf
     worst_pair = (0, 0)
-    pos = np.stack([mp.positions for mp in traj.maps])
+    pos = traj.positions
     for lag in range(1, traj.n_steps + 1):
         d = np.sqrt(w2sq_between_maps(pos[:-lag], pos[lag:]))
         gap = d - np.sqrt(2.0 * e0 * (lag * traj.tau + traj.tau))
@@ -163,7 +163,7 @@ def check_entropy_dissipation_f(traj: JkoTrajectory, f: MobilitySpec,
     The left sides of all steps come from array passes over the stacked
     states.
     """
-    h = traj.states[0].h
+    h = traj.grid.h
     lhs = traj.per_state(
         lambda v: h * np.sum(d2(f.f(np.maximum(v, 0.0)), h) ** 2, axis=-1),
         first=1)
@@ -202,20 +202,20 @@ def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
     if eta.support_hi > traj.times[-1] + 1e-12:
         raise ConfigurationError("temporal weight support exceeds the horizon")
     tau = traj.tau
-    u1 = traj.states[1]
+    grid = traj.grid
     # array passes over the step times and the stacked states u_1 .. u_N
     eta_n = eta(np.arange(1, traj.n_steps + 2) * tau)
-    h = u1.h
-    phi_mid = phi.f(u1.midpoints)
+    h = grid.h
+    phi_mid = phi.f(grid.midpoints)
     mass_phi, abs_phi, nvals, abs_nf = traj.per_state(
         lambda v: (_quadratures(v * phi_mid, h)
-                   + _quadratures(nf_density(f, u1, phi, v), h)), first=1)
+                   + _quadratures(nf_density(f, grid, phi, v), h)), first=1)
     d_eta = eta_n[:-1] - eta_n[1:]
     t_transport = float(np.sum(d_eta * mass_phi))
     t_operator = float(tau * np.sum(eta_n[:-1] * nvals))
     mid = t_transport + t_operator
     abs_eta = np.abs(eta_n)
-    rounding = float((u1.m + traj.n_steps + 2) * np.finfo(float).eps
+    rounding = float((grid.m + traj.n_steps + 2) * np.finfo(float).eps
                      * (np.sum(np.abs(d_eta) * abs_phi)
                         + tau * np.sum(abs_eta[:-1] * abs_nf)))
     ent = traj.entropies[1:traj.n_steps + 1]
@@ -243,7 +243,7 @@ def apriori_bounds(traj: JkoTrajectory, c_lower: float,
     C1 = C0 (int w)^2 / L; the certificate checks
     sup_t ||w||_H1 <= sqrt((Phi(u_0) + C1)/C0).
     """
-    u0 = traj.states[0]
+    u0 = traj.grid
     L = u0.domain.length
     c0 = c_lower / (1.0 + (L / np.pi) ** 2)
 

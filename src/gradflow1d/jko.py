@@ -10,9 +10,10 @@ evaluate the objective value only.  An accepted point keeps its trial's
 value and evaluates only the gradient, plus one Hessian; both share that
 point's interface arrays (cell widths, densities, f'(u)).  Each Hessian's
 band is checked finite once for all its trials, and each banded system goes
-directly to LAPACK gbsv.  After the stepping loop, the step distances and
-the entropies are computed by array passes over the stacked maps and
-states.
+directly to LAPACK gbsv.  A run is kept as two stacked arrays, one row
+per step: the map nodes and their pushforwards' cell values.  After the
+stepping loop, the step distances, the grid states and the entropies are
+computed by array passes over blocks of those rows.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .transport import (ConfigurationError, GridDensity, TransportMap,
-                        boltzmann_entropy, densities_from_maps,
-                        map_from_density, w2sq_between_maps,
-                        wasserstein2_maps)
+from .transport import (ConfigurationError, GridDensity, boltzmann_entropy,
+                        densities_from_maps, map_from_density,
+                        w2sq_between_maps)
 from .lagrangian import MobilitySpec
 
 BW = 2  # Hessian bandwidth of the staggered map-coordinate energies
@@ -34,6 +34,7 @@ BW = 2  # Hessian bandwidth of the staggered map-coordinate energies
 # stacked block of the per-state array passes: bounds the temporaries of
 # resampling and certifying a whole trajectory
 RESAMPLE_BLOCK = 4096
+GTOL, FTOL = 1e-11, 1e-15  # inner solver: gradient and decrease tolerances
 
 
 @dataclass
@@ -41,8 +42,6 @@ class JkoConfig:
     tau: float
     n_steps: int
     k: int = 256
-    inner_max_iter: int = 60
-    gtol: float = 1e-11
 
     def __post_init__(self):
         if not 0 < self.tau < np.inf or self.k < 8 or self.n_steps < 0:
@@ -51,43 +50,43 @@ class JkoConfig:
 
 @dataclass
 class JkoTrajectory:
-    """Piecewise-constant discrete solution u_tau(t) = u^n for n = ceil(t/tau)."""
+    """Piecewise-constant discrete solution u_tau(t) = u^n for n = ceil(t/tau).
+
+    Row n of `positions` ((N+1) x (K+1)) holds the nodes of map n, row n of
+    `values` ((N+1) x M) its pushforward on the cells of `grid`, u^0."""
 
     tau: float
     times: np.ndarray
-    states: list
+    grid: GridDensity
+    positions: np.ndarray
+    values: np.ndarray
     energies: np.ndarray
     step_distances: np.ndarray
     entropies: np.ndarray
-    maps: list
     converged: np.ndarray
 
     @property
     def n_steps(self) -> int:
-        return len(self.states) - 1
+        return len(self.values) - 1
 
-    def state_at(self, t: float) -> GridDensity:
-        n = min(int(np.ceil(t / self.tau - 1e-12)), self.n_steps)
-        return self.states[max(n, 0)]
-
-    def map_at(self, t: float) -> TransportMap:
-        n = min(int(np.ceil(t / self.tau - 1e-12)), self.n_steps)
-        return self.maps[max(n, 0)]
+    def step_index(self, t):
+        """The row n = ceil(t/tau) of time t, clipped to [0, N]; t may be an
+        array of times."""
+        n = np.ceil(np.asarray(t) / self.tau - 1e-12).astype(int)
+        return np.clip(n, 0, self.n_steps)
 
     def per_state(self, fn, first: int = 0):
-        """fn's per-state results over states[first:], from array passes.
+        """fn's per-state results over values[first:], from array passes.
 
-        fn maps a stack of cell values (one row per state) to an array, or a
-        tuple of arrays, with one entry per row; it runs on stacked blocks
-        of about RESAMPLE_BLOCK values, and the blocks' results are
-        concatenated in state order.
+        fn maps a block of rows of `values` to an array, or a tuple of
+        arrays, with one entry per row; it runs on blocks of about
+        RESAMPLE_BLOCK values, and the blocks' results are concatenated in
+        state order.
         """
-        m = self.states[0].m
-        rows = max(RESAMPLE_BLOCK // m, 1)
-        # at least one block, empty if states[first:] is
-        parts = [fn(np.array([u.values for u in self.states[i:i + rows]])
-                    .reshape(-1, m))
-                 for i in range(first, max(len(self.states), first + 1), rows)]
+        rows = max(RESAMPLE_BLOCK // self.grid.m, 1)
+        # at least one block, empty if values[first:] is
+        parts = [fn(self.values[i:i + rows])
+                 for i in range(first, max(len(self.values), first + 1), rows)]
         if isinstance(parts[0], tuple):
             return tuple(np.concatenate(p) for p in zip(*parts))
         return np.concatenate(parts)
@@ -186,12 +185,14 @@ class _Objective:
         self.x_prev = x_prev
         self.tau = tau
 
-    def value(self, x, dx=None):
-        """The objective value; dx, if given, holds the cell widths."""
+    def value_and_energy(self, x, dx=None):
+        """The objective value and its energy part Phi(x); dx, if given,
+        holds the cell widths."""
         d = x - self.x_prev
         a, b = d[:-1], d[1:]
         q = (1.0 / (len(x) - 1) / 3.0) * (a * a + a * b + b * b).sum()
-        return self.energy.value(x, dx) + q / (2 * self.tau)
+        phi = self.energy.value(x, dx)
+        return phi + q / (2 * self.tau), phi
 
     def grad(self, x, iface=None):
         """The objective gradient alone, from the energy's interface arrays
@@ -206,7 +207,7 @@ class _Objective:
         return gphi + gq / (2 * self.tau)
 
     def __call__(self, x, iface=None):
-        return self.value(x), self.grad(x, iface)
+        return self.value_and_energy(x)[0], self.grad(x, iface)
 
     def hessian_banded(self, x, iface=None):
         """Energy Hessian plus the constant P1 mass matrix of the transport
@@ -242,8 +243,8 @@ def _newton_direction(ab, band, lam, g):
 
 
 def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
-             gap: float, max_iter: int = 60, gtol: float = 1e-11,
-             ftol: float = 1e-15) -> tuple[np.ndarray, float, bool]:
+             gap: float, max_iter: int = 60
+             ) -> tuple[np.ndarray, float, float, bool]:
     """One minimizing-movement step from the previous map's node positions.
 
     The end nodes x_prev[0] and x_prev[-1] are the fixed walls; the interior
@@ -257,19 +258,19 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     built from those widths, serve that gradient and the next Hessian.
     Each Hessian's band is checked finite once for all its trials, and each
     banded system goes straight to LAPACK gbsv in one work array.  Returns
-    (positions, objective value, converged flag); descent from the starting
-    point is guaranteed, so the per-step energy estimates hold regardless of
-    the flag.
+    (positions, objective value, its energy part Phi, converged flag);
+    descent from the starting point is guaranteed, so the per-step energy
+    estimates hold regardless of the flag.
     """
     obj = _Objective(energy, x_prev, tau)
     x = x_prev.copy()
     iface = energy._interfaces(x)
-    f, g = obj.value(x, iface[0]), obj.grad(x, iface)[1:-1]
+    (f, phi), g = obj.value_and_energy(x, iface[0]), obj.grad(x, iface)[1:-1]
     gnorm = math.sqrt(g @ g)  # bitwise np.linalg.norm(g)
     gref = max(gnorm, 1e-30)
     lam = 0.0
     ab = np.empty((3 * BW + 1, len(x) - 2))
-    converged = gnorm <= gtol
+    converged = gnorm <= GTOL
     for _ in range(max_iter if not converged else 0):
         H = obj.hessian_banded(x, iface)
         band = H[:, 1:-1]
@@ -285,7 +286,7 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
                     xn[1:-1] += alpha * p
                     dxn = xn[1:] - xn[:-1]
                     if (dxn > gap).all():
-                        fn = obj.value(xn, dxn)
+                        fn, phin = obj.value_and_energy(xn, dxn)
                         if fn <= f + 1e-4 * alpha * slope or (fn < f and alpha < 1e-6):
                             moved = True
                             break
@@ -297,9 +298,9 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
             break
         df = f - fn
         iface = energy._interfaces(xn, dxn)
-        x, f, g = xn, fn, obj.grad(xn, iface)[1:-1]
+        x, f, phi, g = xn, fn, phin, obj.grad(xn, iface)[1:-1]
         lam *= 0.1
-        if math.sqrt(g @ g) < gtol * gref or df < ftol * max(abs(f), 1e-30):
+        if math.sqrt(g @ g) < GTOL * gref or df < FTOL * max(abs(f), 1e-30):
             converged = True
             break
     if not converged:
@@ -309,7 +310,7 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         ulp = np.spacing(max(abs(x[0]), abs(x[-1])))
         row = np.abs(obj.hessian_banded(x, iface)[:, 1:-1]).sum(axis=0)
         converged = bool((np.abs(g) <= ulp * row).all())
-    return x, f, converged
+    return x, f, phi, converged
 
 
 # --- trajectories ---------------------------------------------------------
@@ -318,47 +319,45 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
         corrupt_steps: tuple = ()) -> JkoTrajectory:
     """Iterate the scheme n_steps times from u0.
 
-    The loop only steps, keeping the maps and their energies.  Energies are
-    evaluated in map coordinates (the coordinates actually minimized), so
-    monotonicity is a property of the optimization, not of resampling.
-    After the loop the step distances come from one pass over the stacked
-    maps.  The grid states are a view of the maps: they are built as
-    pushforwards on u0's grid, in batches of about RESAMPLE_BLOCK grid
-    edges, and the entropies by array passes over the stacked states
-    (`per_state`); states[0] is the supplied initial datum verbatim.  A
-    step listed in corrupt_steps copies the previous state instead of
-    minimizing — a negative control that breaks the dissipation
-    certificates downstream.
+    The loop only steps, writing each step's map nodes and energy into its
+    row.  Energies are those of the maps in map coordinates (the coordinates
+    actually minimized), as `jko_step` evaluated them, so monotonicity is a
+    property of the optimization, not of resampling.  After the loop the
+    step distances come from one pass over the stacked nodes.  The grid
+    states are a view of the maps: their rows are pushforwards on u0's
+    grid, built in blocks of about RESAMPLE_BLOCK grid edges, and the
+    entropies come from array passes over those rows (`per_state`); row 0
+    is the supplied initial datum verbatim.  A step listed in corrupt_steps
+    copies the previous map instead of minimizing — a negative control that
+    breaks the dissipation certificates downstream.
     """
-    dom = u0.domain
+    dom, n = u0.domain, cfg.n_steps
     x = map_from_density(u0, cfg.k).positions
-    e0 = energy.value(x)
     traj = JkoTrajectory(
         tau=cfg.tau,
-        times=np.arange(cfg.n_steps + 1) * cfg.tau,
-        states=[u0],
-        energies=np.empty(cfg.n_steps + 1),
-        step_distances=np.empty(cfg.n_steps),
-        entropies=np.empty(cfg.n_steps + 1),
-        maps=[TransportMap(dom, x.copy())],
-        converged=np.ones(cfg.n_steps, dtype=bool),
+        times=np.arange(n + 1) * cfg.tau,
+        grid=u0,
+        positions=np.empty((n + 1, x.size)),
+        values=np.empty((n + 1, u0.m)),
+        energies=np.empty(n + 1),
+        step_distances=np.empty(n),
+        entropies=np.empty(n + 1),
+        converged=np.ones(n, dtype=bool),
     )
-    traj.energies[0] = e0
-    for nstep in range(1, cfg.n_steps + 1):
-        if nstep in corrupt_steps:
-            xn, conv = x.copy(), True
+    pos, energies = traj.positions, traj.energies
+    pos[0], energies[0] = x, energy.value(x)
+    for i in range(1, n + 1):
+        if i in corrupt_steps:
+            pos[i], energies[i] = pos[i - 1], energies[i - 1]
         else:
-            xn, _, conv = jko_step(x, energy, cfg.tau, dom.gap,
-                                   cfg.inner_max_iter, cfg.gtol)
-        traj.maps.append(TransportMap(dom, xn.copy()))
-        traj.energies[nstep] = energy.value(xn)
-        traj.converged[nstep - 1] = conv
-        x = xn
-    pos = np.array([mp.positions for mp in traj.maps])
+            pos[i], _, energies[i], traj.converged[i - 1] = jko_step(
+                pos[i - 1], energy, cfg.tau, dom.gap)
     traj.step_distances[:] = np.sqrt(w2sq_between_maps(pos[1:], pos[:-1]))
+    traj.values[0] = u0.values
     rows = max(RESAMPLE_BLOCK // (u0.m + 1), 1)
-    for i in range(1, cfg.n_steps + 1, rows):
-        traj.states.extend(densities_from_maps(traj.maps[i:i + rows], u0.m))
+    for i in range(1, n + 1, rows):
+        traj.values[i:i + rows] = densities_from_maps(dom, pos[i:i + rows],
+                                                      u0.m)
     traj.entropies[:] = traj.per_state(lambda v: boltzmann_entropy(u0, v))
     return traj
 
@@ -371,14 +370,14 @@ def refine_study(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
     horizon = cfg.tau * cfg.n_steps
     trajectories = []
     for lev in range(levels):
-        tau = cfg.tau / 2 ** lev
-        c = JkoConfig(tau=tau, n_steps=cfg.n_steps * 2 ** lev, k=cfg.k,
-                      inner_max_iter=cfg.inner_max_iter, gtol=cfg.gtol)
+        c = JkoConfig(tau=cfg.tau / 2 ** lev, n_steps=cfg.n_steps * 2 ** lev,
+                      k=cfg.k)
         trajectories.append(run(u0, energy, c))
     stamps = np.arange(1, cfg.n_steps + 1) * cfg.tau
     stamps = stamps[stamps <= horizon + 1e-12]
     gaps = []
     for a, b in zip(trajectories[:-1], trajectories[1:]):
-        gaps.append(max(wasserstein2_maps(a.map_at(t), b.map_at(t))
-                        for t in stamps))
+        w2sq = w2sq_between_maps(a.positions[a.step_index(stamps)],
+                                 b.positions[b.step_index(stamps)])
+        gaps.append(float(np.sqrt(w2sq).max()))
     return trajectories, gaps

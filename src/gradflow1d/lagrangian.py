@@ -439,11 +439,11 @@ def alpha_window(dimension: int) -> float:
 def dissipation_constants(f: MobilitySpec, dimension: int = 1) -> tuple[float, float]:
     """(chi, delta) for the mobility-case dissipation estimate.
 
-    chi = sqrt(d / (d + 8)); delta is the largest value in (0, 1) keeping
+    chi = sqrt(d / (d + 8)); delta is the largest value in (0, 1] keeping
     delta_bar - delta (delta_bar + 1 - d/2 + sqrt(d^2 + 8 d)/2 - 2) >= 0,
-    found by bisection and then halved as a safety margin.  A linear
-    mobility f(z) = C z (thin film) has delta = 1: there
-    d/dt Ent = -||(f o u)''||^2 holds exactly.
+    in closed form, since the condition is linear in delta, and then halved
+    as a safety margin.  A linear mobility f(z) = C z (thin film) has
+    delta = 1: there d/dt Ent = -||(f o u)''||^2 holds exactly.
     """
     d = dimension
     chi = float(np.sqrt(d / (d + 8.0)))
@@ -452,19 +452,5 @@ def dissipation_constants(f: MobilitySpec, dimension: int = 1) -> tuple[float, f
     if f.delta_bar <= 0:
         raise ConfigurationError("mobility must declare delta_bar > 0")
     bracket = f.delta_bar + 1.0 - d / 2.0 + 0.5 * np.sqrt(d ** 2 + 8.0 * d) - 2.0
-
-    def ok(delta):
-        return f.delta_bar - delta * bracket >= 0.0
-
-    lo_, hi_ = 0.0, 1.0
-    if ok(1.0):
-        delta_max = 1.0
-    else:
-        for _ in range(60):
-            mid = 0.5 * (lo_ + hi_)
-            if ok(mid):
-                lo_ = mid
-            else:
-                hi_ = mid
-        delta_max = lo_
+    delta_max = 1.0 if bracket <= 0 else min(1.0, float(f.delta_bar / bracket))
     return chi, 0.5 * delta_max

@@ -25,7 +25,7 @@ class MonotonicityError(ValueError):
     """Map positions not strictly increasing above the minimum gap."""
 
 
-class DegenerateQuantileError(ValueError):
+class DegenerateQuantileError(ConfigurationError):
     """Density vanishes on a plateau wider than the grid resolution."""
 
 
@@ -157,14 +157,6 @@ class TransportMap:
             raise ConfigurationError("map positions leave the domain")
         self.positions = np.clip(x, self.domain.lo, self.domain.hi)
 
-    @property
-    def k(self) -> int:
-        return self.positions.size - 1
-
-    @property
-    def dm(self) -> float:
-        return 1.0 / self.k
-
 
 # --- quantiles and distances ---------------------------------------------
 
@@ -202,11 +194,6 @@ def wasserstein2(u: GridDensity, v: GridDensity,
     w = np.full(n_levels, 1.0 / (n_levels - 1))
     w[0] = w[-1] = 0.5 / (n_levels - 1)
     return float(np.sqrt(np.sum(w * d * d)))
-
-
-def wasserstein2_maps(a: TransportMap, b: TransportMap) -> float:
-    """Exact W2 between the pushforwards of two maps at matched levels."""
-    return float(np.sqrt(w2sq_between_maps(a.positions, b.positions)))
 
 
 def w2sq_between_maps(xa: np.ndarray, xb: np.ndarray) -> float | np.ndarray:
@@ -300,6 +287,16 @@ def _newton_inverse(spline, target, x, lo, hi, slope_floor, sweeps):
     return hist[-1]
 
 
+def reject_zero_plateau(u: GridDensity) -> None:
+    """Raise DegenerateQuantileError if two adjacent interior cells of u are
+    empty: the quantile map cannot resolve that zero-density plateau."""
+    v = u.values
+    dead = (v[1:-1] if v.size > 2 else v) <= 0
+    if np.any(dead[:-1] & dead[1:]):
+        raise DegenerateQuantileError(
+            "zero-density plateau wider than one grid cell")
+
+
 def map_from_density(u: GridDensity, k: int = 256) -> TransportMap:
     """Quantile map of u at K+1 uniform mass levels.
 
@@ -312,12 +309,8 @@ def map_from_density(u: GridDensity, k: int = 256) -> TransportMap:
     """
     if k < 8:
         raise ConfigurationError("need K >= 8 map cells")
+    reject_zero_plateau(u)
     v = u.values
-    interior = v[1:-1] if v.size > 2 else v
-    dead = (interior <= 0)
-    if np.any(dead[:-1] & dead[1:]):
-        raise DegenerateQuantileError(
-            "zero-density plateau wider than one grid cell")
     cdf = u.cdf_at_edges()
     spline = _SplineColumns(
         CubicSpline(u.edges, cdf, bc_type=((1, v[0]), (1, v[-1]))))
@@ -341,30 +334,33 @@ def map_from_density(u: GridDensity, k: int = 256) -> TransportMap:
     return TransportMap(u.domain, x)
 
 
-def densities_from_maps(maps, m: int | None = None) -> list:
-    """Pushforward densities of a batch of maps on a uniform M-cell grid.
+def densities_from_maps(domain: Interval, positions: np.ndarray,
+                        m: int | None = None) -> np.ndarray:
+    """Pushforward cell values of a block of maps on a uniform M-cell grid.
 
-    The maps share their domain and node count, so also their mass levels
-    i/K.  Each quantile function is interpolated by a cubic spline in the
-    mass variable (one column of a single multi-column spline) and inverted
-    at the cell edges by 30 safeguarded Newton sweeps, which stop once every
-    edge of the batch has settled (see `_newton_inverse`) and still return
-    the 30-sweep result bitwise.  Cell values are exact mass differences over the cells, so each
-    output has unit mass by construction.
+    Row i of `positions` holds the K+1 nodes of map i on `domain` at the
+    mass levels j/K, row i of the result the M (default K) cell values of
+    its pushforward.  Each quantile function is interpolated by a cubic
+    spline in the mass variable (one column of a single multi-column spline)
+    and inverted at the cell edges by 30 safeguarded Newton sweeps, which
+    stop once every edge of the block has settled (see `_newton_inverse`)
+    and still return the 30-sweep result bitwise.  Cell values are exact
+    mass differences over the cells.  The block is checked once for what
+    `TransportMap` and `GridDensity` check per object: nodes increasing by
+    more than the gap and inside the domain, rows of unit mass.
     """
-    dom, k = maps[0].domain, maps[0].k
-    if any(x.domain != dom or x.k != k for x in maps):
-        raise ConfigurationError("maps differ in domain or node count")
+    k = positions.shape[-1] - 1
     m = k if m is None else m
+    if np.any(np.diff(positions) <= domain.gap):
+        raise MonotonicityError("map positions not increasing above gap")
+    first, last = positions[:, :1], positions[:, -1:]
+    if np.any(first < domain.lo - 1e-12) or np.any(last > domain.hi + 1e-12):
+        raise ConfigurationError("map positions leave the domain")
     levels = np.linspace(0.0, 1.0, k + 1)
-    pos = np.array([x.positions for x in maps])
-    if np.any(np.diff(pos) <= 0):
-        raise MonotonicityError("map positions must be strictly increasing")
-    spline = _SplineColumns(CubicSpline(levels, pos.T))
-    edges = np.linspace(dom.lo, dom.hi, m + 1)
-    first, last = pos[:, :1], pos[:, -1:]
+    spline = _SplineColumns(CubicSpline(levels, positions.T))
+    edges = np.linspace(domain.lo, domain.hi, m + 1)
     target = np.clip(edges, first, last)
-    linear = np.array([np.interp(edges, p, levels) for p in pos])
+    linear = np.array([np.interp(edges, p, levels) for p in positions])
     s = _newton_inverse(spline, target, linear, 0.0, 1.0, 1e-14, 30)
     # where the spline is non-monotone (rough maps) Newton can run away;
     # keep the piecewise-linear inverse wherever it has a smaller residual
@@ -376,11 +372,16 @@ def densities_from_maps(maps, m: int | None = None) -> list:
     s = np.where(edges <= first, 0.0, s)
     s = np.where(edges >= last, 1.0, s)
     s = np.maximum.accumulate(np.clip(s, 0.0, 1.0), axis=-1)
-    vals = np.diff(s, axis=-1) / (dom.length / m)
-    return [GridDensity(dom, np.maximum(v, 0.0)) for v in vals]
+    h = domain.length / m
+    vals = np.maximum(np.diff(s, axis=-1) / h, 0.0)
+    # a non-finite entry makes its row's mass non-finite
+    if not np.all(np.abs(vals.sum(axis=-1) * h - 1.0) <= MASS_TOL):
+        raise ConfigurationError("pushforward mass differs from 1")
+    return vals
 
 
 def density_from_map(x: TransportMap, m: int | None = None) -> GridDensity:
-    """Pushforward density of one map on a uniform M-cell grid: the batch
-    of one of `densities_from_maps`."""
-    return densities_from_maps([x], m)[0]
+    """Pushforward density of one map on a uniform M-cell grid: the block
+    of one row of `densities_from_maps`."""
+    return GridDensity(x.domain,
+                       densities_from_maps(x.domain, x.positions[None], m)[0])

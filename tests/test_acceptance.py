@@ -268,7 +268,7 @@ def test_cosine_mode_decays_at_implicit_euler_rate(f, k, K):
     tau = horizon / n
     u0 = GridDensity.cosine(UNIT, K, eps=1e-3, k=k)
     traj = run(u0, MobilityMapEnergy(f), JkoConfig(tau=tau, n_steps=n, k=K))
-    a0, an = (_cosine_coefficient(traj.maps[i].positions, k) for i in (0, n))
+    a0, an = (_cosine_coefficient(traj.positions[i], k) for i in (0, n))
     rate = np.log(a0 / an) / horizon
     lam = f.f1(1.0) ** 2 * (k * np.pi) ** 4
     assert rate == pytest.approx(np.log1p(tau * lam) / tau, rel=2e-6)

@@ -146,6 +146,42 @@ def test_file_datum_must_have_m_cells(tmp_path):
         load_config(path)
 
 
+def _file_datum(tmp_path, values):
+    m = len(values)
+    x = (np.arange(m) + 0.5) / m
+    path = tmp_path / "u0.csv"
+    np.savetxt(path, np.column_stack([x, values]), delimiter=",")
+    return {"initial": {"name": "file", "path": str(path)}, "m": m, "k": m}
+
+
+def _droplet(m):
+    x = (np.arange(m) + 0.5) / m
+    return np.maximum(1.0 - ((x - 0.5) / 0.25) ** 2, 0.0) ** 2
+
+
+def _with_zeros(m, cells):
+    v = 1.0 + 0.3 * np.cos(np.pi * (np.arange(m) + 0.5) / m)
+    v[list(cells)] = 0.0
+    return v
+
+
+@pytest.mark.parametrize("values", [_droplet(64), _with_zeros(64, (20, 21))],
+                         ids=["droplet", "two_adjacent_empty_cells"])
+def test_zero_plateau_datum_rejected_at_load(tmp_path, values, capsys):
+    # its quantile map is not resolvable: rejected before any stepping
+    path = write_config(tmp_path, _file_datum(tmp_path, values))
+    assert main(["--config", str(path)]) == 2
+    assert "zero-density plateau" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cell", [0, 20, 63], ids=["first", "interior", "last"])
+def test_one_empty_cell_datum_loads(tmp_path, cell):
+    extra = _file_datum(tmp_path, _with_zeros(64, (cell,)))
+    cfg = load_config(write_config(tmp_path, extra))
+    assert cfg.u0.values[cell] == 0.0
+
+
 def test_load_config_dict_matches_path(tmp_path):
     raw = {**BASE, "out": str(tmp_path / "out"),
            "lagrangian": {"name": "sqrt_mobility"}}
@@ -172,6 +208,17 @@ def test_execute_writes_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_failed"] == 0
     assert summary["n_certificates"] == summary["n_passed"]
+
+
+def test_trajectory_json_is_the_dumps_of_its_document(tmp_path):
+    # the file is written one state at a time, as the text json.dumps gives
+    # for the whole document
+    cfg = load_config(write_config(tmp_path, {"checks": ["energy_monotone"]}))
+    execute(cfg)
+    text = (tmp_path / "out" / "trajectory.json").read_text()
+    doc = json.loads(text)
+    assert list(doc)[-1] == "states" and len(doc["states"]) == 9
+    assert text == json.dumps(doc)
 
 
 # --- harder data: odd modes, large amplitude, near-vacuum -------------------
@@ -212,7 +259,7 @@ def check_entropy_dissipation_A(traj, F, C3=0.0):
     clause for x-dependent Lagrangians dropped: thin film is not one)."""
     out = []
     for n in range(1, traj.n_steps + 1):
-        un = traj.states[n]
+        un = gradflow1d.GridDensity(traj.grid.domain, traj.values[n])
         norms = sobolev_norms(un.values, un.h)
         lhs = norms.h2 ** 2
         dent = traj.entropies[n - 1] - traj.entropies[n]

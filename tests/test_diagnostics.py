@@ -129,7 +129,7 @@ def holder_double_loop(traj):
     """Reference: every stamp pair in (i, j) order, one distance at a time."""
     e0 = traj.energies[0]
     worst, worst_pair = -np.inf, (0, 0)
-    pos = [mp.positions for mp in traj.maps]
+    pos = traj.positions
     for i in range(traj.n_steps + 1):
         for j in range(i + 1, traj.n_steps + 1):
             d = pos[i] - pos[j]
@@ -153,9 +153,9 @@ def corrupted_traj():
 def tied_traj(thin_traj):
     """Maps A, A, B, B with a zero bound: the four A-B pairs tie, the first
     in (i, j) order is (0, 2), and lag 1 finds its tie at i = 1 first."""
-    a, b = thin_traj.maps[0], thin_traj.maps[-1]
-    return replace(thin_traj, states=thin_traj.states[:4], maps=[a, a, b, b],
-                   energies=np.zeros(4))
+    a, b = thin_traj.positions[0], thin_traj.positions[-1]
+    return replace(thin_traj, values=thin_traj.values[:4],
+                   positions=np.array([a, a, b, b]), energies=np.zeros(4))
 
 
 @pytest.mark.parametrize("name", ["thin_traj", "mob_traj", "corrupted_traj",
@@ -244,7 +244,8 @@ def test_weak_form_mobility(mob_traj):
     assert rep.context["lower"] == pytest.approx(-env + bterm, rel=1e-12)
     assert rep.context["upper"] == pytest.approx(env - bterm, rel=1e-12)
     # the tolerance is the rounding bound of mid, from its definition
-    f, states = MobilitySpec.sqrt_mobility(), mob_traj.states
+    f = MobilitySpec.sqrt_mobility()
+    states = [GridDensity(UNIT, v) for v in mob_traj.values]
     terms = sum(
         abs(eta(n * tau) - eta((n + 1) * tau))
         * u.h * np.sum(np.abs(u.values * phi.f(u.midpoints)))

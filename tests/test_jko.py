@@ -106,7 +106,7 @@ def test_exact_hessian_matches_fd(f, k):
 
 def test_uniform_is_fixed_point():
     x0 = np.linspace(0, 1, 65)
-    xn, fval, conv = jko_step(x0, ThinFilmMapEnergy(), 1e-4, 1e-9)
+    xn, fval, _, conv = jko_step(x0, ThinFilmMapEnergy(), 1e-4, 1e-9)
     assert conv
     assert np.max(np.abs(xn - x0)) < 1e-9
     assert fval < 1e-15
@@ -120,7 +120,7 @@ def test_step_against_brute_force():
     tau = 1e-3
     e = ThinFilmMapEnergy()
     obj = _Objective(e, x0, tau)
-    xn, fval, _ = jko_step(x0, e, tau, 1e-9)
+    xn, fval, _, _ = jko_step(x0, e, tau, 1e-9)
 
     def fun(z):
         x = np.concatenate([[0.0], np.sort(z), [1.0]])
@@ -150,10 +150,10 @@ def test_stationary_to_working_precision(f):
     x = np.linspace(0.0, 1.0, 257)
     x[1:-1:3] = np.nextafter(x[1:-1:3], 2.0)
     assert np.linalg.norm(_Objective(e, x, 1e-4)(x)[1]) > 1e-9
-    assert jko_step(x, e, 1e-4, 1e-9, max_iter=0)[2]
+    assert jko_step(x, e, 1e-4, 1e-9, max_iter=0)[3]
     u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
     x1 = map_from_density(u0, 256).positions
-    assert not jko_step(x1, e, 1e-4, 1e-9, max_iter=0)[2]
+    assert not jko_step(x1, e, 1e-4, 1e-9, max_iter=0)[3]
 
 
 def test_step_on_odd_mode_data():
@@ -162,7 +162,7 @@ def test_step_on_odd_mode_data():
     e = ThinFilmMapEnergy()
     tau = 1e-5
     f0 = _Objective(e, x0, tau)(x0)[0]
-    xn, fval, conv = jko_step(x0, e, tau, 1e-9)
+    xn, fval, _, conv = jko_step(x0, e, tau, 1e-9)
     assert conv
     assert fval < f0
     assert fval == pytest.approx(_Objective(e, x0, tau)(xn)[0], rel=1e-12)
@@ -174,13 +174,15 @@ def test_run_zero_steps_returns_initial():
     u0 = GridDensity.cosine(UNIT, 64, eps=0.3, k=1)
     traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=0, k=64))
     assert traj.n_steps == 0
-    assert traj.states[0] is u0
+    assert traj.grid is u0
+    assert traj.positions.shape == (1, 65) and traj.values.shape == (1, 64)
+    assert np.array_equal(traj.values[0], u0.values)
 
 
 def test_trajectory_invariants(thin_traj):
-    for state in thin_traj.states:
-        assert abs(state.mass - 1.0) < 1e-10
-        assert np.all(state.values >= 0.0)
+    h = thin_traj.grid.h
+    assert np.all(np.abs(thin_traj.values.sum(axis=1) * h - 1.0) < 1e-10)
+    assert np.all(thin_traj.values >= 0.0)
     assert all(r.passed for r in check_energy_monotone(thin_traj))
     assert check_total_square_distance(thin_traj).passed
     assert check_holder_continuity(thin_traj).passed
@@ -189,10 +191,13 @@ def test_trajectory_invariants(thin_traj):
 
 def test_interpolant_ceiling_convention(thin_traj):
     tau = thin_traj.tau
-    assert thin_traj.state_at(0.0) is thin_traj.states[0]
-    assert thin_traj.state_at(0.5 * tau) is thin_traj.states[1]
-    assert thin_traj.state_at(tau) is thin_traj.states[1]
-    assert thin_traj.state_at(1.5 * tau) is thin_traj.states[2]
+    assert thin_traj.step_index(0.0) == 0
+    assert thin_traj.step_index(0.5 * tau) == 1
+    assert thin_traj.step_index(tau) == 1
+    assert thin_traj.step_index(1.5 * tau) == 2
+    # an array of times, clipped to the rows that exist
+    times = np.array([-tau, 0.5 * tau, 1e3 * tau])
+    assert thin_traj.step_index(times).tolist() == [0, 1, thin_traj.n_steps]
 
 
 def test_relaxation_toward_uniform():
@@ -203,8 +208,8 @@ def test_relaxation_toward_uniform():
     assert np.all(np.diff(traj.energies[:5]) < 0)
     assert traj.energies[-1] < 1e-2 * traj.energies[0]
     flat = GridDensity.uniform(UNIT, 128)
-    assert wasserstein2(traj.states[-1], flat) < \
-        wasserstein2(traj.states[0], flat)
+    assert wasserstein2(GridDensity(UNIT, traj.values[-1]), flat) < \
+        wasserstein2(u0, flat)
 
 
 def test_corruption_breaks_dissipation():
@@ -228,11 +233,12 @@ def test_mobility_trajectory_dissipates():
 def assert_states_are_pushforwards(traj, u0):
     # run resamples in blocks after stepping; each state and entropy must be
     # what resampling its map alone gives
-    assert traj.states[0] is u0
-    assert len(traj.states) == len(traj.maps) == traj.n_steps + 1
-    single = [u0] + [density_from_map(x, u0.m) for x in traj.maps[1:]]
-    for u, ref in zip(traj.states, single):
-        assert np.array_equal(u.values, ref.values)
+    assert traj.grid is u0
+    assert len(traj.values) == len(traj.positions) == traj.n_steps + 1
+    single = [u0] + [density_from_map(TransportMap(u0.domain, x), u0.m)
+                     for x in traj.positions[1:]]
+    for v, ref in zip(traj.values, single):
+        assert np.array_equal(v, ref.values)
     assert np.array_equal(traj.entropies,
                           [boltzmann_entropy(u) for u in single])
 
@@ -259,9 +265,9 @@ def test_run_resamples_in_blocks(extra):
     sizes = []
     batch = jko.densities_from_maps
 
-    def spy(maps, m):
-        sizes.append(len(maps))
-        return batch(maps, m)
+    def spy(domain, positions, m):
+        sizes.append(len(positions))
+        return batch(domain, positions, m)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jko, "densities_from_maps", spy)
@@ -276,7 +282,10 @@ def test_run_resamples_corrupted_steps():
     traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=4, k=64),
                corrupt_steps=(1, 3))
     assert_states_are_pushforwards(traj, u0)
-    assert np.array_equal(traj.states[3].values, traj.states[2].values)
+    assert np.array_equal(traj.values[3], traj.values[2])
+    # a step's energy is bitwise that of its map, a corrupted one included
+    assert traj.energies.tolist() == [ThinFilmMapEnergy().value(x)
+                                      for x in traj.positions]
 
 
 # --- refinement -------------------------------------------------------------
@@ -294,6 +303,24 @@ def test_refine_study_gaps_shrink():
     cfg = JkoConfig(tau=1e-3, n_steps=5, k=64)
     _, gaps = refine_study(u0, ThinFilmMapEnergy(), cfg, levels=3)
     assert gaps[1] < gaps[0]
+
+
+@pytest.mark.parametrize("f", MOBILITIES[:2], ids=lambda f: f.name)
+def test_refine_study_gaps_match_per_stamp_loop(f):
+    # one batched distance per pair of levels gives bitwise the maximum of
+    # the per-stamp distances between the levels' maps at n = ceil(t/tau)
+    u0 = GridDensity.cosine(UNIT, 64, eps=0.5, k=3)
+    cfg = JkoConfig(tau=1e-4, n_steps=5, k=64)
+    trajs, gaps = refine_study(u0, MobilityMapEnergy(f), cfg, levels=3)
+
+    def row(traj, t):
+        n = min(int(np.ceil(t / traj.tau - 1e-12)), traj.n_steps)
+        return traj.positions[max(n, 0)]
+
+    stamps = np.arange(1, 6) * 1e-4
+    ref = [max(float(np.sqrt(w2sq_between_maps(row(a, t), row(b, t))))
+               for t in stamps) for a, b in zip(trajs[:-1], trajs[1:])]
+    assert gaps == ref
 
 
 # --- parity of the inner loop with the plain damped Newton loop -------------
@@ -354,7 +381,9 @@ def _same_step(x, energy, tau, max_iter=60):
     out = jko_step(x, energy, tau, UNIT.gap, max_iter)
     assert np.array_equal(out[0], ref[0])
     assert out[1] == ref[1]
-    assert out[2] == ref[2]
+    assert out[3] == ref[2]
+    # the energy part of the objective value is bitwise the map's energy
+    assert out[2] == energy.value(out[0])
     return out
 
 
@@ -367,7 +396,8 @@ def test_value_matches_value_and_grad(f):
         x /= x[-1]
         obj = _Objective(e, x + 0.01 * rng.uniform(-1, 1, k + 1) / k, 1e-4)
         assert e.value(x) == e.value_and_grad(x)[0]
-        assert obj.value(x) == obj(x)[0]
+        assert obj.value_and_energy(x, x[1:] - x[:-1]) == (obj(x)[0],
+                                                           e.value(x))
         iface = e._interfaces(x)
         assert np.array_equal(obj(x, iface)[1], obj(x)[1])
         assert np.array_equal(obj.hessian_banded(x, iface),
@@ -395,10 +425,9 @@ def test_odd_mode_steps_keep_both_walls(f, mode):
     dom = Interval(-1.0, 2.0)
     u0 = GridDensity.cosine(dom, 64, eps=0.5, k=mode)
     traj = run(u0, MobilityMapEnergy(f), JkoConfig(tau=1e-2, n_steps=5, k=64))
-    for xmap in traj.maps:
-        assert xmap.positions[0] == dom.lo
-        assert xmap.positions[-1] == dom.hi
-    assert np.abs(traj.maps[-1].positions - traj.maps[0].positions).max() > 1e-3
+    assert np.all(traj.positions[:, 0] == dom.lo)
+    assert np.all(traj.positions[:, -1] == dom.hi)
+    assert np.abs(traj.positions[-1] - traj.positions[0]).max() > 1e-3
 
 
 def test_stationary_exit_matches_reference():
@@ -409,8 +438,8 @@ def test_stationary_exit_matches_reference():
     u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
     traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=186,
                                                   k=256))
-    x = traj.maps[-1].positions
-    assert _same_step(x, ThinFilmMapEnergy(), 1e-4, max_iter=8)[2]
+    x = traj.positions[-1]
+    assert _same_step(x, ThinFilmMapEnergy(), 1e-4, max_iter=8)[3]
     e = ThinFilmMapEnergy()
     grads = []
     value_and_grad = e.value_and_grad
@@ -492,7 +521,7 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
                 for _ in range(40):
                     xn = np.clip(x + alpha * p, lo, hi)
                     if np.all(np.diff(xn) > gap):
-                        fn = obj.value(xn)
+                        fn = obj.value_and_energy(xn)[0]
                         if fn <= f + 1e-4 * alpha * slope or (fn < f and alpha < 1e-6):
                             moved = True
                             break
@@ -528,7 +557,7 @@ def test_even_mode_steps_match_free_wall_solver(f, k, tau):
         out = jko_step(x, e, tau, UNIT.gap)
         ref = _free_wall_jko_step(x, e, tau, 0.0, 1.0, UNIT.gap)
         assert np.array_equal(out[0], ref[0])
-        assert out[1:] == ref[1:]
+        assert (out[1], out[3]) == ref[1:]
         x = out[0]
 
 
@@ -569,6 +598,6 @@ def test_unsolvable_systems_match_reference(energy):
     # Newton step
     x0 = map_from_density(GridDensity.cosine(UNIT, 64, eps=0.5, k=2),
                           64).positions
-    x, _, converged = _same_step(x0, energy, 1e-4)
+    x, _, _, converged = _same_step(x0, energy, 1e-4)
     assert np.array_equal(x, x0)
     assert not converged

@@ -210,6 +210,36 @@ def test_dissipation_constants():
         dissipation_constants(replace(sq, delta_bar=0.0), 1)
 
 
+def _bisected_delta(f, d):
+    """delta by the 60 bisection steps on the linear condition that the
+    closed form replaced."""
+    bracket = f.delta_bar + 1.0 - d / 2.0 + 0.5 * np.sqrt(d ** 2 + 8.0 * d) - 2.0
+    lo, hi = 0.0, 1.0
+    if f.delta_bar - bracket >= 0.0:
+        return 0.5
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if f.delta_bar - mid * bracket >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * lo
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dissipation_delta_closed_form(d):
+    # the largest delta in (0, 1] with delta_bar - delta * bracket >= 0,
+    # halved; at d = 1 the bracket is delta_bar itself, so delta = 1/2
+    for alpha in np.linspace(0.3, 0.99, 70):
+        f = MobilitySpec.power_mobility(1.0, alpha)
+        bracket = (f.delta_bar + 1.0 - d / 2.0
+                   + 0.5 * np.sqrt(d ** 2 + 8.0 * d) - 2.0)
+        delta = dissipation_constants(f, d)[1]
+        assert delta == 0.5 * min(1.0, f.delta_bar / bracket)
+        ref = _bisected_delta(f, d)
+        assert abs(delta - ref) <= (0.0 if d == 1 else np.spacing(ref))
+
+
 @pytest.mark.parametrize("spec", [
     THIN, LagrangianSpec.from_mobility(MobilitySpec.sqrt_mobility())])
 def test_schur_step_matches_per_sample_lstsq(spec):

@@ -2,7 +2,8 @@
 must give bitwise what their per-state loops gave.
 
 Below are those loops verbatim, with the one-dimensional helpers they called,
-as references.  Row reductions along the last axis of a contiguous stack sum
+as references; they read each state as its own GridDensity, rebuilt from
+its row of the trajectory's values.  Row reductions along the last axis of a contiguous stack sum
 each row exactly as the one-dimensional reduction does, so equality is
 required bit for bit, not within a tolerance.
 """
@@ -62,10 +63,15 @@ def _ref_boltzmann_entropy(u):
     return float(u.h * np.sum(np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)))
 
 
+def _states(traj):
+    return [GridDensity(traj.grid.domain, v) for v in traj.values]
+
+
 def _ref_entropy_dissipation(traj, f, delta):
     out = []
+    states = _states(traj)
     for n in range(1, traj.n_steps + 1):
-        un = traj.states[n]
+        un = states[n]
         w = f.f(np.maximum(un.values, 0.0))
         lhs = float(un.h * np.sum(_ref_d2(w, un.h) ** 2))
         dent = traj.entropies[n - 1] - traj.entropies[n]
@@ -77,7 +83,7 @@ def _ref_entropy_dissipation(traj, f, delta):
 
 def _ref_discrete_weak(traj, f, phi, eta, beta=1e-3, slack_factor=2.0):
     tau = traj.tau
-    states = traj.states[1:traj.n_steps + 1]
+    states = _states(traj)[1:traj.n_steps + 1]
     eta_n = np.array([eta(n * tau) for n in range(1, traj.n_steps + 2)])
     uphi = [u.values * phi.f(u.midpoints) for u in states]
     nf = [_ref_nf_density(f, u, phi) for u in states]
@@ -104,13 +110,13 @@ def _ref_discrete_weak(traj, f, phi, eta, beta=1e-3, slack_factor=2.0):
 
 
 def _ref_apriori(traj, c_lower, transform=None):
-    u0 = traj.states[0]
+    u0 = traj.grid
     L = u0.domain.length
     c0 = c_lower / (1.0 + (L / np.pi) ** 2)
     sup_h1 = 0.0
     h2_integral = 0.0
     wmass = 1.0
-    for n, state in enumerate(traj.states):
+    for n, state in enumerate(_states(traj)):
         w = state.values if transform is None else transform(state.values)
         _, h1, h2 = _ref_sobolev_norms(w, state.h)
         sup_h1 = max(sup_h1, h1)
@@ -163,16 +169,16 @@ def block(request, monkeypatch):
 
 def test_entropies_match_loop(case, block):
     _, traj = case
-    ref = _bits(*[_ref_boltzmann_entropy(u) for u in traj.states])
+    ref = _bits(*[_ref_boltzmann_entropy(u) for u in _states(traj)])
     assert _bits(*traj.entropies) == ref
-    u0 = traj.states[0]
+    u0 = traj.grid
     assert _bits(*traj.per_state(lambda v: boltzmann_entropy(u0, v))) == ref
 
 
 def test_step_distances_match_loop(case):
     _, traj = case
-    ref = [np.sqrt(w2sq_between_maps(b.positions, a.positions))
-           for a, b in zip(traj.maps[:-1], traj.maps[1:])]
+    ref = [np.sqrt(w2sq_between_maps(b, a))
+           for a, b in zip(traj.positions[:-1], traj.positions[1:])]
     assert _bits(*traj.step_distances) == _bits(*ref)
 
 

@@ -304,8 +304,8 @@ def test_newton_inverse_exact_on_rough_maps(seed):
 
 def test_newton_inverse_exact_on_a_batch():
     # one inversion for the whole batch, on a 2-D array of edges
-    maps = [rough_map(seed) for seed in range(2, 7)]
-    (args,) = inversions(lambda: densities_from_maps(maps, 50))
+    pos = np.array([rough_map(seed).positions for seed in range(2, 7)])
+    (args,) = inversions(lambda: densities_from_maps(UNIT, pos, 50))
     assert args[2].shape == (5, 51)
     assert_exact_for_all_sweeps(args)
 
@@ -337,20 +337,32 @@ def test_newton_inverse_exact_on_a_2d_batch_of_cycles():
 def test_batch_matches_one_map_at_a_time():
     # rough maps make non-monotone splines, on which the fallback fires
     maps = [rough_map(seed) for seed in range(2, 10)]
+    pos = np.array([x.positions for x in maps])
     for m in (50, 64, 200):
-        batch = densities_from_maps(maps, m)
-        assert len(batch) == len(maps)
-        for x, u in zip(maps, batch):
-            assert np.array_equal(u.values, density_from_map(x, m).values)
+        batch = densities_from_maps(UNIT, pos, m)
+        assert batch.shape == (len(maps), m)
+        for x, v in zip(maps, batch):
+            assert np.array_equal(v, density_from_map(x, m).values)
 
 
-def test_batch_rejects_mismatched_maps():
-    a = rough_map(2)
-    coarse = TransportMap(UNIT, a.positions[::2])
-    other = TransportMap(Interval(0.0, 2.0), a.positions)
-    for b in (coarse, other):
-        with pytest.raises(ConfigurationError):
-            densities_from_maps([a, b])
+def test_batch_checks_nodes_and_states():
+    # what TransportMap and GridDensity check per object, once per block
+    pos = np.array([rough_map(seed).positions for seed in range(2, 5)])
+    close = pos.copy()
+    close[1, 5] = close[1, 4] + 0.5 * UNIT.gap
+    with pytest.raises(MonotonicityError):
+        densities_from_maps(UNIT, close, 50)
+    for row, col, shift in ((2, 0, -1e-9), (0, -1, 1e-9)):
+        out = pos.copy()
+        out[row, col] += shift
+        with pytest.raises(ConfigurationError, match="leave the domain"):
+            densities_from_maps(UNIT, out, 50)
+    # a non-finite inversion (injected) fails the states' mass check
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_newton_inverse",
+                   lambda spline, target, x, *a: np.full(x.shape, np.nan))
+        with pytest.raises(ConfigurationError, match="mass differs from 1"):
+            densities_from_maps(UNIT, pos, 50)
 
 
 # --- spline evaluator -------------------------------------------------------
@@ -407,12 +419,14 @@ def conversions(traj, k):
     """Every state's pushforward and every state's quantile map (None where
     a detached wall left a vacuum the quantile map rejects)."""
     out = []
-    for x, u in zip(traj.maps, traj.states):
+    dom = traj.grid.domain
+    for x, v in zip(traj.positions, traj.values):
         try:
-            positions = map_from_density(u, k).positions
+            positions = map_from_density(GridDensity(dom, v), k).positions
         except DegenerateQuantileError:
             positions = None
-        out.append((density_from_map(x, k).values, positions))
+        out.append((density_from_map(TransportMap(dom, x), k).values,
+                    positions))
     return out
 
 
