@@ -256,7 +256,8 @@ def count_holder_pairs(traj, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_holder_random_paths_small_bound(seed, monkeypatch):
-    # a small Phi(u_0) lets many pairs beyond lag 1 through the screen
+    # a small Phi(u_0) lets many pairs beyond lag 1 through the screen;
+    # even seeds draw independent maps, odd seeds random-walk between them
     rng = np.random.default_rng(seed)
     n, k = 24, 32
     pos = [random_map(rng, k)]
