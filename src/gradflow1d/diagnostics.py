@@ -152,10 +152,9 @@ def check_holder_continuity(traj: JkoTrajectory) -> CertificateReport:
 
     The screen.  The lag-1 distances d_k = W2(u_k, u_{k+1}) come from
     batched evaluations over blocks of about DIST_BLOCK map nodes, with
-    prefix sums S (S_0 = 0).  W2 between maps is a
-    norm of the node difference (the exact quadratic form of
-    `w2sq_between_maps`), so W2(u_i, u_j) <= S_j - S_i by the triangle
-    inequality.  In floating point, with eps the machine epsilon, K the
+    prefix sums S (S_0 = 0).  W2 between maps is a norm of the node
+    difference (the exact quadratic form of `w2sq_between_maps`), so
+    W2(u_i, u_j) <= S_j - S_i by the triangle inequality.  In floating point, with eps the machine epsilon, K the
     number of map cells and N the number of steps, to first order (node
     differences are far above underflow):
       - a computed distance is within a relative g = (K + 17) eps / 4 of
