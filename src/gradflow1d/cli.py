@@ -244,7 +244,7 @@ def execute(cfg: RunConfig, row: dict | None = None) -> int:
     A sweep passes its `row`, which receives the run's final energy, path
     length and worst slack, or the error text of a runtime error.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         energy = MobilityMapEnergy(cfg.mobility)
         jcfg = JkoConfig(tau=cfg.tau, n_steps=cfg.n_steps, k=cfg.k)
@@ -255,7 +255,8 @@ def execute(cfg: RunConfig, row: dict | None = None) -> int:
             _, gaps = refine_study(cfg.u0, energy, jcfg,
                                    levels=cfg.refine_levels)
         reports = _certificates(cfg, traj)
-        summary = _write_outputs(cfg, traj, reports, time.time() - t0, gaps)
+        summary = _write_outputs(cfg, traj, reports,
+                                 time.perf_counter() - t0, gaps)
     except ConfigurationError:
         raise
     except Exception as exc:

@@ -36,10 +36,6 @@ from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction, d2,
 from .jko import JkoTrajectory
 
 SLACK_FACTOR = 2.0   # headroom on the discrete weak-formulation envelopes
-# map nodes per batched distance call of the Hoelder check: 2^15 doubles
-# keep the call's temporaries in cache (at K = 1024 on a 2-core x86 host,
-# 100 lag-1 pairs took 1.4 ms in one call and 0.55 ms in blocks of 32)
-DIST_BLOCK = 1 << 15
 
 
 @dataclass
@@ -151,9 +147,9 @@ def check_holder_continuity(traj: JkoTrajectory) -> CertificateReport:
     decaying run only the lag-1 pairs are evaluated.
 
     The screen.  The lag-1 distances d_k = W2(u_k, u_{k+1}) come from
-    batched evaluations over blocks of about DIST_BLOCK map nodes, with
-    prefix sums S (S_0 = 0).  W2 between maps is a norm of the node
-    difference (the exact quadratic form of `w2sq_between_maps`), so
+    `consecutive_distances` over the map nodes, with prefix sums S
+    (S_0 = 0).  W2 between maps is a norm of the node difference (the
+    exact quadratic form of `w2sq_between_maps`), so
     W2(u_i, u_j) <= S_j - S_i by the triangle inequality.  In floating point, with eps the machine epsilon, K the
     number of map cells and N the number of steps, to first order (node
     differences are far above underflow):
@@ -180,16 +176,13 @@ def check_holder_continuity(traj: JkoTrajectory) -> CertificateReport:
     whole-path bound B(0, N) fails the screen at some lag, every pair of
     that and later lags does, and the search ends.
     """
-    from .transport import w2sq_between_maps
+    from .transport import consecutive_distances, w2sq_between_maps
     pos, n = traj.positions, traj.n_steps
     e0, tau = float(traj.energies[0]), float(traj.tau)
     worst = -math.inf
     worst_pair = (0, 0)
     if n > 0:
-        block = max(DIST_BLOCK // pos.shape[-1], 1)
-        dist = np.sqrt(np.concatenate([
-            w2sq_between_maps(pos[:-1][i:i + block], pos[1:][i:i + block])
-            for i in range(0, n, block)]))
+        dist = consecutive_distances(pos)
         s = np.concatenate(([0.0], np.cumsum(dist)))
         eps = math.ulp(1.0)
         rel = 1.0 + 2.0 * ((pos.shape[-1] - 1) + 20) * eps  # K + 20

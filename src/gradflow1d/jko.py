@@ -1,19 +1,26 @@
 """Minimizing-movement (JKO) time stepping in monotone-map coordinates.
 
-Each step minimizes W2^2/(2 tau) + Phi over monotone node positions; the
-transport term is exactly quadratic in this parametrization and mass /
+Each step minimizes Psi = W2^2/(2 tau) + Phi over monotone node positions;
+the transport term is exactly quadratic in this parametrization and mass /
 nonnegativity are automatic.  The domain is fixed, so the two end nodes stay
 on the walls and the unknowns are the interior nodes.  The inner solver is a
 damped banded Newton method on the interior block of the exact pentadiagonal
-Hessian, assembled from one local interface kernel.  Its line-search trials
-evaluate the objective value only.  An accepted point keeps its trial's
-value and evaluates only the gradient, plus one Hessian; both share that
-point's interface arrays (cell widths, densities, f'(u)).  Each Hessian's
-band is checked finite once for all its trials, and each banded system goes
-directly to LAPACK gbsv.  A run is kept as two stacked arrays, one row
-per step: the map nodes and their pushforwards' cell values.  After the
-stepping loop, the step distances, the grid states and the entropies are
-computed by array passes over blocks of those rows.
+Hessian, assembled from one local interface kernel.  It starts from the
+extrapolated map 2 x_{n-1} - x_{n-2} when every cell of that map is wider
+than the minimum gap and its Psi is below Phi(x_{n-1}), and from x_{n-1}
+otherwise.  An undamped Newton step that predicts less than FTOL of
+relative decrease is the last one: it is taken whole if it keeps every cell
+and Psi at most Phi(x_{n-1}), and the solve stops without another gradient.
+So every step ends with Psi(x_n) <= Phi(x_{n-1}), the descent that the
+discrete energy estimates need.  Line-search trials evaluate the objective
+value only.  An accepted point keeps its trial's value and evaluates only
+the gradient, plus one Hessian; both share that point's interface arrays
+(cell widths, densities, f'(u)).  Each Hessian's band is checked finite once
+for all its trials, and each banded system goes directly to LAPACK gbsv.
+A run is kept as two stacked arrays, one row per step: the map nodes and
+their pushforwards' cell values.  After the stepping loop, the step
+distances, the grid states and the entropies are computed by array passes
+over blocks of those rows.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .transport import (ConfigurationError, GridDensity, boltzmann_entropy,
-                        densities_from_maps, map_from_density,
-                        w2sq_between_maps)
+                        consecutive_distances, densities_from_maps,
+                        map_from_density, w2sq_between_maps)
 from .lagrangian import MobilitySpec
 
 BW = 2  # Hessian bandwidth of the staggered map-coordinate energies
@@ -243,29 +250,50 @@ def _newton_direction(ab, band, lam, g):
 
 
 def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
-             gap: float, max_iter: int = 60
+             gap: float, max_iter: int = 60, x_start: np.ndarray | None = None,
+             phi_prev: float | None = None
              ) -> tuple[np.ndarray, float, float, bool]:
     """One minimizing-movement step from the previous map's node positions.
 
     The end nodes x_prev[0] and x_prev[-1] are the fixed walls; the interior
-    nodes are the unknowns.  Damped Newton on the penalized objective with
-    the interior block of the exact banded Hessian of the local interface
-    kernel, Levenberg regularization when a step is rejected, and Armijo
-    backtracking that keeps every cell wider than gap.  Line-search trials
-    evaluate the objective value only, from the cell widths of their
-    feasibility check.  An accepted point already has its value from the
-    line search and evaluates the gradient alone; its interface arrays,
-    built from those widths, serve that gradient and the next Hessian.
-    Each Hessian's band is checked finite once for all its trials, and each
-    banded system goes straight to LAPACK gbsv in one work array.  Returns
-    (positions, objective value, its energy part Phi, converged flag);
-    descent from the starting point is guaranteed, so the per-step energy
-    estimates hold regardless of the flag.
+    nodes are the unknowns.  Damped Newton on the penalized objective Psi
+    with the interior block of the exact banded Hessian of the local
+    interface kernel, Levenberg regularization when a step is rejected, and
+    Armijo backtracking that keeps every cell wider than gap.
+
+    phi_prev, if given, is Phi(x_prev), which is also Psi(x_prev); it is
+    computed when None.  Newton starts at x_start (same walls as x_prev) if
+    every cell of it is wider than gap and Psi(x_start) < phi_prev, and at
+    x_prev otherwise, exactly as without a start.  When an undamped Newton
+    direction p (lambda = 0) predicts a decrease -p.g/2 of at most
+    FTOL max(|Psi(x)|, 1e-30), x + p is taken if its cells are wider than
+    gap and Psi(x + p) <= phi_prev, x is kept otherwise, and the solve stops
+    as converged without a further gradient.
+
+    Line-search trials evaluate the objective value only, from the cell
+    widths of their feasibility check.  An accepted point already has its
+    value from the line search and evaluates the gradient alone; its
+    interface arrays, built from those widths, serve that gradient and the
+    next Hessian.  Each Hessian's band is checked finite once for all its
+    trials, and each banded system goes straight to LAPACK gbsv in one work
+    array.  Returns (positions, objective value, its energy part Phi,
+    converged flag); Psi(positions) <= phi_prev holds whatever the flag, so
+    the per-step energy estimates hold regardless of it.
     """
     obj = _Objective(energy, x_prev, tau)
-    x = x_prev.copy()
-    iface = energy._interfaces(x)
-    (f, phi), g = obj.value_and_energy(x, iface[0]), obj.grad(x, iface)[1:-1]
+    x, dx = x_prev, x_prev[1:] - x_prev[:-1]
+    if phi_prev is None:
+        phi_prev = obj.value_and_energy(x, dx)[0]
+    f = phi = phi_prev
+    if x_start is not None:
+        dxs = x_start[1:] - x_start[:-1]
+        if (dxs > gap).all():
+            fs, phis = obj.value_and_energy(x_start, dxs)
+            if fs < phi_prev:
+                x, dx, f, phi = x_start, dxs, fs, phis
+    x = x.copy()
+    iface = energy._interfaces(x, dx)
+    g = obj.grad(x, iface)[1:-1]
     gnorm = math.sqrt(g @ g)  # bitwise np.linalg.norm(g)
     gref = max(gnorm, 1e-30)
     lam = 0.0
@@ -276,10 +304,15 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         band = H[:, 1:-1]
         if not (np.isfinite(band).all() and np.isfinite(g).all()):
             band = None
-        moved = False
+        moved = final = False
         for _trial in range(30):
             p = _newton_direction(ab, band, lam, g)
             if p is not None and (slope := p @ g) < -1e-30:
+                # an undamped step that predicts less than FTOL of decrease
+                # is the last one
+                final = lam == 0 and -0.5 * slope <= FTOL * max(abs(f), 1e-30)
+                if final:
+                    break
                 alpha = 1.0
                 for _ in range(40):
                     xn = x.copy()
@@ -294,6 +327,16 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
                 if moved:
                     break
             lam = 1e-3 * np.abs(H[BW, 1:-1]).max() if lam == 0 else 10 * lam
+        if final:
+            xn = x.copy()
+            xn[1:-1] += p
+            dxn = xn[1:] - xn[:-1]
+            if (dxn > gap).all():
+                fn, phin = obj.value_and_energy(xn, dxn)
+                if fn <= phi_prev:
+                    x, f, phi = xn, fn, phin
+            converged = True
+            break
         if not moved:
             break
         df = f - fn
@@ -320,10 +363,13 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
     """Iterate the scheme n_steps times from u0.
 
     The loop only steps, writing each step's map nodes and energy into its
-    row.  Energies are those of the maps in map coordinates (the coordinates
-    actually minimized), as `jko_step` evaluated them, so monotonicity is a
-    property of the optimization, not of resampling.  After the loop the
-    step distances come from one pass over the stacked nodes.  The grid
+    row.  From the second step on, `jko_step` gets the extrapolated map
+    2 x_{n-1} - x_{n-2} (walls unchanged) as its start and the stored
+    Phi(x_{n-1}) as its descent bound.  Energies are those of the maps in
+    map coordinates (the coordinates actually minimized), as `jko_step`
+    evaluated them, so monotonicity is a property of the optimization, not
+    of resampling.  After the loop the step distances come from batched
+    passes over the stacked nodes (`consecutive_distances`).  The grid
     states are a view of the maps: their rows are pushforwards on u0's
     grid, built in blocks of about RESAMPLE_BLOCK grid edges, and the
     entropies come from array passes over those rows (`per_state`); row 0
@@ -350,9 +396,14 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
         if i in corrupt_steps:
             pos[i], energies[i] = pos[i - 1], energies[i - 1]
         else:
+            start = None
+            if i > 1:
+                start = pos[i - 1].copy()
+                start[1:-1] = 2 * pos[i - 1, 1:-1] - pos[i - 2, 1:-1]
             pos[i], _, energies[i], traj.converged[i - 1] = jko_step(
-                pos[i - 1], energy, cfg.tau, dom.gap)
-    traj.step_distances[:] = np.sqrt(w2sq_between_maps(pos[1:], pos[:-1]))
+                pos[i - 1], energy, cfg.tau, dom.gap, x_start=start,
+                phi_prev=energies[i - 1])
+    traj.step_distances[:] = consecutive_distances(pos)
     traj.values[0] = u0.values
     rows = max(RESAMPLE_BLOCK // (u0.m + 1), 1)
     for i in range(1, n + 1, rows):

@@ -15,6 +15,10 @@ from scipy.interpolate import CubicSpline
 MASS_TOL = 1e-12
 GAP_REL = 1e-9          # minimum node spacing, relative to domain length
 W2_LEVELS = 4097        # mass-grid resolution for quantile-based distances
+# map nodes per batched call of `consecutive_distances`: 2^15 doubles keep
+# the call's temporaries in cache (at K = 1024 on a 2-core x86 host, 100
+# consecutive pairs took 1.1 ms in one call and 0.52 ms in blocks of 32)
+DIST_BLOCK = 1 << 15
 
 
 class ConfigurationError(ValueError):
@@ -208,6 +212,22 @@ def w2sq_between_maps(xa: np.ndarray, xb: np.ndarray) -> float | np.ndarray:
     dm = 1.0 / (d.shape[-1] - 1)
     q = (dm / 3.0) * np.sum(a ** 2 + a * b + b ** 2, axis=-1)
     return float(q) if q.ndim == 0 else q
+
+
+def consecutive_distances(positions: np.ndarray) -> np.ndarray:
+    """Exact W2 between consecutive rows of a stack of map nodes.
+
+    Entry k is sqrt(w2sq_between_maps(positions[k + 1], positions[k])),
+    bitwise; the pairs are evaluated in batched calls over blocks of about
+    DIST_BLOCK nodes.
+    """
+    prev, nxt = positions[:-1], positions[1:]
+    out = np.empty(len(nxt))
+    block = max(DIST_BLOCK // positions.shape[-1], 1)
+    for i in range(0, len(out), block):
+        out[i:i + block] = w2sq_between_maps(nxt[i:i + block],
+                                             prev[i:i + block])
+    return np.sqrt(out)
 
 
 def boltzmann_entropy(u: GridDensity, values: np.ndarray | None = None):

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -208,6 +209,17 @@ def test_execute_writes_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_failed"] == 0
     assert summary["n_certificates"] == summary["n_passed"]
+
+
+def test_elapsed_seconds_ignore_wall_clock_steps(tmp_path, monkeypatch):
+    # a wall clock that steps back an hour at every reading must not show in
+    # the run's elapsed time
+    clock = itertools.count(2e9, -3600.0)
+    monkeypatch.setattr(cli.time, "time", lambda: next(clock))
+    cfg = load_config(write_config(tmp_path))
+    assert execute(cfg) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert 0.0 <= summary["elapsed_seconds"] < 3600.0
 
 
 def test_trajectory_json_is_the_dumps_of_its_document(tmp_path):

@@ -204,7 +204,7 @@ def assert_holder_matches_double_loop(traj):
 
 def test_holder_blocks_match_double_loop(thin_traj, monkeypatch):
     # lag-1 distances in blocks of 3 rows, the last one short (20 steps)
-    monkeypatch.setattr(diagnostics, "DIST_BLOCK", 3 * 129)
+    monkeypatch.setattr(transport, "DIST_BLOCK", 3 * 129)
     assert_holder_matches_double_loop(thin_traj)
 
 

@@ -323,6 +323,114 @@ def test_refine_study_gaps_match_per_stamp_loop(f):
     assert gaps == ref
 
 
+# --- extrapolated start and final Newton step ------------------------------
+
+def test_run_starts_from_the_extrapolated_map(monkeypatch):
+    # step n > 1 gets 2 x_{n-1} - x_{n-2} in the interior, x_{n-1}'s walls,
+    # and the stored energy of x_{n-1} as its descent bound
+    calls = []
+    step = jko.jko_step
+
+    def spy(x_prev, *args, **kwargs):
+        calls.append((x_prev.copy(), kwargs["x_start"], kwargs["phi_prev"]))
+        return step(x_prev, *args, **kwargs)
+
+    monkeypatch.setattr(jko, "jko_step", spy)
+    dom = Interval(-1.0, 2.0)
+    u0 = GridDensity.cosine(dom, 64, eps=0.5, k=3)
+    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=4, k=64))
+    pos = traj.positions
+    assert [np.array_equal(c[0], p) for c, p in zip(calls, pos)] == [True] * 4
+    assert calls[0][1] is None
+    for n, (_, start, phi_prev) in enumerate(calls[1:], 2):
+        assert np.array_equal(start[1:-1],
+                              2 * pos[n - 1, 1:-1] - pos[n - 2, 1:-1])
+        assert (start[0], start[-1]) == (dom.lo, dom.hi)
+    assert [c[2] for c in calls] == traj.energies[:-1].tolist()
+
+
+DESCENT_DATA = {
+    "cosine_k3-identity": (GridDensity.cosine(UNIT, 64, eps=0.5, k=3),
+                           MobilitySpec.identity(), ()),
+    "cosine_eps0.9_k1-identity": (GridDensity.cosine(UNIT, 64, eps=0.9, k=1),
+                                  MobilitySpec.identity(), ()),
+    "bump-power0.7": (GridDensity.bump(UNIT, 64),
+                      MobilitySpec.power_mobility(1.0, 0.7), ()),
+    "cosine_eps0.9_k1-sqrt-corrupted": (
+        GridDensity.cosine(UNIT, 64, eps=0.9, k=1),
+        MobilitySpec.sqrt_mobility(), (5,)),
+}
+
+
+@pytest.mark.parametrize("tau", [1e-6, 1e-4, 1e-2])
+@pytest.mark.parametrize("name", DESCENT_DATA)
+def test_every_step_descends_from_the_previous_map(name, tau):
+    # Psi(x_n) <= Phi(x_{n-1}), the bound the energy estimates rest on,
+    # wherever Newton started; tau = 1e-2 runs to equilibrium
+    u0, f, corrupt = DESCENT_DATA[name]
+    e = MobilityMapEnergy(f)
+    traj = run(u0, e, JkoConfig(tau=tau, n_steps=30, k=64),
+               corrupt_steps=corrupt)
+    pos, energies = traj.positions, traj.energies
+    for n in range(1, len(pos)):
+        psi = _Objective(e, pos[n - 1], tau).value_and_energy(pos[n])[0]
+        assert psi <= energies[n - 1]
+
+
+def _rejected_starts(x, e, tau):
+    """Starts jko_step must not use: not monotone, a cell narrower than the
+    gap, x itself (Psi equal to Phi(x), not below), and a monotone map
+    whose Psi is above Phi(x)."""
+    crossed, thin, rough = x.copy(), x.copy(), x.copy()
+    crossed[[10, 11]] = crossed[[11, 10]]
+    thin[11] = thin[10] + 0.5 * UNIT.gap
+    rough[1:-1] += 0.3 * np.diff(x).min() * (-1.0) ** np.arange(len(x) - 2)
+    assert (np.diff(rough) > UNIT.gap).all()
+    assert _Objective(e, x, tau).value_and_energy(rough)[0] > e.value(x)
+    return {"crossed": crossed, "thin": thin, "same": x.copy(),
+            "rough": rough}
+
+
+@pytest.mark.parametrize("start", ["crossed", "thin", "same", "rough"])
+@pytest.mark.parametrize("f", MOBILITIES, ids=lambda f: f.name)
+def test_rejected_start_gives_the_step_from_x_prev(f, start):
+    e = MobilityMapEnergy(f)
+    x = map_from_density(GridDensity.cosine(UNIT, 64, eps=0.5, k=3),
+                         64).positions
+    tau = 1e-4
+    ref = jko_step(x, e, tau, UNIT.gap)
+    out = jko_step(x, e, tau, UNIT.gap,
+                   x_start=_rejected_starts(x, e, tau)[start],
+                   phi_prev=e.value(x))
+    assert np.array_equal(out[0], ref[0])
+    assert out[1:] == ref[1:]
+
+
+def _polished(x_prev, x, energy, tau):
+    """x after 4 undamped Newton steps on the step's objective, each solving
+    the interior block with scipy's solve_banded."""
+    obj = _Objective(energy, x_prev, tau)
+    x = x.copy()
+    for _ in range(4):
+        H = obj.hessian_banded(x)[:, 1:-1]
+        x[1:-1] += solve_banded((BW, BW), H, -obj(x)[1][1:-1])
+    return x
+
+
+@pytest.mark.parametrize("K, tau", [(64, 1e-4), (256, 1e-5), (1024, 1e-5)])
+@pytest.mark.parametrize("f", MOBILITIES[:2], ids=lambda f: f.name)
+def test_steps_reach_their_polished_minimizers(f, K, tau):
+    # every step but the first starts from the extrapolated map; the final
+    # full Newton step brings each map to its minimizer, which stopping on
+    # the predicted decrease alone would leave up to 2.2e-10 away
+    e = MobilityMapEnergy(f)
+    u0 = GridDensity.cosine(UNIT, K, eps=0.5, k=3)
+    pos = run(u0, e, JkoConfig(tau=tau, n_steps=20, k=K)).positions
+    for n in range(1, len(pos)):
+        err = np.abs(_polished(pos[n - 1], pos[n], e, tau) - pos[n]).max()
+        assert err <= 2e-11
+
+
 # --- parity of the inner loop with the plain damped Newton loop -------------
 
 def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
@@ -330,17 +438,20 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
     """The inner loop in its plain form: the end nodes stay on the walls,
     every line-search trial evaluates value and gradient, each Hessian
     recomputes its interface arrays, and the interior block goes to scipy's
-    solve_banded.  jko_step must return bitwise what this returns."""
+    solve_banded.  An undamped step predicting less than ftol of decrease is
+    taken whole if it keeps the cells and the start's value, and ends the
+    loop.  jko_step must return bitwise what this returns."""
     obj = _Objective(energy, x_prev, tau)
     x = x_prev.copy()
     f, g = obj(x)
+    f0 = f
     g = g[1:-1]
     gref = max(np.linalg.norm(g), 1e-30)
     lam = 0.0
     converged = np.linalg.norm(g) <= gtol
     for _ in range(max_iter if not converged else 0):
         H = obj.hessian_banded(x)[:, 1:-1]
-        moved = False
+        moved = final = False
         for _trial in range(30):
             Hd = H.copy()
             Hd[BW] += lam
@@ -349,6 +460,10 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
             except (ValueError, np.linalg.LinAlgError):
                 p = None
             if p is not None and p @ g < -1e-30:
+                final = (lam == 0
+                         and -0.5 * (p @ g) <= ftol * max(abs(f), 1e-30))
+                if final:
+                    break
                 alpha = 1.0
                 for _ in range(40):
                     xn = np.concatenate(([x[0]], x[1:-1] + alpha * p, [x[-1]]))
@@ -361,6 +476,12 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
                 if moved:
                     break
             lam = 1e-3 * np.abs(H[BW]).max() if lam == 0 else 10 * lam
+        if final:
+            xn = np.concatenate(([x[0]], x[1:-1] + p, [x[-1]]))
+            if np.all(np.diff(xn) > gap) and obj(xn)[0] <= f0:
+                x, f = xn, obj(xn)[0]
+            converged = True
+            break
         if not moved:
             break
         df = f - fn
@@ -452,7 +573,8 @@ def test_stationary_exit_matches_reference():
 # The solver this one replaced let a wall node leave its wall through an
 # endpoint active set.  On even-mode data at small steps its walls stayed
 # put, so holding them fixed must give bitwise its results there.  Below is
-# that solver verbatim, with its objective's wall-row mass-matrix entries.
+# that solver verbatim, with its objective's wall-row mass-matrix entries,
+# plus the undamped final step of `_reference_jko_step`.
 
 class _FreeWallObjective(_Objective):
     def hessian_banded(self, x, iface=None):
@@ -497,13 +619,14 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
     x = x_prev.copy()
     iface = energy._interfaces(x)
     f, g = obj(x, iface)
+    f0 = f
     gref = max(np.linalg.norm(g), 1e-30)
     lam = 0.0
     ab = np.empty((3 * BW + 1, len(x)))
     converged = np.linalg.norm(_g_free(g, x, lo, hi)) <= gtol
     for _ in range(max_iter if not converged else 0):
         H = obj.hessian_banded(x, iface)
-        moved = False
+        moved = final = False
         for _trial in range(30):
             pinned = []
             for _resolve in range(3):
@@ -517,6 +640,9 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
                     break
                 pinned += new
             if p is not None and (slope := p @ g) < -1e-30:
+                final = lam == 0 and -0.5 * slope <= ftol * max(abs(f), 1e-30)
+                if final:
+                    break
                 alpha = 1.0
                 for _ in range(40):
                     xn = np.clip(x + alpha * p, lo, hi)
@@ -529,6 +655,13 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
                 if moved:
                     break
             lam = 1e-3 * np.abs(H[BW]).max() if lam == 0 else 10 * lam
+        if final:
+            xn = np.clip(x + p, lo, hi)
+            if (np.all(np.diff(xn) > gap)
+                    and obj.value_and_energy(xn)[0] <= f0):
+                x, f = xn, obj.value_and_energy(xn)[0]
+            converged = True
+            break
         if not moved:
             break
         df = f - fn
