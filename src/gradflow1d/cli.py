@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .report import CSV_HEADER, CSV_SCHEMA_VERSION, CertificateReport
 from .transport import (ConfigurationError, GridDensity, Interval,
@@ -198,18 +199,20 @@ def _write_outputs(cfg: RunConfig, traj, reports, elapsed: float,
     cfg.out.mkdir(parents=True, exist_ok=True)
     traj_doc = {
         "config": {k: v for k, v in cfg.raw.items() if k != "out"},
-        "times": traj.times.tolist(),
-        "energies": traj.energies.tolist(),
-        "entropies": traj.entropies.tolist(),
-        "step_distances": traj.step_distances.tolist(),
-        "converged": traj.converged.tolist(),
+        "times": traj.times,
+        "energies": traj.energies,
+        "entropies": traj.entropies,
+        "step_distances": traj.step_distances,
+        "converged": traj.converged,
     }
-    # the text of json.dumps(doc with "states" last), one state at a time
-    with open(cfg.out / "trajectory.json", "w") as fh:
-        fh.write(json.dumps(traj_doc)[:-1] + ', "states": [')
+    # the compact text of the document with "states" last, one state at a
+    # time; floats are written as their shortest round-trip form
+    opt = orjson.OPT_SERIALIZE_NUMPY
+    with open(cfg.out / "trajectory.json", "wb") as fh:
+        fh.write(orjson.dumps(traj_doc, option=opt)[:-1] + b',"states":[')
         for n, row in enumerate(traj.values):
-            fh.write((", " if n else "") + json.dumps(row.tolist()))
-        fh.write("]}")
+            fh.write((b"," if n else b"") + orjson.dumps(row, option=opt))
+        fh.write(b"]}")
 
     with open(cfg.out / "certificates.csv", "w", newline="") as fh:
         fh.write(f"# schema_version={CSV_SCHEMA_VERSION}\n")

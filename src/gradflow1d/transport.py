@@ -155,7 +155,7 @@ class TransportMap:
         x = np.asarray(self.positions, dtype=float)
         if x.ndim != 1 or x.size < 9:
             raise ConfigurationError("need at least 9 map nodes (K >= 8)")
-        if np.any(np.diff(x) <= self.domain.gap):
+        if not (np.diff(x) > self.domain.gap).all():  # a NaN node fails too
             raise MonotonicityError("map positions not increasing above gap")
         if x[0] < self.domain.lo - 1e-12 or x[-1] > self.domain.hi + 1e-12:
             raise ConfigurationError("map positions leave the domain")
@@ -371,7 +371,7 @@ def densities_from_maps(domain: Interval, positions: np.ndarray,
     """
     k = positions.shape[-1] - 1
     m = k if m is None else m
-    if np.any(np.diff(positions) <= domain.gap):
+    if not (np.diff(positions) > domain.gap).all():  # a NaN node fails too
         raise MonotonicityError("map positions not increasing above gap")
     first, last = positions[:, :1], positions[:, -1:]
     if np.any(first < domain.lo - 1e-12) or np.any(last > domain.hi + 1e-12):

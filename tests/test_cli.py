@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import gradflow1d
@@ -223,14 +224,43 @@ def test_elapsed_seconds_ignore_wall_clock_steps(tmp_path, monkeypatch):
 
 
 def test_trajectory_json_is_the_dumps_of_its_document(tmp_path):
-    # the file is written one state at a time, as the text json.dumps gives
-    # for the whole document
+    # the file is written one state at a time, as the text orjson.dumps
+    # gives for the whole document
     cfg = load_config(write_config(tmp_path, {"checks": ["energy_monotone"]}))
     execute(cfg)
-    text = (tmp_path / "out" / "trajectory.json").read_text()
-    doc = json.loads(text)
+    text = (tmp_path / "out" / "trajectory.json").read_bytes()
+    doc = orjson.loads(text)
     assert list(doc)[-1] == "states" and len(doc["states"]) == 9
-    assert text == json.dumps(doc)
+    assert text == orjson.dumps(doc)
+
+
+def same_bits(parsed, arr):
+    """The parsed JSON array holds exactly the values of `arr`, the sign of
+    zero included."""
+    parsed = np.asarray(parsed, dtype=arr.dtype)
+    return parsed.shape == arr.shape and parsed.tobytes() == arr.tobytes()
+
+
+def test_trajectory_json_round_trips_the_run(tmp_path, monkeypatch):
+    # a swept value that is a numpy scalar reaches the config echo
+    runs = []
+
+    def recording_run(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    cfg = load_config(write_config(tmp_path, {"checks": ["energy_monotone"]}))
+    rows, code = sweep(cfg, "tau", [np.float64(5e-5)])
+    assert code == 0 and rows[0]["exit_code"] == 0
+    (traj,) = runs
+    doc = json.loads((tmp_path / "out" / "tau=5e-05" /
+                      "trajectory.json").read_text())
+    assert doc["config"]["tau"] == 5e-5
+    for key in ("times", "energies", "entropies", "step_distances",
+                "converged"):
+        assert same_bits(doc[key], getattr(traj, key)), key
+    assert same_bits(doc["states"], traj.values)
 
 
 # --- harder data: odd modes, large amplitude, near-vacuum -------------------

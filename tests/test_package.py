@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import gradflow1d
 
 SRC = Path(gradflow1d.__file__).parent
 README = Path(__file__).parents[1] / "README.md"
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -34,3 +36,20 @@ def test_every_import_is_used(module):
 def test_readme_quick_start_runs():
     block = re.search(r"```python\n(.*?)```", README.read_text(), re.S)
     exec(compile(block.group(1), str(README), "exec"), {})
+
+
+def test_third_party_imports_are_declared_dependencies():
+    # pyproject.toml is read with a regex: Python 3.10 has no tomllib
+    block = re.search(r"^dependencies = \[(.*?)\]", PYPROJECT.read_text(),
+                      re.M | re.S).group(1)
+    declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', block))
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    assert third_party >= {"numpy", "scipy", "orjson"}
+    assert sorted(third_party - declared) == []

@@ -71,6 +71,12 @@ def test_map_requires_monotone_positions():
     pos[5] = pos[4]
     with pytest.raises(MonotonicityError):
         TransportMap(UNIT, pos)
+    # a NaN node, interior or at an end, fails the gap test too
+    for node in (5, 0, -1):
+        nan = np.linspace(0, 1, 17)
+        nan[node] = np.nan
+        with pytest.raises(MonotonicityError):
+            TransportMap(UNIT, nan)
 
 
 # --- quantile --------------------------------------------------------------
@@ -352,6 +358,11 @@ def test_batch_checks_nodes_and_states():
     close[1, 5] = close[1, 4] + 0.5 * UNIT.gap
     with pytest.raises(MonotonicityError):
         densities_from_maps(UNIT, close, 50)
+    for row, col in ((1, 5), (2, 0), (0, -1)):  # interior and end nodes
+        nan = pos.copy()
+        nan[row, col] = np.nan
+        with pytest.raises(MonotonicityError):
+            densities_from_maps(UNIT, nan, 50)
     for row, col, shift in ((2, 0, -1e-9), (0, -1, 1e-9)):
         out = pos.copy()
         out[row, col] += shift
