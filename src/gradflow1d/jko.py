@@ -119,13 +119,16 @@ class MobilityMapEnergy:
 
     def _interfaces(self, x, dx=None):
         """Cell widths t, densities u, f'(u), W'(t), and per interface
-        d = W(b) - W(a), s = a + b.  dx, if given, holds the widths."""
+        d = W(b) - W(a), s = a + b and r = d / s.  dx, if given, holds the
+        widths."""
         dx = x[1:] - x[:-1] if dx is None else dx
         u = 1.0 / ((len(x) - 1) * dx)
         f1 = self.f.f1(u)
         w = self.f.f(u)
+        d = w[1:] - w[:-1]
+        s = dx[:-1] + dx[1:]
         # W'(t) = -f'(u) dm / t^2
-        return dx, u, f1, -f1 * u / dx, w[1:] - w[:-1], dx[:-1] + dx[1:]
+        return dx, u, f1, -f1 * u / dx, d, s, d / s
 
     def value(self, x, dx=None):
         """The energy alone: the value of `value_and_grad`, without W'.
@@ -136,15 +139,16 @@ class MobilityMapEnergy:
         return float((d * (d / (dx[:-1] + dx[1:]))).sum())
 
     def value_and_grad(self, x, iface=None):
-        dx, u, f1, w1, d, s = self._interfaces(x) if iface is None else iface
-        r = d / s
-        # T_a = -r (2 W'(a) + r) and T_b = r (2 W'(b) - r)
-        g_dx = np.zeros(len(dx))
-        g_dx[:-1] -= r * (2 * w1[:-1] + r)
-        g_dx[1:] += r * (2 * w1[1:] - r)
-        gx = np.zeros(len(x))
-        gx[1:] += g_dx
-        gx[:-1] -= g_dx
+        dx, u, f1, w1, d, s, r = self._interfaces(x) if iface is None else iface
+        # T_a = -r (2 W'(a) + r) and T_b = r (2 W'(b) - r); a cell's width
+        # derivative is the T_b of the interface on its left minus the T_a
+        # of the one on its right, and a node's is the difference of its
+        # cells' (the walls see one cell each)
+        two = 2 * w1
+        ta = r * (two[:-1] + r)
+        tb = r * (two[1:] - r)
+        g_dx = _pair(np.subtract, -ta[0], tb[:-1], ta[1:], tb[-1])
+        gx = _pair(np.subtract, -g_dx[0], g_dx[:-1], g_dx[1:], g_dx[-1])
         return float((d * r).sum()), gx
 
     def hessian_banded(self, x, iface=None):
@@ -153,26 +157,35 @@ class MobilityMapEnergy:
         With r = d/s, A = W'(a) + r and B = W'(b) - r, each interface adds the
         2x2 block (2/s) [[A^2 - d W''(a), -A B], [-A B, B^2 + d W''(b)]] to
         the tridiagonal Hessian in the cell widths; the node Hessian is
-        D^T H D with D the difference matrix dX = D x.
+        D^T H D with D the difference matrix dX = D x.  Each band row is
+        written once; the corners outside the matrix are 0.
         """
-        dx, u, f1, w1, d, s = self._interfaces(x) if iface is None else iface
+        dx, u, f1, w1, d, s, r = self._interfaces(x) if iface is None else iface
         # W''(t) = f''(u) dm^2 / t^4 + 2 f'(u) dm / t^3
         w2 = (self.f.f2(u) * u + 2 * f1) * u / dx ** 2
-        r = d / s
         a, b = w1[:-1] + r, w1[1:] - r
         off = -2 * a * b / s
-        diag = np.zeros(len(dx))
-        diag[:-1] += 2 * (a * a - d * w2[:-1]) / s
-        diag[1:] += 2 * (b * b + d * w2[1:]) / s
-        o = np.zeros(len(x))  # o[j]: cells j-1, j
-        o[1:-1] = off
+        # the cell-width Hessian's diagonal: each cell's block entry from the
+        # interface on its right plus the one from the interface on its left
+        ha = 2 * (a * a - d * w2[:-1]) / s
+        hb = 2 * (b * b + d * w2[1:]) / s
+        diag = _pair(np.add, ha[0], ha[1:], hb[:-1], hb[-1])
         H = np.zeros((2 * BW + 1, len(x)))
-        H[BW, :-1] += diag
-        H[BW, 1:] += diag
-        H[BW] -= 2 * o
-        H[BW - 1, 1:] = H[BW + 1, :-1] = o[:-1] + o[1:] - diag
+        _pair(np.add, diag[0], diag[1:], diag[:-1], diag[-1], H[BW])
+        H[BW, 1:-1] -= 2 * off
+        sup = _pair(np.add, off[0], off[:-1], off[1:], off[-1], H[BW - 1, 1:])
+        sup -= diag
+        H[BW + 1, :-1] = sup
         H[BW - 2, 2:] = H[BW + 2, :-2] = -off
         return H
+
+
+def _pair(op, first, left, right, last, out=None):
+    """[first, op(left, right)..., last] in out, or in a new array."""
+    out = np.empty(len(left) + 2) if out is None else out
+    op(left, right, out=out[1:-1])
+    out[0], out[-1] = first, last
+    return out
 
 
 class ThinFilmMapEnergy(MobilityMapEnergy):
@@ -191,6 +204,11 @@ class _Objective:
         self.energy = energy
         self.x_prev = x_prev
         self.tau = tau
+        # band rows BW-1..BW+1 of the transport term's P1 mass matrix
+        # dm/(6 tau) tridiag(1, 4, 1), 0 in the corners outside the matrix
+        c = 1.0 / (6.0 * (len(x_prev) - 1) * tau)
+        self.mass = np.array([[c], [4 * c], [c]]).repeat(len(x_prev), axis=1)
+        self.mass[0, 0] = self.mass[2, -1] = 0.0
 
     def value_and_energy(self, x, dx=None):
         """The objective value and its energy part Phi(x); dx, if given,
@@ -208,9 +226,10 @@ class _Objective:
         d = x - self.x_prev
         c = 1.0 / (len(x) - 1) / 3.0
         two = 2 * d
-        gq = np.zeros(len(x))
-        gq[:-1] += c * (two[:-1] + d[1:])
-        gq[1:] += c * (two[1:] + d[:-1])
+        # a node's term from the cell on its right plus the one on its left
+        right = c * (two[:-1] + d[1:])
+        left = c * (two[1:] + d[:-1])
+        gq = _pair(np.add, right[0], right[1:], left[:-1], left[-1])
         return gphi + gq / (2 * self.tau)
 
     def __call__(self, x, iface=None):
@@ -221,10 +240,7 @@ class _Objective:
         term, dm/(6 tau) tridiag(1, 4, 1); exact in the interior rows, the
         only ones the solver reads (a wall row's diagonal would take 2)."""
         H = self.energy.hessian_banded(x, iface)
-        c = 1.0 / (6.0 * (len(x) - 1) * self.tau)
-        H[BW] += 4 * c
-        H[BW - 1, 1:] += c
-        H[BW + 1, :-1] += c
+        H[BW - 1:BW + 2] += self.mass
         return H
 
 
@@ -233,19 +249,18 @@ class _Objective:
 _gbsv, = get_lapack_funcs(("gbsv",), (np.zeros(1),))
 
 
-def _newton_direction(ab, band, lam, g):
-    """Solve (H + lam I) p = -g on the interior nodes, whose block of the
+def _newton_direction(ab, band, lam, mg):
+    """Solve (H + lam I) p = mg on the interior nodes, whose block of the
     node Hessian H is `band`, columns 1:-1 of its band storage (LAPACK
     ignores the corners outside the block).  The caller passes band = None
-    where it or g has a non-finite entry.  Overwrites the (3 BW + 1, n - 2)
-    work array ab; None where the system has a non-finite entry or is
-    singular."""
+    where it or mg has a non-finite entry.  Overwrites the (3 BW + 1, n - 2)
+    work array ab below its BW fill-in rows, which LAPACK sets itself; None
+    where the system has a non-finite entry or is singular."""
     if band is None or not lam < np.inf:
         return None
-    ab[:BW] = 0.0
     ab[BW:] = band
     ab[2 * BW] += lam
-    _, _, p, info = _gbsv(BW, BW, ab, -g, overwrite_ab=True, overwrite_b=True)
+    _, _, p, info = _gbsv(BW, BW, ab, mg, overwrite_ab=True)
     return p if info == 0 else None
 
 
@@ -304,9 +319,10 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         band = H[:, 1:-1]
         if not (np.isfinite(band).all() and np.isfinite(g).all()):
             band = None
+        mg = -g
         moved = final = False
         for _trial in range(30):
-            p = _newton_direction(ab, band, lam, g)
+            p = _newton_direction(ab, band, lam, mg)
             if p is not None and (slope := p @ g) < -1e-30:
                 # an undamped step that predicts less than FTOL of decrease
                 # is the last one
