@@ -6,17 +6,23 @@ nonnegativity are automatic.  The domain is fixed, so the two end nodes stay
 on the walls and the unknowns are the interior nodes.  The inner solver is a
 damped banded Newton method on the interior block of the exact pentadiagonal
 Hessian, assembled from one local interface kernel.  It starts from the
-extrapolated map 2 x_{n-1} - x_{n-2} when every cell of that map is wider
-than the minimum gap and its Psi is below Phi(x_{n-1}), and from x_{n-1}
-otherwise.  An undamped Newton step that predicts less than FTOL of
-relative decrease is the last one: it is taken whole if it keeps every cell
-and Psi at most Phi(x_{n-1}), and the solve stops without another gradient.
-So every step ends with Psi(x_n) <= Phi(x_{n-1}), the descent that the
-discrete energy estimates need.  Line-search trials evaluate the objective
+second-order extrapolation 3 x_{n-1} - 3 x_{n-2} + x_{n-3} (the linear
+2 x_1 - x_0 at step 2) when every cell of that map is wider than the
+minimum gap and its Psi is below Phi(x_{n-1}), and from x_{n-1} otherwise.
+An undamped Newton step that predicts less than FTOL of relative decrease
+is the last one: it is taken whole if it keeps every cell and Psi at most
+Phi(x_{n-1}), and the solve stops without another gradient.  After an
+accepted undamped step, the new gradient is first solved with that step's
+LU (the chord direction): if it is such a last step it is taken as one, and
+no Hessian is assembled at the new point; otherwise it is discarded.  So
+every step ends with Psi(x_n) <= Phi(x_{n-1}), the descent that the
+discrete energy estimates need, and a step that converges in one Newton
+iteration factors one Hessian.  Line-search trials evaluate the objective
 value only.  An accepted point keeps its trial's value and evaluates only
-the gradient, plus one Hessian; both share that point's interface arrays
-(cell widths, densities, f'(u)).  Each Hessian's band is checked finite once
-for all its trials, and each banded system goes directly to LAPACK gbsv.
+the gradient, plus at most one Hessian; both share that point's interface
+arrays (cell widths, densities, f'(u), d/s).  Each Hessian's band is
+written row by row, checked finite once for all its trials, and factored by
+LAPACK gbtrf in one work array, which the chord direction reuses.
 A run is kept as two stacked arrays, one row per step: the map nodes and
 their pushforwards' cell values.  After the stepping loop, the step
 distances, the grid states and the entropies are computed by array passes
@@ -244,24 +250,25 @@ class _Objective:
         return H
 
 
-# LAPACK's banded solver takes the band with BW fill-in rows above it:
-# entry (i, j) of the matrix sits at ab[2 BW + i - j, j].
-_gbsv, = get_lapack_funcs(("gbsv",), (np.zeros(1),))
+# LAPACK's banded LU takes the band with BW fill-in rows above it, which it
+# sets itself: entry (i, j) of the matrix sits at ab[2 BW + i - j, j].
+_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (np.zeros(1),))
 
 
-def _newton_direction(ab, band, lam, mg):
-    """Solve (H + lam I) p = mg on the interior nodes, whose block of the
-    node Hessian H is `band`, columns 1:-1 of its band storage (LAPACK
-    ignores the corners outside the block).  The caller passes band = None
-    where it or mg has a non-finite entry.  Overwrites the (3 BW + 1, n - 2)
-    work array ab below its BW fill-in rows, which LAPACK sets itself; None
-    where the system has a non-finite entry or is singular."""
+def _factor(ab, band, lam):
+    """LU-factor H + lam I on the interior nodes, whose block of the node
+    Hessian H is `band`, columns 1:-1 of its band storage (LAPACK ignores
+    the corners outside the block), in place in the Fortran-ordered
+    (3 BW + 1, n - 2) work array ab.  The caller passes band = None where
+    it or the gradient has a non-finite entry.  Returns the pivots that
+    `_gbtrs` takes with ab, or None where the system has a non-finite entry
+    or is singular."""
     if band is None or not lam < np.inf:
         return None
     ab[BW:] = band
     ab[2 * BW] += lam
-    _, _, p, info = _gbsv(BW, BW, ab, mg, overwrite_ab=True)
-    return p if info == 0 else None
+    _, piv, info = _gbtrf(ab, BW, BW, overwrite_ab=True)
+    return piv if info == 0 else None
 
 
 def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
@@ -283,17 +290,22 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     direction p (lambda = 0) predicts a decrease -p.g/2 of at most
     FTOL max(|Psi(x)|, 1e-30), x + p is taken if its cells are wider than
     gap and Psi(x + p) <= phi_prev, x is kept otherwise, and the solve stops
-    as converged without a further gradient.
+    as converged without a further gradient.  After an accepted step whose
+    factorization was undamped, the next iteration first solves its new
+    gradient with that LU (a chord step); a direction that meets this rule
+    ends the solve the same way, and one that does not is discarded before
+    the new point's Hessian is assembled.  A damped LU is never reused.
 
     Line-search trials evaluate the objective value only, from the cell
     widths of their feasibility check.  An accepted point already has its
     value from the line search and evaluates the gradient alone; its
     interface arrays, built from those widths, serve that gradient and the
     next Hessian.  Each Hessian's band is checked finite once for all its
-    trials, and each banded system goes straight to LAPACK gbsv in one work
-    array.  Returns (positions, objective value, its energy part Phi,
-    converged flag); Psi(positions) <= phi_prev holds whatever the flag, so
-    the per-step energy estimates hold regardless of it.
+    trials, and each banded system is factored by LAPACK gbtrf and solved
+    by gbtrs in one work array.  Returns (positions, objective value, its
+    energy part Phi, converged flag); Psi(positions) <= phi_prev holds
+    whatever the flag, so the per-step energy estimates hold regardless of
+    it.
     """
     obj = _Objective(energy, x_prev, tau)
     x, dx = x_prev, x_prev[1:] - x_prev[:-1]
@@ -312,21 +324,33 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     gnorm = math.sqrt(g @ g)  # bitwise np.linalg.norm(g)
     gref = max(gnorm, 1e-30)
     lam = 0.0
-    ab = np.empty((3 * BW + 1, len(x) - 2))
+    ab = np.empty((3 * BW + 1, len(x) - 2), order="F")
+    # the pivots of ab while it holds the LU of the previous point's
+    # undamped Hessian, None otherwise
+    piv = None
     converged = gnorm <= GTOL
     for _ in range(max_iter if not converged else 0):
-        H = obj.hessian_banded(x, iface)
-        band = H[:, 1:-1]
-        if not (np.isfinite(band).all() and np.isfinite(g).all()):
-            band = None
         mg = -g
+        small = FTOL * max(abs(f), 1e-30)
         moved = final = False
-        for _trial in range(30):
-            p = _newton_direction(ab, band, lam, mg)
+        if piv is not None:
+            # the chord direction: that LU against the new gradient; it is
+            # taken only as the last step, and discarded otherwise
+            p = _gbtrs(ab, BW, BW, mg, piv)[0]
+            slope = p @ g
+            final = slope < -1e-30 and -0.5 * slope <= small
+        if not final:
+            H = obj.hessian_banded(x, iface)
+            band = H[:, 1:-1]
+            if not (np.isfinite(band).all() and np.isfinite(g).all()):
+                band = None
+        for _trial in range(30 if not final else 0):
+            piv = _factor(ab, band, lam)
+            p = None if piv is None else _gbtrs(ab, BW, BW, mg, piv)[0]
             if p is not None and (slope := p @ g) < -1e-30:
                 # an undamped step that predicts less than FTOL of decrease
                 # is the last one
-                final = lam == 0 and -0.5 * slope <= FTOL * max(abs(f), 1e-30)
+                final = lam == 0 and -0.5 * slope <= small
                 if final:
                     break
                 alpha = 1.0
@@ -355,6 +379,8 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
             break
         if not moved:
             break
+        if lam:  # never reuse a damped LU
+            piv = None
         df = f - fn
         iface = energy._interfaces(xn, dxn)
         x, f, phi, g = xn, fn, phin, obj.grad(xn, iface)[1:-1]
@@ -379,9 +405,10 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
     """Iterate the scheme n_steps times from u0.
 
     The loop only steps, writing each step's map nodes and energy into its
-    row.  From the second step on, `jko_step` gets the extrapolated map
-    2 x_{n-1} - x_{n-2} (walls unchanged) as its start and the stored
-    Phi(x_{n-1}) as its descent bound.  Energies are those of the maps in
+    row.  From the second step on, `jko_step` gets the stored Phi(x_{n-1})
+    as its descent bound and an extrapolated map as its start, walls
+    unchanged: 2 x_1 - x_0 at step 2 and the second-order
+    3 x_{n-1} - 3 x_{n-2} + x_{n-3} from step 3 on.  Energies are those of the maps in
     map coordinates (the coordinates actually minimized), as `jko_step`
     evaluated them, so monotonicity is a property of the optimization, not
     of resampling.  After the loop the step distances come from batched
@@ -413,9 +440,13 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
             pos[i], energies[i] = pos[i - 1], energies[i - 1]
         else:
             start = None
-            if i > 1:
+            if i > 2:
                 start = pos[i - 1].copy()
-                start[1:-1] = 2 * pos[i - 1, 1:-1] - pos[i - 2, 1:-1]
+                start[1:-1] = (3 * (pos[i - 1, 1:-1] - pos[i - 2, 1:-1])
+                               + pos[i - 3, 1:-1])
+            elif i == 2:
+                start = pos[1].copy()
+                start[1:-1] = 2 * pos[1, 1:-1] - pos[0, 1:-1]
             pos[i], _, energies[i], traj.converged[i - 1] = jko_step(
                 pos[i - 1], energy, cfg.tau, dom.gap, x_start=start,
                 phi_prev=energies[i - 1])

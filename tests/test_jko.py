@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 from scipy.optimize import minimize
 
 from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
@@ -326,8 +326,9 @@ def test_refine_study_gaps_match_per_stamp_loop(f):
 # --- extrapolated start and final Newton step ------------------------------
 
 def test_run_starts_from_the_extrapolated_map(monkeypatch):
-    # step n > 1 gets 2 x_{n-1} - x_{n-2} in the interior, x_{n-1}'s walls,
-    # and the stored energy of x_{n-1} as its descent bound
+    # step 2 gets 2 x_1 - x_0 in the interior and step n > 2 the
+    # second-order 3 x_{n-1} - 3 x_{n-2} + x_{n-3}, with x_{n-1}'s walls and
+    # the stored energy of x_{n-1} as the descent bound
     calls = []
     step = jko.jko_step
 
@@ -338,13 +339,16 @@ def test_run_starts_from_the_extrapolated_map(monkeypatch):
     monkeypatch.setattr(jko, "jko_step", spy)
     dom = Interval(-1.0, 2.0)
     u0 = GridDensity.cosine(dom, 64, eps=0.5, k=3)
-    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=4, k=64))
-    pos = traj.positions
-    assert [np.array_equal(c[0], p) for c, p in zip(calls, pos)] == [True] * 4
+    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=5, k=64))
+    pos = traj.positions[:, 1:-1]
+    assert [np.array_equal(c[0], p)
+            for c, p in zip(calls, traj.positions)] == [True] * 5
     assert calls[0][1] is None
-    for n, (_, start, phi_prev) in enumerate(calls[1:], 2):
+    assert np.array_equal(calls[1][1][1:-1], 2 * pos[1] - pos[0])
+    for n, (_, start, _) in enumerate(calls[2:], 3):
         assert np.array_equal(start[1:-1],
-                              2 * pos[n - 1, 1:-1] - pos[n - 2, 1:-1])
+                              3 * (pos[n - 1] - pos[n - 2]) + pos[n - 3])
+    for _, start, _ in calls[1:]:
         assert (start[0], start[-1]) == (dom.lo, dom.hi)
     assert [c[2] for c in calls] == traj.energies[:-1].tolist()
 
@@ -431,6 +435,61 @@ def test_steps_reach_their_polished_minimizers(f, K, tau):
         assert err <= 2e-11
 
 
+@pytest.mark.parametrize("tau", [1e-5, 1e-4])
+@pytest.mark.parametrize("f", MOBILITIES[:2], ids=lambda f: f.name)
+def test_steps_factor_about_one_hessian(monkeypatch, f, tau):
+    # one Newton step from the extrapolated start, then the last step along
+    # that step's LU: about one Hessian per step (two without the chord
+    # step).  Stiffer data, such as mode 3 at K = 256 and tau = 1e-5, take
+    # two Newton iterations per step and so two Hessians
+    count = []
+    hessian = _Objective.hessian_banded
+    monkeypatch.setattr(_Objective, "hessian_banded",
+                        lambda self, *a: count.append(1) or hessian(self, *a))
+    u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=1)
+    traj = run(u0, MobilityMapEnergy(f), JkoConfig(tau=tau, n_steps=20,
+                                                   k=256))
+    assert traj.converged.all()
+    assert len(count) <= 1.3 * 20
+
+
+@pytest.mark.parametrize("u0, f, tau", [
+    (GridDensity.bump(UNIT, 64), MobilitySpec.power_mobility(1.0, 0.7), 1e-5),
+    (GridDensity.cosine(UNIT, 64, eps=0.9, k=1), MobilitySpec.identity(),
+     1e-2)], ids=["bump-power0.7", "cosine_eps0.9_k1-identity"])
+def test_damped_lu_is_never_reused(monkeypatch, u0, f, tau):
+    # a solve right after a factorization is that trial's direction; any
+    # other solve is a chord step on the LU left by the previous point,
+    # which must be undamped
+    events = []
+    factor, solve = jko._factor, jko._gbtrs
+    monkeypatch.setattr(jko, "_factor", lambda ab, band, lam: (
+        events.append(("factor", lam)) or factor(ab, band, lam)))
+    monkeypatch.setattr(jko, "_gbtrs", lambda *a: (
+        events.append(("solve", None)) or solve(*a)))
+    hessian = _Objective.hessian_banded
+    monkeypatch.setattr(_Objective, "hessian_banded", lambda self, *a: (
+        events.append(("hessian", None)) or hessian(self, *a)))
+    e = MobilityMapEnergy(f)
+    grad = e.value_and_grad
+    e.value_and_grad = lambda *a: events.append(("grad", None)) or grad(*a)
+    run(u0, e, JkoConfig(tau=tau, n_steps=20, k=64))
+    kinds = [kind for kind, _ in events]
+    lam, chords, damped_then_hessian = None, 0, 0
+    for i, (kind, value) in enumerate(events):
+        if kind == "factor":
+            lam = value
+        elif kind == "solve" and kinds[i - 1] != "factor":
+            chords += 1
+            assert lam == 0
+        # a damped direction accepted, and its next point's Newton system
+        # assembled afresh
+        if (kinds[i:i + 4] == ["factor", "solve", "grad", "hessian"]
+                and value > 0):
+            damped_then_hessian += 1
+    assert chords > 0 and damped_then_hessian > 0
+
+
 # --- parity of the inner loop with the plain damped Newton loop -------------
 
 def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
@@ -440,7 +499,9 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
     recomputes its interface arrays, and the interior block goes to scipy's
     solve_banded.  An undamped step predicting less than ftol of decrease is
     taken whole if it keeps the cells and the start's value, and ends the
-    loop.  jko_step must return bitwise what this returns."""
+    loop; after an undamped accepted step, the previous Hessian's direction
+    at the new point is tried first as that last step.  jko_step must
+    return bitwise what this returns."""
     obj = _Objective(energy, x_prev, tau)
     x = x_prev.copy()
     f, g = obj(x)
@@ -448,11 +509,20 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
     g = g[1:-1]
     gref = max(np.linalg.norm(g), 1e-30)
     lam = 0.0
+    H_prev = None  # the previous iteration's Hessian, if undamped
     converged = np.linalg.norm(g) <= gtol
     for _ in range(max_iter if not converged else 0):
-        H = obj.hessian_banded(x)[:, 1:-1]
         moved = final = False
-        for _trial in range(30):
+        if H_prev is not None:
+            try:
+                p = solve_banded((BW, BW), H_prev, -g)
+                final = (p @ g < -1e-30
+                         and -0.5 * (p @ g) <= ftol * max(abs(f), 1e-30))
+            except (ValueError, np.linalg.LinAlgError):
+                pass
+        if not final:
+            H = obj.hessian_banded(x)[:, 1:-1]
+        for _trial in range(0 if final else 30):
             Hd = H.copy()
             Hd[BW] += lam
             try:
@@ -484,6 +554,7 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
             break
         if not moved:
             break
+        H_prev = H if lam == 0 else None
         df = f - fn
         x, f, g = xn, fn, gn[1:-1]
         lam *= 0.1
@@ -574,7 +645,8 @@ def test_stationary_exit_matches_reference():
 # endpoint active set.  On even-mode data at small steps its walls stayed
 # put, so holding them fixed must give bitwise its results there.  Below is
 # that solver verbatim, with its objective's wall-row mass-matrix entries,
-# plus the undamped final step of `_reference_jko_step`.
+# plus the undamped final step of `_reference_jko_step`, which it may take
+# along the previous iteration's undamped system.
 
 class _FreeWallObjective(_Objective):
     def hessian_banded(self, x, iface=None):
@@ -592,6 +664,7 @@ def _g_free(g, x, lo, hi):
     return gf
 
 
+_gbsv, = get_lapack_funcs(("gbsv",), (np.zeros(1),))
 _o = np.arange(BW + 1)
 _PIN = {0: (np.r_[2 * BW - _o, 2 * BW + _o], np.r_[_o, 0 * _o]),
         -1: (np.r_[2 * BW + _o, 2 * BW - _o], np.r_[-1 - _o, -1 + 0 * _o])}
@@ -608,8 +681,8 @@ def _free_wall_direction(ab, H, lam, g, pinned):
         rhs[j] = 0.0
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         return None
-    _, _, p, info = jko._gbsv(BW, BW, ab, rhs, overwrite_ab=True,
-                              overwrite_b=True)
+    _, _, p, info = _gbsv(BW, BW, ab, rhs, overwrite_ab=True,
+                          overwrite_b=True)
     return p if info == 0 else None
 
 
@@ -624,10 +697,16 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
     lam = 0.0
     ab = np.empty((3 * BW + 1, len(x)))
     converged = np.linalg.norm(_g_free(g, x, lo, hi)) <= gtol
+    prev = None  # the previous iteration's Hessian and pinned walls
     for _ in range(max_iter if not converged else 0):
-        H = obj.hessian_banded(x, iface)
         moved = final = False
-        for _trial in range(30):
+        if prev is not None:
+            p = _free_wall_direction(ab, prev[0], 0.0, g, prev[1])
+            final = (p is not None and (slope := p @ g) < -1e-30
+                     and -0.5 * slope <= ftol * max(abs(f), 1e-30))
+        if not final:
+            H = obj.hessian_banded(x, iface)
+        for _trial in range(0 if final else 30):
             pinned = []
             for _resolve in range(3):
                 p = _free_wall_direction(ab, H, lam, g, pinned)
@@ -664,6 +743,7 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
             break
         if not moved:
             break
+        prev = (H, pinned) if lam == 0 else None
         df = f - fn
         iface = energy._interfaces(xn)
         x, f, g = xn, fn, obj(xn, iface)[1]
