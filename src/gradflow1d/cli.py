@@ -65,6 +65,15 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
+# the keys each mobility and initial datum reads besides its name
+READS = {
+    "lagrangian": {"thin_film": (), "sqrt_mobility": (),
+                   "power_mobility": ("C", "alpha")},
+    "initial": {"uniform": (), "cosine": ("eps", "k"),
+                "bump": ("center", "width"), "file": ("path",)},
+}
+
+
 def _mobility(lag: dict) -> MobilitySpec:
     name = lag.get("name")
     if name == "thin_film":
@@ -127,8 +136,14 @@ def load_config(source: str | Path | dict,
             raise ConfigurationError(
                 f"refine_levels must be 0 or an integer >= 2, "
                 f"not {merged['refine_levels']!r}")
-        merged["lagrangian"] = dict(merged["lagrangian"])
-        merged["initial"] = dict(merged["initial"])
+        for section, reads in READS.items():
+            merged[section] = dict(merged[section])
+            name = merged[section].get("name")
+            # an unknown name is rejected where the section is built
+            unread = set(merged[section]) - {"name", *reads.get(name, ())}
+            if name in reads and unread:
+                raise ConfigurationError(
+                    f"{section} '{name}' does not read {sorted(unread)}")
         # eager assumption validation before any stepping.  Thin film runs
         # as the identity mobility, which is linear, not strictly concave;
         # its Lagrangian's Assumption (A) is certified by the tests instead

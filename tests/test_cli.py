@@ -94,10 +94,15 @@ def write_datum(tmp_path, m):
     {"lagrangian": {"name": "power_mobility", "alpha": "0.7"}},
     {"initial": {"name": "bump", "width": 0}},
     {"refine_levels": -3}, {"refine_levels": 1}, {"refine_levels": 2.5},
+    # keys the named mobility or datum never reads
+    {"initial": {"name": "cosine", "epsilon": 0.9}},
+    {"lagrangian": {"name": "thin_film", "C": float("nan")}},
+    {"initial": {"name": "uniform", "tag": 2 ** 64}},
 ], ids=["tau_text", "m_text", "short_domain", "power_without_alpha",
         "file_without_path", "missing_datum_file", "one_column_datum",
         "m_null", "checks_number", "alpha_text", "bump_zero_width",
-        "refine_negative", "refine_one_level", "refine_fraction"])
+        "refine_negative", "refine_one_level", "refine_fraction",
+        "cosine_epsilon", "thin_film_nan_C", "uniform_64_bit_tag"])
 def test_malformed_config_is_a_configuration_error(tmp_path, extra, capsys):
     np.savetxt(tmp_path / "one_column.csv", np.ones(64))
     if "path" in extra.get("initial", {}):
