@@ -145,7 +145,7 @@ class MobilityMapEnergy:
         return float((d * (d / (dx[:-1] + dx[1:]))).sum())
 
     def value_and_grad(self, x, iface=None):
-        dx, u, f1, w1, d, s, r = self._interfaces(x) if iface is None else iface
+        dx, u, f1, w1, d, s, r = iface or self._interfaces(x)
         # T_a = -r (2 W'(a) + r) and T_b = r (2 W'(b) - r); a cell's width
         # derivative is the T_b of the interface on its left minus the T_a
         # of the one on its right, and a node's is the difference of its
@@ -153,8 +153,8 @@ class MobilityMapEnergy:
         two = 2 * w1
         ta = r * (two[:-1] + r)
         tb = r * (two[1:] - r)
-        g_dx = _pair(np.subtract, -ta[0], tb[:-1], ta[1:], tb[-1])
-        gx = _pair(np.subtract, -g_dx[0], g_dx[:-1], g_dx[1:], g_dx[-1])
+        g_dx = _with_ends(np.subtract, -ta[0], tb[:-1], ta[1:], tb[-1])
+        gx = _with_ends(np.subtract, -g_dx[0], g_dx[:-1], g_dx[1:], g_dx[-1])
         return float((d * r).sum()), gx
 
     def hessian_banded(self, x, iface=None):
@@ -166,7 +166,7 @@ class MobilityMapEnergy:
         D^T H D with D the difference matrix dX = D x.  Each band row is
         written once; the corners outside the matrix are 0.
         """
-        dx, u, f1, w1, d, s, r = self._interfaces(x) if iface is None else iface
+        dx, u, f1, w1, d, s, r = iface or self._interfaces(x)
         # W''(t) = f''(u) dm^2 / t^4 + 2 f'(u) dm / t^3
         w2 = (self.f.f2(u) * u + 2 * f1) * u / dx ** 2
         a, b = w1[:-1] + r, w1[1:] - r
@@ -175,18 +175,19 @@ class MobilityMapEnergy:
         # interface on its right plus the one from the interface on its left
         ha = 2 * (a * a - d * w2[:-1]) / s
         hb = 2 * (b * b + d * w2[1:]) / s
-        diag = _pair(np.add, ha[0], ha[1:], hb[:-1], hb[-1])
+        diag = _with_ends(np.add, ha[0], ha[1:], hb[:-1], hb[-1])
         H = np.zeros((2 * BW + 1, len(x)))
-        _pair(np.add, diag[0], diag[1:], diag[:-1], diag[-1], H[BW])
+        _with_ends(np.add, diag[0], diag[1:], diag[:-1], diag[-1], H[BW])
         H[BW, 1:-1] -= 2 * off
-        sup = _pair(np.add, off[0], off[:-1], off[1:], off[-1], H[BW - 1, 1:])
+        sup = _with_ends(np.add, off[0], off[:-1], off[1:], off[-1],
+                         H[BW - 1, 1:])
         sup -= diag
         H[BW + 1, :-1] = sup
         H[BW - 2, 2:] = H[BW + 2, :-2] = -off
         return H
 
 
-def _pair(op, first, left, right, last, out=None):
+def _with_ends(op, first, left, right, last, out=None):
     """[first, op(left, right)..., last] in out, or in a new array."""
     out = np.empty(len(left) + 2) if out is None else out
     op(left, right, out=out[1:-1])
@@ -235,7 +236,7 @@ class _Objective:
         # a node's term from the cell on its right plus the one on its left
         right = c * (two[:-1] + d[1:])
         left = c * (two[1:] + d[:-1])
-        gq = _pair(np.add, right[0], right[1:], left[:-1], left[-1])
+        gq = _with_ends(np.add, right[0], right[1:], left[:-1], left[-1])
         return gphi + gq / (2 * self.tau)
 
     def __call__(self, x, iface=None):
@@ -408,10 +409,10 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
     row.  From the second step on, `jko_step` gets the stored Phi(x_{n-1})
     as its descent bound and an extrapolated map as its start, walls
     unchanged: 2 x_1 - x_0 at step 2 and the second-order
-    3 x_{n-1} - 3 x_{n-2} + x_{n-3} from step 3 on.  Energies are those of the maps in
-    map coordinates (the coordinates actually minimized), as `jko_step`
-    evaluated them, so monotonicity is a property of the optimization, not
-    of resampling.  After the loop the step distances come from batched
+    3 x_{n-1} - 3 x_{n-2} + x_{n-3} from step 3 on.  Energies are those of
+    the maps in map coordinates (the coordinates actually minimized), as
+    `jko_step` evaluated them, so monotonicity is a property of the
+    optimization, not of resampling.  After the loop the step distances come from batched
     passes over the stacked nodes (`consecutive_distances`).  The grid
     states are a view of the maps: their rows are pushforwards on u0's
     grid, built in blocks of about RESAMPLE_BLOCK grid edges, and the
@@ -440,13 +441,11 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
             pos[i], energies[i] = pos[i - 1], energies[i - 1]
         else:
             start = None
-            if i > 2:
+            if i > 1:
+                x1, x2 = pos[i - 1, 1:-1], pos[i - 2, 1:-1]
                 start = pos[i - 1].copy()
-                start[1:-1] = (3 * (pos[i - 1, 1:-1] - pos[i - 2, 1:-1])
-                               + pos[i - 3, 1:-1])
-            elif i == 2:
-                start = pos[1].copy()
-                start[1:-1] = 2 * pos[1, 1:-1] - pos[0, 1:-1]
+                start[1:-1] = (2 * x1 - x2 if i == 2 else
+                               3 * (x1 - x2) + pos[i - 3, 1:-1])
             pos[i], _, energies[i], traj.converged[i - 1] = jko_step(
                 pos[i - 1], energy, cfg.tau, dom.gap, x_start=start,
                 phi_prev=energies[i - 1])
