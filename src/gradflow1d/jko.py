@@ -163,8 +163,9 @@ class MobilityMapEnergy:
         With r = d/s, A = W'(a) + r and B = W'(b) - r, each interface adds the
         2x2 block (2/s) [[A^2 - d W''(a), -A B], [-A B, B^2 + d W''(b)]] to
         the tridiagonal Hessian in the cell widths; the node Hessian is
-        D^T H D with D the difference matrix dX = D x.  Each band row is
-        written once; the corners outside the matrix are 0.
+        D^T H D with D the difference matrix dX = D x.  The band rows are
+        built in place, without scatter-adds; the corners outside the
+        matrix are 0.
         """
         dx, u, f1, w1, d, s, r = iface or self._interfaces(x)
         # W''(t) = f''(u) dm^2 / t^4 + 2 f'(u) dm / t^3
