@@ -6,16 +6,14 @@ from .transport import (ConfigurationError, DegenerateQuantileError,
                         TransportMap, boltzmann_entropy, densities_from_maps,
                         density_from_map, map_from_density, quantile,
                         wasserstein2)
-from .lagrangian import (LagrangianSpec, MobilitySpec, TemporalWeight,
-                         TestFunction, alpha_window, dissipation_constants,
-                         energy, energy_mobility, validate_assumption_A,
+from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction,
+                         alpha_window, dissipation_constants, energy_mobility,
                          validate_assumption_f, weak_operator_Nf)
 from .jko import (JkoConfig, JkoTrajectory, MobilityMapEnergy,
                   ThinFilmMapEnergy, jko_step, refine_study, run)
 from .diagnostics import (SobolevNorms, apriori_bounds, check_discrete_weak_f,
                           check_energy_monotone, check_entropy_dissipation_f,
                           check_holder_continuity, check_total_square_distance,
-                          flow_interchange_dissipation, heat_flow,
-                          sobolev_norms, traceless_lemma_check)
+                          sobolev_norms)
 
 __version__ = "0.1.0"

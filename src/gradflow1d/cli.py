@@ -145,8 +145,8 @@ def load_config(source: str | Path | dict,
                 raise ConfigurationError(
                     f"{section} '{name}' does not read {sorted(unread)}")
         # eager assumption validation before any stepping.  Thin film runs
-        # as the identity mobility, which is linear, not strictly concave;
-        # its Lagrangian's Assumption (A) is certified by the tests instead
+        # as the identity mobility, which is linear, not strictly concave,
+        # so the concave-mobility validator does not apply to it
         f = _mobility(merged["lagrangian"])
         if merged["lagrangian"]["name"] != "thin_film":
             if not alpha_window(1) < f.alpha <= 1.0:

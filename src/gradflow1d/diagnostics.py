@@ -2,8 +2,7 @@
 
 Every check returns CertificateReport objects oriented as lhs <= rhs, so a
 nonnegative slack means the estimate holds.  The trajectory checks read a
-run's stacked map nodes and grid states (`JkoTrajectory`).  The heat flow
-and the flow interchange quotient are tools that no certificate calls.
+run's stacked map nodes and grid states (`JkoTrajectory`).
 
 The per-step dissipation and weak-form checks take a mobility f and serve
 every energy of the class: thin film is the identity mobility, for which the
@@ -27,10 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .report import CertificateReport
-from .transport import ConfigurationError, GridDensity
+from .transport import ConfigurationError
 from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction, d2,
                          nf_density, staggered_gradient_quadrature)
 from .jko import JkoTrajectory
@@ -61,58 +59,6 @@ def sobolev_norms(values: np.ndarray, h: float) -> SobolevNorms:
     if v.ndim == 1:
         norms = [float(n) for n in norms]
     return SobolevNorms(*norms)
-
-
-# --- heat flow and flow interchange ---------------------------------------
-
-def heat_flow(u: GridDensity, s: float) -> GridDensity:
-    """Crank-Nicolson Neumann heat flow over time s.
-
-    Substeps keep dt <= h^2 so the explicit half is an M-matrix: the flow
-    preserves nonnegativity, conserves mass at the linear-algebra level
-    (zero row sums of the reflecting Laplacian), and dissipates entropy.
-    """
-    if s < 0:
-        raise ConfigurationError("diffusion time must be nonnegative")
-    if s == 0:
-        return u
-    v = u.values.copy()
-    m, h = u.m, u.h
-    n_sub = max(int(np.ceil(s / h ** 2)), 1)
-    dt = s / n_sub
-    mu = 0.5 * dt / h ** 2
-    # banded (I - mu D) with D the reflecting 3-point Laplacian stencil
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -mu
-    ab[2, :-1] = -mu
-    ab[1, :] = 1 + 2 * mu
-    ab[1, 0] = ab[1, -1] = 1 + mu
-    for _ in range(n_sub):
-        vg = np.concatenate([[v[0]], v, [v[-1]]])
-        rhs = v + mu * (vg[2:] - 2 * vg[1:-1] + vg[:-2])
-        v = solve_banded((1, 1), ab, rhs)
-    return GridDensity(u.domain, np.maximum(v, 0.0) / max(np.sum(v) * h, 1e-300))
-
-
-def flow_interchange_dissipation(energy_fn, u: GridDensity,
-                                 s_probe: float | None = None,
-                                 richardson: bool = False) -> float:
-    """Difference quotient (Phi(u) - Phi(heat_flow(u, s)))/s.
-
-    With richardson=True the first-order bias in s is removed by combining
-    the quotients at s and s/2.
-    """
-    if s_probe is None:
-        s_probe = 1e-6 * u.domain.length ** 2
-    e0 = energy_fn(u)
-
-    def quotient(s):
-        return (e0 - energy_fn(heat_flow(u, s))) / s
-
-    q1 = quotient(s_probe)
-    if not richardson:
-        return float(q1)
-    return float(2.0 * quotient(0.5 * s_probe) - q1)
 
 
 # --- classical trajectory estimates ---------------------------------------
@@ -319,27 +265,3 @@ def apriori_bounds(traj: JkoTrajectory, c_lower: float,
     return CertificateReport(
         name="apriori_h1", lhs=sup_h1, rhs=bound, tolerance=0.0,
         context={"h2_time_integral": h2_integral, "C0": c0, "C1": c1})
-
-
-# --- algebraic lemmas -----------------------------------------------------
-
-def traceless_lemma_check(A: np.ndarray, v: np.ndarray,
-                          tol: float = 1e-12) -> CertificateReport:
-    """||A||_F^2 + 2 v.Av + (d-1)/d |v|^4 >= 0 for symmetric traceless A."""
-    A = np.asarray(A, dtype=float)
-    v = np.asarray(v, dtype=float)
-    d = A.shape[0]
-    if A.shape != (d, d) or v.shape != (d,) or d < 2:
-        raise ConfigurationError("need a d x d matrix and d-vector, d >= 2")
-    norm = np.linalg.norm(A)
-    if np.max(np.abs(A - A.T)) > 1e-12 * max(norm, 1.0):
-        raise ConfigurationError("matrix must be symmetric")
-    if abs(np.trace(A)) > 1e-12 * max(norm, 1.0):
-        raise ConfigurationError("matrix must be traceless")
-    vv = float(v @ v)
-    value = float(norm ** 2 + 2.0 * v @ (A @ v) + (d - 1) / d * vv * vv)
-    scale = max(norm ** 2, vv * vv, 1.0)
-    return CertificateReport(
-        name="traceless_binomial", lhs=-value, rhs=0.0, tolerance=tol * scale,
-        context={"d": d, "value": value})
-

@@ -420,7 +420,9 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
     entropies come from array passes over those rows (`per_state`); row 0
     is the supplied initial datum verbatim.  A step listed in corrupt_steps
     copies the previous map instead of minimizing — a negative control that
-    breaks the dissipation certificates downstream.
+    breaks the dissipation certificates downstream.  A non-finite Phi(x_0),
+    such as a mobility's constant factor overflowing it, raises
+    ConfigurationError before any step.
     """
     dom, n = u0.domain, cfg.n_steps
     x = map_from_density(u0, cfg.k).positions
@@ -436,7 +438,12 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
         converged=np.ones(n, dtype=bool),
     )
     pos, energies = traj.positions, traj.energies
-    pos[0], energies[0] = x, energy.value(x)
+    pos[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies[0] = energy.value(x)
+    if not math.isfinite(energies[0]):
+        raise ConfigurationError(
+            f"the initial energy is not finite: {energies[0]}")
     for i in range(1, n + 1):
         if i in corrupt_steps:
             pos[i], energies[i] = pos[i - 1], energies[i - 1]

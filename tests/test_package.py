@@ -1,6 +1,7 @@
 """Checks on the package source and its documentation."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -53,3 +54,17 @@ def test_third_party_imports_are_declared_dependencies():
     third_party = imported - set(sys.stdlib_module_names)
     assert third_party >= {"numpy", "scipy", "orjson"}
     assert sorted(third_party - declared) == []
+
+
+def test_readme_package_layout_names_real_objects():
+    # every backticked Python identifier in "Package layout" is a module of
+    # the package or an attribute of the package or of one of its modules
+    text = README.read_text()
+    section = re.search(r"^## Package layout\n(.*?)^## ", text, re.M | re.S)
+    names = [span for span in re.findall(r"`([^`]+)`", section.group(1))
+             if span.isidentifier()]
+    modules = [gradflow1d] + [importlib.import_module(f"gradflow1d.{m[:-3]}")
+                              for m in MODULES]
+    assert names
+    assert [n for n in names
+            if not any(hasattr(mod, n) for mod in modules)] == []
