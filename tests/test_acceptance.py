@@ -154,17 +154,7 @@ def test_discrete_weak_mobility_sandwich(mob_weak_run):
 
 # --- 8: pointwise matrix inequality ----------------------------------------
 
-def lemma_value(A, v):
-    """||A||_F^2 + 2 v.Av + (d - 1)/d |v|^4, which is >= 0 for symmetric
-    traceless d x d matrices A; leading axes of A and v are batched."""
-    d = v.shape[-1]
-    vv = np.sum(v * v, axis=-1)
-    return (np.sum(A * A, axis=(-2, -1))
-            + 2 * np.einsum("...i,...ij,...j->...", v, A, v)
-            + (d - 1) / d * vv ** 2)
-
-
-def test_traceless_inequality_randomized():
+def test_traceless_inequality_randomized(lemma_value):
     rng = np.random.default_rng(7)
     n_total = 0
     for d in range(2, 11):
@@ -179,11 +169,11 @@ def test_traceless_inequality_randomized():
         assert np.min(lemma_value(A, v) / scale) >= -1e-12
         n_total += n
     assert n_total >= 99_000
-    # equality at d = 2, A = diag(-1/2, 1/2), v = e1: 1/2 - 1 + 1/2 = 0
+
+
+def test_traceless_equality_case(lemma_value):
+    # d = 2, A = diag(-1/2, 1/2), v = e1: 1/2 - 1 + 1/2 = 0
     assert lemma_value(np.diag([-0.5, 0.5]), np.array([1.0, 0.0])) == 0.0
-    # A = 0 leaves (d - 1)/d |v|^4: 2/3 * 5.25^2 at d = 3
-    assert lemma_value(np.zeros((3, 3)), np.array([1.0, 2.0, 0.5])) == \
-        pytest.approx(2 / 3 * 5.25 ** 2, rel=1e-15)
 
 
 # --- 9: admissible exponent windows -----------------------------------------

@@ -347,3 +347,19 @@ def test_apriori_mobility(mob_traj):
     f = MobilitySpec.sqrt_mobility()
     rep = apriori_bounds(mob_traj, c_lower=0.5, transform=f.f)
     assert rep.passed, (rep.lhs, rep.rhs)
+
+
+# --- algebraic lemmas -------------------------------------------------------
+
+def test_traceless_zero_matrix(lemma_value):
+    # A = 0 leaves (d - 1)/d |v|^4: 2/3 * 5.25^2 at d = 3
+    value = lemma_value(np.zeros((3, 3)), np.array([1.0, 2.0, 0.5]))
+    assert value == pytest.approx(2 / 3 * 5.25 ** 2, rel=1e-15)
+
+
+def test_traceless_equality_case(lemma_value):
+    # d = 2, A = diag(-1/2, 1/2), v = e1: value = 1/2 - 1 + 1/2 = 0
+    # (the batched form: both rows are the equality case)
+    A = np.stack([np.diag([-0.5, 0.5])] * 2)
+    v = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert np.all(np.abs(lemma_value(A, v)) < 1e-14)
