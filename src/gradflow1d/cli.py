@@ -267,11 +267,14 @@ def execute(cfg: RunConfig, row: dict | None = None) -> int:
         energy = MobilityMapEnergy(cfg.mobility)
         jcfg = JkoConfig(tau=cfg.tau, n_steps=cfg.n_steps, k=cfg.k)
         corrupt = (max(cfg.n_steps // 2, 1),) if cfg.inject_corruption else ()
-        traj = run(cfg.u0, energy, jcfg, corrupt_steps=corrupt)
-        gaps = None
+        traj = gaps = None
         if cfg.refine_levels > 1:
-            _, gaps = refine_study(cfg.u0, energy, jcfg,
-                                   levels=cfg.refine_levels)
+            trajs, gaps = refine_study(cfg.u0, energy, jcfg,
+                                       levels=cfg.refine_levels)
+            if not corrupt:  # the study's level 0 is this run, bitwise
+                traj = trajs[0]
+        if traj is None:
+            traj = run(cfg.u0, energy, jcfg, corrupt_steps=corrupt)
         reports = _certificates(cfg, traj)
         summary = _write_outputs(cfg, traj, reports,
                                  time.perf_counter() - t0, gaps)

@@ -252,6 +252,21 @@ class _Objective:
         return H
 
 
+def _norm(g):
+    """Euclidean norm of g: sqrt(g @ g), bitwise np.linalg.norm(g), unless
+    that sum of squares overflows, when the norm of g / max|g| is scaled
+    back instead."""
+    with np.errstate(over="ignore"):
+        sq = g @ g
+    if math.isfinite(sq):
+        return math.sqrt(sq)
+    top = np.abs(g).max()
+    if not math.isfinite(top):  # an infinite or NaN entry
+        return math.sqrt(sq)
+    r = g / top
+    return float(top) * math.sqrt(r @ r)
+
+
 # LAPACK's banded LU takes the band with BW fill-in rows above it, which it
 # sets itself: entry (i, j) of the matrix sits at ab[2 BW + i - j, j].
 _gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (np.zeros(1),))
@@ -323,7 +338,7 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     x = x.copy()
     iface = energy._interfaces(x, dx)
     g = obj.grad(x, iface)[1:-1]
-    gnorm = math.sqrt(g @ g)  # bitwise np.linalg.norm(g)
+    gnorm = _norm(g)
     gref = max(gnorm, 1e-30)
     lam = 0.0
     ab = np.empty((3 * BW + 1, len(x) - 2), order="F")
@@ -387,7 +402,7 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         iface = energy._interfaces(xn, dxn)
         x, f, phi, g = xn, fn, phin, obj.grad(xn, iface)[1:-1]
         lam *= 0.1
-        if math.sqrt(g @ g) < GTOL * gref or df < FTOL * max(abs(f), 1e-30):
+        if _norm(g) < GTOL * gref or df < FTOL * max(abs(f), 1e-30):
             converged = True
             break
     if not converged:

@@ -2,7 +2,11 @@
 
 Densities live on a uniform midpoint grid; transport maps are monotone node
 positions at uniform mass levels (the quantile parametrization, in which the
-quadratic Wasserstein distance is a plain weighted L2 distance).
+quadratic Wasserstein distance is a plain weighted L2 distance).  Maps and
+densities are converted into each other through cubic splines, built row by
+row in one LAPACK solve (`_spline_coefficients`, bitwise scipy's
+CubicSpline) and inverted by Newton sweeps that evaluate each spline only
+inside the sweeps.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import get_lapack_funcs
 
 MASS_TOL = 1e-12
 GAP_REL = 1e-9          # minimum node spacing, relative to domain length
@@ -245,32 +249,82 @@ def boltzmann_entropy(u: GridDensity, values: np.ndarray | None = None):
 
 # --- map <-> density conversions ------------------------------------------
 
-class _SplineColumns:
-    """Value and slope of each column of a cubic spline at its own points.
+_gtsv, = get_lapack_funcs(("gtsv",), (np.zeros(1),))
 
-    Stands in for `PPoly.__call__` on the spline's coefficients and returns
-    bitwise what it returns: the interval lookup (closed on the right at the
-    last breakpoint, extrapolating beyond both ends) is done once for the
-    value and the slope, and each coefficient is gathered with `take` from a
-    contiguous (column, interval) array.  The power sums keep scipy's
-    operation order.
+
+def _spline_coefficients(knots, y, ends=None):
+    """Coefficients of the cubic splines through the rows of y at `knots`.
+
+    Returns a (4, rows, K) array whose entry [j, r, i] multiplies
+    (t - knots[i])**(3 - j) on interval i of row r's spline: bitwise the
+    `c` of scipy's CubicSpline(knots, y.T) with its last two axes swapped.
+    The ends are not-a-knot, or, given ends = (first, last), clamped to
+    those slopes in every row.  The tridiagonal system for the knot slopes
+    is filled as CubicSpline fills it and solved by the LAPACK gtsv that
+    its solve_banded((1, 1)) calls, with the rows as right-hand sides in
+    place; the coefficients follow CubicHermiteSpline's operation order.
+    """
+    n = knots.size
+    dx = np.diff(knots)
+    slope = np.diff(y, axis=-1) / dx
+    # the sub-, main and super-diagonal, and one right-hand side per row
+    dl, d, du = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du[1:] = dx[:-1]
+    dl[:-1] = dx[1:]
+    b = np.empty((y.shape[0], n))
+    b[:, 1:-1] = 3 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
+    if ends is None:
+        # the length-1 slices of dx keep scipy's array arithmetic
+        w = knots[2] - knots[0]
+        d[0], du[0] = dx[1], w
+        b[:, 0] = ((dx[:1] + 2 * w) * dx[1:2] * slope[:, 0]
+                   + dx[:1] ** 2 * slope[:, 1]) / w
+        w = knots[-1] - knots[-3]
+        d[-1], dl[-1] = dx[-2], w
+        b[:, -1] = (dx[-1:] ** 2 * slope[:, -2]
+                    + (2 * w + dx[-1:]) * dx[-2:-1] * slope[:, -1]) / w
+    else:
+        d[0] = d[-1] = 1.0
+        du[0] = dl[-1] = 0.0
+        b[:, 0], b[:, -1] = ends
+    # b.T is Fortran-ordered, so gtsv solves in b without a copy
+    s, info = _gtsv(dl, d, du, b.T, 1, 1, 1, 1)[3:]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"spline slope system: gtsv info {info}")
+    s = s.T
+    t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1],
+                     y[:, :-1]))
+
+
+class _SplineColumns:
+    """Value and slope of each row's cubic spline at its own points.
+
+    Takes the knots and the (4, rows, K) coefficients of
+    `_spline_coefficients` and returns bitwise what scipy's
+    `PPoly.__call__` returns on them: the interval lookup (closed on the
+    right at the last knot, extrapolating beyond both ends) is done once
+    for the value and the slope, and each coefficient is gathered with
+    `take` from a contiguous (row, interval) array.  The power sums keep
+    scipy's operation order.
     """
 
-    def __init__(self, spline):
-        self.x = spline.x
-        self.n = self.x.size - 1
-        c = spline.c.reshape(4, self.n, -1)
-        # row j holds coefficient j of every (column, interval), flattened
-        self.c = np.ascontiguousarray(c.transpose(0, 2, 1)).reshape(4, -1)
-        cols = c.shape[2]
-        self.offset = np.arange(cols)[:, None] * self.n if cols > 1 else 0
+    def __init__(self, knots, coefficients):
+        self.x = knots
+        self.n = knots.size - 1
+        rows = coefficients.shape[1]
+        # row j holds coefficient j of every (row, interval), flattened
+        self.c = coefficients.reshape(4, -1)
+        self.offset = np.arange(rows)[:, None] * self.n if rows > 1 else 0
 
     def __call__(self, t):
-        """(value, slope) at t, one row of points per column; a single
-        column also takes a 1-D array."""
+        """(value, slope) at t, one row of points per spline row; a single
+        row also takes a 1-D array."""
         i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.n - 1)
         s = t - self.x.take(i)
-        c0, c1, c2, c3 = (cj.take(i + self.offset) for cj in self.c)
+        i += self.offset
+        c0, c1, c2, c3 = (cj.take(i) for cj in self.c)
         s2 = s * s
         return (c3 + c2 * s + c1 * s2 + c0 * (s2 * s),
                 c2 + (c1 * s) * 2 + (c0 * s2) * 3)
@@ -280,19 +334,25 @@ def _newton_inverse(spline, target, x, lo, hi, slope_floor, sweeps):
     """Entrywise solve of value(x) = target by clipped Newton sweeps, where
     spline(x) returns (value, slope); x may have any shape.
 
-    Returns bitwise what `sweeps` plain sweeps from x would return. A sweep
-    updates each entry from its own value alone, so once an entry repeats
-    the value it had p <= 4 sweeps ago (a fixed point, or a cycle in
-    rounding noise) its value after the last sweep is already known; the
-    sweeps stop when every entry has done so.
+    Returns (result, start value, result value): result is bitwise what
+    `sweeps` plain sweeps from x would return, and the two values are
+    bitwise spline(x)[0] and spline(result)[0], the first sweep's value and
+    one kept from the sweeps (evaluated once more only if the sweeps run
+    out).  A sweep updates each entry from its own value alone, so once an
+    entry repeats the value it had p <= 4 sweeps ago (a fixed point, or a
+    cycle in rounding noise) its value after the last sweep is already
+    known; the sweeps stop when every entry has done so.
     """
-    hist = [x]                              # the last five iterates
+    # the last five iterates, and the values at all of them but the newest
+    hist, vals = [x], []
     for n in range(1, sweeps + 1):
         y = hist[-1]
         value, slope = spline(y)
+        if n == 1:
+            start = value
         y = np.clip(y - (value - target) / np.maximum(slope, slope_floor),
                     lo, hi)
-        hist = hist[-4:] + [y]
+        hist, vals = hist[-4:] + [y], vals[-3:] + [value]
         # compare bit patterns, so signed zeros and NaNs repeat exactly too
         bits = y.view(np.int64)
         period = np.zeros(y.shape, dtype=int)
@@ -301,10 +361,10 @@ def _newton_inverse(spline, target, x, lo, hi, slope_floor, sweeps):
         if period.all():
             # period p from sweep n - p on, so sweep `sweeps` repeats
             # sweep n - back with back = p - (sweeps - n) mod p
-            back = period - (sweeps - n) % period
-            return np.take_along_axis(np.array(hist),
-                                      (len(hist) - 1 - back)[None], 0)[0]
-    return hist[-1]
+            back = (len(hist) - 1 - (period - (sweeps - n) % period))[None]
+            return (np.take_along_axis(np.array(hist), back, 0)[0], start,
+                    np.take_along_axis(np.array(vals), back, 0)[0])
+    return hist[-1], start, spline(hist[-1])[0]
 
 
 def reject_zero_plateau(u: GridDensity) -> None:
@@ -332,17 +392,18 @@ def map_from_density(u: GridDensity, k: int = 256) -> TransportMap:
     reject_zero_plateau(u)
     v = u.values
     cdf = u.cdf_at_edges()
+    edges = u.edges
     spline = _SplineColumns(
-        CubicSpline(u.edges, cdf, bc_type=((1, v[0]), (1, v[-1]))))
+        edges, _spline_coefficients(edges, cdf[None], (v[0], v[-1])))
     levels = np.linspace(0.0, 1.0, k + 1)
-    linear = np.interp(levels, cdf, u.edges)
+    linear = np.interp(levels, cdf, edges)
     lo, hi = u.domain.lo, u.domain.hi
-    x = _newton_inverse(spline, levels, linear, lo, hi, 1e-13, 50)
-    bad = (np.abs(spline(x)[0] - levels)
-           > np.abs(spline(linear)[0] - levels) + 1e-15)
+    x, start, end = _newton_inverse(spline, levels, linear, lo, hi, 1e-13, 50)
+    bad = np.abs(end - levels) > np.abs(start - levels) + 1e-15
     x = np.where(bad, linear, x)
     # pin the ends to the support edges of the sampled density
-    x[0], x[-1] = u.edges[np.argmax(v > 0)], u.edges[v.size - np.argmax(v[::-1] > 0)]
+    x[0] = edges[np.argmax(v > 0)]
+    x[-1] = edges[v.size - np.argmax(v[::-1] > 0)]
     x = np.maximum.accumulate(np.clip(x, lo, hi))
     gap = u.domain.gap
     if np.any(np.diff(x) <= gap):  # repair with strict minimum spacing
@@ -360,11 +421,13 @@ def densities_from_maps(domain: Interval, positions: np.ndarray,
 
     Row i of `positions` holds the K+1 nodes of map i on `domain` at the
     mass levels j/K, row i of the result the M (default K) cell values of
-    its pushforward.  Each quantile function is interpolated by a cubic
-    spline in the mass variable (one column of a single multi-column spline)
-    and inverted at the cell edges by 30 safeguarded Newton sweeps, which
-    stop once every edge of the block has settled (see `_newton_inverse`)
-    and still return the 30-sweep result bitwise.  Cell values are exact
+    its pushforward.  Each quantile function is interpolated by a
+    not-a-knot cubic spline in the mass variable (one row of the block's
+    `_spline_coefficients`) and inverted at the cell edges by 30 safeguarded
+    Newton sweeps, which stop once every edge of the block has settled (see
+    `_newton_inverse`) and still return the 30-sweep result bitwise; the
+    fallback test below reads the residuals the sweeps computed.  Cell
+    values are exact
     mass differences over the cells.  The block is checked once for what
     `TransportMap` and `GridDensity` check per object: nodes increasing by
     more than the gap and inside the domain, rows of unit mass.
@@ -377,15 +440,15 @@ def densities_from_maps(domain: Interval, positions: np.ndarray,
     if np.any(first < domain.lo - 1e-12) or np.any(last > domain.hi + 1e-12):
         raise ConfigurationError("map positions leave the domain")
     levels = np.linspace(0.0, 1.0, k + 1)
-    spline = _SplineColumns(CubicSpline(levels, positions.T))
+    spline = _SplineColumns(levels, _spline_coefficients(levels, positions))
     edges = np.linspace(domain.lo, domain.hi, m + 1)
     target = np.clip(edges, first, last)
     linear = np.array([np.interp(edges, p, levels) for p in positions])
-    s = _newton_inverse(spline, target, linear, 0.0, 1.0, 1e-14, 30)
+    s, start, end = _newton_inverse(spline, target, linear, 0.0, 1.0, 1e-14,
+                                    30)
     # where the spline is non-monotone (rough maps) Newton can run away;
     # keep the piecewise-linear inverse wherever it has a smaller residual
-    bad = (np.abs(spline(s)[0] - target)
-           > np.abs(spline(linear)[0] - target) + 1e-15)
+    bad = np.abs(end - target) > np.abs(start - target) + 1e-15
     s = np.where(bad, linear, s)
     # pin levels outside the map's range: a non-monotone spline can offer a
     # wrong-branch preimage with a smaller residual at the walls

@@ -12,8 +12,9 @@ import pytest
 
 import gradflow1d
 from gradflow1d import (ConfigurationError, JkoConfig, MobilityMapEnergy,
-                        apriori_bounds, cli, run, sobolev_norms)
+                        apriori_bounds, cli, jko, run, sobolev_norms)
 from gradflow1d.cli import ALL_CHECKS, execute, load_config, main, sweep
+from gradflow1d.jko import jko_step
 
 BASE = {
     "m": 64,
@@ -124,6 +125,26 @@ def test_largest_finite_initial_energy_runs(tmp_path):
     traj = run(cfg.u0, MobilityMapEnergy(cfg.mobility),
                JkoConfig(tau=cfg.tau, n_steps=0, k=cfg.k))
     assert np.isfinite(traj.energies[0])
+
+
+def test_gradient_norm_overflow_runs(tmp_path, monkeypatch):
+    # with C = 1e150 the sum of squares of the first gradient overflows; the
+    # solver's norm must not, under the suite's error::RuntimeWarning filter
+    steps = []
+
+    def spy(x_prev, *args, **kwargs):
+        out = jko_step(x_prev, *args, **kwargs)
+        steps.append((out[1], kwargs["phi_prev"]))
+        return out
+
+    monkeypatch.setattr(jko, "jko_step", spy)
+    path = write_config(tmp_path, {
+        "m": 32, "k": 32, "n_steps": 2,
+        "lagrangian": {"name": "power_mobility", "alpha": 0.7, "C": 1e150}})
+    assert main(["--config", str(path)]) == 0
+    assert len(steps) == 2
+    # Psi(x_n) <= Phi(x_{n-1}) at every step
+    assert all(psi <= phi_prev for psi, phi_prev in steps)
 
 
 def test_sweep_row_with_non_finite_initial_energy(tmp_path):
@@ -420,6 +441,37 @@ def test_refinement_gaps_in_summary(tmp_path):
     assert execute(cfg) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert len(summary["refinement_gaps"]) == 1
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["plain", "corrupted"])
+def test_refinement_study_level_0_is_the_run(tmp_path, monkeypatch, corrupt):
+    # refine_study's first level has the run's tau, steps and K, so only a
+    # corrupted run is stepped on its own
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(jko, "run", counted)
+    monkeypatch.setattr(cli, "run", counted)
+    docs = []
+    for levels in (0, 3):
+        cfg = load_config(write_config(tmp_path, {"refine_levels": levels}),
+                          {"out": str(tmp_path / str(levels)),
+                           "inject_corruption": corrupt})
+        calls.clear()
+        assert execute(cfg) == (1 if corrupt else 0)
+        # one run per level, plus the corrupted run beside a study
+        assert len(calls) == max(levels, 1) + (1 if corrupt and levels else 0)
+        out = tmp_path / str(levels)
+        traj = orjson.loads((out / "trajectory.json").read_bytes())
+        summary = json.loads((out / "summary.json").read_text())
+        assert traj.pop("config")["refine_levels"] == levels
+        for key in ("config", "elapsed_seconds", "refinement_gaps"):
+            summary.pop(key, None)
+        docs.append((traj, summary, (out / "certificates.csv").read_bytes()))
+    assert docs[0] == docs[1]
 
 
 # --- sweeps -----------------------------------------------------------------

@@ -9,8 +9,8 @@ from gradflow1d import (ConfigurationError, DegenerateQuantileError,
                         TransportMap, boltzmann_entropy, densities_from_maps,
                         density_from_map, map_from_density, quantile, run,
                         transport, wasserstein2)
-from gradflow1d.transport import (_newton_inverse, _SplineColumns,
-                                  w2sq_between_maps)
+from gradflow1d.transport import (_newton_inverse, _spline_coefficients,
+                                  _SplineColumns, w2sq_between_maps)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -252,19 +252,22 @@ def scipy_columns(spline):
 
 
 def fixed_sweeps(spline, target, x, lo, hi, slope_floor, sweeps):
-    # the plain loop _newton_inverse must reproduce bitwise; a spline is
-    # evaluated by PPoly, a stand-in as it is
+    # the plain loop _newton_inverse must reproduce bitwise, with the values
+    # at the start and at the result; a spline is evaluated by PPoly, a
+    # stand-in as it is
     if isinstance(spline, _SplineColumns):
         spline = scipy_columns(spline)
+    start = spline(x)[0]
     for _ in range(sweeps):
         value, slope = spline(x)
         x = np.clip(x - (value - target) / np.maximum(slope, slope_floor),
                     lo, hi)
-    return x
+    return x, start, spline(x)[0]
 
 
 def inversions(call):
-    """Arguments (without the sweep count) of every inversion call() makes."""
+    """Arguments (without the sweep count) of every inversion call() makes;
+    each call returns the (result, start value, result value) triple."""
     seen = []
 
     def spy(*args):
@@ -279,8 +282,19 @@ def inversions(call):
 
 def assert_exact_for_all_sweeps(args):
     for n in SWEEPS:
-        assert np.array_equal(_newton_inverse(*args, n),
-                              fixed_sweeps(*args, n)), n
+        got, ref = _newton_inverse(*args, n), fixed_sweeps(*args, n)
+        assert len(got) == len(ref) == 3
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b), n
+
+
+def assert_values_are_the_splines(args):
+    # the returned values are the spline's own at the start and the result
+    spline, x0 = args[0], args[2]
+    for n in SWEEPS:
+        x, start, end = _newton_inverse(*args, n)
+        assert np.array_equal(start, spline(x0)[0]), n
+        assert np.array_equal(end, spline(x)[0]), n
 
 
 def rough_map(seed, k=64):
@@ -301,9 +315,10 @@ def test_newton_inverse_exact_on_rough_densities(u):
 def test_newton_inverse_exact_on_rough_maps(seed):
     (args,) = inversions(lambda: density_from_map(rough_map(seed), 50))
     assert_exact_for_all_sweeps(args)
+    assert_values_are_the_splines(args)
     # the spline is non-monotone here: the piecewise-linear fallback fires
     spline, target, linear = args[:3]
-    s = _newton_inverse(*args, 30)
+    s = _newton_inverse(*args, 30)[0]
     assert np.any(np.abs(spline(s)[0] - target)
                   > np.abs(spline(linear)[0] - target) + 1e-15)
 
@@ -329,15 +344,18 @@ class Logistic:
 @pytest.mark.parametrize("r", [2.5, 3.2, 3.5, 3.83, 4.0])
 def test_newton_inverse_exact_on_cycles_and_chaos(r):
     x0 = np.random.default_rng(0).uniform(0.0, 1.0, 200)
-    assert_exact_for_all_sweeps((Logistic(r), np.zeros(200), x0, 0.0, 1.0, 1e-14))
+    args = (Logistic(r), np.zeros(200), x0, 0.0, 1.0, 1e-14)
+    assert_exact_for_all_sweeps(args)
+    assert_values_are_the_splines(args)
 
 
 def test_newton_inverse_exact_on_a_2d_batch_of_cycles():
     # each row has its own r, so rows settle or cycle at different sweeps
     x0 = np.random.default_rng(1).uniform(0.0, 1.0, (5, 40))
     r = np.array([[2.5], [3.2], [3.5], [3.83], [4.0]])
-    assert_exact_for_all_sweeps((Logistic(r), np.zeros(x0.shape), x0, 0.0,
-                                 1.0, 1e-14))
+    args = (Logistic(r), np.zeros(x0.shape), x0, 0.0, 1.0, 1e-14)
+    assert_exact_for_all_sweeps(args)
+    assert_values_are_the_splines(args)
 
 
 def test_batch_matches_one_map_at_a_time():
@@ -371,7 +389,8 @@ def test_batch_checks_nodes_and_states():
     # a non-finite inversion (injected) fails the states' mass check
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "_newton_inverse",
-                   lambda spline, target, x, *a: np.full(x.shape, np.nan))
+                   lambda spline, target, x, *a:
+                   (np.full(x.shape, np.nan),) * 3)
         with pytest.raises(ConfigurationError, match="mass differs from 1"):
             densities_from_maps(UNIT, pos, 50)
 
@@ -388,9 +407,15 @@ def evaluation_points(x, rng):
         rng.uniform(x[0], x[-1], 100)])
 
 
+def row_major(spline):
+    """A CubicSpline's coefficients as (4, columns, intervals)."""
+    c = spline.c.reshape(4, spline.c.shape[1], -1)
+    return np.ascontiguousarray(c.transpose(0, 2, 1))
+
+
 def assert_matches_ppoly(spline, t):
     # row j of t is evaluated in column j; a 1-D t by a one-column spline
-    value, slope = _SplineColumns(spline)(t)
+    value, slope = _SplineColumns(spline.x, row_major(spline))(t)
     assert value.shape == slope.shape == t.shape
     rows = np.atleast_2d(t)
     for j, r in enumerate(rows):
@@ -424,6 +449,39 @@ def test_evaluator_matches_ppoly_on_clamped_splines(u):
                          bc_type=((1, v[0]), (1, v[-1])))
     assert_matches_ppoly(spline, evaluation_points(u.edges,
                                                    np.random.default_rng(2)))
+
+
+# --- spline builder ---------------------------------------------------------
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("k", [8, 9, 64, 1024])
+@pytest.mark.parametrize("rows", [1, 3, 16])
+def test_builder_matches_not_a_knot_cubic_spline(k, rows):
+    levels = np.linspace(0.0, 1.0, k + 1)
+    pos = np.array([rough_map(seed, k).positions for seed in range(rows)])
+    assert_same_bits(_spline_coefficients(levels, pos),
+                     row_major(CubicSpline(levels, pos.T)))
+
+
+@pytest.mark.parametrize("domain", [UNIT, Interval(-2.0, 3.5)],
+                         ids=["unit", "shifted"])
+@pytest.mark.parametrize("make", [
+    lambda dom: GridDensity.cosine(dom, 64, eps=0.9, k=1),
+    lambda dom: GridDensity.bump(dom, 128),
+    lambda dom: positive_density(
+        np.random.default_rng(1).uniform(0.05, 10.0, 32), dom)],
+    ids=["cosine", "bump", "rough"])
+def test_builder_matches_clamped_cubic_spline(make, domain):
+    u = make(domain)
+    v, cdf = u.values, u.cdf_at_edges()
+    assert_same_bits(
+        _spline_coefficients(u.edges, cdf[None], (v[0], v[-1])),
+        row_major(CubicSpline(u.edges, cdf, bc_type=((1, v[0]), (1, v[-1])))))
 
 
 def conversions(traj, k):
