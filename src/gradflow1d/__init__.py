@@ -3,14 +3,13 @@
 from .report import CSV_HEADER, CSV_SCHEMA_VERSION, CertificateReport
 from .transport import (ConfigurationError, DegenerateQuantileError,
                         GridDensity, Interval, MonotonicityError,
-                        TransportMap, boltzmann_entropy, densities_from_maps,
-                        density_from_map, map_from_density, quantile,
-                        wasserstein2)
+                        boltzmann_entropy, densities_from_maps,
+                        map_from_density, quantile, wasserstein2)
 from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction,
                          alpha_window, dissipation_constants, energy_mobility,
                          validate_assumption_f, weak_operator_Nf)
-from .jko import (JkoConfig, JkoTrajectory, MobilityMapEnergy,
-                  ThinFilmMapEnergy, jko_step, refine_study, run)
+from .jko import (JkoConfig, JkoTrajectory, MobilityMapEnergy, jko_step,
+                  refine_study, run)
 from .diagnostics import (SobolevNorms, apriori_bounds, check_discrete_weak_f,
                           check_energy_monotone, check_entropy_dissipation_f,
                           check_holder_continuity, check_total_square_distance,

@@ -74,6 +74,17 @@ READS = {
 }
 
 
+def _number(value, name: str, count: bool = False):
+    """A config value as a float, or as an int for a count; text, booleans
+    and a count with a fractional part are rejected."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{name} must be a number, not {value!r}")
+    if count and int(value) != value:
+        raise ConfigurationError(f"{name} must be an integer, not {value!r}")
+    return int(value) if count else float(value)
+
+
 def _mobility(lag: dict) -> MobilitySpec:
     name = lag.get("name")
     if name == "thin_film":
@@ -122,17 +133,18 @@ def load_config(source: str | Path | dict,
         unknown = [c for c in merged["checks"] if c not in ALL_CHECKS]
         if unknown:
             raise ConfigurationError(f"unknown checks {unknown}")
-        domain = Interval(float(merged["domain"][0]),
-                          float(merged["domain"][1]))
-        m, k = int(merged["m"]), int(merged["k"])
-        tau, n_steps = float(merged["tau"]), int(merged["n_steps"])
+        lo, hi = (_number(end, "domain") for end in merged["domain"])
+        domain = Interval(lo, hi)
+        m, k, n_steps = (_number(merged[key], key, count=True)
+                         for key in ("m", "k", "n_steps"))
+        tau = _number(merged["tau"], "tau")
         if not (0 < tau < np.inf and n_steps >= 1 and m >= 8 and k >= 8):
             raise ConfigurationError(
                 "0 < tau < inf, n_steps >= 1, m >= 8, k >= 8 required")
         # 0 skips the refinement study, which needs at least two levels
-        refine_levels = int(merged["refine_levels"])
-        if (refine_levels != merged["refine_levels"] or refine_levels < 0
-                or refine_levels == 1):
+        refine_levels = _number(merged["refine_levels"], "refine_levels",
+                                count=True)
+        if refine_levels < 0 or refine_levels == 1:
             raise ConfigurationError(
                 f"refine_levels must be 0 or an integer >= 2, "
                 f"not {merged['refine_levels']!r}")
@@ -144,6 +156,12 @@ def load_config(source: str | Path | dict,
             if name in reads and unread:
                 raise ConfigurationError(
                     f"{section} '{name}' does not read {sorted(unread)}")
+            # no value these sections read is a boolean
+            flags = sorted(key for key, value in merged[section].items()
+                           if isinstance(value, bool))
+            if flags:
+                raise ConfigurationError(
+                    f"{section} {flags} must be numbers, not booleans")
         # eager assumption validation before any stepping.  Thin film runs
         # as the identity mobility, which is linear, not strictly concave,
         # so the concave-mobility validator does not apply to it
@@ -167,9 +185,10 @@ def load_config(source: str | Path | dict,
             raw=merged)
     except ConfigurationError:
         raise
-    # a malformed or wrongly typed value, a short domain, a missing key, an
-    # unreadable or one-column datum file
-    except (ValueError, TypeError, IndexError, KeyError, OSError) as exc:
+    # a malformed or wrongly typed value, an infinite count, a domain
+    # without two ends, a missing key, an unreadable or one-column datum file
+    except (ValueError, TypeError, OverflowError, IndexError, KeyError,
+            OSError) as exc:
         raise ConfigurationError(
             f"malformed config: {type(exc).__name__}: {exc}") from exc
     if u0.m != m:  # only a file datum sets its own cell count

@@ -196,11 +196,6 @@ def _with_ends(op, first, left, right, last, out=None):
     return out
 
 
-class ThinFilmMapEnergy(MobilityMapEnergy):
-    def __init__(self):
-        super().__init__(MobilitySpec.identity())
-
-
 # --- inner solver ---------------------------------------------------------
 
 class _Objective:
@@ -239,9 +234,6 @@ class _Objective:
         left = c * (two[1:] + d[:-1])
         gq = _with_ends(np.add, right[0], right[1:], left[:-1], left[-1])
         return gphi + gq / (2 * self.tau)
-
-    def __call__(self, x, iface=None):
-        return self.value_and_energy(x)[0], self.grad(x, iface)
 
     def hessian_banded(self, x, iface=None):
         """Energy Hessian plus the constant P1 mass matrix of the transport
@@ -440,7 +432,7 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
     ConfigurationError before any step.
     """
     dom, n = u0.domain, cfg.n_steps
-    x = map_from_density(u0, cfg.k).positions
+    x = map_from_density(u0, cfg.k)
     traj = JkoTrajectory(
         tau=cfg.tau,
         times=np.arange(n + 1) * cfg.tau,

@@ -2,9 +2,10 @@
 
 Densities live on a uniform midpoint grid; transport maps are monotone node
 positions at uniform mass levels (the quantile parametrization, in which the
-quadratic Wasserstein distance is a plain weighted L2 distance).  Maps and
-densities are converted into each other through cubic splines, built row by
-row in one LAPACK solve (`_spline_coefficients`, bitwise scipy's
+quadratic Wasserstein distance is a plain weighted L2 distance), held as
+plain node arrays that both converters check with `_checked_nodes`.  Maps
+and densities are converted into each other through cubic splines, built
+row by row in one LAPACK solve (`_spline_coefficients`, bitwise scipy's
 CubicSpline) and inverted by Newton sweeps that evaluate each spline only
 inside the sweeps.
 """
@@ -146,24 +147,6 @@ class GridDensity:
                 "bump is constant on the grid: it misses every cell or is "
                 "wider than the grid resolves")
         return cls.from_samples(domain, v + 1e-3 / domain.length)
-
-
-@dataclass
-class TransportMap:
-    """Monotone node positions X(s_i) at uniform mass levels s_i = i/K."""
-
-    domain: Interval
-    positions: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.positions, dtype=float)
-        if x.ndim != 1 or x.size < 9:
-            raise ConfigurationError("need at least 9 map nodes (K >= 8)")
-        if not (np.diff(x) > self.domain.gap).all():  # a NaN node fails too
-            raise MonotonicityError("map positions not increasing above gap")
-        if x[0] < self.domain.lo - 1e-12 or x[-1] > self.domain.hi + 1e-12:
-            raise ConfigurationError("map positions leave the domain")
-        self.positions = np.clip(x, self.domain.lo, self.domain.hi)
 
 
 # --- quantiles and distances ---------------------------------------------
@@ -377,8 +360,20 @@ def reject_zero_plateau(u: GridDensity) -> None:
             "zero-density plateau wider than one grid cell")
 
 
-def map_from_density(u: GridDensity, k: int = 256) -> TransportMap:
-    """Quantile map of u at K+1 uniform mass levels.
+def _checked_nodes(domain: Interval, positions: np.ndarray) -> np.ndarray:
+    """Map nodes (the last axis of `positions`) clipped onto domain, once
+    every gap exceeds `domain.gap` (else MonotonicityError) and the end
+    nodes lie within 1e-12 of the domain (else ConfigurationError)."""
+    if not (np.diff(positions) > domain.gap).all():  # a NaN node fails too
+        raise MonotonicityError("map positions not increasing above gap")
+    if (np.any(positions[..., 0] < domain.lo - 1e-12)
+            or np.any(positions[..., -1] > domain.hi + 1e-12)):
+        raise ConfigurationError("map positions leave the domain")
+    return np.clip(positions, domain.lo, domain.hi)
+
+
+def map_from_density(u: GridDensity, k: int = 256) -> np.ndarray:
+    """Nodes of the quantile map of u at K+1 uniform mass levels.
 
     The CDF is interpolated by a clamped cubic spline (end slopes equal to
     the boundary density values) and inverted by 50 safeguarded Newton
@@ -412,33 +407,28 @@ def map_from_density(u: GridDensity, k: int = 256) -> TransportMap:
         x = np.minimum(x, hi)
         for i in range(x.size - 2, -1, -1):
             x[i] = min(x[i], x[i + 1] - 2 * gap)
-    return TransportMap(u.domain, x)
+    return _checked_nodes(u.domain, x)
 
 
 def densities_from_maps(domain: Interval, positions: np.ndarray,
-                        m: int | None = None) -> np.ndarray:
+                        m: int) -> np.ndarray:
     """Pushforward cell values of a block of maps on a uniform M-cell grid.
 
     Row i of `positions` holds the K+1 nodes of map i on `domain` at the
-    mass levels j/K, row i of the result the M (default K) cell values of
-    its pushforward.  Each quantile function is interpolated by a
+    mass levels j/K, row i of the result the M cell values of its
+    pushforward.  Each quantile function is interpolated by a
     not-a-knot cubic spline in the mass variable (one row of the block's
     `_spline_coefficients`) and inverted at the cell edges by 30 safeguarded
     Newton sweeps, which stop once every edge of the block has settled (see
     `_newton_inverse`) and still return the 30-sweep result bitwise; the
     fallback test below reads the residuals the sweeps computed.  Cell
-    values are exact
-    mass differences over the cells.  The block is checked once for what
-    `TransportMap` and `GridDensity` check per object: nodes increasing by
-    more than the gap and inside the domain, rows of unit mass.
+    values are exact mass differences over the cells.  The block is checked
+    once: its nodes by `_checked_nodes`, whose clipped nodes are the ones
+    resampled, and its rows for unit mass.
     """
+    positions = _checked_nodes(domain, positions)
     k = positions.shape[-1] - 1
-    m = k if m is None else m
-    if not (np.diff(positions) > domain.gap).all():  # a NaN node fails too
-        raise MonotonicityError("map positions not increasing above gap")
     first, last = positions[:, :1], positions[:, -1:]
-    if np.any(first < domain.lo - 1e-12) or np.any(last > domain.hi + 1e-12):
-        raise ConfigurationError("map positions leave the domain")
     levels = np.linspace(0.0, 1.0, k + 1)
     spline = _SplineColumns(levels, _spline_coefficients(levels, positions))
     edges = np.linspace(domain.lo, domain.hi, m + 1)
@@ -461,10 +451,3 @@ def densities_from_maps(domain: Interval, positions: np.ndarray,
     if not np.all(np.abs(vals.sum(axis=-1) * h - 1.0) <= MASS_TOL):
         raise ConfigurationError("pushforward mass differs from 1")
     return vals
-
-
-def density_from_map(x: TransportMap, m: int | None = None) -> GridDensity:
-    """Pushforward density of one map on a uniform M-cell grid: the block
-    of one row of `densities_from_maps`."""
-    return GridDensity(x.domain,
-                       densities_from_maps(x.domain, x.positions[None], m)[0])

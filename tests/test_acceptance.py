@@ -11,7 +11,7 @@ import pytest
 
 from gradflow1d import (GridDensity, Interval, JkoConfig, MobilityMapEnergy,
                         MobilitySpec, TemporalWeight, TestFunction,
-                        ThinFilmMapEnergy, alpha_window, apriori_bounds,
+                        alpha_window, apriori_bounds,
                         check_discrete_weak_f, check_energy_monotone,
                         check_entropy_dissipation_f, check_holder_continuity,
                         check_total_square_distance, dissipation_constants,
@@ -27,7 +27,7 @@ IDENTITY = MobilitySpec.identity()  # thin film in the mobility class
 def thin_run():
     u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=200, k=256)
-    return run(u0, ThinFilmMapEnergy(), cfg)
+    return run(u0, MobilityMapEnergy(IDENTITY), cfg)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def weak_runs():
     out = {}
     for tau in (1e-3, 5e-4, 2.5e-4):
         cfg = JkoConfig(tau=tau, n_steps=int(round(horizon / tau)), k=256)
-        out[tau] = run(u0, ThinFilmMapEnergy(), cfg)
+        out[tau] = run(u0, MobilityMapEnergy(IDENTITY), cfg)
     return out
 
 
@@ -188,7 +188,7 @@ def test_admissible_exponent_windows():
 def test_refinement_gaps_shrink():
     u0 = GridDensity.cosine(WIDE, 256, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-3, n_steps=20, k=256)
-    _, gaps = refine_study(u0, ThinFilmMapEnergy(), cfg, levels=4)
+    _, gaps = refine_study(u0, MobilityMapEnergy(IDENTITY), cfg, levels=4)
     assert len(gaps) == 3
     assert gaps[0] > gaps[1] > gaps[2] > 0
     assert gaps[2] <= 0.5 * gaps[0], gaps
@@ -231,6 +231,6 @@ def test_apriori_sup_h1_bound(thin_run):
 def test_corruption_is_detected():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=8, k=128)
-    traj = run(u0, ThinFilmMapEnergy(), cfg, corrupt_steps=(4,))
+    traj = run(u0, MobilityMapEnergy(IDENTITY), cfg, corrupt_steps=(4,))
     reports = check_entropy_dissipation_f(traj, IDENTITY, 1.0)
     assert not all(r.passed for r in reports)

@@ -101,12 +101,16 @@ def write_datum(tmp_path, m):
     # Phi(u0) overflows; at 1e300 f's derivatives overflow in the validator
     {"lagrangian": {"name": "power_mobility", "alpha": 0.7, "C": 1e160}},
     {"lagrangian": {"name": "power_mobility", "alpha": 0.7, "C": 1e300}},
+    # values the run used to truncate, convert or ignore; an infinite count
+    # exited 3 (runtime error)
+    {"m": 64.7}, {"tau": True}, {"m": float("inf")}, {"domain": [0, 1, 5]},
 ], ids=["tau_text", "m_text", "short_domain", "power_without_alpha",
         "file_without_path", "missing_datum_file", "one_column_datum",
         "m_null", "checks_number", "alpha_text", "bump_zero_width",
         "refine_negative", "refine_one_level", "refine_fraction",
         "cosine_epsilon", "thin_film_nan_C", "uniform_64_bit_tag",
-        "power_C_1e160", "power_C_1e300"])
+        "power_C_1e160", "power_C_1e300", "m_fraction", "tau_bool",
+        "m_infinite", "three_domain_ends"])
 def test_malformed_config_is_a_configuration_error(tmp_path, extra, capsys):
     np.savetxt(tmp_path / "one_column.csv", np.ones(64))
     if "path" in extra.get("initial", {}):
@@ -178,6 +182,42 @@ def test_bump_overlapping_the_domain_accepted(tmp_path):
 def test_refine_levels_accepted(tmp_path, levels):
     cfg = load_config(write_config(tmp_path, {"refine_levels": levels}))
     assert cfg.refine_levels == levels
+
+
+@pytest.mark.parametrize("extra, match", [
+    ({"m": 64.7}, "m must be an integer"),
+    ({"k": 64.5}, "k must be an integer"),
+    ({"n_steps": 2.5}, "n_steps must be an integer"),
+    ({"m": "64"}, "m must be a number"),
+    ({"tau": "1e-4"}, "tau must be a number"),
+    ({"tau": True}, "tau must be a number"),
+    ({"m": True}, "m must be a number"),
+    ({"n_steps": True}, "n_steps must be a number"),
+    ({"refine_levels": False}, "refine_levels must be a number"),
+    ({"domain": [0, True]}, "domain must be a number"),
+    ({"domain": [False, 1]}, "domain must be a number"),
+    ({"m": float("inf")}, "OverflowError"),
+    ({"initial": {"name": "cosine", "k": True}}, r"initial \['k'\]"),
+    ({"initial": {"name": "bump", "center": True}}, r"initial \['center'\]"),
+    ({"lagrangian": {"name": "power_mobility", "alpha": 0.7, "C": True}},
+     r"lagrangian \['C'\]"),
+], ids=["m_fraction", "k_fraction", "n_steps_fraction", "m_text",
+        "tau_text", "tau_bool", "m_bool", "n_steps_bool", "refine_bool",
+        "domain_hi_bool", "domain_lo_bool", "m_infinite", "cosine_k_bool",
+        "bump_center_bool", "power_C_bool"])
+def test_load_config_rejects_what_the_run_would_coerce(extra, match):
+    # each of these used to run on a truncated or converted value that the
+    # config echo in trajectory.json then disagreed with
+    with pytest.raises(ConfigurationError, match=match):
+        load_config({**BASE, **extra})
+
+
+def test_integral_float_counts_accepted():
+    cfg = load_config({**BASE, "m": 64.0, "k": 32.0, "n_steps": 4.0,
+                       "refine_levels": 2.0})
+    assert (cfg.m, cfg.k, cfg.n_steps, cfg.refine_levels) == (64, 32, 4, 2)
+    assert all(type(n) is int for n in (cfg.m, cfg.k, cfg.n_steps,
+                                        cfg.refine_levels))
 
 
 def test_zero_steps_rejected(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         JkoTrajectory, MobilityMapEnergy, MobilitySpec,
-                        TemporalWeight, TestFunction, ThinFilmMapEnergy,
-                        apriori_bounds, boltzmann_entropy,
+                        TemporalWeight, TestFunction, apriori_bounds,
+                        boltzmann_entropy,
                         check_discrete_weak_f, check_entropy_dissipation_f,
                         check_holder_continuity, densities_from_maps,
                         dissipation_constants, run, sobolev_norms)
@@ -22,7 +22,7 @@ IDENTITY = MobilitySpec.identity()  # thin film in the mobility class
 def thin_traj():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=20, k=128)
-    return run(u0, ThinFilmMapEnergy(), cfg)
+    return run(u0, MobilityMapEnergy(IDENTITY), cfg)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ def holder_double_loop(traj):
 def corrupted_traj():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=10, k=128)
-    return run(u0, ThinFilmMapEnergy(), cfg, corrupt_steps=(4, 5))
+    return run(u0, MobilityMapEnergy(IDENTITY), cfg, corrupt_steps=(4, 5))
 
 
 def map_traj(positions, energies, tau=1e-4, m=32):
@@ -223,7 +223,8 @@ def test_holder_worst_pair_beyond_lag_one():
     # at this tau the first two steps both move far: (0, 2) beats every
     # lag-1 pair, so the answer comes from a pair the screen must keep
     u0 = GridDensity.cosine(UNIT, 64, eps=0.9, k=1)
-    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=3e-3, n_steps=30, k=64))
+    traj = run(u0, MobilityMapEnergy(IDENTITY),
+               JkoConfig(tau=3e-3, n_steps=30, k=64))
     rep = assert_holder_matches_double_loop(traj)
     assert rep.context["worst_pair"] == (0, 2)
 
@@ -239,7 +240,8 @@ def test_holder_cost_is_linear_on_a_relaxing_run(monkeypatch):
     # evaluates N (N + 1) / 2 = 45 150 of them, the screen only the N at
     # lag 1
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
-    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=300, k=64))
+    traj = run(u0, MobilityMapEnergy(IDENTITY),
+               JkoConfig(tau=1e-4, n_steps=300, k=64))
     assert count_holder_pairs(traj, monkeypatch) <= 2 * traj.n_steps
 
 
@@ -266,7 +268,7 @@ def test_entropy_dissipation_mobility(mob_traj):
 def test_entropy_dissipation_fails_on_corruption():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=6, k=128)
-    traj = run(u0, ThinFilmMapEnergy(), cfg, corrupt_steps=(3,))
+    traj = run(u0, MobilityMapEnergy(IDENTITY), cfg, corrupt_steps=(3,))
     reports = thin_film_entropy_dissipation(traj)
     assert not reports[2].passed  # frozen step: no entropy drop, full lhs
 
@@ -282,7 +284,7 @@ def weak_setup(n_steps=20, tau=1e-4):
 def test_weak_form_stationary_zero(thin_traj):
     u0 = GridDensity.uniform(UNIT, 64)
     cfg = JkoConfig(tau=1e-4, n_steps=10, k=64)
-    traj = run(u0, ThinFilmMapEnergy(), cfg)
+    traj = run(u0, MobilityMapEnergy(IDENTITY), cfg)
     phi, eta = weak_setup(10)
     rep = check_discrete_weak_f(traj, IDENTITY, phi, eta)
     assert rep.passed and abs(rep.context["mid"]) < 1e-10
@@ -331,7 +333,7 @@ def test_weak_form_mobility(mob_traj):
 def test_apriori_uniform_trajectory():
     u0 = GridDensity.uniform(UNIT, 64)
     cfg = JkoConfig(tau=1e-4, n_steps=5, k=64)
-    traj = run(u0, ThinFilmMapEnergy(), cfg)
+    traj = run(u0, MobilityMapEnergy(IDENTITY), cfg)
     rep = apriori_bounds(traj, c_lower=0.5)
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0, abs=1e-9)  # ||1||_H1 = 1

@@ -4,11 +4,11 @@ from scipy.linalg import get_lapack_funcs, solve_banded
 from scipy.optimize import minimize
 
 from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
-                        MobilityMapEnergy, MobilitySpec, ThinFilmMapEnergy,
-                        TransportMap, boltzmann_entropy, check_energy_monotone,
-                        check_holder_continuity, check_total_square_distance,
-                        density_from_map, jko_step, map_from_density,
-                        refine_study, run, wasserstein2)
+                        MobilityMapEnergy, MobilitySpec, boltzmann_entropy,
+                        check_energy_monotone, check_holder_continuity,
+                        check_total_square_distance, densities_from_maps,
+                        jko_step, map_from_density, refine_study, run,
+                        wasserstein2)
 from gradflow1d import jko
 from gradflow1d.jko import BW, _Objective
 from gradflow1d.transport import w2sq_between_maps
@@ -18,11 +18,21 @@ MOBILITIES = [MobilitySpec.identity(), MobilitySpec.sqrt_mobility(),
               MobilitySpec.power_mobility(1.0, 0.7)]
 
 
+def thin_film():
+    """A new thin-film energy: some tests patch its methods."""
+    return MobilityMapEnergy(MobilitySpec.identity())
+
+
+def value_and_grad(obj, x, iface=None):
+    """The objective's value and gradient at x."""
+    return obj.value_and_energy(x)[0], obj.grad(x, iface)
+
+
 @pytest.fixture(scope="module")
 def thin_traj():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=30, k=128)
-    return run(u0, ThinFilmMapEnergy(), cfg)
+    return run(u0, thin_film(), cfg)
 
 
 # --- configuration ----------------------------------------------------------
@@ -61,11 +71,11 @@ def test_w2sq_between_maps_translation():
 
 def test_objective_quadratic_term_matches_exact_w2():
     u = GridDensity.cosine(UNIT, 128, eps=0.3, k=1)
-    x_prev = map_from_density(u, 64).positions
+    x_prev = map_from_density(u, 64)
     x = np.clip(x_prev + 0.01 * np.sin(np.pi * x_prev), 0, 1)
     tau = 1e-3
-    obj = _Objective(ThinFilmMapEnergy(), x_prev, tau)
-    quad = obj(x)[0] - ThinFilmMapEnergy().value_and_grad(x)[0]
+    obj = _Objective(thin_film(), x_prev, tau)
+    quad = obj.value_and_energy(x)[0] - thin_film().value_and_grad(x)[0]
     assert quad == pytest.approx(w2sq_between_maps(x, x_prev) / (2 * tau),
                                  rel=1e-12)
 
@@ -77,7 +87,7 @@ def _fd_hessian(obj, x, eps):
     for j in range(n):
         e = np.zeros(n)
         e[j] = eps
-        H[:, j] = (obj(x + e)[1] - obj(x - e)[1]) / (2 * eps)
+        H[:, j] = (obj.grad(x + e) - obj.grad(x - e)) / (2 * eps)
     return H
 
 
@@ -106,7 +116,7 @@ def test_exact_hessian_matches_fd(f, k):
 
 def test_uniform_is_fixed_point():
     x0 = np.linspace(0, 1, 65)
-    xn, fval, _, conv = jko_step(x0, ThinFilmMapEnergy(), 1e-4, 1e-9)
+    xn, fval, _, conv = jko_step(x0, thin_film(), 1e-4, 1e-9)
     assert conv
     assert np.max(np.abs(xn - x0)) < 1e-9
     assert fval < 1e-15
@@ -116,15 +126,15 @@ def test_step_against_brute_force():
     # compare the damped Newton inner solve against a generic quasi-Newton
     # minimization of the same objective on a coarse map
     u0 = GridDensity.cosine(UNIT, 64, eps=0.4, k=2)
-    x0 = map_from_density(u0, 16).positions
+    x0 = map_from_density(u0, 16)
     tau = 1e-3
-    e = ThinFilmMapEnergy()
+    e = thin_film()
     obj = _Objective(e, x0, tau)
     xn, fval, _, _ = jko_step(x0, e, tau, 1e-9)
 
     def fun(z):
         x = np.concatenate([[0.0], np.sort(z), [1.0]])
-        return obj(x)[0]
+        return obj.value_and_energy(x)[0]
 
     best = np.inf
     rng = np.random.default_rng(0)
@@ -149,30 +159,31 @@ def test_stationary_to_working_precision(f):
     e = MobilityMapEnergy(f)
     x = np.linspace(0.0, 1.0, 257)
     x[1:-1:3] = np.nextafter(x[1:-1:3], 2.0)
-    assert np.linalg.norm(_Objective(e, x, 1e-4)(x)[1]) > 1e-9
+    assert np.linalg.norm(_Objective(e, x, 1e-4).grad(x)) > 1e-9
     assert jko_step(x, e, 1e-4, 1e-9, max_iter=0)[3]
     u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
-    x1 = map_from_density(u0, 256).positions
+    x1 = map_from_density(u0, 256)
     assert not jko_step(x1, e, 1e-4, 1e-9, max_iter=0)[3]
 
 
 def test_step_on_odd_mode_data():
     u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=3)
-    x0 = map_from_density(u0, 256).positions
-    e = ThinFilmMapEnergy()
+    x0 = map_from_density(u0, 256)
+    e = thin_film()
     tau = 1e-5
-    f0 = _Objective(e, x0, tau)(x0)[0]
+    f0 = _Objective(e, x0, tau).value_and_energy(x0)[0]
     xn, fval, _, conv = jko_step(x0, e, tau, 1e-9)
     assert conv
     assert fval < f0
-    assert fval == pytest.approx(_Objective(e, x0, tau)(xn)[0], rel=1e-12)
+    assert fval == pytest.approx(
+        _Objective(e, x0, tau).value_and_energy(xn)[0], rel=1e-12)
 
 
 # --- trajectories -----------------------------------------------------------
 
 def test_run_zero_steps_returns_initial():
     u0 = GridDensity.cosine(UNIT, 64, eps=0.3, k=1)
-    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=0, k=64))
+    traj = run(u0, thin_film(), JkoConfig(tau=1e-4, n_steps=0, k=64))
     assert traj.n_steps == 0
     assert traj.grid is u0
     assert traj.positions.shape == (1, 65) and traj.values.shape == (1, 64)
@@ -203,7 +214,7 @@ def test_interpolant_ceiling_convention(thin_traj):
 def test_relaxation_toward_uniform():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=2e-3, n_steps=60, k=128)
-    traj = run(u0, ThinFilmMapEnergy(), cfg)
+    traj = run(u0, thin_film(), cfg)
     assert np.all(np.diff(traj.energies) <= 0)
     assert np.all(np.diff(traj.energies[:5]) < 0)
     assert traj.energies[-1] < 1e-2 * traj.energies[0]
@@ -215,7 +226,7 @@ def test_relaxation_toward_uniform():
 def test_corruption_breaks_dissipation():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=10, k=128)
-    traj = run(u0, ThinFilmMapEnergy(), cfg, corrupt_steps=(5,))
+    traj = run(u0, thin_film(), cfg, corrupt_steps=(5,))
     assert traj.energies[5] == pytest.approx(traj.energies[4], abs=1e-15)
     assert traj.step_distances[4] == 0.0
 
@@ -235,8 +246,8 @@ def assert_states_are_pushforwards(traj, u0):
     # what resampling its map alone gives
     assert traj.grid is u0
     assert len(traj.values) == len(traj.positions) == traj.n_steps + 1
-    single = [u0] + [density_from_map(TransportMap(u0.domain, x), u0.m)
-                     for x in traj.positions[1:]]
+    single = [u0] + [GridDensity(u0.domain, densities_from_maps(
+        u0.domain, x[None], u0.m)[0]) for x in traj.positions[1:]]
     for v, ref in zip(traj.values, single):
         assert np.array_equal(v, ref.values)
     assert np.array_equal(traj.entropies,
@@ -250,8 +261,7 @@ def assert_states_are_pushforwards(traj, u0):
                          ids=["k1", "k3", "bump", "k3-m48"])
 @pytest.mark.parametrize("n_steps", [0, 1, 6])
 def test_run_states_match_one_map_at_a_time(u0, n_steps):
-    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=n_steps,
-                                                  k=96))
+    traj = run(u0, thin_film(), JkoConfig(tau=1e-4, n_steps=n_steps, k=96))
     assert_states_are_pushforwards(traj, u0)
 
 
@@ -279,12 +289,12 @@ def test_run_resamples_in_blocks(extra):
 
 def test_run_resamples_corrupted_steps():
     u0 = GridDensity.cosine(UNIT, 64, eps=0.5, k=1)
-    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=4, k=64),
+    traj = run(u0, thin_film(), JkoConfig(tau=1e-4, n_steps=4, k=64),
                corrupt_steps=(1, 3))
     assert_states_are_pushforwards(traj, u0)
     assert np.array_equal(traj.values[3], traj.values[2])
     # a step's energy is bitwise that of its map, a corrupted one included
-    assert traj.energies.tolist() == [ThinFilmMapEnergy().value(x)
+    assert traj.energies.tolist() == [thin_film().value(x)
                                       for x in traj.positions]
 
 
@@ -293,7 +303,7 @@ def test_run_resamples_corrupted_steps():
 def test_refine_study_uniform_gaps_vanish():
     u0 = GridDensity.uniform(UNIT, 64)
     cfg = JkoConfig(tau=1e-3, n_steps=4, k=64)
-    _, gaps = refine_study(u0, ThinFilmMapEnergy(), cfg, levels=3)
+    _, gaps = refine_study(u0, thin_film(), cfg, levels=3)
     assert len(gaps) == 2
     assert max(gaps) < 1e-8
 
@@ -301,7 +311,7 @@ def test_refine_study_uniform_gaps_vanish():
 def test_refine_study_gaps_shrink():
     u0 = GridDensity.cosine(UNIT, 64, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-3, n_steps=5, k=64)
-    _, gaps = refine_study(u0, ThinFilmMapEnergy(), cfg, levels=3)
+    _, gaps = refine_study(u0, thin_film(), cfg, levels=3)
     assert gaps[1] < gaps[0]
 
 
@@ -339,7 +349,7 @@ def test_run_starts_from_the_extrapolated_map(monkeypatch):
     monkeypatch.setattr(jko, "jko_step", spy)
     dom = Interval(-1.0, 2.0)
     u0 = GridDensity.cosine(dom, 64, eps=0.5, k=3)
-    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=5, k=64))
+    traj = run(u0, thin_film(), JkoConfig(tau=1e-4, n_steps=5, k=64))
     pos = traj.positions[:, 1:-1]
     assert [np.array_equal(c[0], p)
             for c, p in zip(calls, traj.positions)] == [True] * 5
@@ -399,8 +409,7 @@ def _rejected_starts(x, e, tau):
 @pytest.mark.parametrize("f", MOBILITIES, ids=lambda f: f.name)
 def test_rejected_start_gives_the_step_from_x_prev(f, start):
     e = MobilityMapEnergy(f)
-    x = map_from_density(GridDensity.cosine(UNIT, 64, eps=0.5, k=3),
-                         64).positions
+    x = map_from_density(GridDensity.cosine(UNIT, 64, eps=0.5, k=3), 64)
     tau = 1e-4
     ref = jko_step(x, e, tau, UNIT.gap)
     out = jko_step(x, e, tau, UNIT.gap,
@@ -417,7 +426,7 @@ def _polished(x_prev, x, energy, tau):
     x = x.copy()
     for _ in range(4):
         H = obj.hessian_banded(x)[:, 1:-1]
-        x[1:-1] += solve_banded((BW, BW), H, -obj(x)[1][1:-1])
+        x[1:-1] += solve_banded((BW, BW), H, -obj.grad(x)[1:-1])
     return x
 
 
@@ -504,7 +513,7 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
     return bitwise what this returns."""
     obj = _Objective(energy, x_prev, tau)
     x = x_prev.copy()
-    f, g = obj(x)
+    f, g = value_and_grad(obj, x)
     f0 = f
     g = g[1:-1]
     gref = max(np.linalg.norm(g), 1e-30)
@@ -538,7 +547,7 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
                 for _ in range(40):
                     xn = np.concatenate(([x[0]], x[1:-1] + alpha * p, [x[-1]]))
                     if np.all(np.diff(xn) > gap):
-                        fn, gn = obj(xn)
+                        fn, gn = value_and_grad(obj, xn)
                         if fn <= f + 1e-4 * alpha * (p @ g) or (fn < f and alpha < 1e-6):
                             moved = True
                             break
@@ -548,8 +557,9 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
             lam = 1e-3 * np.abs(H[BW]).max() if lam == 0 else 10 * lam
         if final:
             xn = np.concatenate(([x[0]], x[1:-1] + p, [x[-1]]))
-            if np.all(np.diff(xn) > gap) and obj(xn)[0] <= f0:
-                x, f = xn, obj(xn)[0]
+            if (np.all(np.diff(xn) > gap)
+                    and obj.value_and_energy(xn)[0] <= f0):
+                x, f = xn, obj.value_and_energy(xn)[0]
             converged = True
             break
         if not moved:
@@ -588,10 +598,10 @@ def test_value_matches_value_and_grad(f):
         x /= x[-1]
         obj = _Objective(e, x + 0.01 * rng.uniform(-1, 1, k + 1) / k, 1e-4)
         assert e.value(x) == e.value_and_grad(x)[0]
-        assert obj.value_and_energy(x, x[1:] - x[:-1]) == (obj(x)[0],
-                                                           e.value(x))
+        assert obj.value_and_energy(x, x[1:] - x[:-1]) == (
+            obj.value_and_energy(x)[0], e.value(x))
         iface = e._interfaces(x)
-        assert np.array_equal(obj(x, iface)[1], obj(x)[1])
+        assert np.array_equal(obj.grad(x, iface), obj.grad(x))
         assert np.array_equal(obj.hessian_banded(x, iface),
                               obj.hessian_banded(x))
 
@@ -603,8 +613,7 @@ def test_step_matches_reference(f, k, tau):
     # two steps from even (k=2) and odd (k=3) cosine data
     e = MobilityMapEnergy(f)
     for mode in (2, 3):
-        x = map_from_density(GridDensity.cosine(UNIT, k, eps=0.5, k=mode),
-                             k).positions
+        x = map_from_density(GridDensity.cosine(UNIT, k, eps=0.5, k=mode), k)
         for _ in range(2):
             x = _same_step(x, e, tau)[0]
 
@@ -628,11 +637,10 @@ def test_stationary_exit_matches_reference():
     # budget and is converged only by the working-precision stationarity
     # test
     u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
-    traj = run(u0, ThinFilmMapEnergy(), JkoConfig(tau=1e-4, n_steps=186,
-                                                  k=256))
+    traj = run(u0, thin_film(), JkoConfig(tau=1e-4, n_steps=186, k=256))
     x = traj.positions[-1]
-    assert _same_step(x, ThinFilmMapEnergy(), 1e-4, max_iter=8)[3]
-    e = ThinFilmMapEnergy()
+    assert _same_step(x, thin_film(), 1e-4, max_iter=8)[3]
+    e = thin_film()
     grads = []
     value_and_grad = e.value_and_grad
     e.value_and_grad = lambda *a: grads.append(1) or value_and_grad(*a)
@@ -691,7 +699,7 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
     obj = _FreeWallObjective(energy, x_prev, tau)
     x = x_prev.copy()
     iface = energy._interfaces(x)
-    f, g = obj(x, iface)
+    f, g = value_and_grad(obj, x, iface)
     f0 = f
     gref = max(np.linalg.norm(g), 1e-30)
     lam = 0.0
@@ -746,7 +754,7 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
         prev = (H, pinned) if lam == 0 else None
         df = f - fn
         iface = energy._interfaces(xn)
-        x, f, g = xn, fn, obj(xn, iface)[1]
+        x, f, g = xn, fn, obj.grad(xn, iface)
         lam *= 0.1
         if (np.linalg.norm(_g_free(g, x, lo, hi)) < gtol * gref
                 or df < ftol * max(abs(f), 1e-30)):
@@ -764,8 +772,7 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
 @pytest.mark.parametrize("f", MOBILITIES, ids=lambda f: f.name)
 def test_even_mode_steps_match_free_wall_solver(f, k, tau):
     e = MobilityMapEnergy(f)
-    x = map_from_density(GridDensity.cosine(UNIT, k, eps=0.5, k=2),
-                         k).positions
+    x = map_from_density(GridDensity.cosine(UNIT, k, eps=0.5, k=2), k)
     for _ in range(2):
         out = jko_step(x, e, tau, UNIT.gap)
         ref = _free_wall_jko_step(x, e, tau, 0.0, 1.0, UNIT.gap)
@@ -774,9 +781,9 @@ def test_even_mode_steps_match_free_wall_solver(f, k, tau):
         x = out[0]
 
 
-class _NanHessian(ThinFilmMapEnergy):
+class _NanHessian(MobilityMapEnergy):
     def __init__(self, entry):
-        super().__init__()
+        super().__init__(MobilitySpec.identity())
         self.entry = entry
 
     def hessian_banded(self, x, iface=None):
@@ -785,11 +792,11 @@ class _NanHessian(ThinFilmMapEnergy):
         return H
 
 
-class _SingularHessian(ThinFilmMapEnergy):
+class _SingularHessian(MobilityMapEnergy):
     """Cancels the transport term's mass matrix: the Newton system is 0."""
 
     def __init__(self, tau):
-        super().__init__()
+        super().__init__(MobilitySpec.identity())
         self.tau = tau
 
     def hessian_banded(self, x, iface=None):
@@ -809,8 +816,7 @@ def test_unsolvable_systems_match_reference(energy):
     # scipy's solve_banded refuses a non-finite band (the unused corners of
     # the interior block included) and a singular system; either means no
     # Newton step
-    x0 = map_from_density(GridDensity.cosine(UNIT, 64, eps=0.5, k=2),
-                          64).positions
+    x0 = map_from_density(GridDensity.cosine(UNIT, 64, eps=0.5, k=2), 64)
     x, _, _, converged = _same_step(x0, energy, 1e-4)
     assert np.array_equal(x, x0)
     assert not converged

@@ -5,18 +5,23 @@ from scipy.interpolate import CubicSpline, PPoly
 
 from gradflow1d import (ConfigurationError, DegenerateQuantileError,
                         GridDensity, Interval, JkoConfig, MobilityMapEnergy,
-                        MobilitySpec, MonotonicityError, ThinFilmMapEnergy,
-                        TransportMap, boltzmann_entropy, densities_from_maps,
-                        density_from_map, map_from_density, quantile, run,
+                        MobilitySpec, MonotonicityError, boltzmann_entropy,
+                        densities_from_maps, map_from_density, quantile, run,
                         transport, wasserstein2)
-from gradflow1d.transport import (_newton_inverse, _spline_coefficients,
-                                  _SplineColumns, w2sq_between_maps)
+from gradflow1d.transport import (MASS_TOL, _newton_inverse,
+                                  _spline_coefficients, _SplineColumns,
+                                  w2sq_between_maps)
 
 UNIT = Interval(0.0, 1.0)
 
 
 def positive_density(values, domain=UNIT):
     return GridDensity.from_samples(domain, values)
+
+
+def pushforward(x, m, domain=UNIT):
+    """The pushforward of one map: the one-row block of densities_from_maps."""
+    return GridDensity(domain, densities_from_maps(domain, x[None], m)[0])
 
 
 @st.composite
@@ -67,16 +72,35 @@ def test_from_samples_normalizes():
 
 
 def test_map_requires_monotone_positions():
+    # the node check of both converters, on a one-row block
     pos = np.linspace(0, 1, 17)
     pos[5] = pos[4]
     with pytest.raises(MonotonicityError):
-        TransportMap(UNIT, pos)
+        densities_from_maps(UNIT, pos[None], 16)
     # a NaN node, interior or at an end, fails the gap test too
     for node in (5, 0, -1):
         nan = np.linspace(0, 1, 17)
         nan[node] = np.nan
         with pytest.raises(MonotonicityError):
-            TransportMap(UNIT, nan)
+            densities_from_maps(UNIT, nan[None], 16)
+
+
+@pytest.mark.parametrize("node", [1, 5, -2])
+def test_map_from_density_rejects_a_nan_node(node):
+    # a non-finite inversion (injected) fails the node check of the quantile
+    # map; the end nodes are pinned to the support after the inversion
+    u = GridDensity.cosine(UNIT, 64, eps=0.5, k=2)
+
+    def nan_at(spline, target, x, *args):
+        x, start, end = _newton_inverse(spline, target, x, *args)
+        x = x.copy()
+        x[node] = np.nan
+        return x, start, end
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_newton_inverse", nan_at)
+        with pytest.raises(MonotonicityError):
+            map_from_density(u, 16)
 
 
 # --- quantile --------------------------------------------------------------
@@ -194,25 +218,24 @@ def test_entropy_minimized_by_uniform(u):
 def test_map_from_uniform_density():
     u = GridDensity.uniform(UNIT, 32)
     x = map_from_density(u, 8)
-    np.testing.assert_allclose(x.positions, np.linspace(0, 1, 9), atol=1e-10)
+    np.testing.assert_allclose(x, np.linspace(0, 1, 9), atol=1e-10)
 
 
 def test_map_quantiles_of_compressed_uniform():
     u = GridDensity(Interval(0.0, 0.5), np.full(16, 2.0))
     x = map_from_density(u, 8)
-    np.testing.assert_allclose(x.positions, np.linspace(0, 0.5, 9), atol=1e-10)
+    np.testing.assert_allclose(x, np.linspace(0, 0.5, 9), atol=1e-10)
 
 
 def test_density_from_linear_map_is_uniform():
-    x = TransportMap(UNIT, np.linspace(0, 1, 33))
-    v = density_from_map(x)
+    v = pushforward(np.linspace(0, 1, 33), 32)
     np.testing.assert_allclose(v.values, 1.0, atol=1e-10)
     assert abs(v.mass - 1.0) < 1e-10
 
 
 def test_round_trip():
     u = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
-    v = density_from_map(map_from_density(u, 256))
+    v = pushforward(map_from_density(u, 256), 256)
     assert np.max(np.abs(v.values - u.values)) < 1e-4
 
 
@@ -225,7 +248,7 @@ def test_map_from_density_degenerate_plateau():
 @settings(max_examples=20, deadline=None)
 @given(densities())
 def test_round_trip_property(u):
-    v = density_from_map(map_from_density(u, 64), u.m)
+    v = pushforward(map_from_density(u, 64), u.m)
     # rough samples smear over a few cells; compare in transport distance
     assert wasserstein2(u, v) < 3 * u.h
     assert abs(v.mass - 1.0) < 1e-10
@@ -298,14 +321,16 @@ def assert_values_are_the_splines(args):
 
 
 def rough_map(seed, k=64):
+    """Nodes of a map on UNIT with lognormal gaps; the last node can lie a
+    few ulps outside the domain."""
     gaps = np.random.default_rng(seed).lognormal(0.0, 2.0, k)
-    return TransportMap(UNIT, np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum())
+    return np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum()
 
 
 @settings(max_examples=20, deadline=None)
 @given(densities())
 def test_newton_inverse_exact_on_rough_densities(u):
-    calls = inversions(lambda: density_from_map(map_from_density(u, 64), u.m))
+    calls = inversions(lambda: pushforward(map_from_density(u, 64), u.m))
     assert len(calls) == 2
     for args in calls:
         assert_exact_for_all_sweeps(args)
@@ -313,7 +338,8 @@ def test_newton_inverse_exact_on_rough_densities(u):
 
 @pytest.mark.parametrize("seed", range(2, 6))
 def test_newton_inverse_exact_on_rough_maps(seed):
-    (args,) = inversions(lambda: density_from_map(rough_map(seed), 50))
+    x = rough_map(seed)
+    (args,) = inversions(lambda: densities_from_maps(UNIT, x[None], 50))
     assert_exact_for_all_sweeps(args)
     assert_values_are_the_splines(args)
     # the spline is non-monotone here: the piecewise-linear fallback fires
@@ -325,7 +351,7 @@ def test_newton_inverse_exact_on_rough_maps(seed):
 
 def test_newton_inverse_exact_on_a_batch():
     # one inversion for the whole batch, on a 2-D array of edges
-    pos = np.array([rough_map(seed).positions for seed in range(2, 7)])
+    pos = np.array([rough_map(seed) for seed in range(2, 7)])
     (args,) = inversions(lambda: densities_from_maps(UNIT, pos, 50))
     assert args[2].shape == (5, 51)
     assert_exact_for_all_sweeps(args)
@@ -360,18 +386,32 @@ def test_newton_inverse_exact_on_a_2d_batch_of_cycles():
 
 def test_batch_matches_one_map_at_a_time():
     # rough maps make non-monotone splines, on which the fallback fires
-    maps = [rough_map(seed) for seed in range(2, 10)]
-    pos = np.array([x.positions for x in maps])
+    pos = np.array([rough_map(seed) for seed in range(2, 10)])
     for m in (50, 64, 200):
         batch = densities_from_maps(UNIT, pos, m)
-        assert batch.shape == (len(maps), m)
-        for x, v in zip(maps, batch):
-            assert np.array_equal(v, density_from_map(x, m).values)
+        assert batch.shape == (len(pos), m)
+        for x, v in zip(pos, batch):
+            assert np.array_equal(v, densities_from_maps(UNIT, x[None], m)[0])
+
+
+def test_end_node_one_ulp_outside_is_clipped():
+    # the lognormal map of seed 0 at K = 9 ends 1 ulp above the domain; its
+    # end node is clipped onto the wall before resampling, as within 1e-12
+    x = rough_map(0, 9)
+    assert x[-1] == np.nextafter(1.0, 2.0)
+    v = densities_from_maps(UNIT, x[None], 9)[0]
+    assert abs(v.sum() / 9 - 1.0) <= MASS_TOL
+    on_wall = x.copy()
+    on_wall[-1] = 1.0
+    assert np.array_equal(v, densities_from_maps(UNIT, on_wall[None], 9)[0])
+    x[-1] = 1.0 + 1e-9
+    with pytest.raises(ConfigurationError, match="leave the domain"):
+        densities_from_maps(UNIT, x[None], 9)
 
 
 def test_batch_checks_nodes_and_states():
-    # what TransportMap and GridDensity check per object, once per block
-    pos = np.array([rough_map(seed).positions for seed in range(2, 5)])
+    # the node check and the states' mass check, once per block
+    pos = np.array([rough_map(seed) for seed in range(2, 5)])
     close = pos.copy()
     close[1, 5] = close[1, 4] + 0.5 * UNIT.gap
     with pytest.raises(MonotonicityError):
@@ -429,7 +469,7 @@ def assert_matches_ppoly(spline, t):
 def test_evaluator_matches_ppoly_on_not_a_knot_splines():
     rng = np.random.default_rng(0)
     levels = np.linspace(0.0, 1.0, 65)
-    pos = np.array([rough_map(seed).positions for seed in range(2, 8)])
+    pos = np.array([rough_map(seed) for seed in range(2, 8)])
     multi = CubicSpline(levels, pos.T)
     assert_matches_ppoly(multi, np.array(
         [evaluation_points(levels, rng) for _ in pos]))
@@ -463,7 +503,7 @@ def assert_same_bits(a, b):
 @pytest.mark.parametrize("rows", [1, 3, 16])
 def test_builder_matches_not_a_knot_cubic_spline(k, rows):
     levels = np.linspace(0.0, 1.0, k + 1)
-    pos = np.array([rough_map(seed, k).positions for seed in range(rows)])
+    pos = np.array([rough_map(seed, k) for seed in range(rows)])
     assert_same_bits(_spline_coefficients(levels, pos),
                      row_major(CubicSpline(levels, pos.T)))
 
@@ -491,16 +531,16 @@ def conversions(traj, k):
     dom = traj.grid.domain
     for x, v in zip(traj.positions, traj.values):
         try:
-            positions = map_from_density(GridDensity(dom, v), k).positions
+            positions = map_from_density(GridDensity(dom, v), k)
         except DegenerateQuantileError:
             positions = None
-        out.append((density_from_map(TransportMap(dom, x), k).values,
-                    positions))
+        out.append((densities_from_maps(dom, x[None], k)[0], positions))
     return out
 
 
-@pytest.mark.parametrize("energy", [ThinFilmMapEnergy(),
-                                    MobilityMapEnergy(MobilitySpec.sqrt_mobility())])
+@pytest.mark.parametrize("energy", [
+    MobilityMapEnergy(MobilitySpec.identity()),
+    MobilityMapEnergy(MobilitySpec.sqrt_mobility())])
 @pytest.mark.parametrize("k", [64, 1024])
 @pytest.mark.parametrize("mode", [2, 3])
 def test_conversions_match_fixed_sweeps_on_trajectories(energy, k, mode):
