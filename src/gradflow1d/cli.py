@@ -25,8 +25,7 @@ from .report import CSV_HEADER, CSV_SCHEMA_VERSION, CertificateReport
 from .transport import (ConfigurationError, GridDensity, Interval,
                         reject_zero_plateau)
 from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction,
-                         alpha_window, dissipation_constants,
-                         validate_assumption_f)
+                         dissipation_constants, validate_assumption_f)
 from .jko import JkoConfig, MobilityMapEnergy, run, refine_study
 from . import diagnostics as dg
 
@@ -45,6 +44,9 @@ DEFAULTS = {
     "checks": list(ALL_CHECKS),
     "out": "out",
 }
+# the keys a config may set: the defaults, and the negative control, which
+# is off unless set and so stays out of the config echo
+KEYS = (*DEFAULTS, "inject_corruption")
 
 
 @dataclass
@@ -92,7 +94,10 @@ def _mobility(lag: dict) -> MobilitySpec:
     if name == "sqrt_mobility":
         return MobilitySpec.sqrt_mobility()
     if name == "power_mobility":
-        return MobilitySpec.power_mobility(lag.get("C", 1.0), lag["alpha"])
+        # a number, so that a huge JSON integer C is rejected here and not
+        # where the run first evaluates f
+        return MobilitySpec.power_mobility(_number(lag.get("C", 1.0), "C"),
+                                           _number(lag["alpha"], "alpha"))
     raise ConfigurationError(f"unknown lagrangian '{name}'")
 
 
@@ -127,7 +132,7 @@ def load_config(source: str | Path | dict,
                 f"cannot read config {source}: {exc}") from exc
     merged = {**DEFAULTS, **raw, **(overrides or {})}
     for key in raw:
-        if key not in DEFAULTS and key != "inject_corruption":
+        if key not in KEYS:
             raise ConfigurationError(f"unknown config key '{key}'")
     try:
         unknown = [c for c in merged["checks"] if c not in ALL_CHECKS]
@@ -148,6 +153,11 @@ def load_config(source: str | Path | dict,
             raise ConfigurationError(
                 f"refine_levels must be 0 or an integer >= 2, "
                 f"not {merged['refine_levels']!r}")
+        # the negative control is on only for a JSON true, never by truthiness
+        corrupt = merged.get("inject_corruption", False)
+        if not isinstance(corrupt, bool):
+            raise ConfigurationError(
+                f"inject_corruption must be a boolean, not {corrupt!r}")
         for section, reads in READS.items():
             merged[section] = dict(merged[section])
             name = merged[section].get("name")
@@ -167,10 +177,6 @@ def load_config(source: str | Path | dict,
         # so the concave-mobility validator does not apply to it
         f = _mobility(merged["lagrangian"])
         if merged["lagrangian"]["name"] != "thin_film":
-            if not alpha_window(1) < f.alpha <= 1.0:
-                raise ConfigurationError(
-                    f"mobility exponent {f.alpha} outside the admissible "
-                    f"window ({alpha_window(1)}, 1]")
             rep = validate_assumption_f(f, dimension=1)
             if not rep.passed:
                 raise ConfigurationError(
@@ -181,8 +187,7 @@ def load_config(source: str | Path | dict,
             domain=domain, m=m, k=k, mobility=f, u0=u0, tau=tau,
             n_steps=n_steps, refine_levels=refine_levels,
             checks=list(merged["checks"]), out=Path(merged["out"]),
-            inject_corruption=bool(merged.get("inject_corruption", False)),
-            raw=merged)
+            inject_corruption=corrupt, raw=merged)
     except ConfigurationError:
         raise
     # a malformed or wrongly typed value, an infinite count, a domain

@@ -98,9 +98,11 @@ def write_datum(tmp_path, m):
     {"initial": {"name": "cosine", "epsilon": 0.9}},
     {"lagrangian": {"name": "thin_film", "C": float("nan")}},
     {"initial": {"name": "uniform", "tag": 2 ** 64}},
-    # Phi(u0) overflows; at 1e300 f's derivatives overflow in the validator
+    # Phi(u0) overflows, which `run` rejects before the first step
     {"lagrangian": {"name": "power_mobility", "alpha": 0.7, "C": 1e160}},
     {"lagrangian": {"name": "power_mobility", "alpha": 0.7, "C": 1e300}},
+    # an integer C beyond any double: f could not be evaluated at all
+    {"lagrangian": {"name": "power_mobility", "alpha": 0.7, "C": 10 ** 400}},
     # values the run used to truncate, convert or ignore; an infinite count
     # exited 3 (runtime error)
     {"m": 64.7}, {"tau": True}, {"m": float("inf")}, {"domain": [0, 1, 5]},
@@ -109,8 +111,8 @@ def write_datum(tmp_path, m):
         "m_null", "checks_number", "alpha_text", "bump_zero_width",
         "refine_negative", "refine_one_level", "refine_fraction",
         "cosine_epsilon", "thin_film_nan_C", "uniform_64_bit_tag",
-        "power_C_1e160", "power_C_1e300", "m_fraction", "tau_bool",
-        "m_infinite", "three_domain_ends"])
+        "power_C_1e160", "power_C_1e300", "power_C_10_400", "m_fraction",
+        "tau_bool", "m_infinite", "three_domain_ends"])
 def test_malformed_config_is_a_configuration_error(tmp_path, extra, capsys):
     np.savetxt(tmp_path / "one_column.csv", np.ones(64))
     if "path" in extra.get("initial", {}):
@@ -158,6 +160,32 @@ def test_sweep_row_with_non_finite_initial_energy(tmp_path):
     rows = json.loads((tmp_path / "out" / "sweep.json").read_text())
     assert [row["exit_code"] for row in rows] == [2]
     assert "initial energy is not finite" in rows[0]["error"]
+
+
+def test_sweep_of_a_huge_constant_rejects_each_row(tmp_path):
+    # the mobility itself is admissible, so every row loads and is rejected
+    # by its run, not the whole sweep by the loader
+    path = write_config(tmp_path, {
+        "lagrangian": {"name": "power_mobility", "alpha": 0.7, "C": 1e300}})
+    assert main(["--config", str(path), "--sweep", "tau=1e-4,5e-5"]) == 2
+    rows = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    assert [row["exit_code"] for row in rows] == [2, 2]
+    assert all("initial energy is not finite" in row["error"] for row in rows)
+
+
+@pytest.mark.parametrize("lagrangian", [
+    {"name": "power_mobility", "alpha": 1e-3},
+    {"name": "power_mobility", "alpha": 0.5, "C": 1e-200}],
+    ids=["alpha_1e-3", "C_1e-200"])
+def test_admissible_mobility_runs_the_default_config(tmp_path, lagrangian):
+    # both satisfy the structure assumptions, 0 < alpha < 1 and C finite
+    # and positive, however close alpha is to 0 or C to the underflow
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lagrangian": lagrangian,
+                                "out": str(tmp_path / "out")}))
+    assert main(["--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["n_certificates"], summary["n_failed"]) == (104, 0)
 
 
 @pytest.mark.parametrize("bump", [
@@ -696,6 +724,17 @@ def test_main_check_selection(tmp_path):
 def test_main_corruption_flag(tmp_path):
     path = write_config(tmp_path)
     assert main(["--config", str(path), "--inject-corruption"]) == 1
+
+
+def test_corruption_in_config_must_be_a_boolean(tmp_path, capsys):
+    assert main(["--config", str(write_config(
+        tmp_path, {"inject_corruption": True}))]) == 1
+    for value in ("no", 1, 0.0, None):
+        path = write_config(tmp_path, {"inject_corruption": value,
+                                       "out": str(tmp_path / "rejected")})
+        assert main(["--config", str(path)]) == 2
+        assert "inject_corruption must be a boolean" in capsys.readouterr().err
+    assert not (tmp_path / "rejected").exists()
 
 
 def test_console_entry_point(tmp_path):

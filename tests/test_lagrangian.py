@@ -147,23 +147,49 @@ def test_small_power_fails_window_d2():
     assert rep.context["margins"]["alpha_window"] < 0
 
 
-def test_nan_margin_fails_validator():
-    bad = replace(MobilitySpec.sqrt_mobility(),
-                  f3=lambda z: np.full_like(np.asarray(z, float), np.nan))
-    rep = validate_assumption_f(bad, 1)
+@pytest.mark.parametrize("alpha", [1e-3, 0.05, 0.5, 0.7, 0.99, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_verdict_is_independent_of_the_constant(alpha, d):
+    # no clause reads C beyond 0 < C < inf: the ratio f''' f' / f''^2 is
+    # free of it, also where a sample of f's derivatives would overflow
+    ref = validate_assumption_f(MobilitySpec.power_mobility(1.0, alpha), d)
+    for C in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+        rep = validate_assumption_f(MobilitySpec.power_mobility(C, alpha), d)
+        assert (rep.passed, rep.context) == (ref.passed, ref.context)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_alpha_window_boundary(d):
+    amin = alpha_window(d)
+    for alpha, passed in ((amin + 1e-6, True), (amin, False),
+                          (amin - 1e-6, False)):
+        rep = validate_assumption_f(MobilitySpec.power_mobility(1.0, alpha), d)
+        assert rep.passed == passed
+        assert rep.context["worst_clause"] == "alpha_window"
+
+
+def test_tiny_exponent_passes_d1():
+    # the window's lower end is 0 at d = 1
+    rep = validate_assumption_f(MobilitySpec.power_mobility(1.0, 1e-6), 1)
+    assert rep.passed and rep.context["worst_clause"] == "alpha_window"
+
+
+@pytest.mark.parametrize("C", [0.0, -1.0, np.inf, np.nan])
+def test_constant_must_be_finite_and_positive(C):
+    rep = validate_assumption_f(MobilitySpec.power_mobility(C, 0.5), 1)
     assert not rep.passed
-    assert rep.context["worst_clause"] == "third_derivative_ratio"
+    assert rep.context["worst_clause"] == "constant"
 
 
-@pytest.mark.parametrize("C", [1e150, 1e160, 1e200])
-def test_ratio_clause_ignores_a_huge_constant(C):
-    # f''' f' / f''^2 does not depend on f's constant factor, even where
-    # the product f''' f' alone overflows
-    margin = validate_assumption_f(MobilitySpec.power_mobility(C, 0.7), 1) \
-        .context["margins"]["third_derivative_ratio"]
-    ref = validate_assumption_f(MobilitySpec.power_mobility(1.0, 0.7), 1) \
-        .context["margins"]["third_derivative_ratio"]
-    assert margin == pytest.approx(ref, rel=1e-9, abs=1e-12)
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 50])
+def test_alpha_window_is_the_ratio_bound(d):
+    # (2 - a) / (1 - a) >= R(d) = 1 - d/2 + sqrt(d^2 + 8 d)/2 exactly when
+    # a >= (R - 2) / (R - 1), the window's lower end
+    R = 1.0 - d / 2.0 + 0.5 * np.sqrt(d ** 2 + 8.0 * d)
+    assert alpha_window(d) == pytest.approx((R - 2.0) / (R - 1.0), abs=1e-14)
+    for a in np.linspace(0.005, 0.995, 199):
+        if abs(a - alpha_window(d)) > 1e-9:
+            assert ((2 - a) / (1 - a) >= R) == (a > alpha_window(d))
 
 
 def test_power_outside_unit_interval_rejected():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gradflow1d
+from gradflow1d import cli
 
 SRC = Path(gradflow1d.__file__).parent
 README = Path(__file__).parents[1] / "README.md"
@@ -68,3 +70,22 @@ def test_readme_package_layout_names_real_objects():
     assert names
     assert [n for n in names
             if not any(hasattr(mod, n) for mod in modules)] == []
+
+
+def test_readme_config_table_lists_the_keys_the_loader_accepts(tmp_path):
+    table = re.search(r"^### Config schema.*?\n\n(\|.*?)\n\n",
+                      README.read_text(), re.M | re.S).group(1)
+    documented = {key for row in table.splitlines()[2:]
+                  for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert documented == set(cli.KEYS)
+    # each of them may be set in a file, and no other key
+    for key in [*documented, "undocumented"]:
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({key: cli.DEFAULTS.get(key, False),
+                                    "m": 32, "k": 32}))
+        if key in documented:
+            cli.load_config(path)
+        else:
+            with pytest.raises(gradflow1d.ConfigurationError,
+                               match="unknown config key"):
+                cli.load_config(path)
