@@ -158,6 +158,17 @@ def test_verdict_is_independent_of_the_constant(alpha, d):
         assert (rep.passed, rep.context) == (ref.passed, ref.context)
 
 
+@pytest.mark.parametrize("C", [1e150, 1e160, 1e200])
+def test_ratio_clause_ignores_a_huge_constant(C):
+    # the ratio f''' f' / f''^2 is checked as the alpha window, which does
+    # not depend on f's constant factor, even where f''' f' alone overflows
+    rep = validate_assumption_f(MobilitySpec.power_mobility(C, 0.7), 1)
+    ref = validate_assumption_f(MobilitySpec.power_mobility(1.0, 0.7), 1)
+    assert rep.passed and ref.passed
+    assert rep.context["margins"]["alpha_window"] \
+        == ref.context["margins"]["alpha_window"] > 0
+
+
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_alpha_window_boundary(d):
     amin = alpha_window(d)
