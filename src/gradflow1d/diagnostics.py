@@ -241,9 +241,11 @@ def apriori_bounds(traj: JkoTrajectory, c_lower: float,
     With w = u (or w = transform(u), such as f(u), applied elementwise to
     the stacked states), the orthogonal split of w into its mean and
     oscillation plus the sharp interval Poincare constant (L/pi) gives
-    Phi >= C0 ||w||_H1^2 - C1 with C0 = c/(1 + (L/pi)^2) and
-    C1 = C0 (int w)^2 / L; the certificate checks
-    sup_t ||w||_H1 <= sqrt((Phi(u_0) + C1)/C0).
+    C0 ||w_n||_H1^2 - C0 (int w_n)^2 / L <= Phi(u_n) <= Phi(u_0) for every
+    state, with C0 = c/(1 + (L/pi)^2).  int w_n is conserved only for
+    w = u (int f(u) grows as a concave f flattens u), so C1 takes the
+    largest over the run, C1 = C0 max_n (int w_n)^2 / L, and the
+    certificate checks sup_t ||w||_H1 <= sqrt((Phi(u_0) + C1)/C0).
     """
     u0 = traj.grid
     L = u0.domain.length
@@ -259,7 +261,7 @@ def apriori_bounds(traj: JkoTrajectory, c_lower: float,
     h2_integral = 0.0
     for h2 in h2s[1:].tolist():  # a running sum in step order, not pairwise
         h2_integral += traj.tau * h2 ** 2
-    wmass = float(wmasses[0])
+    wmass = float(np.abs(wmasses).max())
     c1 = c0 * wmass ** 2 / L
     bound = float(np.sqrt((traj.energies[0] + c1) / c0))
     return CertificateReport(

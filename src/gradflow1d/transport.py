@@ -6,12 +6,15 @@ quadratic Wasserstein distance is a plain weighted L2 distance), held as
 plain node arrays that both converters check with `_checked_nodes`.  Maps
 and densities are converted into each other through cubic splines, built
 row by row in one LAPACK solve (`_spline_coefficients`, bitwise scipy's
-CubicSpline) and inverted by Newton sweeps that evaluate each spline only
-inside the sweeps.
+CubicSpline).  The quantile map inverts the CDF's spline by Newton sweeps
+(`_newton_inverse`); the pushforward inverts each quantile spline at the
+grid edges by a bracketed Newton solve inside the knot interval that each
+edge falls in (`_bracketed_inverse`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,10 @@ W2_LEVELS = 4097        # mass-grid resolution for quantile-based distances
 # the call's temporaries in cache (at K = 1024 on a 2-core x86 host, 100
 # consecutive pairs took 1.1 ms in one call and 0.52 ms in blocks of 32)
 DIST_BLOCK = 1 << 15
+# iteration cap of the pushforward's bracketed solve: from the piecewise-
+# linear start it ends after 1-3 iterations on smooth maps and about 10 on
+# rough ones, and bisection alone would need at most 47
+BRACKET_ITERATIONS = 60
 
 
 class ConfigurationError(ValueError):
@@ -46,6 +53,10 @@ class Interval:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ConfigurationError(f"empty interval [{self.lo}, {self.hi}]")
+        # an infinite end or length makes every cell width and mass inf/NaN
+        if not math.isfinite(self.hi - self.lo):
+            raise ConfigurationError(
+                f"domain [{self.lo}, {self.hi}] needs finite ends and length")
 
     @property
     def length(self) -> float:
@@ -72,7 +83,8 @@ class GridDensity:
         if np.any(v < -1e-14):
             raise ConfigurationError("negative density sample")
         v = np.maximum(v, 0.0)
-        if abs(v.sum() * (self.domain.length / v.size) - 1.0) > MASS_TOL:
+        # written so that a NaN mass fails it too
+        if not abs(v.sum() * (self.domain.length / v.size) - 1.0) <= MASS_TOL:
             raise ConfigurationError("density mass differs from 1")
         self.values = v
 
@@ -350,6 +362,53 @@ def _newton_inverse(spline, target, x, lo, hi, slope_floor, sweeps):
     return hist[-1], start, spline(hist[-1])[0]
 
 
+def _bracketed_inverse(knots, coefficients, interval, target, start):
+    """Entrywise solve of spline(s) = target inside knot interval
+    `interval`, for the (4, rows, K) coefficients of `_spline_coefficients`;
+    the last three arguments are (rows, n) arrays, `start` the first guess.
+
+    Each interval must bracket its root up to rounding: its spline's value
+    at the left knot (its node) is at most the target, and at the right
+    knot (the next node) at least the target.  Safeguarded Newton runs in the
+    local coordinate t = s - knots[i] of the interval, on the interval's
+    four coefficients gathered once: it keeps a sign bracket [a, b] and
+    bisects it where a Newton step (slope floored at 1e-14) leaves it.
+    An entry stops once its step is at most 4 eps, not on exact
+    repetition, which entries cycling in rounding noise never reach, and
+    the solve ends when every entry has stopped; each entry's result is
+    bitwise what a solve of its own row returns.
+
+    Returns (result, start residual, result residual, iterations), the
+    residuals being spline value minus target at the start and at the
+    result.
+    """
+    rows, intervals = coefficients.shape[1:]
+    flat = interval + np.arange(rows)[:, None] * intervals
+    c0, c1, c2, c3 = (cj.take(flat) for cj in coefficients.reshape(4, -1))
+    # the residual's constant term: node minus target
+    c3 = c3 - target
+    dc0, dc1 = 3.0 * c0, 2.0 * c1
+    left = knots.take(interval)
+    a, b = np.zeros(interval.shape), np.diff(knots).take(interval)
+    t = np.clip(start - left, a, b)
+    r = ((c0 * t + c1) * t + c2) * t + c3
+    r_start, done = r, np.zeros(t.shape, dtype=bool)
+    for n in range(1, BRACKET_ITERATIONS + 1):
+        below = r <= 0.0
+        a, b = np.where(below, t, a), np.where(below, b, t)
+        slope = np.maximum((dc0 * t + dc1) * t + c2, 1e-14)
+        newton = t - r / slope
+        t_new = np.where((newton >= a) & (newton <= b), newton, 0.5 * (a + b))
+        # a finished entry keeps its t, so no entry depends on the others
+        t_new = np.where(done, t, t_new)
+        step, t = t_new - t, t_new
+        r = ((c0 * t + c1) * t + c2) * t + c3
+        done |= np.abs(step) <= 4 * np.finfo(float).eps
+        if done.all():
+            break
+    return left + t, r_start, r, n
+
+
 def reject_zero_plateau(u: GridDensity) -> None:
     """Raise DegenerateQuantileError if two adjacent interior cells of u are
     empty: the quantile map cannot resolve that zero-density plateau."""
@@ -418,27 +477,34 @@ def densities_from_maps(domain: Interval, positions: np.ndarray,
     mass levels j/K, row i of the result the M cell values of its
     pushforward.  Each quantile function is interpolated by a
     not-a-knot cubic spline in the mass variable (one row of the block's
-    `_spline_coefficients`) and inverted at the cell edges by 30 safeguarded
-    Newton sweeps, which stop once every edge of the block has settled (see
-    `_newton_inverse`) and still return the 30-sweep result bitwise; the
-    fallback test below reads the residuals the sweeps computed.  Cell
-    values are exact mass differences over the cells.  The block is checked
-    once: its nodes by `_checked_nodes`, whose clipped nodes are the ones
-    resampled, and its rows for unit mass.
+    `_spline_coefficients`), which passes through the map's nodes, so a
+    cell edge between nodes j and j + 1 has a preimage in knot interval j,
+    the interval in which the piecewise-linear inverse lands.  The edges are
+    inverted there by `_bracketed_inverse`, from that piecewise-linear
+    inverse; the fallback test below reads the residuals the solve computed.
+    Cell values are exact mass differences over the cells.  The block is
+    checked once: its nodes by `_checked_nodes`, whose clipped nodes are the
+    ones resampled, and its rows for unit mass.
     """
     positions = _checked_nodes(domain, positions)
     k = positions.shape[-1] - 1
     first, last = positions[:, :1], positions[:, -1:]
     levels = np.linspace(0.0, 1.0, k + 1)
-    spline = _SplineColumns(levels, _spline_coefficients(levels, positions))
     edges = np.linspace(domain.lo, domain.hi, m + 1)
     target = np.clip(edges, first, last)
-    linear = np.array([np.interp(edges, p, levels) for p in positions])
-    s, start, end = _newton_inverse(spline, target, linear, 0.0, 1.0, 1e-14,
-                                    30)
-    # where the spline is non-monotone (rough maps) Newton can run away;
-    # keep the piecewise-linear inverse wherever it has a smaller residual
-    bad = np.abs(end - target) > np.abs(start - target) + 1e-15
+    # the piecewise-linear inverse as a fractional node index, whose floor
+    # is the knot interval it lands in (the next one if it rounds up onto
+    # a node)
+    nodes = np.arange(k + 1.0)
+    frac = np.array([np.interp(edges, p, nodes) for p in positions])
+    interval = np.minimum(frac.astype(np.intp), k - 1)
+    linear = frac / k
+    s, start, end, _ = _bracketed_inverse(
+        levels, _spline_coefficients(levels, positions), interval, target,
+        linear)
+    # a non-monotone spline (rough maps) can leave a larger residual than
+    # the start's; keep the piecewise-linear inverse wherever it does
+    bad = np.abs(end) > np.abs(start) + 1e-15
     s = np.where(bad, linear, s)
     # pin levels outside the map's range: a non-monotone spline can offer a
     # wrong-branch preimage with a smaller residual at the walls

@@ -277,6 +277,30 @@ def _droplet(m):
     return np.maximum(1.0 - ((x - 0.5) / 0.25) ** 2, 0.0) ** 2
 
 
+@pytest.mark.parametrize("domain", [[0.0, float("inf")],
+                                    [float("-inf"), 0.0]],
+                         ids=["inf_right", "inf_left"])
+def test_infinite_domain_rejected_at_load(tmp_path, domain, capsys):
+    # its NaN mass passed the datum's mass check; the run then exited 2
+    # naming a zero-density plateau (3 under error::RuntimeWarning)
+    extra = {"domain": domain, "initial": {"name": "uniform"}}
+    assert main(["--config", str(write_config(tmp_path, extra))]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: domain [" in err
+    assert "finite ends and length" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_concave_mobility_passes_apriori(tmp_path):
+    # int f(u) grows along the run; with C1 from the initial integral alone
+    # apriori_h1 failed (1.1297 > 1.1231) and the run exited 1
+    cfg = load_config({
+        "m": 64, "k": 64, "tau": 1e-3, "out": str(tmp_path),
+        "initial": {"name": "cosine", "eps": 0.9, "k": 1},
+        "lagrangian": {"name": "power_mobility", "alpha": 0.2}})
+    assert execute(cfg) == 0
+
+
 def _with_zeros(m, cells):
     v = 1.0 + 0.3 * np.cos(np.pi * (np.arange(m) + 0.5) / m)
     v[list(cells)] = 0.0

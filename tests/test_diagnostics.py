@@ -351,6 +351,47 @@ def test_apriori_mobility(mob_traj):
     assert rep.passed, (rep.lhs, rep.rhs)
 
 
+POWER_02 = MobilitySpec.power_mobility(1.0, 0.2)
+
+
+@pytest.fixture(scope="module")
+def concave_traj():
+    # a large-amplitude datum under f(z) = z^0.2: as u flattens, int f(u)
+    # grows (Jensen), here by 2.6% over the run
+    u0 = GridDensity.cosine(UNIT, 64, eps=0.9, k=1)
+    return run(u0, MobilityMapEnergy(POWER_02),
+               JkoConfig(tau=1e-3, n_steps=50, k=64))
+
+
+def power_02(v):
+    return POWER_02.f(np.maximum(v, 0.0))
+
+
+def test_apriori_concave_mobility_takes_the_largest_integral(concave_traj):
+    traj = concave_traj
+    rep = apriori_bounds(traj, c_lower=0.5, transform=power_02)
+    masses = np.sum(power_02(traj.values), axis=-1) * traj.grid.h
+    assert masses[-1] > 1.02 * masses[0]
+    c0 = rep.context["C0"]
+    assert rep.context["C1"] == pytest.approx(c0 * masses.max() ** 2,
+                                              rel=1e-12)
+    # C1 from the initial integral alone gave a bound (1.1231) below the
+    # sup (1.1297); the largest integral gives 1.1441
+    initial_only = np.sqrt((traj.energies[0] + c0 * masses[0] ** 2) / c0)
+    assert initial_only < rep.lhs <= rep.rhs
+    assert rep.rhs == pytest.approx(1.1441, abs=1e-4)
+    assert rep.passed
+
+
+def test_apriori_still_fails_a_rough_state(concave_traj):
+    # negative control: one state with an H1 norm far above the bound
+    traj = replace(concave_traj, values=concave_traj.values.copy())
+    traj.values[25] = GridDensity.cosine(UNIT, 64, eps=0.9, k=20).values
+    rep = apriori_bounds(traj, c_lower=0.5, transform=power_02)
+    assert rep.lhs > 2 * rep.rhs
+    assert not rep.passed
+
+
 # --- algebraic lemmas -------------------------------------------------------
 
 def test_traceless_zero_matrix(lemma_value):

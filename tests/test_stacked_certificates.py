@@ -115,15 +115,15 @@ def _ref_apriori(traj, c_lower, transform=None):
     c0 = c_lower / (1.0 + (L / np.pi) ** 2)
     sup_h1 = 0.0
     h2_integral = 0.0
-    wmass = 1.0
+    wmass = 0.0
     for n, state in enumerate(_states(traj)):
         w = state.values if transform is None else transform(state.values)
         _, h1, h2 = _ref_sobolev_norms(w, state.h)
         sup_h1 = max(sup_h1, h1)
         if n >= 1:
             h2_integral += traj.tau * h2 ** 2
-        if n == 0:
-            wmass = float(np.sum(w) * state.h)
+        # the largest |int w_n| over the run: int f(u) is not conserved
+        wmass = max(wmass, abs(float(np.sum(w) * state.h)))
     c1 = c0 * wmass ** 2 / L
     bound = float(np.sqrt((traj.energies[0] + c1) / c0))
     return sup_h1, bound, h2_integral, c1

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,9 @@ from gradflow1d import (ConfigurationError, DegenerateQuantileError,
                         MobilitySpec, MonotonicityError, boltzmann_entropy,
                         densities_from_maps, map_from_density, quantile, run,
                         transport, wasserstein2)
-from gradflow1d.transport import (MASS_TOL, _newton_inverse,
-                                  _spline_coefficients, _SplineColumns,
-                                  w2sq_between_maps)
+from gradflow1d.transport import (MASS_TOL, _bracketed_inverse,
+                                  _newton_inverse, _spline_coefficients,
+                                  _SplineColumns, w2sq_between_maps)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -35,6 +37,20 @@ def densities(draw, m=32, domain=UNIT):
 def test_interval_rejects_empty():
     with pytest.raises(ConfigurationError):
         Interval(1.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 0.0),
+                                    (-np.inf, np.inf), (-1e308, 1e308)])
+def test_interval_rejects_infinite_ends_and_length(lo, hi):
+    with pytest.raises(ConfigurationError, match="finite ends and length"):
+        Interval(lo, hi)
+
+
+def test_density_mass_check_fails_a_nan_mass():
+    # abs(nan - 1) > MASS_TOL is False: a NaN mass passed the check
+    nan_length = SimpleNamespace(length=np.nan)
+    with pytest.raises(ConfigurationError, match="mass differs from 1"):
+        GridDensity(nan_length, np.ones(16))
 
 
 def test_density_requires_unit_mass():
@@ -303,6 +319,51 @@ def inversions(call):
     return seen
 
 
+def pushforward_inversion(x, m, domain=UNIT):
+    """Arguments (without the sweep count) of the clipped Newton sweeps that
+    invert a block of maps x (one map or rows of maps) at the edges of an
+    M-cell grid: the block's not-a-knot splines, the edges clipped into
+    each map's range and the piecewise-linear inverse as the start."""
+    pos = transport._checked_nodes(domain, np.atleast_2d(x))
+    levels = np.linspace(0.0, 1.0, pos.shape[-1])
+    spline = _SplineColumns(levels, _spline_coefficients(levels, pos))
+    edges = np.linspace(domain.lo, domain.hi, m + 1)
+    target = np.clip(edges, pos[:, :1], pos[:, -1:])
+    linear = np.array([np.interp(edges, p, levels) for p in pos])
+    return spline, target, linear, 0.0, 1.0, 1e-14
+
+
+def newton_pushforward(x, m):
+    """Cell values of the pushforwards of a block of maps on UNIT through 30
+    clipped Newton sweeps over the whole block: the reference the bracketed
+    solve must agree with on smooth maps.  The fallback, wall pins and
+    monotone repair are those of densities_from_maps."""
+    args = pushforward_inversion(x, m)
+    target, linear = args[1:3]
+    s, start, end = _newton_inverse(*args, 30)
+    s = np.where(np.abs(end - target) > np.abs(start - target) + 1e-15,
+                 linear, s)
+    pos, edges = np.atleast_2d(x), np.linspace(0.0, 1.0, m + 1)
+    s = np.where(edges <= pos[:, :1], 0.0, s)
+    s = np.where(edges >= pos[:, -1:], 1.0, s)
+    s = np.maximum.accumulate(np.clip(s, 0.0, 1.0), axis=-1)
+    return np.maximum(np.diff(s, axis=-1) * m, 0.0)
+
+
+def bracketed_solves(call):
+    """(arguments, result) of every bracketed solve call() makes."""
+    seen = []
+
+    def spy(*args):
+        seen.append((args, _bracketed_inverse(*args)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_bracketed_inverse", spy)
+        call()
+    return seen
+
+
 def assert_exact_for_all_sweeps(args):
     for n in SWEEPS:
         got, ref = _newton_inverse(*args, n), fixed_sweeps(*args, n)
@@ -330,19 +391,21 @@ def rough_map(seed, k=64):
 @settings(max_examples=20, deadline=None)
 @given(densities())
 def test_newton_inverse_exact_on_rough_densities(u):
-    calls = inversions(lambda: pushforward(map_from_density(u, 64), u.m))
-    assert len(calls) == 2
-    for args in calls:
+    # the quantile map's inversion, and the sweeps on that map's pushforward
+    calls = inversions(lambda: map_from_density(u, 64))
+    assert len(calls) == 1
+    x = map_from_density(u, 64)
+    for args in calls + [pushforward_inversion(x, u.m)]:
         assert_exact_for_all_sweeps(args)
 
 
 @pytest.mark.parametrize("seed", range(2, 6))
 def test_newton_inverse_exact_on_rough_maps(seed):
-    x = rough_map(seed)
-    (args,) = inversions(lambda: densities_from_maps(UNIT, x[None], 50))
+    args = pushforward_inversion(rough_map(seed), 50)
     assert_exact_for_all_sweeps(args)
     assert_values_are_the_splines(args)
-    # the spline is non-monotone here: the piecewise-linear fallback fires
+    # the spline is non-monotone here: Newton's residual can exceed the
+    # piecewise-linear start's, where a fallback to the start is needed
     spline, target, linear = args[:3]
     s = _newton_inverse(*args, 30)[0]
     assert np.any(np.abs(spline(s)[0] - target)
@@ -352,9 +415,78 @@ def test_newton_inverse_exact_on_rough_maps(seed):
 def test_newton_inverse_exact_on_a_batch():
     # one inversion for the whole batch, on a 2-D array of edges
     pos = np.array([rough_map(seed) for seed in range(2, 7)])
-    (args,) = inversions(lambda: densities_from_maps(UNIT, pos, 50))
+    args = pushforward_inversion(pos, 50)
     assert args[2].shape == (5, 51)
     assert_exact_for_all_sweeps(args)
+
+
+# --- bracketed pushforward solve --------------------------------------------
+
+def pushforward_cases():
+    """(maps, M): rough maps (non-monotone splines) and smooth ones."""
+    rough = np.array([rough_map(seed) for seed in range(2, 10)])
+    smooth = np.array([map_from_density(GridDensity.cosine(UNIT, 256, 0.5, j),
+                                        256) for j in (1, 2, 3)])
+    return [(rough, 50), (rough, 200), (smooth, 256), (smooth, 100)]
+
+
+@pytest.mark.parametrize("x, m", pushforward_cases())
+def test_pushforward_roots_stay_in_their_knot_intervals(x, m):
+    (((knots, _, interval, target, start), (s, r_start, r_end, _)),) = \
+        bracketed_solves(lambda: densities_from_maps(UNIT, x, m))
+    # the edge lies between the interval's nodes, its level between the
+    # interval's knots
+    nodes = transport._checked_nodes(UNIT, x)
+    assert np.all(np.take_along_axis(nodes, interval, -1) <= target)
+    assert np.all(target <= np.take_along_axis(nodes, interval + 1, -1))
+    assert np.all((knots[interval] <= s) & (s <= knots[interval + 1]))
+    # every residual is at most the piecewise-linear start's, also on
+    # scipy's spline through the nodes, up to its rounding
+    assert np.all(np.abs(r_end) <= np.abs(r_start))
+    splines = [CubicSpline(knots, p) for p in nodes]
+    end = np.array([f(v) for f, v in zip(splines, s)]) - target
+    first = np.array([f(v) for f, v in zip(splines, start)]) - target
+    assert np.all(np.abs(end) <= np.abs(first) + 1e-15)
+
+
+@pytest.mark.parametrize("energy", [
+    MobilityMapEnergy(MobilitySpec.identity()),
+    MobilityMapEnergy(MobilitySpec.sqrt_mobility())])
+@pytest.mark.parametrize("k", [64, 1024])
+@pytest.mark.parametrize("mode", [2, 3])
+def test_pushforward_matches_newton_sweeps_on_smooth_maps(energy, k, mode):
+    u0 = GridDensity.cosine(UNIT, k, eps=0.5, k=mode)
+    traj = run(u0, energy, JkoConfig(tau=1e-5, n_steps=4, k=k))
+    ref = newton_pushforward(traj.positions, k)
+    got = densities_from_maps(UNIT, traj.positions, k)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def near_uniform(k):
+    x = np.linspace(0.0, 1.0, k + 1)
+    x[1:-1] += 1e-9 * np.sin(3 * np.pi * x[1:-1])
+    return x[None]
+
+
+def relaxed_maps():
+    # the last states of a thin-film run toward equilibrium (energy ~ 1e-21)
+    u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=3)
+    traj = run(u0, MobilityMapEnergy(MobilitySpec.identity()),
+               JkoConfig(tau=1e-4, n_steps=300, k=64))
+    return traj.positions[-30:]
+
+
+@pytest.mark.parametrize("maps, m", [
+    (lambda: near_uniform(1024), 1024), (lambda: near_uniform(64), 128),
+    (lambda: near_uniform(256), 256), (relaxed_maps, 128)],
+    ids=["k1024", "k64_m128", "k256", "relaxed"])
+def test_pushforward_solve_ends_quickly_near_equilibrium(maps, m):
+    # entries that cycle in rounding noise never repeat exactly, so a stop
+    # on exact repetition would run every block to the iteration cap here
+    x = maps()
+    ((_, (*_, iterations)),) = bracketed_solves(
+        lambda: densities_from_maps(UNIT, x, m))
+    assert iterations <= 3
 
 
 class Logistic:
@@ -428,9 +560,9 @@ def test_batch_checks_nodes_and_states():
             densities_from_maps(UNIT, out, 50)
     # a non-finite inversion (injected) fails the states' mass check
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transport, "_newton_inverse",
-                   lambda spline, target, x, *a:
-                   (np.full(x.shape, np.nan),) * 3)
+        mp.setattr(transport, "_bracketed_inverse",
+                   lambda knots, coefficients, interval, target, start:
+                   (np.full(start.shape, np.nan),) * 3 + (1,))
         with pytest.raises(ConfigurationError, match="mass differs from 1"):
             densities_from_maps(UNIT, pos, 50)
 
@@ -547,6 +679,9 @@ def test_conversions_match_fixed_sweeps_on_trajectories(energy, k, mode):
     u0 = GridDensity.cosine(UNIT, k, eps=0.5, k=mode)
     traj = run(u0, energy, JkoConfig(tau=1e-5, n_steps=4, k=k))
     got = conversions(traj, k)
+    # only the quantile map calls _newton_inverse: the states compare the
+    # bracketed pushforward with itself here, and with the sweeps in
+    # test_pushforward_matches_newton_sweeps_on_smooth_maps
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "_newton_inverse", fixed_sweeps)
         ref = conversions(traj, k)
