@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -305,6 +306,7 @@ def execute(cfg: RunConfig, row: dict | None = None) -> int:
     except ConfigurationError:
         raise
     except Exception as exc:
+        traceback.print_exc()
         print(f"runtime error: {exc}", file=sys.stderr)
         if row is not None:
             row["error"] = str(exc)
@@ -413,6 +415,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        traceback.print_exc()
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

@@ -193,8 +193,11 @@ def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
     """Two-sided discrete weak formulation for the mobility class.
 
     The transport + operator sum
-    mid = sum_n (eta_n - eta_{n+1}) int u_n phi + tau sum_n eta_n int N_f(u_n)
-    is sandwiched by the kappa tau Phi(u_0) envelope tightened by
+    mid = sum_n (eta_n - eta_{n+1}) int u_n phi - eta_1 int u_0 phi
+          + tau sum_n eta_n int N_f(u_n),
+    summed by parts from sum_n eta_n int (u_n - u_{n-1}) phi (the boundary
+    term at u_0 is nonzero when eta starts before the first step), is
+    sandwiched by the kappa tau Phi(u_0) envelope tightened by
     beta-weighted entropy differences with |eta|:
     -env + B <= mid <= env - B where B = beta sum (|eta|_n - |eta|_{n+1}) Ent_n.
     The tolerance is the floating-point error bound of mid,
@@ -212,13 +215,14 @@ def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
     mass_phi, abs_phi, nvals, abs_nf = traj.per_state(
         lambda v: (_quadratures(v * phi_mid, h)
                    + _quadratures(nf_density(f, grid, phi, v), h)), first=1)
+    mass0, abs0 = _quadratures(traj.values[0] * phi_mid, h)
     d_eta = eta_n[:-1] - eta_n[1:]
     t_transport = float(np.sum(d_eta * mass_phi))
     t_operator = float(tau * np.sum(eta_n[:-1] * nvals))
-    mid = t_transport + t_operator
+    mid = t_transport + t_operator - float(eta_n[0] * mass0)
     abs_eta = np.abs(eta_n)
     rounding = float((grid.m + traj.n_steps + 2) * np.finfo(float).eps
-                     * (np.sum(np.abs(d_eta) * abs_phi)
+                     * (np.sum(np.abs(d_eta) * abs_phi) + abs_eta[0] * abs0
                         + tau * np.sum(abs_eta[:-1] * abs_nf)))
     ent = traj.entropies[1:traj.n_steps + 1]
     bterm = float(beta * np.sum((abs_eta[:-1] - abs_eta[1:]) * ent))

@@ -35,8 +35,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._lapack import dgbtrf as _gbtrf, dgbtrs as _gbtrs
 from .transport import (ConfigurationError, GridDensity, boltzmann_entropy,
                         consecutive_distances, densities_from_maps,
                         map_from_density, w2sq_between_maps)
@@ -261,9 +261,6 @@ def _norm(g):
 
 # LAPACK's banded LU takes the band with BW fill-in rows above it, which it
 # sets itself: entry (i, j) of the matrix sits at ab[2 BW + i - j, j].
-_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (np.zeros(1),))
-
-
 def _factor(ab, band, lam):
     """LU-factor H + lam I on the interior nodes, whose block of the node
     Hessian H is `band`, columns 1:-1 of its band storage (LAPACK ignores

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+
+from ._lapack import dgtsv as _gtsv
 
 MASS_TOL = 1e-12
 GAP_REL = 1e-9          # minimum node spacing, relative to domain length
@@ -243,9 +244,6 @@ def boltzmann_entropy(u: GridDensity, values: np.ndarray | None = None):
 
 
 # --- map <-> density conversions ------------------------------------------
-
-_gtsv, = get_lapack_funcs(("gtsv",), (np.zeros(1),))
-
 
 def _spline_coefficients(knots, y, ends=None):
     """Coefficients of the cubic splines through the rows of y at `knots`.

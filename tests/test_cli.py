@@ -491,6 +491,41 @@ def test_stationary_datum_passes(tmp_path, m):
     assert main(["--config", str(path)]) == 0
 
 
+@pytest.mark.parametrize("n_steps", [2, 4, 6, 10])
+def test_short_run_passes_discrete_weak(tmp_path, n_steps):
+    # below 10 steps the temporal weight starts before the first step time,
+    # so the summation-by-parts term at u_0 is nonzero; without it these
+    # runs failed with violation 0.225, 0.134 and 0.017
+    cfg = load_config(write_config(tmp_path, {
+        "m": 32, "k": 32, "n_steps": n_steps, "checks": ["discrete_weak"]}))
+    assert execute(cfg) == 0
+    lines = (tmp_path / "out" / "certificates.csv").read_text().splitlines()
+    (row,) = csv.reader(lines[2:])
+    assert row[0] == "discrete_weak" and float(row[2]) < 0
+
+
+@pytest.mark.parametrize("entry", ["execute", "main", "sweep"])
+def test_runtime_error_prints_its_traceback(tmp_path, monkeypatch, capsys,
+                                            entry):
+    # execute's error boundary, reached through main and through a sweep
+    # row, and main's own, reached by an error outside execute
+    def fail(*args, **kwargs):
+        raise FloatingPointError("injected failure")
+
+    monkeypatch.setattr(gradflow1d.cli, "execute" if entry == "main"
+                        else "run", fail)
+    path = write_config(tmp_path)
+    if entry == "sweep":
+        rows, code = sweep(load_config(path), "tau", [1e-4])
+        assert code == 3 and rows[0]["error"] == "injected failure"
+    else:
+        assert main(["--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "FloatingPointError: injected failure" in err
+    assert err.rstrip().endswith("runtime error: injected failure")
+
+
 def test_corruption_yields_failure_exit(tmp_path):
     cfg = load_config(write_config(tmp_path), {"inject_corruption": True})
     assert execute(cfg) == 1

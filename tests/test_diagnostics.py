@@ -8,11 +8,12 @@ from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         TemporalWeight, TestFunction, apriori_bounds,
                         boltzmann_entropy,
                         check_discrete_weak_f, check_entropy_dissipation_f,
-                        check_holder_continuity, densities_from_maps,
+                        check_holder_continuity, check_total_square_distance,
+                        densities_from_maps,
                         dissipation_constants, run, sobolev_norms)
 from gradflow1d import diagnostics, transport
 from gradflow1d.lagrangian import nf_density
-from gradflow1d.transport import w2sq_between_maps
+from gradflow1d.transport import consecutive_distances, w2sq_between_maps
 
 UNIT = Interval(0.0, 1.0)
 IDENTITY = MobilitySpec.identity()  # thin film in the mobility class
@@ -117,6 +118,31 @@ def test_holder_matches_double_loop(name, request):
     lhs, pair = holder_double_loop(traj)
     assert np.array_equal(rep.lhs, lhs)  # bitwise
     assert rep.context["worst_pair"] == pair
+
+
+@pytest.fixture(scope="module")
+def default_traj():
+    """30 steps of the default config (thin film, cosine eps=0.5 k=2,
+    tau = 1e-4) at m = k = 64."""
+    u0 = GridDensity.cosine(UNIT, 64, eps=0.5, k=2)
+    return run(u0, MobilityMapEnergy(IDENTITY),
+               JkoConfig(tau=1e-4, n_steps=30, k=64))
+
+
+def test_path_certificates_fail_a_jump_to_the_last_map(default_traj):
+    # negative control: map 1 replaced by the run's last map, so the path
+    # jumps almost the whole way at its first step and back at its second
+    pos = default_traj.positions.copy()
+    pos[1] = pos[-1]
+    bad = replace(default_traj, positions=pos,
+                  step_distances=consecutive_distances(pos))
+    for traj, passed in ((default_traj, True), (bad, False)):
+        assert check_total_square_distance(traj).passed is passed
+        assert check_holder_continuity(traj).passed is passed
+    # measured: 0.00496 against 0.000493, and a Hoelder gap of 0.0241
+    total = check_total_square_distance(bad)
+    assert total.lhs > 5 * total.rhs
+    assert check_holder_continuity(bad).lhs > 0.01
 
 
 def test_holder_tie_order(tied_traj):

@@ -296,8 +296,10 @@ def test_thin_film_config_load_skips_scipy_stats(tmp_path):
 
 def test_certified_run_skips_scipy_interpolate_sparse_optimize(tmp_path):
     # a whole certified run (every check, the refinement study, the output
-    # files) must not import these: keeping them out cut peak RSS from
-    # about 84 to 60 MiB, and the pushforward needs no PPoly
+    # files) must not import these: keeping scipy.interpolate, .sparse and
+    # .optimize out cut peak RSS from about 84 to 60 MiB, and loading the
+    # LAPACK extension without scipy.linalg's package cut the resident
+    # memory after importing gradflow1d.cli from about 56 to 32 MiB
     paths = []
     for lagrangian in ({"name": "thin_film"}, {"name": "sqrt_mobility"},
                        {"name": "power_mobility", "alpha": 0.7}):
@@ -309,13 +311,14 @@ def test_certified_run_skips_scipy_interpolate_sparse_optimize(tmp_path):
     src = str(Path(gradflow1d.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    modules = ("scipy.interpolate", "scipy.sparse", "scipy.optimize")
+    modules = ("scipy.interpolate", "scipy.sparse", "scipy.optimize",
+               "scipy.linalg")
     code = ("import sys; from gradflow1d import cli; "
             "print(*[cli.execute(cli.load_config(p)) for p in sys.argv[1:]], "
             f"*[m in sys.modules for m in {modules!r}])")
     proc = subprocess.run([sys.executable, "-c", code, *map(str, paths)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"] * 3 + ["False"] * 3
+    assert proc.stdout.split() == ["0"] * 3 + ["False"] * 4
     assert all((tmp_path / p.stem / "trajectory.json").exists()
                for p in paths)

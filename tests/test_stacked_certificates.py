@@ -93,12 +93,15 @@ def _ref_discrete_weak(traj, f, phi, eta, beta=1e-3, slack_factor=2.0):
     d_eta = eta_n[:-1] - eta_n[1:]
     t_transport = float(np.sum(d_eta * mass_phi))
     t_operator = float(tau * np.sum(eta_n[:-1] * nvals))
-    mid = t_transport + t_operator
+    # the summation-by-parts boundary term at u_0
+    uphi0 = traj.values[0] * phi.f(states[0].midpoints)
+    mid = t_transport + t_operator - float(eta_n[0] * (h * np.sum(uphi0)))
     abs_eta = np.abs(eta_n)
     abs_phi = np.array([h * np.sum(np.abs(a)) for a in uphi])
     abs_nf = np.array([h * np.sum(np.abs(n)) for n in nf])
     rounding = float((states[0].m + traj.n_steps + 2) * np.finfo(float).eps
                      * (np.sum(np.abs(d_eta) * abs_phi)
+                        + abs_eta[0] * (h * np.sum(np.abs(uphi0)))
                         + tau * np.sum(abs_eta[:-1] * abs_nf)))
     ent = traj.entropies[1:traj.n_steps + 1]
     bterm = float(beta * np.sum((abs_eta[:-1] - abs_eta[1:]) * ent))
@@ -194,14 +197,26 @@ def test_entropy_dissipation_matches_loop(case, block):
                      rep.context["entropy_drop"]) == _bits(lhs, rhs, tol, dent)
 
 
-def test_discrete_weak_matches_loop(case, block):
+def assert_discrete_weak_matches_loop(case, eta):
     f, traj = case
     phi = TestFunction.cosine(0.0, 1.0, k=2)
-    eta = TemporalWeight.smooth_bump(0.1 * N_STEPS * TAU, 0.8 * N_STEPS * TAU)
     rep = check_discrete_weak_f(traj, f, phi, eta)
     c = rep.context
     assert (_bits(rep.lhs, rep.tolerance, c["mid"], c["lower"], c["upper"])
             == _bits(*_ref_discrete_weak(traj, f, phi, eta)))
+
+
+def test_discrete_weak_matches_loop(case, block):
+    eta = TemporalWeight.smooth_bump(0.1 * N_STEPS * TAU, 0.8 * N_STEPS * TAU)
+    assert_discrete_weak_matches_loop(case, eta)
+
+
+def test_discrete_weak_boundary_term_matches_loop(case, block):
+    # a weight that is nonzero at the first step time: the summation-by-parts
+    # term at u_0 enters mid and its rounding bound
+    eta = TemporalWeight.smooth_bump(0.05 * N_STEPS * TAU, 0.8 * N_STEPS * TAU)
+    assert eta(TAU) > 0
+    assert_discrete_weak_matches_loop(case, eta)
 
 
 @pytest.mark.parametrize("transformed", [False, True])
