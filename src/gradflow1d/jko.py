@@ -17,12 +17,14 @@ LU (the chord direction): if it is such a last step it is taken as one, and
 no Hessian is assembled at the new point; otherwise it is discarded.  So
 every step ends with Psi(x_n) <= Phi(x_{n-1}), the descent that the
 discrete energy estimates need, and a step that converges in one Newton
-iteration factors one Hessian.  Line-search trials evaluate the objective
-value only.  An accepted point keeps its trial's value and evaluates only
-the gradient, plus at most one Hessian; both share that point's interface
-arrays (cell widths, densities, f'(u), d/s).  Each Hessian's band is
-written row by row, checked finite once for all its trials, and factored by
-LAPACK gbtrf in one work array, which the chord direction reuses.
+iteration factors one Hessian.  Each Newton point's arrays are built once,
+into one record (`_Point`) by the point's value pass: cell widths,
+densities, the interface arrays d, s and r = d/s, and the displacements
+from x_{n-1}.  Line-search trials make that pass only.  An accepted point
+keeps its trial's record; its gradient and at most one Hessian read it and
+are built for the interior nodes only.  The Hessian is written straight
+into its interior band block, checked finite once for all its trials, and
+factored by LAPACK gbtrf in one work array, which the chord step reuses.
 A run is kept as two stacked arrays, one row per step: the map nodes and
 their pushforwards' cell values.  After the stepping loop, the step
 distances, the grid states and the entropies are computed by array passes
@@ -107,6 +109,14 @@ class JkoTrajectory:
 
 # --- map-coordinate energies ----------------------------------------------
 
+class _Point:
+    """One Newton point's arrays: cell widths dx, densities u, per interface
+    d = W(b) - W(a), s = a + b and r = d / s, the energy phi, and the node
+    displacements e = x - x_prev; its gradient adds f'(u) and W'(t)."""
+
+    __slots__ = ("dx", "u", "d", "s", "r", "phi", "e", "f1", "w1")
+
+
 class MobilityMapEnergy:
     """1/2 int |(f o u)'|^2 in map coordinates (thin film: f = identity).
 
@@ -115,133 +125,122 @@ class MobilityMapEnergy:
     widths a = dX_i, b = dX_{i+1}, with W(t) = f(dm / t): the staggered
     difference quotient of w = f(u) over the control volume (a + b)/2; the two
     wall nodes carry p = 0 (the Neumann closure).  The gradient and the exact
-    banded Hessian in the nodes are assembled from the derivatives of T; both
-    accept the interface arrays of `_interfaces(x)`, so a Newton iteration
-    computes them once for its gradient and Hessian.
+    banded Hessian in the interior nodes (the walls never move) are
+    assembled from the derivatives of T and read a point's record.
     """
 
     def __init__(self, f: MobilitySpec):
         self.f = f
 
-    def _interfaces(self, x, dx=None):
-        """Cell widths t, densities u, f'(u), W'(t), and per interface
-        d = W(b) - W(a), s = a + b and r = d / s.  dx, if given, holds the
-        widths."""
-        dx = x[1:] - x[:-1] if dx is None else dx
-        u = 1.0 / ((len(x) - 1) * dx)
-        f1 = self.f.f1(u)
+    def point(self, x, dx=None) -> _Point:
+        """x's record, without e; dx, if given, holds the cell widths
+        x[1:] - x[:-1]."""
+        pt = _Point()
+        pt.dx = dx = x[1:] - x[:-1] if dx is None else dx
+        pt.u = u = 1.0 / (len(dx) * dx)
         w = self.f.f(u)
-        d = w[1:] - w[:-1]
-        s = dx[:-1] + dx[1:]
-        # W'(t) = -f'(u) dm / t^2
-        return dx, u, f1, -f1 * u / dx, d, s, d / s
+        pt.d = d = w[1:] - w[:-1]
+        pt.s = s = dx[:-1] + dx[1:]
+        pt.r = r = d / s
+        pt.phi = float((d * r).sum())
+        return pt
 
     def value(self, x, dx=None):
-        """The energy alone: the value of `value_and_grad`, without W'.
-        dx, if given, holds the cell widths x[1:] - x[:-1]."""
-        dx = x[1:] - x[:-1] if dx is None else dx
-        w = self.f.f(1.0 / ((len(x) - 1) * dx))
-        d = w[1:] - w[:-1]
-        return float((d * (d / (dx[:-1] + dx[1:]))).sum())
+        """The energy alone, sum_i d_i r_i; dx as in `point`."""
+        return self.point(x, dx).phi
 
-    def value_and_grad(self, x, iface=None):
-        dx, u, f1, w1, d, s, r = iface or self._interfaces(x)
+    def value_and_grad(self, x, pt=None):
+        """The energy and its gradient in the interior nodes x[1:-1], from
+        x's record pt (built when None), to which f'(u) and W'(t) are
+        added for the Hessian."""
+        pt = pt or self.point(x)
+        dx, u, r = pt.dx, pt.u, pt.r
+        pt.f1 = f1 = self.f.f1(u)
+        # W'(t) = -f'(u) dm / t^2
+        pt.w1 = w1 = -f1 * u / dx
         # T_a = -r (2 W'(a) + r) and T_b = r (2 W'(b) - r); a cell's width
         # derivative is the T_b of the interface on its left minus the T_a
         # of the one on its right, and a node's is the difference of its
-        # cells' (the walls see one cell each)
+        # cells'
         two = 2 * w1
         ta = r * (two[:-1] + r)
         tb = r * (two[1:] - r)
-        g_dx = _with_ends(np.subtract, -ta[0], tb[:-1], ta[1:], tb[-1])
-        gx = _with_ends(np.subtract, -g_dx[0], g_dx[:-1], g_dx[1:], g_dx[-1])
-        return float((d * r).sum()), gx
+        g_dx = np.empty(len(dx))
+        np.subtract(tb[:-1], ta[1:], out=g_dx[1:-1])
+        g_dx[0], g_dx[-1] = -ta[0], tb[-1]
+        return pt.phi, g_dx[:-1] - g_dx[1:]
 
-    def hessian_banded(self, x, iface=None):
-        """Exact Hessian in the nodes, in (BW, BW) banded storage.
+    def hessian(self, pt: _Point, c: float):
+        """The exact Hessian plus c tridiag(1, 4, 1) (a P1 mass matrix) in
+        the interior nodes, in (BW, BW) banded storage: a (2 BW + 1, K - 1)
+        block whose corners hold the couplings of the walls' rows, and 0
+        outside the matrix.  pt's gradient must have been evaluated.
 
         With r = d/s, A = W'(a) + r and B = W'(b) - r, each interface adds the
         2x2 block (2/s) [[A^2 - d W''(a), -A B], [-A B, B^2 + d W''(b)]] to
         the tridiagonal Hessian in the cell widths; the node Hessian is
         D^T H D with D the difference matrix dX = D x.  The band rows are
-        built in place, without scatter-adds; the corners outside the
-        matrix are 0.
+        built in place, without scatter-adds.
         """
-        dx, u, f1, w1, d, s, r = iface or self._interfaces(x)
+        dx, u, d, s, r, w1 = pt.dx, pt.u, pt.d, pt.s, pt.r, pt.w1
         # W''(t) = f''(u) dm^2 / t^4 + 2 f'(u) dm / t^3
-        w2 = (self.f.f2(u) * u + 2 * f1) * u / dx ** 2
+        w2 = (self.f.f2(u) * u + 2 * pt.f1) * u / dx ** 2
         a, b = w1[:-1] + r, w1[1:] - r
         off = -2 * a * b / s
-        # the cell-width Hessian's diagonal: each cell's block entry from the
-        # interface on its right plus the one from the interface on its left
+        # diag is the cell-width Hessian's diagonal, each cell's block entry
+        # from the interface on its right plus the one from its left; sup is
+        # the node Hessian's first off-diagonal without the mass
         ha = 2 * (a * a - d * w2[:-1]) / s
         hb = 2 * (b * b + d * w2[1:]) / s
-        diag = _with_ends(np.add, ha[0], ha[1:], hb[:-1], hb[-1])
-        H = np.zeros((2 * BW + 1, len(x)))
-        _with_ends(np.add, diag[0], diag[1:], diag[:-1], diag[-1], H[BW])
-        H[BW, 1:-1] -= 2 * off
-        sup = _with_ends(np.add, off[0], off[:-1], off[1:], off[-1],
-                         H[BW - 1, 1:])
+        diag, sup = np.empty((2, len(dx)))
+        np.add(ha[1:], hb[:-1], out=diag[1:-1])
+        diag[0], diag[-1] = ha[0], hb[-1]
+        np.add(off[:-1], off[1:], out=sup[1:-1])
+        sup[0], sup[-1] = off[0], off[-1]
         sup -= diag
-        H[BW + 1, :-1] = sup
-        H[BW - 2, 2:] = H[BW + 2, :-2] = -off
+        H = np.empty((2 * BW + 1, len(off)))
+        np.add(diag[1:], diag[:-1], out=H[BW])
+        H[BW] -= 2 * off
+        H[BW] += 4 * c
+        np.add(sup[:-1], c, out=H[BW - 1])
+        np.add(sup[1:], c, out=H[BW + 1])
+        np.negative(off[:-1], out=H[BW - 2, 1:])
+        np.negative(off[1:], out=H[BW + 2, :-1])
+        H[BW - 2, 0] = H[BW + 2, -1] = 0.0
         return H
-
-
-def _with_ends(op, first, left, right, last, out=None):
-    """[first, op(left, right)..., last] in out, or in a new array."""
-    out = np.empty(len(left) + 2) if out is None else out
-    op(left, right, out=out[1:-1])
-    out[0], out[-1] = first, last
-    return out
 
 
 # --- inner solver ---------------------------------------------------------
 
 class _Objective:
-    """Phi(x) + W2^2(x#, x_prev#)/(2 tau), the transport term exactly
-    quadratic in the nodes."""
+    """Phi(x) + W2^2(x#, x_prev#)/(2 tau) over maps with x_prev's walls.
+    The transport term is exactly quadratic in the nodes: W2^2 is dm/3 times
+    the sum over cells of a^2 + ab + b^2, with a and b the displacements of
+    the cell's nodes, and its Hessian is dm/(6 tau) tridiag(1, 4, 1)."""
 
     def __init__(self, energy: MobilityMapEnergy, x_prev: np.ndarray,
                  tau: float):
-        self.energy = energy
-        self.x_prev = x_prev
-        self.tau = tau
-        # band rows BW-1..BW+1 of the transport term's P1 mass matrix
-        # dm/(6 tau) tridiag(1, 4, 1), 0 in the corners outside the matrix
-        c = 1.0 / (6.0 * (len(x_prev) - 1) * tau)
-        self.mass = np.array([[c], [4 * c], [c]]).repeat(len(x_prev), axis=1)
-        self.mass[0, 0] = self.mass[2, -1] = 0.0
+        self.energy, self.x_prev, self.tau = energy, x_prev, tau
+        self.c = 1.0 / (len(x_prev) - 1) / 3.0
+        self.mass = 1.0 / (6.0 * (len(x_prev) - 1) * tau)
 
-    def value_and_energy(self, x, dx=None):
-        """The objective value and its energy part Phi(x); dx, if given,
-        holds the cell widths."""
-        d = x - self.x_prev
-        a, b = d[:-1], d[1:]
-        q = (1.0 / (len(x) - 1) / 3.0) * (a * a + a * b + b * b).sum()
-        phi = self.energy.value(x, dx)
-        return phi + q / (2 * self.tau), phi
+    def value(self, x, dx=None) -> tuple[float, _Point]:
+        """The objective value and x's record, whose phi is the energy
+        part; dx, if given, holds the cell widths."""
+        pt = self.energy.point(x, dx)
+        pt.e = e = x - self.x_prev
+        # e is 0 on the walls, so the cells' squares sum to 2 e.e
+        q = self.c * (2 * (e @ e) + e[:-1] @ e[1:])
+        return pt.phi + q / (2 * self.tau), pt
 
-    def grad(self, x, iface=None):
-        """The objective gradient alone, from the energy's interface arrays
-        (or x's own when iface is None)."""
-        gphi = self.energy.value_and_grad(x, iface)[1]
-        d = x - self.x_prev
-        c = 1.0 / (len(x) - 1) / 3.0
-        two = 2 * d
+    def grad(self, x, pt: _Point):
+        """The objective gradient in the interior nodes, from x's record."""
+        gphi = self.energy.value_and_grad(x, pt)[1]
+        e = pt.e
+        two = 2 * e[1:-1]
         # a node's term from the cell on its right plus the one on its left
-        right = c * (two[:-1] + d[1:])
-        left = c * (two[1:] + d[:-1])
-        gq = _with_ends(np.add, right[0], right[1:], left[:-1], left[-1])
+        gq = self.c * (two + e[2:]) + self.c * (two + e[:-2])
         return gphi + gq / (2 * self.tau)
-
-    def hessian_banded(self, x, iface=None):
-        """Energy Hessian plus the constant P1 mass matrix of the transport
-        term, dm/(6 tau) tridiag(1, 4, 1); exact in the interior rows, the
-        only ones the solver reads (a wall row's diagonal would take 2)."""
-        H = self.energy.hessian_banded(x, iface)
-        H[BW - 1:BW + 2] += self.mass
-        return H
 
 
 def _norm(g):
@@ -262,15 +261,10 @@ def _norm(g):
 # LAPACK's banded LU takes the band with BW fill-in rows above it, which it
 # sets itself: entry (i, j) of the matrix sits at ab[2 BW + i - j, j].
 def _factor(ab, band, lam):
-    """LU-factor H + lam I on the interior nodes, whose block of the node
-    Hessian H is `band`, columns 1:-1 of its band storage (LAPACK ignores
-    the corners outside the block), in place in the Fortran-ordered
-    (3 BW + 1, n - 2) work array ab.  The caller passes band = None where
-    it or the gradient has a non-finite entry.  Returns the pivots that
-    `_gbtrs` takes with ab, or None where the system has a non-finite entry
-    or is singular."""
-    if band is None or not lam < np.inf:
-        return None
+    """LU-factor H + lam I on the interior nodes, whose finite band block is
+    `band` (LAPACK ignores its corners outside the block), in place in the
+    Fortran-ordered (3 BW + 1, n - 2) work array ab.  Returns the pivots
+    that `_gbtrs` takes with ab, or None where the system is singular."""
     ab[BW:] = band
     ab[2 * BW] += lam
     _, piv, info = _gbtrf(ab, BW, BW, overwrite_ab=True)
@@ -287,7 +281,9 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     nodes are the unknowns.  Damped Newton on the penalized objective Psi
     with the interior block of the exact banded Hessian of the local
     interface kernel, Levenberg regularization when a step is rejected, and
-    Armijo backtracking that keeps every cell wider than gap.
+    Armijo backtracking that keeps every cell wider than gap.  A system
+    with a non-finite entry, or singular with an interior diagonal of 0
+    (which no damping changes), ends the solve.
 
     phi_prev, if given, is Phi(x_prev), which is also Psi(x_prev); it is
     computed when None.  Newton starts at x_start (same walls as x_prev) if
@@ -302,31 +298,30 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     ends the solve the same way, and one that does not is discarded before
     the new point's Hessian is assembled.  A damped LU is never reused.
 
-    Line-search trials evaluate the objective value only, from the cell
-    widths of their feasibility check.  An accepted point already has its
-    value from the line search and evaluates the gradient alone; its
-    interface arrays, built from those widths, serve that gradient and the
-    next Hessian.  Each Hessian's band is checked finite once for all its
-    trials, and each banded system is factored by LAPACK gbtrf and solved
-    by gbtrs in one work array.  Returns (positions, objective value, its
-    energy part Phi, converged flag); Psi(positions) <= phi_prev holds
-    whatever the flag, so the per-step energy estimates hold regardless of
-    it.
+    Line-search trials make the value pass only, from the cell widths of
+    their feasibility check; an accepted point keeps its record for its
+    gradient and next Hessian.  Each Hessian's band is checked finite once
+    for all its trials, and each banded system is factored by LAPACK gbtrf
+    and solved by gbtrs in one work array.  Returns (positions, objective
+    value, its energy part Phi, converged flag); Psi(positions) <= phi_prev
+    holds whatever the flag, so the per-step energy estimates hold.
     """
     obj = _Objective(energy, x_prev, tau)
-    x, dx = x_prev, x_prev[1:] - x_prev[:-1]
+    x, pt = x_prev, None
     if phi_prev is None:
-        phi_prev = obj.value_and_energy(x, dx)[0]
+        phi_prev, pt = obj.value(x)
     f = phi = phi_prev
     if x_start is not None:
         dxs = x_start[1:] - x_start[:-1]
-        if (dxs > gap).all():
-            fs, phis = obj.value_and_energy(x_start, dxs)
+        if dxs.min() > gap:
+            fs, start = obj.value(x_start, dxs)
             if fs < phi_prev:
-                x, dx, f, phi = x_start, dxs, fs, phis
+                x, f, phi, pt = x_start, fs, start.phi, start
+    if pt is None:  # x_prev's record: no displacement
+        pt = energy.point(x)
+        pt.e = np.zeros_like(x)
     x = x.copy()
-    iface = energy._interfaces(x, dx)
-    g = obj.grad(x, iface)[1:-1]
+    g = obj.grad(x, pt)
     gnorm = _norm(g)
     gref = max(gnorm, 1e-30)
     lam = 0.0
@@ -346,12 +341,11 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
             slope = p @ g
             final = slope < -1e-30 and -0.5 * slope <= small
         if not final:
-            H = obj.hessian_banded(x, iface)
-            band = H[:, 1:-1]
-            if not (np.isfinite(band).all() and np.isfinite(g).all()):
-                band = None
-        for _trial in range(30 if not final else 0):
-            piv = _factor(ab, band, lam)
+            H = energy.hessian(pt, obj.mass)
+            finite = np.isfinite(H).all() and np.isfinite(g).all()
+        # no trial without a finite system, or once lam cannot grow
+        for _trial in range(30 if not final and finite else 0):
+            piv = _factor(ab, H, lam)
             p = None if piv is None else _gbtrs(ab, BW, BW, mg, piv)[0]
             if p is not None and (slope := p @ g) < -1e-30:
                 # an undamped step that predicts less than FTOL of decrease
@@ -364,23 +358,26 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
                     xn = x.copy()
                     xn[1:-1] += alpha * p
                     dxn = xn[1:] - xn[:-1]
-                    if (dxn > gap).all():
-                        fn, phin = obj.value_and_energy(xn, dxn)
+                    if dxn.min() > gap:
+                        fn, ptn = obj.value(xn, dxn)
                         if fn <= f + 1e-4 * alpha * slope or (fn < f and alpha < 1e-6):
                             moved = True
                             break
                     alpha *= 0.5
                 if moved:
                     break
-            lam = 1e-3 * np.abs(H[BW, 1:-1]).max() if lam == 0 else 10 * lam
+            grown = 1e-3 * np.abs(H[BW]).max() if lam == 0 else 10 * lam
+            if not lam < grown < np.inf:  # a zero diagonal, or overflow
+                break
+            lam = grown
         if final:
             xn = x.copy()
             xn[1:-1] += p
             dxn = xn[1:] - xn[:-1]
-            if (dxn > gap).all():
-                fn, phin = obj.value_and_energy(xn, dxn)
+            if dxn.min() > gap:
+                fn, ptn = obj.value(xn, dxn)
                 if fn <= phi_prev:
-                    x, f, phi = xn, fn, phin
+                    x, f, phi = xn, fn, ptn.phi
             converged = True
             break
         if not moved:
@@ -388,8 +385,8 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         if lam:  # never reuse a damped LU
             piv = None
         df = f - fn
-        iface = energy._interfaces(xn, dxn)
-        x, f, phi, g = xn, fn, phin, obj.grad(xn, iface)[1:-1]
+        x, f, phi, pt = xn, fn, ptn.phi, ptn
+        g = obj.grad(x, pt)
         lam *= 0.1
         if _norm(g) < GTOL * gref or df < FTOL * max(abs(f), 1e-30):
             converged = True
@@ -399,7 +396,7 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         # to working precision if each gradient component is within what
         # moving the nodes by one ulp of the domain scale changes it by
         ulp = np.spacing(max(abs(x[0]), abs(x[-1])))
-        row = np.abs(obj.hessian_banded(x, iface)[:, 1:-1]).sum(axis=0)
+        row = np.abs(energy.hessian(pt, obj.mass)).sum(axis=0)
         converged = bool((np.abs(g) <= ulp * row).all())
     return x, f, phi, converged
 

@@ -147,10 +147,10 @@ class MobilitySpec:
 
     @classmethod
     def identity(cls) -> "MobilitySpec":
-        one = lambda z: np.ones_like(np.asarray(z, dtype=float))
-        zero = lambda z: np.zeros_like(np.asarray(z, dtype=float))
+        # constant derivatives, which broadcast against any z
         return cls(name="identity", f=lambda z: np.asarray(z, dtype=float),
-                   f1=one, f2=zero, C=1.0, alpha=1.0, delta_bar=0.0)
+                   f1=lambda z: 1.0, f2=lambda z: 0.0, C=1.0, alpha=1.0,
+                   delta_bar=0.0)
 
     @classmethod
     def power_mobility(cls, C: float, alpha: float,

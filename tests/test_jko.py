@@ -23,9 +23,17 @@ def thin_film():
     return MobilityMapEnergy(MobilitySpec.identity())
 
 
-def value_and_grad(obj, x, iface=None):
-    """The objective's value and gradient at x."""
-    return obj.value_and_energy(x)[0], obj.grad(x, iface)
+def grad(obj, x):
+    """The objective's gradient in the interior nodes of x."""
+    return obj.grad(x, obj.value(x)[1])
+
+
+def hessian(obj, x):
+    """The interior band block of the objective's Hessian at x, from x's
+    record after its gradient, as the solver builds it."""
+    pt = obj.value(x)[1]
+    obj.grad(x, pt)
+    return obj.energy.hessian(pt, obj.mass)
 
 
 @pytest.fixture(scope="module")
@@ -55,12 +63,13 @@ def test_map_energy_gradient_matches_fd():
     x = np.sort(rng.uniform(0, 1, 40))
     x[0], x[-1] = 0.0, 1.0
     f0, g = e.value_and_grad(x)
+    assert len(g) == len(x) - 2  # the interior nodes: the walls stay put
     eps = 1e-7
-    for i in [0, 5, 20, 39]:
+    for i in [1, 5, 20, 38]:
         xp = x.copy(); xp[i] += eps
         xm = x.copy(); xm[i] -= eps
         fd = (e.value_and_grad(xp)[0] - e.value_and_grad(xm)[0]) / (2 * eps)
-        assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+        assert g[i - 1] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
 def test_w2sq_between_maps_translation():
@@ -75,19 +84,20 @@ def test_objective_quadratic_term_matches_exact_w2():
     x = np.clip(x_prev + 0.01 * np.sin(np.pi * x_prev), 0, 1)
     tau = 1e-3
     obj = _Objective(thin_film(), x_prev, tau)
-    quad = obj.value_and_energy(x)[0] - thin_film().value_and_grad(x)[0]
+    quad = obj.value(x)[0] - thin_film().value_and_grad(x)[0]
     assert quad == pytest.approx(w2sq_between_maps(x, x_prev) / (2 * tau),
                                  rel=1e-12)
 
 
 def _fd_hessian(obj, x, eps):
-    """Dense central-difference Hessian of the objective's gradient."""
+    """Central-difference derivatives of the objective's interior gradient
+    in every node: the Hessian's interior rows, densely."""
     n = len(x)
-    H = np.empty((n, n))
+    H = np.empty((n - 2, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = eps
-        H[:, j] = (obj.grad(x + e) - obj.grad(x - e)) / (2 * eps)
+        H[:, j] = (grad(obj, x + e) - grad(obj, x - e)) / (2 * eps)
     return H
 
 
@@ -102,14 +112,26 @@ def test_exact_hessian_matches_fd(f, k):
     x = np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum()
     x_prev = x + 0.1 * rng.uniform(-1, 1, k + 1) * np.diff(x).min()
     obj = _Objective(MobilityMapEnergy(f), x_prev, 1e-4)
-    H = obj.hessian_banded(x)
+    H = hessian(obj, x)
+    assert H.shape == (2 * BW + 1, k - 1)
     for off in range(1, BW + 1):  # symmetric banded storage
         assert np.array_equal(H[BW - off, off:], H[BW + off, :-off])
-    dense = sum(np.diag(H[BW - off, max(off, 0):k + 1 + min(off, 0)], off)
-                for off in range(-BW, BW + 1))
-    # the interior rows: the fixed walls' own rows are never read
-    ref = _fd_hessian(obj, x, 1e-5 * np.diff(x).min())[1:-1]
-    assert np.abs(dense[1:-1] - ref).max() <= 1e-6 * np.abs(ref).max()
+    # the interior rows densely: entry (i, n) of the node Hessian sits at
+    # H[BW + i - n, n - 1]; the corners hold the walls' rows, whose entries
+    # are, by symmetry, the interior rows' couplings to the walls, and 0
+    # outside the matrix.  The fixed walls' own rows are never read
+    dense = np.zeros((k - 1, k + 1))
+    for row in range(2 * BW + 1):
+        for n in range(1, k):
+            i = row - BW + n
+            if 1 <= i < k:
+                dense[i - 1, n] = H[row, n - 1]
+            elif i in (0, k):
+                dense[n - 1, i] = H[row, n - 1]
+            else:
+                assert H[row, n - 1] == 0.0
+    ref = _fd_hessian(obj, x, 1e-5 * np.diff(x).min())
+    assert np.abs(dense - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
 # --- single steps -----------------------------------------------------------
@@ -134,7 +156,7 @@ def test_step_against_brute_force():
 
     def fun(z):
         x = np.concatenate([[0.0], np.sort(z), [1.0]])
-        return obj.value_and_energy(x)[0]
+        return obj.value(x)[0]
 
     best = np.inf
     rng = np.random.default_rng(0)
@@ -159,7 +181,7 @@ def test_stationary_to_working_precision(f):
     e = MobilityMapEnergy(f)
     x = np.linspace(0.0, 1.0, 257)
     x[1:-1:3] = np.nextafter(x[1:-1:3], 2.0)
-    assert np.linalg.norm(_Objective(e, x, 1e-4).grad(x)) > 1e-9
+    assert np.linalg.norm(grad(_Objective(e, x, 1e-4), x)) > 1e-9
     assert jko_step(x, e, 1e-4, 1e-9, max_iter=0)[3]
     u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=2)
     x1 = map_from_density(u0, 256)
@@ -171,12 +193,12 @@ def test_step_on_odd_mode_data():
     x0 = map_from_density(u0, 256)
     e = thin_film()
     tau = 1e-5
-    f0 = _Objective(e, x0, tau).value_and_energy(x0)[0]
+    f0 = _Objective(e, x0, tau).value(x0)[0]
     xn, fval, _, conv = jko_step(x0, e, tau, 1e-9)
     assert conv
     assert fval < f0
     assert fval == pytest.approx(
-        _Objective(e, x0, tau).value_and_energy(xn)[0], rel=1e-12)
+        _Objective(e, x0, tau).value(xn)[0], rel=1e-12)
 
 
 # --- trajectories -----------------------------------------------------------
@@ -387,7 +409,7 @@ def test_every_step_descends_from_the_previous_map(name, tau):
                corrupt_steps=corrupt)
     pos, energies = traj.positions, traj.energies
     for n in range(1, len(pos)):
-        psi = _Objective(e, pos[n - 1], tau).value_and_energy(pos[n])[0]
+        psi = _Objective(e, pos[n - 1], tau).value(pos[n])[0]
         assert psi <= energies[n - 1]
 
 
@@ -400,7 +422,7 @@ def _rejected_starts(x, e, tau):
     thin[11] = thin[10] + 0.5 * UNIT.gap
     rough[1:-1] += 0.3 * np.diff(x).min() * (-1.0) ** np.arange(len(x) - 2)
     assert (np.diff(rough) > UNIT.gap).all()
-    assert _Objective(e, x, tau).value_and_energy(rough)[0] > e.value(x)
+    assert _Objective(e, x, tau).value(rough)[0] > e.value(x)
     return {"crossed": crossed, "thin": thin, "same": x.copy(),
             "rough": rough}
 
@@ -425,8 +447,7 @@ def _polished(x_prev, x, energy, tau):
     obj = _Objective(energy, x_prev, tau)
     x = x.copy()
     for _ in range(4):
-        H = obj.hessian_banded(x)[:, 1:-1]
-        x[1:-1] += solve_banded((BW, BW), H, -obj.grad(x)[1:-1])
+        x[1:-1] += solve_banded((BW, BW), hessian(obj, x), -grad(obj, x))
     return x
 
 
@@ -452,8 +473,8 @@ def test_steps_factor_about_one_hessian(monkeypatch, f, tau):
     # step).  Stiffer data, such as mode 3 at K = 256 and tau = 1e-5, take
     # two Newton iterations per step and so two Hessians
     count = []
-    hessian = _Objective.hessian_banded
-    monkeypatch.setattr(_Objective, "hessian_banded",
+    hessian = MobilityMapEnergy.hessian
+    monkeypatch.setattr(MobilityMapEnergy, "hessian",
                         lambda self, *a: count.append(1) or hessian(self, *a))
     u0 = GridDensity.cosine(UNIT, 256, eps=0.5, k=1)
     traj = run(u0, MobilityMapEnergy(f), JkoConfig(tau=tau, n_steps=20,
@@ -476,8 +497,8 @@ def test_damped_lu_is_never_reused(monkeypatch, u0, f, tau):
         events.append(("factor", lam)) or factor(ab, band, lam)))
     monkeypatch.setattr(jko, "_gbtrs", lambda *a: (
         events.append(("solve", None)) or solve(*a)))
-    hessian = _Objective.hessian_banded
-    monkeypatch.setattr(_Objective, "hessian_banded", lambda self, *a: (
+    hessian = MobilityMapEnergy.hessian
+    monkeypatch.setattr(MobilityMapEnergy, "hessian", lambda self, *a: (
         events.append(("hessian", None)) or hessian(self, *a)))
     e = MobilityMapEnergy(f)
     grad = e.value_and_grad
@@ -499,6 +520,114 @@ def test_damped_lu_is_never_reused(monkeypatch, u0, f, tau):
     assert chords > 0 and damped_then_hessian > 0
 
 
+# amplitudes a_1..a_4 of the benchmark's seed-7 datum 0: u0 is
+# 1 + sum_j a_j cos(j pi x) at the cell midpoints, scaled to unit mass
+BENCH_DATUM = [0.050038186641866794, 0.15888552038783021,
+               0.11027427609807741, -0.10991712400376326]
+
+
+def _bench_datum(m):
+    x = (np.arange(m) + 0.5) / m
+    u = 1.0 + np.asarray(BENCH_DATUM) @ np.cos(
+        np.arange(1, 5)[:, None] * np.pi * x)
+    return GridDensity.from_samples(UNIT, u / (u.sum() / m))
+
+
+# Each step's objective values, gradients, Hessians, factorizations and
+# banded solves, one digit each, over the first 20 steps: the acceptance
+# fixture (cosine eps=0.5 k=2, K=256, tau=1e-4) and datum 0 of the three
+# benchmark workloads; and the fixture's totals over its 200 steps, whose
+# last 16 stall at the rounding floor (ROADMAP item 7)
+EVALUATIONS = {
+    "fixture": (GridDensity.cosine(UNIT, 256, eps=0.5, k=2),
+                MobilitySpec.identity(), 1e-4, 256,
+                "55448 54336 43224 54336 54336 54336 43224 43224 43224 43224 "
+                "43224 43224 43224 43224 43224 43224 43224 43224 43224 43224"),
+    "dynamic_k1024": (_bench_datum(1024), MobilitySpec.identity(), 1e-5, 1024,
+                      "44336 43224 43224 43224 43224 43224 43224 43224 43224 "
+                      "43224 43224 43224 43224 43224 43224 43224 43224 33223 "
+                      "32112 32112"),
+    "relax_long": (_bench_datum(128), MobilitySpec.identity(), 1e-4, 64,
+                   "55448 54336 54336 54336 54336 43224 43224 43224 43224 "
+                   "43224 43224 43224 43224 43224 43224 43224 43224 43224 "
+                   "43224 43224"),
+    "sweep_sqrt": (_bench_datum(256), MobilitySpec.sqrt_mobility(), 1e-5, 256,
+                   "44336 43224 43224 43224 43224 43224 43224 43224 32112 "
+                   "32112 32112 32112 32112 32112 32112 32112 32112 32112 "
+                   "32112 32112"),
+}
+FIXTURE_TOTALS = [7419, 643, 443, 542, 817]
+
+
+def _count_evaluations(monkeypatch, u0, f, tau, k, n_steps):
+    """Each step's counts of objective values, gradients, Hessians,
+    factorizations and banded solves, taken through the solver's seams."""
+    total = [0] * 5
+    seams = [(_Objective, "value"), (MobilityMapEnergy, "value_and_grad"),
+             (MobilityMapEnergy, "hessian"), (jko, "_gbtrf"), (jko, "_gbtrs")]
+    for i, (owner, name) in enumerate(seams):
+        def counted(*a, _fn=getattr(owner, name), _i=i, **kw):
+            total[_i] += 1
+            return _fn(*a, **kw)
+        monkeypatch.setattr(owner, name, counted)
+    steps = []
+    step = jko.jko_step
+
+    def spy(*a, **kw):
+        before = total.copy()
+        out = step(*a, **kw)
+        steps.append([t - b for t, b in zip(total, before)])
+        return out
+
+    monkeypatch.setattr(jko, "jko_step", spy)
+    run(u0, MobilityMapEnergy(f), JkoConfig(tau=tau, n_steps=n_steps, k=k))
+    return steps
+
+
+@pytest.mark.parametrize("name", EVALUATIONS)
+def test_steps_keep_their_evaluation_counts(monkeypatch, name):
+    # the same iterates cost the same work: every line-search trial one
+    # value, every accepted point one gradient, at most one Hessian each
+    u0, f, tau, k, expected = EVALUATIONS[name]
+    n_steps = 200 if name == "fixture" else 20
+    steps = _count_evaluations(monkeypatch, u0, f, tau, k, n_steps)
+    assert " ".join("".join(map(str, c)) for c in steps[:20]) == expected
+    if name == "fixture":
+        assert np.sum(steps, axis=0).tolist() == FIXTURE_TOTALS
+
+
+# --- exact symmetries of the scheme ----------------------------------------
+
+@pytest.mark.parametrize("C", [10.0, 1e3, 1e20, 1e60])
+def test_mobility_constant_rescales_time(C):
+    # for f = C z^alpha, Psi_{C, tau} = C^2 Psi_{1, C^2 tau}: a run at
+    # (C, tau) has the minimizers of the run at (1, C^2 tau), and C^2 times
+    # its energies.  Measured: maps within 1.1e-16 and energy ratios within
+    # 1.1e-15 of C^2; the bounds leave room for the rounding of C z^alpha
+    u0 = GridDensity.cosine(UNIT, 64, eps=0.9, k=1)
+    ref = run(u0, MobilityMapEnergy(MobilitySpec.power_mobility(1.0, 0.7)),
+              JkoConfig(tau=1e-4, n_steps=30, k=64))
+    out = run(u0, MobilityMapEnergy(MobilitySpec.power_mobility(C, 0.7)),
+              JkoConfig(tau=1e-4 / C ** 2, n_steps=30, k=64))
+    assert np.abs(out.positions - ref.positions).max() <= 1e-15
+    assert np.abs(out.energies / (C * C * ref.energies) - 1).max() <= 1e-14
+    assert np.array_equal(out.converged, ref.converged)
+
+
+@pytest.mark.parametrize("f", MOBILITIES[:2], ids=lambda f: f.name)
+def test_mirrored_datum_gives_mirrored_maps(f):
+    # x -> lo + hi - x maps the bump centred at 0.3 onto the one centred at
+    # 0.7, and each map of one run onto the other's, up to the rounding of
+    # the two data.  Measured: maps within 1.2e-15 and energies within
+    # 2e-15 relative
+    runs = [run(GridDensity.bump(UNIT, 128, center=c), MobilityMapEnergy(f),
+                JkoConfig(tau=1e-4, n_steps=30, k=128)) for c in (0.3, 0.7)]
+    a, b = runs
+    assert np.abs(a.positions[:, ::-1] - (1.0 - b.positions)).max() <= 1e-13
+    assert np.abs(a.energies / b.energies - 1).max() <= 1e-13
+    assert np.array_equal(a.converged, b.converged)
+
+
 # --- parity of the inner loop with the plain damped Newton loop -------------
 
 def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
@@ -513,9 +642,8 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
     return bitwise what this returns."""
     obj = _Objective(energy, x_prev, tau)
     x = x_prev.copy()
-    f, g = value_and_grad(obj, x)
+    f, g = obj.value(x)[0], grad(obj, x)
     f0 = f
-    g = g[1:-1]
     gref = max(np.linalg.norm(g), 1e-30)
     lam = 0.0
     H_prev = None  # the previous iteration's Hessian, if undamped
@@ -530,7 +658,7 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
             except (ValueError, np.linalg.LinAlgError):
                 pass
         if not final:
-            H = obj.hessian_banded(x)[:, 1:-1]
+            H = hessian(obj, x)
         for _trial in range(0 if final else 30):
             Hd = H.copy()
             Hd[BW] += lam
@@ -547,7 +675,7 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
                 for _ in range(40):
                     xn = np.concatenate(([x[0]], x[1:-1] + alpha * p, [x[-1]]))
                     if np.all(np.diff(xn) > gap):
-                        fn, gn = value_and_grad(obj, xn)
+                        fn, gn = obj.value(xn)[0], grad(obj, xn)
                         if fn <= f + 1e-4 * alpha * (p @ g) or (fn < f and alpha < 1e-6):
                             moved = True
                             break
@@ -558,22 +686,22 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
         if final:
             xn = np.concatenate(([x[0]], x[1:-1] + p, [x[-1]]))
             if (np.all(np.diff(xn) > gap)
-                    and obj.value_and_energy(xn)[0] <= f0):
-                x, f = xn, obj.value_and_energy(xn)[0]
+                    and obj.value(xn)[0] <= f0):
+                x, f = xn, obj.value(xn)[0]
             converged = True
             break
         if not moved:
             break
         H_prev = H if lam == 0 else None
         df = f - fn
-        x, f, g = xn, fn, gn[1:-1]
+        x, f, g = xn, fn, gn
         lam *= 0.1
         if np.linalg.norm(g) < gtol * gref or df < ftol * max(abs(f), 1e-30):
             converged = True
             break
     if not converged:
         ulp = np.spacing(max(abs(x[0]), abs(x[-1])))
-        row = np.abs(obj.hessian_banded(x)[:, 1:-1]).sum(axis=0)
+        row = np.abs(hessian(obj, x)).sum(axis=0)
         converged = bool(np.all(np.abs(g) <= ulp * row))
     return x, f, converged
 
@@ -596,14 +724,16 @@ def test_value_matches_value_and_grad(f):
     for k in (16, 257):
         x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, k))])
         x /= x[-1]
-        obj = _Objective(e, x + 0.01 * rng.uniform(-1, 1, k + 1) / k, 1e-4)
+        move = 0.01 * rng.uniform(-1, 1, k + 1) / k
+        move[[0, -1]] = 0.0  # the walls stay put
+        obj = _Objective(e, x + move, 1e-4)
         assert e.value(x) == e.value_and_grad(x)[0]
-        assert obj.value_and_energy(x, x[1:] - x[:-1]) == (
-            obj.value_and_energy(x)[0], e.value(x))
-        iface = e._interfaces(x)
-        assert np.array_equal(obj.grad(x, iface), obj.grad(x))
-        assert np.array_equal(obj.hessian_banded(x, iface),
-                              obj.hessian_banded(x))
+        # a record from given widths serves the gradient and the Hessian
+        # bitwise as one built afresh from x
+        psi, pt = obj.value(x, x[1:] - x[:-1])
+        assert (psi, pt.phi) == (obj.value(x)[0], e.value(x))
+        assert np.array_equal(obj.grad(x, pt), grad(obj, x))
+        assert np.array_equal(e.hessian(pt, obj.mass), hessian(obj, x))
 
 
 @pytest.mark.parametrize("tau", [1e-5, 1e-4, 1e-2])
@@ -652,14 +782,59 @@ def test_stationary_exit_matches_reference():
 # The solver this one replaced let a wall node leave its wall through an
 # endpoint active set.  On even-mode data at small steps its walls stayed
 # put, so holding them fixed must give bitwise its results there.  Below is
-# that solver verbatim, with its objective's wall-row mass-matrix entries,
-# plus the undamped final step of `_reference_jko_step`, which it may take
-# along the previous iteration's undamped system.
+# that solver verbatim, with its objective's gradient and Hessian in every
+# node (the full-size assembly the fixed-wall solver replaced) and its
+# wall-row mass-matrix entries, plus the undamped final step of
+# `_reference_jko_step`, which it may take along the previous iteration's
+# undamped system.
+
+def _with_ends(op, first, left, right, last, out=None):
+    """[first, op(left, right)..., last] in out, or in a new array."""
+    out = np.empty(len(left) + 2) if out is None else out
+    op(left, right, out=out[1:-1])
+    out[0], out[-1] = first, last
+    return out
+
 
 class _FreeWallObjective(_Objective):
-    def hessian_banded(self, x, iface=None):
-        H = super().hessian_banded(x, iface)
-        H[BW, [0, -1]] -= 2.0 / (6.0 * (len(x) - 1) * self.tau)
+    def full_grad(self, x, pt):
+        """The gradient in every node, from x's record."""
+        self.energy.value_and_grad(x, pt)  # adds W'(t) to the record
+        r, e = pt.r, pt.e
+        two = 2 * pt.w1
+        ta = r * (two[:-1] + r)
+        tb = r * (two[1:] - r)
+        g_dx = _with_ends(np.subtract, -ta[0], tb[:-1], ta[1:], tb[-1])
+        gx = _with_ends(np.subtract, -g_dx[0], g_dx[:-1], g_dx[1:], g_dx[-1])
+        two = 2 * e
+        right = self.c * (two[:-1] + e[1:])
+        left = self.c * (two[1:] + e[:-1])
+        gq = _with_ends(np.add, right[0], right[1:], left[:-1], left[-1])
+        return gx + gq / (2 * self.tau)
+
+    def full_hessian(self, pt):
+        """The Hessian in every node, in (BW, BW) banded storage, from a
+        record whose gradient has been evaluated."""
+        dx, u, d, s, r, w1 = pt.dx, pt.u, pt.d, pt.s, pt.r, pt.w1
+        w2 = (self.energy.f.f2(u) * u + 2 * pt.f1) * u / dx ** 2
+        a, b = w1[:-1] + r, w1[1:] - r
+        off = -2 * a * b / s
+        ha = 2 * (a * a - d * w2[:-1]) / s
+        hb = 2 * (b * b + d * w2[1:]) / s
+        diag = _with_ends(np.add, ha[0], ha[1:], hb[:-1], hb[-1])
+        H = np.zeros((2 * BW + 1, len(dx) + 1))
+        _with_ends(np.add, diag[0], diag[1:], diag[:-1], diag[-1], H[BW])
+        H[BW, 1:-1] -= 2 * off
+        sup = _with_ends(np.add, off[0], off[:-1], off[1:], off[-1],
+                         H[BW - 1, 1:])
+        sup -= diag
+        H[BW + 1, :-1] = sup
+        H[BW - 2, 2:] = H[BW + 2, :-2] = -off
+        mass = np.array([[self.mass], [4 * self.mass], [self.mass]]).repeat(
+            len(dx) + 1, axis=1)
+        mass[0, 0] = mass[2, -1] = 0.0
+        H[BW - 1:BW + 2] += mass
+        H[BW, [0, -1]] -= 2.0 / (6.0 * len(dx) * self.tau)
         return H
 
 
@@ -698,8 +873,8 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
                         gtol=1e-11, ftol=1e-15):
     obj = _FreeWallObjective(energy, x_prev, tau)
     x = x_prev.copy()
-    iface = energy._interfaces(x)
-    f, g = value_and_grad(obj, x, iface)
+    f, pt = obj.value(x)
+    g = obj.full_grad(x, pt)
     f0 = f
     gref = max(np.linalg.norm(g), 1e-30)
     lam = 0.0
@@ -713,7 +888,7 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
             final = (p is not None and (slope := p @ g) < -1e-30
                      and -0.5 * slope <= ftol * max(abs(f), 1e-30))
         if not final:
-            H = obj.hessian_banded(x, iface)
+            H = obj.full_hessian(pt)
         for _trial in range(0 if final else 30):
             pinned = []
             for _resolve in range(3):
@@ -734,7 +909,7 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
                 for _ in range(40):
                     xn = np.clip(x + alpha * p, lo, hi)
                     if np.all(np.diff(xn) > gap):
-                        fn = obj.value_and_energy(xn)[0]
+                        fn, ptn = obj.value(xn)
                         if fn <= f + 1e-4 * alpha * slope or (fn < f and alpha < 1e-6):
                             moved = True
                             break
@@ -745,16 +920,16 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
         if final:
             xn = np.clip(x + p, lo, hi)
             if (np.all(np.diff(xn) > gap)
-                    and obj.value_and_energy(xn)[0] <= f0):
-                x, f = xn, obj.value_and_energy(xn)[0]
+                    and obj.value(xn)[0] <= f0):
+                x, f = xn, obj.value(xn)[0]
             converged = True
             break
         if not moved:
             break
         prev = (H, pinned) if lam == 0 else None
         df = f - fn
-        iface = energy._interfaces(xn)
-        x, f, g = xn, fn, obj.grad(xn, iface)
+        x, f, pt = xn, fn, ptn
+        g = obj.full_grad(x, pt)
         lam *= 0.1
         if (np.linalg.norm(_g_free(g, x, lo, hi)) < gtol * gref
                 or df < ftol * max(abs(f), 1e-30)):
@@ -762,7 +937,7 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
             break
     if not converged:
         ulp = np.spacing(max(abs(lo), abs(hi)))
-        row = np.abs(obj.hessian_banded(x, iface)).sum(axis=0)
+        row = np.abs(obj.full_hessian(pt)).sum(axis=0)
         converged = bool(np.all(np.abs(_g_free(g, x, lo, hi)) <= ulp * row))
     return x, f, converged
 
@@ -782,12 +957,14 @@ def test_even_mode_steps_match_free_wall_solver(f, k, tau):
 
 
 class _NanHessian(MobilityMapEnergy):
+    """A NaN at one entry of the interior band block."""
+
     def __init__(self, entry):
         super().__init__(MobilitySpec.identity())
         self.entry = entry
 
-    def hessian_banded(self, x, iface=None):
-        H = super().hessian_banded(x, iface)
+    def hessian(self, pt, c):
+        H = super().hessian(pt, c)
         H[self.entry] = np.nan
         return H
 
@@ -795,28 +972,30 @@ class _NanHessian(MobilityMapEnergy):
 class _SingularHessian(MobilityMapEnergy):
     """Cancels the transport term's mass matrix: the Newton system is 0."""
 
-    def __init__(self, tau):
+    def __init__(self):
         super().__init__(MobilitySpec.identity())
-        self.tau = tau
 
-    def hessian_banded(self, x, iface=None):
-        c = 1.0 / (6.0 * (len(x) - 1) * self.tau)
-        H = np.zeros((2 * BW + 1, len(x)))
-        H[BW] = -4 * c
-        H[BW - 1, 1:] = H[BW + 1, :-1] = -c
-        return H
+    def hessian(self, pt, c):
+        return np.zeros((2 * BW + 1, len(pt.dx) - 1))
 
 
-@pytest.mark.parametrize("energy", [_NanHessian((BW, 5)),
-                                    _NanHessian((BW - 1, 1)),
-                                    _SingularHessian(1e-4)],
-                         ids=["nan_diagonal", "nan_unused_corner",
-                              "singular"])
-def test_unsolvable_systems_match_reference(energy):
+@pytest.mark.parametrize("energy, factorizations", [
+    (_NanHessian((BW, 4)), 0), (_NanHessian((BW - 1, 0)), 0),
+    (_SingularHessian(), 1)],
+    ids=["nan_diagonal", "nan_unused_corner", "singular"])
+def test_unsolvable_systems_match_reference(monkeypatch, energy,
+                                            factorizations):
     # scipy's solve_banded refuses a non-finite band (the unused corners of
     # the interior block included) and a singular system; either means no
-    # Newton step
+    # Newton step.  A non-finite band is never factored, and a singular
+    # system with a zero diagonal only once: no Levenberg damping can grow
+    # from lambda = 1e-3 max|diag| = 0
+    calls = []
+    factor = jko._factor
+    monkeypatch.setattr(jko, "_factor", lambda *a: (
+        calls.append(1) or factor(*a)))
     x0 = map_from_density(GridDensity.cosine(UNIT, 64, eps=0.5, k=2), 64)
     x, _, _, converged = _same_step(x0, energy, 1e-4)
     assert np.array_equal(x, x0)
     assert not converged
+    assert len(calls) == factorizations
