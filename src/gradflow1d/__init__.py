@@ -4,10 +4,10 @@ from .report import CSV_HEADER, CSV_SCHEMA_VERSION, CertificateReport
 from .transport import (ConfigurationError, DegenerateQuantileError,
                         GridDensity, Interval, MonotonicityError,
                         boltzmann_entropy, densities_from_maps,
-                        map_from_density, quantile, wasserstein2)
+                        map_from_density)
 from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction,
-                         alpha_window, dissipation_constants, energy_mobility,
-                         validate_assumption_f, weak_operator_Nf)
+                         alpha_window, dissipation_constants,
+                         validate_assumption_f)
 from .jko import (JkoConfig, JkoTrajectory, MobilityMapEnergy, jko_step,
                   refine_study, run)
 from .diagnostics import (SobolevNorms, apriori_bounds, check_discrete_weak_f,

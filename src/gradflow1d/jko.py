@@ -314,7 +314,9 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     if x_start is not None:
         dxs = x_start[1:] - x_start[:-1]
         if dxs.min() > gap:
-            fs, start = obj.value(x_start, dxs)
+            # a predictor whose energy overflows fails the test below
+            with np.errstate(over="ignore"):
+                fs, start = obj.value(x_start, dxs)
             if fs < phi_prev:
                 x, f, phi, pt = x_start, fs, start.phi, start
     if pt is None:  # x_prev's record: no displacement

@@ -84,12 +84,6 @@ class TestFunction:
                    d1=lambda x: -a * om * np.sin(om * (x - lo)),
                    d2=lambda x: -a * om ** 2 * np.cos(om * (x - lo)))
 
-    @classmethod
-    def constant(cls, lo: float, hi: float, value: float = 1.0) -> "TestFunction":
-        z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        return cls(lo, hi, f=lambda x: np.full_like(np.asarray(x, float), value),
-                   d1=z, d2=z)
-
 
 @dataclass
 class TemporalWeight:
@@ -169,15 +163,6 @@ class MobilitySpec:
                    C=C, alpha=a, delta_bar=dbar)
 
 
-# --- energies -------------------------------------------------------------
-
-def energy_mobility(f: MobilitySpec, u: GridDensity) -> float:
-    """1/2 int |(f o u)'|^2 by `staggered_gradient_quadrature` of f o u."""
-    v = np.maximum(u.values, 0.0)
-    w = f.f(v)
-    return staggered_gradient_quadrature(w, u.h)
-
-
 # --- weak-form operators --------------------------------------------------
 
 def nf_density(f: MobilitySpec, u: GridDensity, phi: TestFunction,
@@ -196,12 +181,6 @@ def nf_density(f: MobilitySpec, u: GridDensity, phi: TestFunction,
     w = f.f(v)
     wp, wpp = d1(w, h), d2(w, h)
     return wpp * wp * phi.d1(x) + v * f.f1(v) * wpp * phi.d2(x)
-
-
-def weak_operator_Nf(f: MobilitySpec, u: GridDensity,
-                     phi: TestFunction) -> float:
-    """int N_f(u, phi): the midpoint sum of `nf_density`."""
-    return float(u.h * np.sum(nf_density(f, u, phi)))
 
 
 # --- assumption validators ------------------------------------------------

@@ -6,10 +6,11 @@ quadratic Wasserstein distance is a plain weighted L2 distance), held as
 plain node arrays that both converters check with `_checked_nodes`.  Maps
 and densities are converted into each other through cubic splines, built
 row by row in one LAPACK solve (`_spline_coefficients`, bitwise scipy's
-CubicSpline).  The quantile map inverts the CDF's spline by Newton sweeps
-(`_newton_inverse`); the pushforward inverts each quantile spline at the
-grid edges by a bracketed Newton solve inside the knot interval that each
-edge falls in (`_bracketed_inverse`).
+CubicSpline).  Both converters invert a spline with one routine,
+`_bracketed_inverse`, a bracketed Newton solve inside the knot interval in
+which the piecewise-linear inverse lands: the quantile map inverts the
+CDF's spline at the mass levels, the pushforward each quantile spline at
+the grid edges.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from ._lapack import dgtsv as _gtsv
 
 MASS_TOL = 1e-12
 GAP_REL = 1e-9          # minimum node spacing, relative to domain length
-W2_LEVELS = 4097        # mass-grid resolution for quantile-based distances
 # map nodes per batched call of `consecutive_distances`: 2^15 doubles keep
 # the call's temporaries in cache (at K = 1024 on a 2-core x86 host, 100
 # consecutive pairs took 1.1 ms in one call and 0.52 ms in blocks of 32)
 DIST_BLOCK = 1 << 15
-# iteration cap of the pushforward's bracketed solve: from the piecewise-
-# linear start it ends after 1-3 iterations on smooth maps and about 10 on
-# rough ones, and bisection alone would need at most 47
+# iteration cap of the bracketed solve: from the piecewise-linear start it
+# ends after 1-5 iterations on smooth data and about 10 on rough data, and
+# bisection alone would need at most 47
 BRACKET_ITERATIONS = 60
 
 
@@ -105,14 +105,10 @@ class GridDensity:
     def midpoints(self) -> np.ndarray:
         return self.domain.lo + (np.arange(self.m) + 0.5) * self.h
 
-    @property
-    def mass(self) -> float:
-        return float(self.values.sum() * self.h)
-
     def cdf_at_edges(self) -> np.ndarray:
         c = np.concatenate([[0.0], np.cumsum(self.values) * self.h])
         # snap rounding-level shortfall to 1 so a trailing vacuum stays a
-        # genuinely flat run for the quantile's left-edge convention
+        # genuinely flat run
         c[c >= 1.0 - 1e-12] = 1.0
         c[-1] = 1.0
         return c
@@ -162,43 +158,7 @@ class GridDensity:
         return cls.from_samples(domain, v + 1e-3 / domain.length)
 
 
-# --- quantiles and distances ---------------------------------------------
-
-def quantile(u: GridDensity, levels) -> np.ndarray:
-    """Generalized inverse CDF at the given mass levels.
-
-    The CDF is piecewise linear on the grid; quantiles of zero-density
-    plateaus resolve to the plateau's left edge.
-    """
-    s = np.asarray(levels, dtype=float)
-    if np.any(s < 0) or np.any(s > 1):
-        raise ConfigurationError("quantile level outside [0, 1]")
-    cdf = u.cdf_at_edges()
-    # keep only the first edge of every flat CDF run (left-edge convention);
-    # for a leading vacuum the level-0 anchor is the support infimum instead
-    keep = np.concatenate([[True], np.diff(cdf) > 0])
-    nz = int(np.argmax(cdf > 0))
-    if nz > 1:
-        keep[:nz - 1] = False
-        keep[nz - 1] = True
-    return np.interp(s, cdf[keep], u.edges[keep])
-
-
-def wasserstein2(u: GridDensity, v: GridDensity,
-                 n_levels: int = W2_LEVELS) -> float:
-    """W2 as the L2 distance of quantile functions (trapezoid in mass).
-
-    Using one shared level grid for every pair makes symmetry and the
-    triangle inequality exact at the discrete level.
-    """
-    if u.domain != v.domain:
-        raise ConfigurationError("densities live on different domains")
-    s = np.linspace(0.0, 1.0, n_levels)
-    d = quantile(u, s) - quantile(v, s)
-    w = np.full(n_levels, 1.0 / (n_levels - 1))
-    w[0] = w[-1] = 0.5 / (n_levels - 1)
-    return float(np.sqrt(np.sum(w * d * d)))
-
+# --- distances and entropy ------------------------------------------------
 
 def w2sq_between_maps(xa: np.ndarray, xb: np.ndarray) -> float | np.ndarray:
     """Exact W2^2 between the pushforwards of maps with node positions xa, xb.
@@ -291,83 +251,14 @@ def _spline_coefficients(knots, y, ends=None):
                      y[:, :-1]))
 
 
-class _SplineColumns:
-    """Value and slope of each row's cubic spline at its own points.
-
-    Takes the knots and the (4, rows, K) coefficients of
-    `_spline_coefficients` and returns bitwise what scipy's
-    `PPoly.__call__` returns on them: the interval lookup (closed on the
-    right at the last knot, extrapolating beyond both ends) is done once
-    for the value and the slope, and each coefficient is gathered with
-    `take` from a contiguous (row, interval) array.  The power sums keep
-    scipy's operation order.
-    """
-
-    def __init__(self, knots, coefficients):
-        self.x = knots
-        self.n = knots.size - 1
-        rows = coefficients.shape[1]
-        # row j holds coefficient j of every (row, interval), flattened
-        self.c = coefficients.reshape(4, -1)
-        self.offset = np.arange(rows)[:, None] * self.n if rows > 1 else 0
-
-    def __call__(self, t):
-        """(value, slope) at t, one row of points per spline row; a single
-        row also takes a 1-D array."""
-        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.n - 1)
-        s = t - self.x.take(i)
-        i += self.offset
-        c0, c1, c2, c3 = (cj.take(i) for cj in self.c)
-        s2 = s * s
-        return (c3 + c2 * s + c1 * s2 + c0 * (s2 * s),
-                c2 + (c1 * s) * 2 + (c0 * s2) * 3)
-
-
-def _newton_inverse(spline, target, x, lo, hi, slope_floor, sweeps):
-    """Entrywise solve of value(x) = target by clipped Newton sweeps, where
-    spline(x) returns (value, slope); x may have any shape.
-
-    Returns (result, start value, result value): result is bitwise what
-    `sweeps` plain sweeps from x would return, and the two values are
-    bitwise spline(x)[0] and spline(result)[0], the first sweep's value and
-    one kept from the sweeps (evaluated once more only if the sweeps run
-    out).  A sweep updates each entry from its own value alone, so once an
-    entry repeats the value it had p <= 4 sweeps ago (a fixed point, or a
-    cycle in rounding noise) its value after the last sweep is already
-    known; the sweeps stop when every entry has done so.
-    """
-    # the last five iterates, and the values at all of them but the newest
-    hist, vals = [x], []
-    for n in range(1, sweeps + 1):
-        y = hist[-1]
-        value, slope = spline(y)
-        if n == 1:
-            start = value
-        y = np.clip(y - (value - target) / np.maximum(slope, slope_floor),
-                    lo, hi)
-        hist, vals = hist[-4:] + [y], vals[-3:] + [value]
-        # compare bit patterns, so signed zeros and NaNs repeat exactly too
-        bits = y.view(np.int64)
-        period = np.zeros(y.shape, dtype=int)
-        for p in range(len(hist) - 1, 0, -1):
-            period[hist[-1 - p].view(np.int64) == bits] = p
-        if period.all():
-            # period p from sweep n - p on, so sweep `sweeps` repeats
-            # sweep n - back with back = p - (sweeps - n) mod p
-            back = (len(hist) - 1 - (period - (sweeps - n) % period))[None]
-            return (np.take_along_axis(np.array(hist), back, 0)[0], start,
-                    np.take_along_axis(np.array(vals), back, 0)[0])
-    return hist[-1], start, spline(hist[-1])[0]
-
-
 def _bracketed_inverse(knots, coefficients, interval, target, start):
     """Entrywise solve of spline(s) = target inside knot interval
     `interval`, for the (4, rows, K) coefficients of `_spline_coefficients`;
     the last three arguments are (rows, n) arrays, `start` the first guess.
 
     Each interval must bracket its root up to rounding: its spline's value
-    at the left knot (its node) is at most the target, and at the right
-    knot (the next node) at least the target.  Safeguarded Newton runs in the
+    at the left knot is at most the target, and at the right knot at least
+    the target.  Safeguarded Newton runs in the
     local coordinate t = s - knots[i] of the interval, on the interval's
     four coefficients gathered once: it keeps a sign bracket [a, b] and
     bisects it where a Newton step (slope floored at 1e-14) leaves it.
@@ -433,11 +324,12 @@ def map_from_density(u: GridDensity, k: int = 256) -> np.ndarray:
     """Nodes of the quantile map of u at K+1 uniform mass levels.
 
     The CDF is interpolated by a clamped cubic spline (end slopes equal to
-    the boundary density values) and inverted by 50 safeguarded Newton
-    sweeps; this keeps second derivatives of the represented density
-    meaningful, which the piecewise-linear inverse would destroy.  The
-    sweeps stop once every level has settled (see `_newton_inverse`) and
-    still return the 50-sweep result bitwise.
+    the boundary density values), which keeps second derivatives of the
+    represented density meaningful, as the piecewise-linear inverse would
+    not.  The spline passes through the CDF at the grid edges, so the level
+    j/K has a preimage in the grid cell in which the piecewise-linear
+    inverse lands; `_bracketed_inverse` solves for it there, from that
+    inverse, which is kept wherever the solve leaves a larger residual.
     """
     if k < 8:
         raise ConfigurationError("need K >= 8 map cells")
@@ -445,17 +337,19 @@ def map_from_density(u: GridDensity, k: int = 256) -> np.ndarray:
     v = u.values
     cdf = u.cdf_at_edges()
     edges = u.edges
-    spline = _SplineColumns(
-        edges, _spline_coefficients(edges, cdf[None], (v[0], v[-1])))
     levels = np.linspace(0.0, 1.0, k + 1)
+    cell = np.minimum(np.interp(levels, cdf, np.arange(v.size + 1.0))
+                      .astype(np.intp), v.size - 1)
     linear = np.interp(levels, cdf, edges)
-    lo, hi = u.domain.lo, u.domain.hi
-    x, start, end = _newton_inverse(spline, levels, linear, lo, hi, 1e-13, 50)
-    bad = np.abs(end - levels) > np.abs(start - levels) + 1e-15
-    x = np.where(bad, linear, x)
+    x, start, end, _ = _bracketed_inverse(
+        edges, _spline_coefficients(edges, cdf[None], (v[0], v[-1])),
+        cell[None], levels[None], linear[None])
+    bad = np.abs(end) > np.abs(start) + 1e-15
+    x = np.where(bad, linear, x)[0]
     # pin the ends to the support edges of the sampled density
     x[0] = edges[np.argmax(v > 0)]
     x[-1] = edges[v.size - np.argmax(v[::-1] > 0)]
+    lo, hi = u.domain.lo, u.domain.hi
     x = np.maximum.accumulate(np.clip(x, lo, hi))
     gap = u.domain.gap
     if np.any(np.diff(x) <= gap):  # repair with strict minimum spacing

@@ -15,7 +15,8 @@ from gradflow1d import (GridDensity, Interval, JkoConfig, MobilityMapEnergy,
                         check_discrete_weak_f, check_energy_monotone,
                         check_entropy_dissipation_f, check_holder_continuity,
                         check_total_square_distance, dissipation_constants,
-                        refine_study, run, wasserstein2)
+                        refine_study, run)
+from quantiles import wasserstein2
 
 UNIT = Interval(0.0, 1.0)
 WIDE = Interval(0.0, 2.0)

@@ -153,6 +153,32 @@ def test_gradient_norm_overflow_runs(tmp_path, monkeypatch):
     assert all(psi <= phi_prev for psi, phi_prev in steps)
 
 
+@pytest.mark.parametrize("m, alpha, C, n_steps", itertools.product(
+    (32, 64, 128), (0.6, 0.7, 0.9), (1e100, 1e150), (2, 4)))
+def test_huge_constant_passes_entropy_dissipation(tmp_path, m, alpha, C,
+                                                  n_steps):
+    # these runs reach the uniform state in one step, where the grid left
+    # side ||(f o u)''||^2 is C^2 times the rounding of the cell values
+    # (1.36e275 against a right side of 1293); 22 of them failed before the
+    # tolerance covered the left side's own rounding
+    path = write_config(tmp_path, {
+        "m": m, "k": m, "n_steps": n_steps,
+        "lagrangian": {"name": "power_mobility", "alpha": alpha, "C": C}})
+    assert main(["--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("lagrangian", ["thin_film", "sqrt_mobility"])
+def test_copied_step_fails_entropy_dissipation(tmp_path, lagrangian):
+    # the default config over 20 steps, step 10 a copy of step 9: the
+    # rounding term of the tolerance must not cover the copied step
+    cfg = load_config({"n_steps": 20, "lagrangian": {"name": lagrangian},
+                       "checks": ["entropy_dissipation"],
+                       "inject_corruption": True, "out": str(tmp_path)})
+    assert execute(cfg) == 1
+    lines = (tmp_path / "certificates.csv").read_text().splitlines()[2:]
+    assert [int(row[1]) for row in csv.reader(lines) if row[-1] == "0"] == [10]
+
+
 def test_sweep_row_with_non_finite_initial_energy(tmp_path):
     path = write_config(tmp_path, {
         "lagrangian": {"name": "power_mobility", "alpha": 0.7, "C": 1e160}})

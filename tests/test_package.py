@@ -36,6 +36,23 @@ def test_every_import_is_used(module):
     assert sorted(set(imported_names(tree)) - used) == []
 
 
+def test_every_export_has_a_caller_in_the_package():
+    # each name the package exports is read somewhere in its modules besides
+    # its definition and its export, so no test-only API is exported
+    exported = {alias.asname or alias.name
+                for node in ast.parse((SRC / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse((SRC / module).read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert exported
+    assert sorted(exported - read) == []
+
+
 def test_readme_quick_start_runs():
     block = re.search(r"```python\n(.*?)```", README.read_text(), re.S)
     exec(compile(block.group(1), str(README), "exec"), {})

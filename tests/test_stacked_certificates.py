@@ -76,7 +76,15 @@ def _ref_entropy_dissipation(traj, f, delta):
         lhs = float(un.h * np.sum(_ref_d2(w, un.h) ** 2))
         dent = traj.entropies[n - 1] - traj.entropies[n]
         rhs = dent / (delta * traj.tau)
-        tol = 0.1 * lhs + 1e-12 / (delta * traj.tau)
+        # the rounding of lhs: cell values within du, w within dw, and e the
+        # L2 norm of the stencil's absolute sums of dw
+        du = 8 * np.finfo(float).eps / un.h
+        dw = np.minimum(np.abs(f.f1(np.maximum(un.values, U_FLOOR))) * du,
+                        np.full(un.m, f.f(du)))
+        e = float(np.sqrt(un.h * np.sum(
+            (_ref_d2(dw, un.h) + 4 * dw / un.h ** 2) ** 2)))
+        tol = (0.1 * lhs + 1e-12 / (delta * traj.tau)
+               + (2 * np.sqrt(lhs) * e + e * e))
         out.append((lhs, rhs, tol, n, float(dent)))
     return out
 

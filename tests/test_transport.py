@@ -8,11 +8,10 @@ from scipy.interpolate import CubicSpline, PPoly
 from gradflow1d import (ConfigurationError, DegenerateQuantileError,
                         GridDensity, Interval, JkoConfig, MobilityMapEnergy,
                         MobilitySpec, MonotonicityError, boltzmann_entropy,
-                        densities_from_maps, map_from_density, quantile, run,
-                        transport, wasserstein2)
+                        densities_from_maps, map_from_density, run, transport)
 from gradflow1d.transport import (MASS_TOL, _bracketed_inverse,
-                                  _newton_inverse, _spline_coefficients,
-                                  _SplineColumns, w2sq_between_maps)
+                                  _spline_coefficients, w2sq_between_maps)
+from quantiles import mass, quantile, wasserstein2
 
 UNIT = Interval(0.0, 1.0)
 
@@ -84,7 +83,7 @@ def test_bump_rejects_constant_samples(center, width):
 
 def test_from_samples_normalizes():
     u = positive_density(np.random.default_rng(0).uniform(0.1, 2.0, 64))
-    assert abs(u.mass - 1.0) < 1e-12
+    assert abs(mass(u) - 1.0) < 1e-12
 
 
 def test_map_requires_monotone_positions():
@@ -107,14 +106,14 @@ def test_map_from_density_rejects_a_nan_node(node):
     # map; the end nodes are pinned to the support after the inversion
     u = GridDensity.cosine(UNIT, 64, eps=0.5, k=2)
 
-    def nan_at(spline, target, x, *args):
-        x, start, end = _newton_inverse(spline, target, x, *args)
+    def nan_at(*args):
+        x, start, end, iterations = _bracketed_inverse(*args)
         x = x.copy()
-        x[node] = np.nan
-        return x, start, end
+        x[:, node] = np.nan
+        return x, start, end, iterations
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transport, "_newton_inverse", nan_at)
+        mp.setattr(transport, "_bracketed_inverse", nan_at)
         with pytest.raises(MonotonicityError):
             map_from_density(u, 16)
 
@@ -246,7 +245,7 @@ def test_map_quantiles_of_compressed_uniform():
 def test_density_from_linear_map_is_uniform():
     v = pushforward(np.linspace(0, 1, 33), 32)
     np.testing.assert_allclose(v.values, 1.0, atol=1e-10)
-    assert abs(v.mass - 1.0) < 1e-10
+    assert abs(mass(v) - 1.0) < 1e-10
 
 
 def test_round_trip():
@@ -267,21 +266,17 @@ def test_round_trip_property(u):
     v = pushforward(map_from_density(u, 64), u.m)
     # rough samples smear over a few cells; compare in transport distance
     assert wasserstein2(u, v) < 3 * u.h
-    assert abs(v.mass - 1.0) < 1e-10
+    assert abs(mass(v) - 1.0) < 1e-10
 
 
-# --- early-stopping Newton inversion ----------------------------------------
+# --- bracketed inversion ----------------------------------------------------
 
-SWEEPS = list(range(1, 13)) + [30, 50]  # every period and parity up to 4
-
-
-def scipy_columns(spline):
-    """(value, slope) from scipy's own PPoly on the coefficients of a
-    _SplineColumns, row j of the points in column j (1-D points for one
-    column): the reference the evaluator must reproduce."""
-    cols = spline.c.reshape(4, -1, spline.n)
-    polys = [PPoly(np.ascontiguousarray(cols[:, j]), spline.x)
-             for j in range(cols.shape[1])]
+def ppoly_columns(knots, coefficients):
+    """(value, slope) of each row's spline at its own row of points, by
+    scipy's PPoly on the (4, rows, K) coefficients of _spline_coefficients
+    (1-D points for one row)."""
+    polys = [PPoly(np.ascontiguousarray(coefficients[:, j]), knots)
+             for j in range(coefficients.shape[1])]
 
     def pair(t):
         rows = np.reshape(t, (len(polys), -1))
@@ -291,11 +286,8 @@ def scipy_columns(spline):
 
 
 def fixed_sweeps(spline, target, x, lo, hi, slope_floor, sweeps):
-    # the plain loop _newton_inverse must reproduce bitwise, with the values
-    # at the start and at the result; a spline is evaluated by PPoly, a
-    # stand-in as it is
-    if isinstance(spline, _SplineColumns):
-        spline = scipy_columns(spline)
+    """Plain clipped Newton sweeps over [lo, hi] from x, where spline(x)
+    returns (value, slope): (result, value at x, value at the result)."""
     start = spline(x)[0]
     for _ in range(sweeps):
         value, slope = spline(x)
@@ -304,19 +296,14 @@ def fixed_sweeps(spline, target, x, lo, hi, slope_floor, sweeps):
     return x, start, spline(x)[0]
 
 
-def inversions(call):
-    """Arguments (without the sweep count) of every inversion call() makes;
-    each call returns the (result, start value, result value) triple."""
-    seen = []
-
-    def spy(*args):
-        seen.append(args[:-1])
-        return _newton_inverse(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transport, "_newton_inverse", spy)
-        call()
-    return seen
+def newton_sweeps(knots, coefficients, interval, target, start):
+    """A stand-in for _bracketed_inverse that runs the quantile map's former
+    solve: 50 Newton sweeps over the whole domain (slope floor 1e-13), with
+    the residuals the fallback test reads."""
+    x, at_start, at_end = fixed_sweeps(ppoly_columns(knots, coefficients),
+                                       target, start, knots[0], knots[-1],
+                                       1e-13, 50)
+    return x, at_start - target, at_end - target, 50
 
 
 def pushforward_inversion(x, m, domain=UNIT):
@@ -326,7 +313,7 @@ def pushforward_inversion(x, m, domain=UNIT):
     each map's range and the piecewise-linear inverse as the start."""
     pos = transport._checked_nodes(domain, np.atleast_2d(x))
     levels = np.linspace(0.0, 1.0, pos.shape[-1])
-    spline = _SplineColumns(levels, _spline_coefficients(levels, pos))
+    spline = ppoly_columns(levels, _spline_coefficients(levels, pos))
     edges = np.linspace(domain.lo, domain.hi, m + 1)
     target = np.clip(edges, pos[:, :1], pos[:, -1:])
     linear = np.array([np.interp(edges, p, levels) for p in pos])
@@ -340,7 +327,7 @@ def newton_pushforward(x, m):
     monotone repair are those of densities_from_maps."""
     args = pushforward_inversion(x, m)
     target, linear = args[1:3]
-    s, start, end = _newton_inverse(*args, 30)
+    s, start, end = fixed_sweeps(*args, 30)
     s = np.where(np.abs(end - target) > np.abs(start - target) + 1e-15,
                  linear, s)
     pos, edges = np.atleast_2d(x), np.linspace(0.0, 1.0, m + 1)
@@ -364,21 +351,44 @@ def bracketed_solves(call):
     return seen
 
 
-def assert_exact_for_all_sweeps(args):
-    for n in SWEEPS:
-        got, ref = _newton_inverse(*args, n), fixed_sweeps(*args, n)
-        assert len(got) == len(ref) == 3
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b), n
+def plain_bracketed(knots, coefficients, interval, target, start):
+    """The bracketed solve one entry at a time, in Python floats: the loop
+    _bracketed_inverse must reproduce bitwise, as (result, start residual,
+    result residual)."""
+    out = np.empty((3,) + interval.shape)
+    for idx in np.ndindex(interval.shape):
+        i = int(interval[idx])
+        c0, c1, c2, c3 = coefficients[:, idx[0], i].tolist()
+        c3 = c3 - float(target[idx])
+        left, a, b = float(knots[i]), 0.0, float(knots[i + 1] - knots[i])
+        t = min(max(float(start[idx]) - left, a), b)
+        r = r_start = ((c0 * t + c1) * t + c2) * t + c3
+        for _ in range(transport.BRACKET_ITERATIONS):
+            a, b = (t, b) if r <= 0.0 else (a, t)
+            newton = t - r / max((3.0 * c0 * t + 2.0 * c1) * t + c2, 1e-14)
+            t_new = newton if a <= newton <= b else 0.5 * (a + b)
+            step, t = t_new - t, t_new
+            r = ((c0 * t + c1) * t + c2) * t + c3
+            if abs(step) <= 4 * np.finfo(float).eps:
+                break
+        out[(slice(None), *idx)] = left + t, r_start, r
+    return out
 
 
-def assert_values_are_the_splines(args):
-    # the returned values are the spline's own at the start and the result
-    spline, x0 = args[0], args[2]
-    for n in SWEEPS:
-        x, start, end = _newton_inverse(*args, n)
-        assert np.array_equal(start, spline(x0)[0]), n
-        assert np.array_equal(end, spline(x)[0]), n
+def assert_exact(args):
+    got = _bracketed_inverse(*args)[:3]
+    for a, b in zip(got, plain_bracketed(*args)):
+        assert np.array_equal(a, b)
+
+
+def assert_brackets_hold(args, result, values):
+    # the spline's values at the knots (`values`, one row per spline) bracket
+    # each target, and each result lies between its interval's knots
+    knots, _, interval, target, _ = args
+    assert np.all(np.take_along_axis(values, interval, -1) <= target)
+    assert np.all(target <= np.take_along_axis(values, interval + 1, -1))
+    assert np.all((knots[interval] <= result[0])
+                  & (result[0] <= knots[interval + 1]))
 
 
 def rough_map(seed, k=64):
@@ -391,33 +401,55 @@ def rough_map(seed, k=64):
 @settings(max_examples=20, deadline=None)
 @given(densities())
 def test_newton_inverse_exact_on_rough_densities(u):
-    # the quantile map's inversion, and the sweeps on that map's pushforward
-    calls = inversions(lambda: map_from_density(u, 64))
-    assert len(calls) == 1
+    # one bracketed solve per quantile map, and one on that map's
+    # pushforward; each holds its brackets and is the plain loop bitwise
+    ((args, result),) = bracketed_solves(lambda: map_from_density(u, 64))
+    assert_brackets_hold(args, result, u.cdf_at_edges()[None])
+    assert_exact(args)
     x = map_from_density(u, 64)
-    for args in calls + [pushforward_inversion(x, u.m)]:
-        assert_exact_for_all_sweeps(args)
+    ((args, result),) = bracketed_solves(
+        lambda: densities_from_maps(UNIT, x[None], u.m))
+    assert_brackets_hold(args, result, x[None])
+    assert_exact(args)
+
+
+def test_quantile_map_nodes_lie_in_their_bracketing_cells():
+    # every interior node lies in a grid cell whose CDF values bracket its
+    # level; the former sweeps over the whole domain left that cell on 30 of
+    # these 200 densities, by up to 8 cells
+    levels = np.linspace(0.0, 1.0, 65)[1:-1]
+    for seed in range(200):
+        u = positive_density(
+            np.random.default_rng(seed).lognormal(0.0, 1.5, 64))
+        cdf, edges = u.cdf_at_edges(), u.edges
+        x = map_from_density(u, 64)[1:-1]
+        first = np.searchsorted(cdf, levels, "left") - 1
+        last = np.searchsorted(cdf, levels, "right")
+        assert np.all((edges[first] <= x) & (x <= edges[last])), seed
 
 
 @pytest.mark.parametrize("seed", range(2, 6))
 def test_newton_inverse_exact_on_rough_maps(seed):
-    args = pushforward_inversion(rough_map(seed), 50)
-    assert_exact_for_all_sweeps(args)
-    assert_values_are_the_splines(args)
-    # the spline is non-monotone here: Newton's residual can exceed the
-    # piecewise-linear start's, where a fallback to the start is needed
-    spline, target, linear = args[:3]
-    s = _newton_inverse(*args, 30)[0]
+    ((args, (_, r_start, r_end, _)),) = bracketed_solves(
+        lambda: densities_from_maps(UNIT, rough_map(seed)[None], 50))
+    assert_exact(args)
+    # the spline is non-monotone here: plain Newton sweeps from the
+    # piecewise-linear start can end with a larger residual than the
+    # start's, and need the fallback to it; the bracketed solve does not
+    sweeps = pushforward_inversion(rough_map(seed), 50)
+    spline, target, linear = sweeps[:3]
+    s = fixed_sweeps(*sweeps, 30)[0]
     assert np.any(np.abs(spline(s)[0] - target)
                   > np.abs(spline(linear)[0] - target) + 1e-15)
+    assert np.all(np.abs(r_end) <= np.abs(r_start))
 
 
 def test_newton_inverse_exact_on_a_batch():
-    # one inversion for the whole batch, on a 2-D array of edges
+    # one solve for the whole batch, on a 2-D array of edges
     pos = np.array([rough_map(seed) for seed in range(2, 7)])
-    args = pushforward_inversion(pos, 50)
+    ((args, _),) = bracketed_solves(lambda: densities_from_maps(UNIT, pos, 50))
     assert args[2].shape == (5, 51)
-    assert_exact_for_all_sweeps(args)
+    assert_exact(args)
 
 
 # --- bracketed pushforward solve --------------------------------------------
@@ -432,14 +464,14 @@ def pushforward_cases():
 
 @pytest.mark.parametrize("x, m", pushforward_cases())
 def test_pushforward_roots_stay_in_their_knot_intervals(x, m):
-    (((knots, _, interval, target, start), (s, r_start, r_end, _)),) = \
-        bracketed_solves(lambda: densities_from_maps(UNIT, x, m))
+    ((args, result),) = bracketed_solves(
+        lambda: densities_from_maps(UNIT, x, m))
+    knots, _, _, target, start = args
+    s, r_start, r_end, _ = result
     # the edge lies between the interval's nodes, its level between the
     # interval's knots
     nodes = transport._checked_nodes(UNIT, x)
-    assert np.all(np.take_along_axis(nodes, interval, -1) <= target)
-    assert np.all(target <= np.take_along_axis(nodes, interval + 1, -1))
-    assert np.all((knots[interval] <= s) & (s <= knots[interval + 1]))
+    assert_brackets_hold(args, result, nodes)
     # every residual is at most the piecewise-linear start's, also on
     # scipy's spline through the nodes, up to its rounding
     assert np.all(np.abs(r_end) <= np.abs(r_start))
@@ -487,33 +519,6 @@ def test_pushforward_solve_ends_quickly_near_equilibrium(maps, m):
     ((_, (*_, iterations)),) = bracketed_solves(
         lambda: densities_from_maps(UNIT, x, m))
     assert iterations <= 3
-
-
-class Logistic:
-    # a stand-in spline whose Newton sweep is x -> r x (1 - x): fixed
-    # points, cycles of period 2 to 4 and orbits that never repeat
-    def __init__(self, r):
-        self.r = r
-
-    def __call__(self, x):
-        return x - self.r * x * (1 - x), np.ones_like(x)
-
-
-@pytest.mark.parametrize("r", [2.5, 3.2, 3.5, 3.83, 4.0])
-def test_newton_inverse_exact_on_cycles_and_chaos(r):
-    x0 = np.random.default_rng(0).uniform(0.0, 1.0, 200)
-    args = (Logistic(r), np.zeros(200), x0, 0.0, 1.0, 1e-14)
-    assert_exact_for_all_sweeps(args)
-    assert_values_are_the_splines(args)
-
-
-def test_newton_inverse_exact_on_a_2d_batch_of_cycles():
-    # each row has its own r, so rows settle or cycle at different sweeps
-    x0 = np.random.default_rng(1).uniform(0.0, 1.0, (5, 40))
-    r = np.array([[2.5], [3.2], [3.5], [3.83], [4.0]])
-    args = (Logistic(r), np.zeros(x0.shape), x0, 0.0, 1.0, 1e-14)
-    assert_exact_for_all_sweeps(args)
-    assert_values_are_the_splines(args)
 
 
 def test_batch_matches_one_map_at_a_time():
@@ -567,7 +572,7 @@ def test_batch_checks_nodes_and_states():
             densities_from_maps(UNIT, pos, 50)
 
 
-# --- spline evaluator -------------------------------------------------------
+# --- spline evaluation in the solve -----------------------------------------
 
 def evaluation_points(x, rng):
     """Every breakpoint, their neighbours on both sides, points beyond both
@@ -586,16 +591,25 @@ def row_major(spline):
 
 
 def assert_matches_ppoly(spline, t):
-    # row j of t is evaluated in column j; a 1-D t by a one-column spline
-    value, slope = _SplineColumns(spline.x, row_major(spline))(t)
-    assert value.shape == slope.shape == t.shape
+    # the bracketed solve's start residuals for target 0 are its spline's
+    # values at the points clipped into their knot intervals; row j of t is
+    # evaluated in column j, a 1-D t by a one-column spline.  Both sides are
+    # Horner-type sums, each within 6 eps of the sum of its absolute terms
     rows = np.atleast_2d(t)
-    for j, r in enumerate(rows):
-        ref_value, ref_slope = spline(r), spline(r, 1)
-        if ref_value.ndim == 2:
-            ref_value, ref_slope = ref_value[:, j], ref_slope[:, j]
-        assert np.array_equal(np.atleast_2d(value)[j], ref_value)
-        assert np.array_equal(np.atleast_2d(slope)[j], ref_slope)
+    knots, c = spline.x, row_major(spline)
+    interval = np.clip(np.searchsorted(knots, rows, side="right") - 1,
+                       0, knots.size - 2)
+    residual = _bracketed_inverse(knots, c, interval, np.zeros(rows.shape),
+                                  rows)[1]
+    points = np.clip(rows, knots[interval], knots[interval + 1])
+    local = points - knots[interval]
+    terms = sum(np.abs(np.take_along_axis(c[j], interval, -1)) * local
+                ** (3 - j) for j in range(4))
+    for j, (r, p) in enumerate(zip(residual, points)):
+        ref = spline(p)
+        if ref.ndim == 2:
+            ref = ref[:, j]
+        assert np.all(np.abs(r - ref) <= 12 * np.finfo(float).eps * terms[j])
 
 
 def test_evaluator_matches_ppoly_on_not_a_knot_splines():
@@ -656,18 +670,28 @@ def test_builder_matches_clamped_cubic_spline(make, domain):
         row_major(CubicSpline(u.edges, cdf, bc_type=((1, v[0]), (1, v[-1])))))
 
 
-def conversions(traj, k):
-    """Every state's pushforward and every state's quantile map (None where
-    a detached wall left a vacuum the quantile map rejects)."""
+def quantile_maps(values, k):
+    """The quantile map of each row of grid values on UNIT (None where a
+    detached wall left a vacuum the quantile map rejects)."""
     out = []
-    dom = traj.grid.domain
-    for x, v in zip(traj.positions, traj.values):
+    for v in values:
         try:
-            positions = map_from_density(GridDensity(dom, v), k)
+            out.append(map_from_density(GridDensity(UNIT, v), k))
         except DegenerateQuantileError:
-            positions = None
-        out.append((densities_from_maps(dom, x[None], k)[0], positions))
+            out.append(None)
     return out
+
+
+def assert_maps_match_newton_sweeps(values, k):
+    # within 1e-12 of the former solve's maps
+    got = quantile_maps(values, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_bracketed_inverse", newton_sweeps)
+        ref = quantile_maps(values, k)
+    for x, ref_x in zip(got, ref):
+        assert (x is None) == (ref_x is None)
+        if x is not None:
+            assert np.max(np.abs(x - ref_x)) <= 1e-12
 
 
 @pytest.mark.parametrize("energy", [
@@ -676,17 +700,18 @@ def conversions(traj, k):
 @pytest.mark.parametrize("k", [64, 1024])
 @pytest.mark.parametrize("mode", [2, 3])
 def test_conversions_match_fixed_sweeps_on_trajectories(energy, k, mode):
+    # every state's quantile map; the states' pushforwards are compared with
+    # the sweeps in test_pushforward_matches_newton_sweeps_on_smooth_maps
     u0 = GridDensity.cosine(UNIT, k, eps=0.5, k=mode)
     traj = run(u0, energy, JkoConfig(tau=1e-5, n_steps=4, k=k))
-    got = conversions(traj, k)
-    # only the quantile map calls _newton_inverse: the states compare the
-    # bracketed pushforward with itself here, and with the sweeps in
-    # test_pushforward_matches_newton_sweeps_on_smooth_maps
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transport, "_newton_inverse", fixed_sweeps)
-        ref = conversions(traj, k)
-    for (state, positions), (ref_state, ref_positions) in zip(got, ref):
-        assert np.array_equal(state, ref_state)
-        assert (positions is None) == (ref_positions is None)
-        if positions is not None:
-            assert np.array_equal(positions, ref_positions)
+    assert_maps_match_newton_sweeps(traj.values, k)
+
+
+@pytest.mark.parametrize("k", [64, 256, 1024])
+@pytest.mark.parametrize("make", [
+    lambda k: GridDensity.cosine(UNIT, k, eps=0.99, k=1),
+    lambda k: GridDensity.cosine(UNIT, k, eps=0.1, k=5),
+    lambda k: GridDensity.bump(UNIT, k)], ids=["cosine_k1", "cosine_k5",
+                                               "bump"])
+def test_quantile_map_matches_newton_sweeps_on_smooth_data(make, k):
+    assert_maps_match_newton_sweeps([make(k).values], k)
