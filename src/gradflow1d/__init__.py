@@ -10,9 +10,8 @@ from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction,
                          validate_assumption_f)
 from .jko import (JkoConfig, JkoTrajectory, MobilityMapEnergy, jko_step,
                   refine_study, run)
-from .diagnostics import (SobolevNorms, apriori_bounds, check_discrete_weak_f,
-                          check_energy_monotone, check_entropy_dissipation_f,
-                          check_holder_continuity, check_total_square_distance,
-                          sobolev_norms)
+from .diagnostics import (check_discrete_weak_f, check_energy_monotone,
+                          check_entropy_dissipation_f,
+                          check_holder_continuity, check_total_square_distance)
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .jko import JkoConfig, MobilityMapEnergy, run, refine_study
 from . import diagnostics as dg
 
 ALL_CHECKS = ("energy_monotone", "total_square_distance", "holder_continuity",
-              "entropy_dissipation", "discrete_weak", "apriori")
+              "entropy_dissipation", "discrete_weak")
 
 DEFAULTS = {
     "domain": [0.0, 1.0],
@@ -222,10 +222,6 @@ def _certificates(cfg: RunConfig, traj) -> list[CertificateReport]:
             phi = TestFunction.cosine(cfg.domain.lo, cfg.domain.hi, k=2)
             eta = TemporalWeight.smooth_bump(0.1 * horizon, 0.8 * horizon)
             return [dg.check_discrete_weak_f(traj, f, phi, eta)]
-        if name == "apriori":
-            return [dg.apriori_bounds(
-                traj, c_lower=0.5,
-                transform=lambda v: f.f(np.maximum(v, 0.0)))]
 
     reports = []
     for name in ALL_CHECKS:

@@ -8,12 +8,12 @@ The per-step dissipation and weak-form checks take a mobility f and serve
 every energy of the class: thin film is the identity mobility, for which the
 dissipation constant is delta = 1.  Each report is named after its check.
 
-The per-state parts of the dissipation, weak-form and a priori checks are
-computed by array passes over blocks of rows of the (states x M) cell
-values, about RESAMPLE_BLOCK values each (`JkoTrajectory.per_state`): the
-stencils, norms and N_f work along the last axis, and each row of a row
-reduction is bitwise the one-dimensional sum over that state, so the
-reports equal those of a loop over states.
+The per-state parts of the dissipation and weak-form checks are computed
+by array passes over blocks of rows of the (states x M) cell values, about
+RESAMPLE_BLOCK values each (`JkoTrajectory.per_state`): the stencils and
+N_f work along the last axis, and each row of a row reduction is bitwise
+the one-dimensional sum over that state, so the reports equal those of a
+loop over states.
 
 The Hoelder check reports exactly the worst of all stamp pairs, but a
 triangle-inequality screen over the step distances spares it the pairs that
@@ -23,42 +23,16 @@ cannot be the worst, so in practice it evaluates only the lag-1 pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .report import CertificateReport
 from .transport import ConfigurationError
 from .lagrangian import (U_FLOOR, MobilitySpec, TemporalWeight, TestFunction,
-                         d2, nf_density, staggered_gradient_quadrature)
+                         d2, nf_density)
 from .jko import JkoTrajectory
 
 SLACK_FACTOR = 2.0   # headroom on the discrete weak-formulation envelopes
-
-
-@dataclass
-class SobolevNorms:
-    l2: float
-    h1: float
-    h2: float  # second-derivative seminorm
-
-
-def sobolev_norms(values: np.ndarray, h: float) -> SobolevNorms:
-    """Discrete L2 / H1 / H2 norms with the module's Neumann stencils.
-
-    The gradient part uses interface differences (consistent with the energy
-    quadrature); the second derivative uses the reflecting 3-point stencil.
-    A (..., M) stack of rows gives arrays of the leading shape, each entry
-    the norm of that row alone.
-    """
-    v = np.asarray(values, dtype=float)
-    l2sq = h * np.sum(v * v, axis=-1)
-    gradsq = 2.0 * staggered_gradient_quadrature(v, h)
-    norms = (np.sqrt(l2sq), np.sqrt(l2sq + gradsq),
-             np.sqrt(h * np.sum(d2(v, h) ** 2, axis=-1)))
-    if v.ndim == 1:
-        norms = [float(n) for n in norms]
-    return SobolevNorms(*norms)
 
 
 # --- classical trajectory estimates ---------------------------------------
@@ -250,40 +224,3 @@ def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
         name="discrete_weak", lhs=violation, rhs=0.0, tolerance=rounding,
         context={"mid": mid, "lower": lower, "upper": upper, "beta": beta,
                  "kappa": kappa, "tau": tau})
-
-
-# --- a priori bounds ------------------------------------------------------
-
-def apriori_bounds(traj: JkoTrajectory, c_lower: float,
-                   transform=None) -> CertificateReport:
-    """sup-in-time H1 control from energy coercivity.
-
-    With w = u (or w = transform(u), such as f(u), applied elementwise to
-    the stacked states), the orthogonal split of w into its mean and
-    oscillation plus the sharp interval Poincare constant (L/pi) gives
-    C0 ||w_n||_H1^2 - C0 (int w_n)^2 / L <= Phi(u_n) <= Phi(u_0) for every
-    state, with C0 = c/(1 + (L/pi)^2).  int w_n is conserved only for
-    w = u (int f(u) grows as a concave f flattens u), so C1 takes the
-    largest over the run, C1 = C0 max_n (int w_n)^2 / L, and the
-    certificate checks sup_t ||w||_H1 <= sqrt((Phi(u_0) + C1)/C0).
-    """
-    u0 = traj.grid
-    L = u0.domain.length
-    c0 = c_lower / (1.0 + (L / np.pi) ** 2)
-
-    def norms_and_mass(v):
-        w = v if transform is None else transform(v)
-        norms = sobolev_norms(w, u0.h)
-        return norms.h1, norms.h2, np.sum(w, axis=-1) * u0.h
-
-    h1, h2s, wmasses = traj.per_state(norms_and_mass)
-    sup_h1 = max(0.0, float(h1.max()))
-    h2_integral = 0.0
-    for h2 in h2s[1:].tolist():  # a running sum in step order, not pairwise
-        h2_integral += traj.tau * h2 ** 2
-    wmass = float(np.abs(wmasses).max())
-    c1 = c0 * wmass ** 2 / L
-    bound = float(np.sqrt((traj.energies[0] + c1) / c0))
-    return CertificateReport(
-        name="apriori_h1", lhs=sup_h1, rhs=bound, tolerance=0.0,
-        context={"h2_time_integral": h2_integral, "C0": c0, "C1": c1})

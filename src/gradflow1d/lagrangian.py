@@ -36,18 +36,6 @@ def d2(w: np.ndarray, h: float) -> np.ndarray:
     return (wg[..., 2:] - 2 * wg[..., 1:-1] + wg[..., :-2]) / h ** 2
 
 
-def staggered_gradient_quadrature(w: np.ndarray, h: float):
-    """1/2 int |w'|^2 using interface differences (zero at the walls): a
-    float, or an array of the leading shape for a stack of rows.
-
-    With this stencil the discrete integration by parts against the 3-point
-    Neumann Laplacian is exact, which the dissipation certificates need.
-    """
-    dw = np.diff(w) / h
-    q = 0.5 * h * np.sum(dw * dw, axis=-1)
-    return float(q) if q.ndim == 0 else q
-
-
 # --- test functions and temporal weights -----------------------------------
 
 @dataclass

@@ -329,7 +329,7 @@ def map_from_density(u: GridDensity, k: int = 256) -> np.ndarray:
     not.  The spline passes through the CDF at the grid edges, so the level
     j/K has a preimage in the grid cell in which the piecewise-linear
     inverse lands; `_bracketed_inverse` solves for it there, from that
-    inverse, which is kept wherever the solve leaves a larger residual.
+    inverse.
     """
     if k < 8:
         raise ConfigurationError("need K >= 8 map cells")
@@ -341,11 +341,9 @@ def map_from_density(u: GridDensity, k: int = 256) -> np.ndarray:
     cell = np.minimum(np.interp(levels, cdf, np.arange(v.size + 1.0))
                       .astype(np.intp), v.size - 1)
     linear = np.interp(levels, cdf, edges)
-    x, start, end, _ = _bracketed_inverse(
+    x = _bracketed_inverse(
         edges, _spline_coefficients(edges, cdf[None], (v[0], v[-1])),
-        cell[None], levels[None], linear[None])
-    bad = np.abs(end) > np.abs(start) + 1e-15
-    x = np.where(bad, linear, x)[0]
+        cell[None], levels[None], linear[None])[0][0]
     # pin the ends to the support edges of the sampled density
     x[0] = edges[np.argmax(v > 0)]
     x[-1] = edges[v.size - np.argmax(v[::-1] > 0)]

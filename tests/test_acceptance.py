@@ -11,7 +11,7 @@ import pytest
 
 from gradflow1d import (GridDensity, Interval, JkoConfig, MobilityMapEnergy,
                         MobilitySpec, TemporalWeight, TestFunction,
-                        alpha_window, apriori_bounds,
+                        alpha_window,
                         check_discrete_weak_f, check_energy_monotone,
                         check_entropy_dissipation_f, check_holder_continuity,
                         check_total_square_distance, dissipation_constants,
@@ -223,11 +223,6 @@ def test_cosine_mode_decays_at_implicit_euler_rate(f, k, K):
 
 
 # --- supporting controls -----------------------------------------------------
-
-def test_apriori_sup_h1_bound(thin_run):
-    rep = apriori_bounds(thin_run, c_lower=0.5)  # thin film: c = 1/2
-    assert rep.passed, (rep.lhs, rep.rhs)
-
 
 def test_corruption_is_detected():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)

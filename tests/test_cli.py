@@ -12,9 +12,10 @@ import pytest
 
 import gradflow1d
 from gradflow1d import (ConfigurationError, JkoConfig, MobilityMapEnergy,
-                        apriori_bounds, cli, jko, run, sobolev_norms)
+                        cli, jko, run)
 from gradflow1d.cli import ALL_CHECKS, execute, load_config, main, sweep
 from gradflow1d.jko import jko_step
+from gradflow1d.lagrangian import d2
 
 BASE = {
     "m": 64,
@@ -211,7 +212,7 @@ def test_admissible_mobility_runs_the_default_config(tmp_path, lagrangian):
                                 "out": str(tmp_path / "out")}))
     assert main(["--config", str(path)]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert (summary["n_certificates"], summary["n_failed"]) == (104, 0)
+    assert (summary["n_certificates"], summary["n_failed"]) == (103, 0)
 
 
 @pytest.mark.parametrize("bump", [
@@ -317,9 +318,8 @@ def test_infinite_domain_rejected_at_load(tmp_path, domain, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_concave_mobility_passes_apriori(tmp_path):
-    # int f(u) grows along the run; with C1 from the initial integral alone
-    # apriori_h1 failed (1.1297 > 1.1231) and the run exited 1
+def test_concave_mobility_run_passes(tmp_path):
+    # a large-amplitude datum under f(z) = z^0.2, along which int f(u) grows
     cfg = load_config({
         "m": 64, "k": 64, "tau": 1e-3, "out": str(tmp_path),
         "initial": {"name": "cosine", "eps": 0.9, "k": 1},
@@ -445,23 +445,23 @@ def test_odd_mode_default_run_passes(tmp_path, extra):
     # the default run (m = k = 256, 50 steps, every check) on odd-mode data
     assert execute(load_config({**extra, "out": str(tmp_path)})) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["n_certificates"] == summary["n_passed"] == 104
+    assert summary["n_certificates"] == summary["n_passed"] == 103
 
 
 @pytest.mark.parametrize("initial", [
     {"name": "cosine", "eps": 0.9, "k": 1}, {"name": "bump"}],
     ids=["cosine_eps0.9_k1", "bump"])
-def test_hard_data_fails_only_grid_dissipation_and_h1(tmp_path, initial):
-    # on these data the grid certificates entropy_dissipation and apriori_h1,
-    # which compare spline-resampled grid densities with map energies, may
-    # fail; every other certificate must pass
+def test_hard_data_fails_only_grid_dissipation(tmp_path, initial):
+    # on these data the grid certificate entropy_dissipation, which judges
+    # the spline-resampled grid densities, may fail; every other certificate
+    # must pass
     execute(load_config({"initial": initial, "out": str(tmp_path)}))
     lines = (tmp_path / "certificates.csv").read_text().splitlines()[2:]
     failed = {row[0] for row in csv.reader(lines) if row[-1] == "0"}
-    assert failed <= {"entropy_dissipation", "apriori_h1"}
+    assert failed <= {"entropy_dissipation"}
 
 
-def check_entropy_dissipation_A(traj, gamma=1.0, C3=0.0):
+def check_entropy_dissipation_A(traj, gamma=1.0):
     """The thin-film entropy-dissipation certificate as it was computed before
     thin film ran as the identity mobility, from the Hessian bound gamma of
     the Lagrangian F = p^2/2, which is 1 (the clause for x-dependent
@@ -469,10 +469,11 @@ def check_entropy_dissipation_A(traj, gamma=1.0, C3=0.0):
     out = []
     for n in range(1, traj.n_steps + 1):
         un = gradflow1d.GridDensity(traj.grid.domain, traj.values[n])
-        norms = sobolev_norms(un.values, un.h)
-        lhs = norms.h2 ** 2
+        # the squared H2 seminorm, rounded as the reference always computed it
+        h2 = np.sqrt(un.h * np.sum(d2(un.values, un.h) ** 2))
+        lhs = h2 ** 2
         dent = traj.entropies[n - 1] - traj.entropies[n]
-        rhs = dent / (gamma * traj.tau) + C3 * (norms.h1 ** 2 + 1.0)
+        rhs = dent / (gamma * traj.tau)
         # absolute floor: entropy differences are evaluated at rounding level
         tol = 0.1 * lhs + 1e-12 / (gamma * traj.tau)
         out.append(gradflow1d.CertificateReport(
@@ -492,10 +493,10 @@ def test_thin_film_certificates_match_lagrangian_reference(tmp_path, extra):
     # thin film certified as the identity mobility (delta = 1) against the
     # Lagrangian thin-film certificate, failing steps included
     cfg = load_config({**extra, "out": str(tmp_path),
-                       "checks": ["entropy_dissipation", "apriori"]})
+                       "checks": ["entropy_dissipation"]})
     traj = run(cfg.u0, MobilityMapEnergy(cfg.mobility),
                JkoConfig(tau=cfg.tau, n_steps=cfg.n_steps, k=cfg.k))
-    *rows, h1 = cli._certificates(cfg, traj)
+    rows = cli._certificates(cfg, traj)
     ref = check_entropy_dissipation_A(traj)
     assert len(rows) == len(ref) == cfg.n_steps
     for new, old in zip(rows, ref):
@@ -503,9 +504,6 @@ def test_thin_film_certificates_match_lagrangian_reference(tmp_path, extra):
         assert new.rhs == old.rhs  # bitwise
         assert abs(new.lhs - old.lhs) <= 2 * np.spacing(old.lhs)
         assert new.passed == old.passed
-    old_h1 = apriori_bounds(traj, c_lower=0.5)
-    assert (h1.lhs, h1.rhs, h1.passed) == (old_h1.lhs, old_h1.rhs,
-                                           old_h1.passed)
 
 
 @pytest.mark.parametrize("m", [32, 64, 256])
@@ -804,6 +802,13 @@ def test_main_check_selection(tmp_path):
     lines = (tmp_path / "out" / "certificates.csv").read_text().splitlines()
     names = {line.split(",")[0] for line in lines[2:]}
     assert names == {"energy_monotone", "total_square_distance"}
+
+
+def test_main_rejects_the_removed_apriori_check(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "--check", "apriori"]) == 2
+    assert "unknown checks" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_corruption_flag(tmp_path):

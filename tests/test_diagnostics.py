@@ -5,12 +5,11 @@ import pytest
 
 from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         JkoTrajectory, MobilityMapEnergy, MobilitySpec,
-                        TemporalWeight, TestFunction, apriori_bounds,
-                        boltzmann_entropy,
+                        TemporalWeight, TestFunction, boltzmann_entropy,
                         check_discrete_weak_f, check_entropy_dissipation_f,
                         check_holder_continuity, check_total_square_distance,
                         densities_from_maps,
-                        dissipation_constants, run, sobolev_norms)
+                        dissipation_constants, run)
 from gradflow1d import diagnostics, transport
 from gradflow1d.lagrangian import nf_density
 from gradflow1d.transport import consecutive_distances, w2sq_between_maps
@@ -31,28 +30,6 @@ def mob_traj():
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=20, k=128)
     return run(u0, MobilityMapEnergy(MobilitySpec.sqrt_mobility()), cfg)
-
-
-# --- sobolev norms ----------------------------------------------------------
-
-def test_sobolev_norm_relations():
-    rng = np.random.default_rng(1)
-    v = rng.uniform(0.5, 1.5, 64)
-    h = 1.0 / 64
-    n = sobolev_norms(v, h)
-    assert n.h1 >= n.l2
-    assert n.h1 ** 2 == pytest.approx(
-        n.l2 ** 2 + 2.0 * __import__("gradflow1d").lagrangian
-        .staggered_gradient_quadrature(v, h), rel=1e-12)
-
-
-def test_sobolev_eigenmode_h2():
-    m = 2048
-    u = GridDensity.cosine(UNIT, m, eps=0.5, k=2)
-    n = sobolev_norms(u.values, u.h)
-    # ||u''||^2 for 0.5 cos(2 pi x) oscillation: (0.5 (2 pi)^2)^2 / 2
-    exact = (0.5 * (2 * np.pi) ** 2) ** 2 / 2
-    assert n.h2 ** 2 == pytest.approx(exact, rel=1e-4)
 
 
 # --- Hoelder continuity -----------------------------------------------------
@@ -354,68 +331,31 @@ def test_weak_form_mobility(mob_traj):
     assert 0 < rep.tolerance == pytest.approx(bound, rel=1e-12, abs=0)
 
 
-# --- a priori bounds --------------------------------------------------------
-
-def test_apriori_uniform_trajectory():
-    u0 = GridDensity.uniform(UNIT, 64)
-    cfg = JkoConfig(tau=1e-4, n_steps=5, k=64)
-    traj = run(u0, MobilityMapEnergy(IDENTITY), cfg)
-    rep = apriori_bounds(traj, c_lower=0.5)
-    assert rep.passed
-    assert rep.lhs == pytest.approx(1.0, abs=1e-9)  # ||1||_H1 = 1
-    assert rep.context["h2_time_integral"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_apriori_thin_film(thin_traj):
-    rep = apriori_bounds(thin_traj, c_lower=0.5)
-    assert rep.passed, (rep.lhs, rep.rhs)
-
-
-def test_apriori_mobility(mob_traj):
-    f = MobilitySpec.sqrt_mobility()
-    rep = apriori_bounds(mob_traj, c_lower=0.5, transform=f.f)
-    assert rep.passed, (rep.lhs, rep.rhs)
-
+# --- a rough state -----------------------------------------------------------
 
 POWER_02 = MobilitySpec.power_mobility(1.0, 0.2)
 
 
 @pytest.fixture(scope="module")
 def concave_traj():
-    # a large-amplitude datum under f(z) = z^0.2: as u flattens, int f(u)
-    # grows (Jensen), here by 2.6% over the run
+    # a large-amplitude datum under the concave mobility f(z) = z^0.2
     u0 = GridDensity.cosine(UNIT, 64, eps=0.9, k=1)
     return run(u0, MobilityMapEnergy(POWER_02),
                JkoConfig(tau=1e-3, n_steps=50, k=64))
 
 
-def power_02(v):
-    return POWER_02.f(np.maximum(v, 0.0))
-
-
-def test_apriori_concave_mobility_takes_the_largest_integral(concave_traj):
-    traj = concave_traj
-    rep = apriori_bounds(traj, c_lower=0.5, transform=power_02)
-    masses = np.sum(power_02(traj.values), axis=-1) * traj.grid.h
-    assert masses[-1] > 1.02 * masses[0]
-    c0 = rep.context["C0"]
-    assert rep.context["C1"] == pytest.approx(c0 * masses.max() ** 2,
-                                              rel=1e-12)
-    # C1 from the initial integral alone gave a bound (1.1231) below the
-    # sup (1.1297); the largest integral gives 1.1441
-    initial_only = np.sqrt((traj.energies[0] + c0 * masses[0] ** 2) / c0)
-    assert initial_only < rep.lhs <= rep.rhs
-    assert rep.rhs == pytest.approx(1.1441, abs=1e-4)
-    assert rep.passed
-
-
-def test_apriori_still_fails_a_rough_state(concave_traj):
-    # negative control: one state with an H1 norm far above the bound
+def test_entropy_dissipation_fails_a_rough_state(concave_traj):
+    # negative control: one grid state replaced by a high-frequency mode,
+    # with the entropies recomputed as `run` computes them
     traj = replace(concave_traj, values=concave_traj.values.copy())
     traj.values[25] = GridDensity.cosine(UNIT, 64, eps=0.9, k=20).values
-    rep = apriori_bounds(traj, c_lower=0.5, transform=power_02)
-    assert rep.lhs > 2 * rep.rhs
-    assert not rep.passed
+    traj.entropies = traj.per_state(
+        lambda v: boltzmann_entropy(traj.grid, v))
+    delta = dissipation_constants(POWER_02, 1)[1]
+    assert all(rep.passed for rep in check_entropy_dissipation_f(
+        concave_traj, POWER_02, delta))
+    reports = check_entropy_dissipation_f(traj, POWER_02, delta)
+    assert [rep.step for rep in reports if not rep.passed] == [25]
 
 
 # --- algebraic lemmas -------------------------------------------------------

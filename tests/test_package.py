@@ -106,3 +106,15 @@ def test_readme_config_table_lists_the_keys_the_loader_accepts(tmp_path):
             with pytest.raises(gradflow1d.ConfigurationError,
                                match="unknown config key"):
                 cli.load_config(path)
+
+
+def test_readme_certificates_are_the_cli_checks():
+    # the "Certificates:" list names exactly the checks the CLI runs, and
+    # every `--check NAME` of the shell examples is one of them
+    text = README.read_text()
+    listed = re.search(r"^Certificates: (.*?)\.\n", text, re.M | re.S)
+    assert re.findall(r"`(\w+)`", listed.group(1)) == list(cli.ALL_CHECKS)
+    blocks = re.findall(r"^```sh\n(.*?)```", text, re.M | re.S)
+    named = re.findall(r"--check (\S+)", "".join(blocks))
+    assert named
+    assert sorted(set(named) - set(cli.ALL_CHECKS)) == []

@@ -14,11 +14,10 @@ import pytest
 from gradflow1d import jko
 from gradflow1d import (GridDensity, Interval, JkoConfig, MobilityMapEnergy,
                         MobilitySpec, TemporalWeight, TestFunction,
-                        apriori_bounds, boltzmann_entropy,
-                        check_discrete_weak_f, check_entropy_dissipation_f,
-                        dissipation_constants, run, sobolev_norms)
-from gradflow1d.lagrangian import (U_FLOOR, d1, d2, nf_density,
-                                   staggered_gradient_quadrature)
+                        boltzmann_entropy, check_discrete_weak_f,
+                        check_entropy_dissipation_f, dissipation_constants,
+                        run)
+from gradflow1d.lagrangian import U_FLOOR, d1, d2, nf_density
 from gradflow1d.transport import w2sq_between_maps
 
 UNIT = Interval(0.0, 1.0)
@@ -34,19 +33,6 @@ def _ref_d1(w, h):
 def _ref_d2(w, h):
     wg = np.concatenate([[w[0]], w, [w[-1]]])
     return (wg[2:] - 2 * wg[1:-1] + wg[:-2]) / h ** 2
-
-
-def _ref_staggered_gradient_quadrature(w, h):
-    dw = np.diff(w) / h
-    return float(0.5 * h * np.sum(dw * dw))
-
-
-def _ref_sobolev_norms(values, h):
-    v = np.asarray(values, dtype=float)
-    l2sq = h * np.sum(v * v)
-    gradsq = 2.0 * _ref_staggered_gradient_quadrature(v, h)
-    h2 = np.sqrt(h * np.sum(_ref_d2(v, h) ** 2))
-    return (float(np.sqrt(l2sq)), float(np.sqrt(l2sq + gradsq)), float(h2))
 
 
 def _ref_nf_density(f, u, phi):
@@ -118,26 +104,6 @@ def _ref_discrete_weak(traj, f, phi, eta, beta=1e-3, slack_factor=2.0):
     lower, upper = -env + bterm, env - bterm
     violation = max(lower - mid, mid - upper)
     return violation, rounding, mid, lower, upper
-
-
-def _ref_apriori(traj, c_lower, transform=None):
-    u0 = traj.grid
-    L = u0.domain.length
-    c0 = c_lower / (1.0 + (L / np.pi) ** 2)
-    sup_h1 = 0.0
-    h2_integral = 0.0
-    wmass = 0.0
-    for n, state in enumerate(_states(traj)):
-        w = state.values if transform is None else transform(state.values)
-        _, h1, h2 = _ref_sobolev_norms(w, state.h)
-        sup_h1 = max(sup_h1, h1)
-        if n >= 1:
-            h2_integral += traj.tau * h2 ** 2
-        # the largest |int w_n| over the run: int f(u) is not conserved
-        wmass = max(wmass, abs(float(np.sum(w) * state.h)))
-    c1 = c0 * wmass ** 2 / L
-    bound = float(np.sqrt((traj.energies[0] + c1) / c0))
-    return sup_h1, bound, h2_integral, c1
 
 
 def _bits(*values):
@@ -227,16 +193,6 @@ def test_discrete_weak_boundary_term_matches_loop(case, block):
     assert_discrete_weak_matches_loop(case, eta)
 
 
-@pytest.mark.parametrize("transformed", [False, True])
-def test_apriori_matches_loop(case, block, transformed):
-    f, traj = case
-    transform = (lambda v: f.f(np.maximum(v, 0.0))) if transformed else None
-    rep = apriori_bounds(traj, c_lower=0.5, transform=transform)
-    assert (_bits(rep.lhs, rep.rhs, rep.context["h2_time_integral"],
-                  rep.context["C1"])
-            == _bits(*_ref_apriori(traj, 0.5, transform)))
-
-
 def test_zero_steps_give_no_dissipation_rows(block):
     f = MOBILITIES["identity"]
     traj = run(DATA["cosine_eps0.9_k1"](M), MobilityMapEnergy(f),
@@ -257,19 +213,11 @@ def test_helpers_work_row_by_row(m):
     h = u.h
     phi = TestFunction.cosine(0.0, 1.0, k=3)
     f = MOBILITIES["power0.7"]
-    norms = sobolev_norms(stack, h)
     for i, row in enumerate(stack):
         assert _bits(*d1(stack, h)[i]) == _bits(*d1(row, h)) \
             == _bits(*_ref_d1(row, h))
         assert _bits(*d2(stack, h)[i]) == _bits(*d2(row, h)) \
             == _bits(*_ref_d2(row, h))
-        assert (_bits(staggered_gradient_quadrature(stack, h)[i])
-                == _bits(staggered_gradient_quadrature(row, h))
-                == _bits(_ref_staggered_gradient_quadrature(row, h)))
-        one = sobolev_norms(row, h)
-        assert (_bits(norms.l2[i], norms.h1[i], norms.h2[i])
-                == _bits(one.l2, one.h1, one.h2)
-                == _bits(*_ref_sobolev_norms(row, h)))
         ui = GridDensity(UNIT, row * (m / row.sum()))
         scaled = stack * (m / stack.sum(axis=-1, keepdims=True))
         assert (_bits(*nf_density(f, u, phi, scaled)[i])
