@@ -12,6 +12,6 @@ from .jko import (JkoConfig, JkoTrajectory, MobilityMapEnergy, jko_step,
                   refine_study, run)
 from .diagnostics import (check_discrete_weak_f, check_energy_monotone,
                           check_entropy_dissipation_f,
-                          check_holder_continuity, check_total_square_distance)
+                          check_total_square_distance)
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction,
 from .jko import JkoConfig, MobilityMapEnergy, run, refine_study
 from . import diagnostics as dg
 
-ALL_CHECKS = ("energy_monotone", "total_square_distance", "holder_continuity",
+ALL_CHECKS = ("energy_monotone", "total_square_distance",
               "entropy_dissipation", "discrete_weak")
 
 DEFAULTS = {
@@ -212,8 +212,6 @@ def _certificates(cfg: RunConfig, traj) -> list[CertificateReport]:
             return dg.check_energy_monotone(traj)
         if name == "total_square_distance":
             return [dg.check_total_square_distance(traj)]
-        if name == "holder_continuity":
-            return [dg.check_holder_continuity(traj)]
         if name == "entropy_dissipation":
             delta = dissipation_constants(f, 1)[1]
             return dg.check_entropy_dissipation_f(traj, f, delta)

@@ -14,15 +14,9 @@ RESAMPLE_BLOCK values each (`JkoTrajectory.per_state`): the stencils and
 N_f work along the last axis, and each row of a row reduction is bitwise
 the one-dimensional sum over that state, so the reports equal those of a
 loop over states.
-
-The Hoelder check reports exactly the worst of all stamp pairs, but a
-triangle-inequality screen over the step distances spares it the pairs that
-cannot be the worst, so in practice it evaluates only the lag-1 pairs.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -33,14 +27,15 @@ from .lagrangian import (U_FLOOR, MobilitySpec, TemporalWeight, TestFunction,
 from .jko import JkoTrajectory
 
 SLACK_FACTOR = 2.0   # headroom on the discrete weak-formulation envelopes
+INNER_TOL = 1e-10    # relative energy tolerance of energy_monotone
+DISTANCE_MARGIN = 1.001  # margin of total_square_distance
 
 
 # --- classical trajectory estimates ---------------------------------------
 
-def check_energy_monotone(traj: JkoTrajectory,
-                          inner_tol: float = 1e-10) -> list[CertificateReport]:
+def check_energy_monotone(traj: JkoTrajectory) -> list[CertificateReport]:
     """Per step: E_n <= E_{n-1} up to the inner-solver tolerance."""
-    slack = inner_tol * abs(traj.energies[0])
+    slack = INNER_TOL * abs(traj.energies[0])
     return [CertificateReport(name="energy_monotone",
                               lhs=float(traj.energies[n]),
                               rhs=float(traj.energies[n - 1]), tolerance=slack,
@@ -48,86 +43,11 @@ def check_energy_monotone(traj: JkoTrajectory,
             for n in range(1, traj.n_steps + 1)]
 
 
-def check_total_square_distance(traj: JkoTrajectory,
-                                margin: float = 1.001) -> CertificateReport:
+def check_total_square_distance(traj: JkoTrajectory) -> CertificateReport:
     """sum_n W2(u_{n-1}, u_n)^2 <= 2 tau Phi(u_0) (with a 0.1% margin)."""
     lhs = float(np.sum(traj.step_distances ** 2))
-    rhs = float(2.0 * traj.tau * traj.energies[0] * margin)
+    rhs = float(2.0 * traj.tau * traj.energies[0] * DISTANCE_MARGIN)
     return CertificateReport(name="total_square_distance", lhs=lhs, rhs=rhs)
-
-
-def check_holder_continuity(traj: JkoTrajectory) -> CertificateReport:
-    """W2(u(t), u(s)) <= sqrt(2 Phi(u_0) (|t - s| + tau)) over all stamp pairs.
-
-    The report is that of evaluating every pair i < j with the exact map
-    distance: lhs is the largest gap W2(u_i, u_j) - c(j - i), with
-    c(lag) = sqrt(2 Phi(u_0) (lag tau + tau)), and worst_pair is the pair
-    that attains it with the smallest i, then the smallest lag.  The pairs
-    that cannot reach the worst gap are screened out unevaluated, so on a
-    decaying run only the lag-1 pairs are evaluated.
-
-    The screen.  The lag-1 distances d_k = W2(u_k, u_{k+1}) come from
-    `consecutive_distances` over the map nodes, with prefix sums S
-    (S_0 = 0).  W2 between maps is a norm of the node difference (the
-    exact quadratic form of `w2sq_between_maps`), so
-    W2(u_i, u_j) <= S_j - S_i by the triangle inequality.  In floating point, with eps the machine epsilon, K the
-    number of map cells and N the number of steps, to first order (node
-    differences are far above underflow):
-      - a computed distance is within a relative g = (K + 17) eps / 4 of
-        the exact norm: 15 eps / 2 on each nonnegative summand (the node
-        differences, three products, two additions), (K - 1) eps / 2 for
-        the K-term sum, eps / 2 for the scaling, and the square root halves
-        all that and adds eps / 2;
-      - so the computed d_ij <= (1 + 2 g) sum_{i <= k < j} d_k;
-      - each sequential prefix sum is within N eps S_N / 2 of the exact
-        partial sum of the computed d_k, so their difference is within
-        N eps S_N;
-      - the subtraction, scaling and addition below round once each
-        (3 eps / 2).
-    Hence B(i, j) = fl(fl(fl(S_j - S_i) R) + P), with
-    R = 1 + 2 (K + 20) eps and P = 4 (N + 2) eps S_N, bounds the computed
-    distance of the pair: R - 1 is four times the 2 g + 3 eps / 2 needed,
-    and P over four times the N eps S_N.  Rounding is monotone, so a pair
-    with fl(B(i, i + lag) - c(lag)) below the worst gap found so far cannot
-    reach it and is dropped; the rows kept are evaluated in one batched
-    call per lag, each row bitwise the pair's own sum, and a lag whose
-    widest span S_{i + lag} - S_i fails the screen has no row that passes.
-    S is nondecreasing and c nondecreasing in the lag, so once the
-    whole-path bound B(0, N) fails the screen at some lag, every pair of
-    that and later lags does, and the search ends.
-    """
-    from .transport import consecutive_distances, w2sq_between_maps
-    pos, n = traj.positions, traj.n_steps
-    e0, tau = float(traj.energies[0]), float(traj.tau)
-    worst = -math.inf
-    worst_pair = (0, 0)
-    if n > 0:
-        dist = consecutive_distances(pos)
-        s = np.concatenate(([0.0], np.cumsum(dist)))
-        eps = math.ulp(1.0)
-        rel = 1.0 + 2.0 * ((pos.shape[-1] - 1) + 20) * eps  # K + 20
-        pad = 4.0 * (n + 2) * eps * float(s[-1])
-        whole = float(s[-1]) * rel + pad
-        rows = np.arange(n)
-    for lag in range(1, n + 1):
-        c = math.sqrt(2.0 * e0 * (lag * tau + tau))
-        if lag > 1:
-            if whole - c < worst:
-                break
-            span = s[lag:] - s[:-lag]
-            # the screen value grows with the span: try the widest row first
-            if not float(span.max()) * rel + pad - c >= worst:
-                continue
-            rows = np.flatnonzero(span * rel + pad - c >= worst)
-            dist = np.sqrt(w2sq_between_maps(pos[rows], pos[rows + lag]))
-        gap = dist - c
-        k = int(np.argmax(gap))
-        i = int(rows[k])
-        if gap[k] > worst or (gap[k] == worst and i < worst_pair[0]):
-            worst = float(gap[k])
-            worst_pair = (i, i + lag)
-    return CertificateReport(name="holder_continuity", lhs=worst,
-                             rhs=0.0, context={"worst_pair": worst_pair})
 
 
 # --- per-step dissipation certificates ------------------------------------

@@ -11,9 +11,8 @@ import pytest
 
 from gradflow1d import (GridDensity, Interval, JkoConfig, MobilityMapEnergy,
                         MobilitySpec, TemporalWeight, TestFunction,
-                        alpha_window,
-                        check_discrete_weak_f, check_energy_monotone,
-                        check_entropy_dissipation_f, check_holder_continuity,
+                        alpha_window, check_discrete_weak_f,
+                        check_energy_monotone, check_entropy_dissipation_f,
                         check_total_square_distance, dissipation_constants,
                         refine_study, run)
 from quantiles import wasserstein2
@@ -107,11 +106,6 @@ def test_energy_monotone_along_trajectory(thin_run):
 def test_total_square_distance_bound(thin_run):
     rep = check_total_square_distance(thin_run)
     assert rep.passed, (rep.lhs, rep.rhs)
-
-
-def test_holder_continuity_in_time(thin_run):
-    rep = check_holder_continuity(thin_run)
-    assert rep.passed, rep.context
 
 
 # --- 5-6: per-step entropy dissipation -------------------------------------

@@ -46,10 +46,15 @@ def test_unknown_key_rejected(tmp_path):
         load_config(write_config(tmp_path, {"taus": 1e-3}))
 
 
-def test_unknown_check_rejected(tmp_path):
-    with pytest.raises(ConfigurationError):
-        load_config(write_config(tmp_path, {"checks": ["energy_monotone",
-                                                       "nonsense"]}))
+@pytest.mark.parametrize("name", ["nonsense", "holder_continuity", "apriori"])
+def test_unknown_check_rejected(tmp_path, capsys, name):
+    # a made-up name, or a check that has been deleted
+    path = write_config(tmp_path, {"checks": ["energy_monotone", name]})
+    with pytest.raises(ConfigurationError, match="unknown checks"):
+        load_config(path)
+    assert main(["--config", str(path)]) == 2
+    assert "unknown checks" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_json(tmp_path):
@@ -212,7 +217,7 @@ def test_admissible_mobility_runs_the_default_config(tmp_path, lagrangian):
                                 "out": str(tmp_path / "out")}))
     assert main(["--config", str(path)]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert (summary["n_certificates"], summary["n_failed"]) == (103, 0)
+    assert (summary["n_certificates"], summary["n_failed"]) == (102, 0)
 
 
 @pytest.mark.parametrize("bump", [
@@ -276,7 +281,7 @@ def test_integral_float_counts_accepted():
 
 
 def test_zero_steps_rejected(tmp_path):
-    # a run without steps has no weak-form horizon and no Holder pair
+    # a run without steps has no weak-form horizon
     path = write_config(tmp_path, {"n_steps": 0})
     with pytest.raises(ConfigurationError, match="n_steps >= 1"):
         load_config(path)
@@ -445,7 +450,7 @@ def test_odd_mode_default_run_passes(tmp_path, extra):
     # the default run (m = k = 256, 50 steps, every check) on odd-mode data
     assert execute(load_config({**extra, "out": str(tmp_path)})) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["n_certificates"] == summary["n_passed"] == 103
+    assert summary["n_certificates"] == summary["n_passed"] == 102
 
 
 @pytest.mark.parametrize("initial", [

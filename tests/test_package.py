@@ -13,6 +13,8 @@ import gradflow1d
 from gradflow1d import cli
 
 SRC = Path(gradflow1d.__file__).parent
+TESTS = Path(__file__).parent
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 README = Path(__file__).parents[1] / "README.md"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -29,9 +31,11 @@ def imported_names(tree):
                 yield alias.asname or alias.name
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_every_import_is_used(module):
-    tree = ast.parse((SRC / module).read_text())
+@pytest.mark.parametrize(
+    "path", [*(SRC / m for m in MODULES), *(TESTS / m for m in TEST_MODULES)],
+    ids=[*MODULES, *(f"tests/{m}" for m in TEST_MODULES)])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
 

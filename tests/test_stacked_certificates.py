@@ -11,14 +11,14 @@ required bit for bit, not within a tolerance.
 import numpy as np
 import pytest
 
-from gradflow1d import jko
+from gradflow1d import jko, transport
 from gradflow1d import (GridDensity, Interval, JkoConfig, MobilityMapEnergy,
                         MobilitySpec, TemporalWeight, TestFunction,
                         boltzmann_entropy, check_discrete_weak_f,
                         check_entropy_dissipation_f, dissipation_constants,
                         run)
 from gradflow1d.lagrangian import U_FLOOR, d1, d2, nf_density
-from gradflow1d.transport import w2sq_between_maps
+from gradflow1d.transport import consecutive_distances, w2sq_between_maps
 
 UNIT = Interval(0.0, 1.0)
 
@@ -152,11 +152,14 @@ def test_entropies_match_loop(case, block):
     assert _bits(*traj.per_state(lambda v: boltzmann_entropy(u0, v))) == ref
 
 
-def test_step_distances_match_loop(case):
+def test_step_distances_match_loop(case, monkeypatch):
     _, traj = case
     ref = [np.sqrt(w2sq_between_maps(b, a))
            for a, b in zip(traj.positions[:-1], traj.positions[1:])]
     assert _bits(*traj.step_distances) == _bits(*ref)
+    # and in blocks of 5 pairs, the last one shorter
+    monkeypatch.setattr(transport, "DIST_BLOCK", 5 * traj.positions.shape[-1])
+    assert _bits(*consecutive_distances(traj.positions)) == _bits(*ref)
 
 
 def test_entropy_dissipation_matches_loop(case, block):
