@@ -15,6 +15,7 @@ from gradflow1d import (GridDensity, Interval, JkoConfig, MobilityMapEnergy,
                         check_energy_monotone, check_entropy_dissipation_f,
                         check_total_square_distance, dissipation_constants,
                         refine_study, run)
+from gradflow1d.transport import w2sq_between_maps
 from quantiles import wasserstein2
 
 UNIT = Interval(0.0, 1.0)
@@ -106,6 +107,14 @@ def test_energy_monotone_along_trajectory(thin_run):
 def test_total_square_distance_bound(thin_run):
     rep = check_total_square_distance(thin_run)
     assert rep.passed, (rep.lhs, rep.rhs)
+
+
+def test_holder_continuity_in_time(thin_run):
+    # W2(u_i, u_j) <= sqrt(2 Phi(u_0) (j - i + 1) tau) for every stamp pair
+    pos, e0, tau = thin_run.positions, thin_run.energies[0], thin_run.tau
+    for lag in range(1, thin_run.n_steps + 1):
+        dist = np.sqrt(w2sq_between_maps(pos[lag:], pos[:-lag]))
+        assert np.all(dist < np.sqrt(2.0 * e0 * (lag + 1) * tau)), lag
 
 
 # --- 5-6: per-step entropy dissipation -------------------------------------

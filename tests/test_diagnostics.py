@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
-                        MobilityMapEnergy, MobilitySpec, TemporalWeight,
-                        TestFunction, boltzmann_entropy, check_discrete_weak_f,
-                        check_entropy_dissipation_f,
-                        check_total_square_distance, dissipation_constants,
-                        run)
+                        JkoTrajectory, MobilityMapEnergy, MobilitySpec,
+                        TemporalWeight, TestFunction, boltzmann_entropy,
+                        check_discrete_weak_f, check_entropy_dissipation_f,
+                        check_total_square_distance, densities_from_maps,
+                        dissipation_constants, run)
+from gradflow1d.diagnostics import DISTANCE_MARGIN
 from gradflow1d.lagrangian import nf_density
-from gradflow1d.transport import consecutive_distances
+from gradflow1d.transport import consecutive_distances, w2sq_between_maps
 
 UNIT = Interval(0.0, 1.0)
 IDENTITY = MobilitySpec.identity()  # thin film in the mobility class
@@ -67,6 +68,92 @@ def test_path_certificates_fail_a_jump_to_the_last_map(default_traj):
     assert total.lhs > 5 * total.rhs
 
 
+def rounding_factor(traj):
+    """1 + 2 (K + 20) eps: covers the rounding of the computed distances."""
+    return 1.0 + 2.0 * (traj.positions.shape[-1] - 1 + 20) * np.finfo(float).eps
+
+
+def assert_below_path_bound(traj):
+    """Every stamp pair obeys W2(u_i, u_j) <= sqrt(lag S_ij), S_ij the sum of
+    the squared step distances between them (triangle inequality and
+    Cauchy-Schwarz); returns the double-loop distances."""
+    dist = holder_double_loop(traj)
+    sq = traj.step_distances ** 2
+    rel = rounding_factor(traj)
+    for (i, j), d in dist.items():
+        assert d <= np.sqrt((j - i) * np.sum(sq[i:j])) * rel, (i, j)
+    return dist
+
+
+def assert_holder_at_the_distance_margin(traj):
+    """With Phi(u_0) as small as total_square_distance lets it be, every
+    stamp pair still obeys the Hoelder bound sqrt(2 Phi(u_0) (lag + 1) tau)."""
+    s = float(np.sum(traj.step_distances ** 2))
+    e0 = s / (2.0 * traj.tau * DISTANCE_MARGIN) * (1.0 + 1e-12)
+    edge = replace(traj, energies=np.full_like(traj.energies, e0))
+    assert check_total_square_distance(edge).passed
+    for (i, j), d in holder_double_loop(edge).items():
+        assert d < np.sqrt(2.0 * e0 * (j - i + 1) * edge.tau), (i, j)
+
+
+def map_traj(positions, energies, tau=1e-4, m=32):
+    """The trajectory of the given map rows on the unit interval, with every
+    other field derived from those rows."""
+    pos = np.asarray(positions, dtype=float)
+    values = densities_from_maps(UNIT, pos, m)
+    grid = GridDensity(UNIT, values[0])
+    n = len(pos) - 1
+    return JkoTrajectory(
+        tau=tau, times=np.arange(n + 1) * tau, grid=grid, positions=pos,
+        values=values, energies=np.asarray(energies, dtype=float),
+        step_distances=np.sqrt(w2sq_between_maps(pos[1:], pos[:-1])),
+        entropies=boltzmann_entropy(grid, values),
+        converged=np.ones(n, dtype=bool))
+
+
+def random_map(rng, k):
+    """Nodes 0 = x_0 < ... < x_k = 1 with cell widths within a factor 3."""
+    x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, k))))
+    return x / x[-1]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_holder_straight_path_then_jump_back(seed):
+    # u_k = A + (k/L)(B - A), k = 0..L, then A again: (0, L) and (L, L + 1)
+    # tie bitwise, and on the straight part the triangle inequality and
+    # Cauchy-Schwarz are equalities, so (0, L) sits on the path bound up to
+    # rounding, which the rounding factor must cover
+    rng = np.random.default_rng(seed)
+    L, k = 8, 64
+    a, b = random_map(rng, k), random_map(rng, k)
+    pos = [a + (i / L) * (b - a) for i in range(L + 1)] + [a]
+    traj = map_traj(pos, np.zeros(L + 2))
+    assert w2sq_between_maps(pos[0], pos[L]) == \
+        w2sq_between_maps(pos[L], pos[L + 1])
+    dist = assert_below_path_bound(traj)
+    tight = np.sqrt(L * np.sum(traj.step_distances[:L] ** 2))
+    assert dist[0, L] >= tight / rounding_factor(traj)
+    assert_holder_at_the_distance_margin(traj)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_holder_random_paths_small_bound(seed):
+    # Phi(u_0) at the smallest value total_square_distance passes: the
+    # Hoelder bound still holds for every pair, at every lag; even seeds
+    # draw independent maps, odd seeds random-walk between them
+    rng = np.random.default_rng(seed)
+    n, k = 24, 32
+    pos = [random_map(rng, k)]
+    for _ in range(n):
+        step = rng.uniform(0.0, 0.6) if seed % 2 else 1.0
+        pos.append((1 - step) * pos[-1] + step * random_map(rng, k))
+    traj = map_traj(pos, np.full(n + 1, 1e-4 * rng.uniform()), tau=1e-3)
+    # at the drawn Phi(u_0) both estimates fail
+    assert not check_total_square_distance(traj).passed
+    assert_below_path_bound(traj)
+    assert_holder_at_the_distance_margin(traj)
+
+
 HARD_DATA = {
     "cosine_eps0.9_k1-identity": (dict(eps=0.9, k=1), IDENTITY),
     "cosine_eps0.9_k1-sqrt": (dict(eps=0.9, k=1), MobilitySpec.sqrt_mobility()),
@@ -90,7 +177,7 @@ def test_holder_hard_data_matches_double_loop(name, tau, corrupt):
                corrupt_steps=corrupt)
     assert check_total_square_distance(traj).passed
     s = float(np.sum(traj.step_distances ** 2))
-    rel = 1.0 + 2.0 * (traj.positions.shape[-1] - 1 + 20) * np.finfo(float).eps
+    rel = rounding_factor(traj)
     e0 = float(traj.energies[0])
     for (i, j), dist in holder_double_loop(traj).items():
         lag = j - i
