@@ -27,6 +27,7 @@ from .lagrangian import (U_FLOOR, MobilitySpec, TemporalWeight, TestFunction,
 from .jko import JkoTrajectory
 
 SLACK_FACTOR = 2.0   # headroom on the discrete weak-formulation envelopes
+BETA = 1e-3          # entropy weight on the same envelopes
 INNER_TOL = 1e-10    # relative energy tolerance of energy_monotone
 DISTANCE_MARGIN = 1.001  # margin of total_square_distance
 
@@ -97,9 +98,8 @@ def _quadratures(a: np.ndarray, h: float) -> tuple:
 
 
 def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
-                          phi: TestFunction, eta: TemporalWeight,
-                          beta: float = 1e-3,
-                          slack_factor: float = SLACK_FACTOR) -> CertificateReport:
+                          phi: TestFunction,
+                          eta: TemporalWeight) -> CertificateReport:
     """Two-sided discrete weak formulation for the mobility class.
 
     The transport + operator sum
@@ -107,9 +107,9 @@ def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
           + tau sum_n eta_n int N_f(u_n),
     summed by parts from sum_n eta_n int (u_n - u_{n-1}) phi (the boundary
     term at u_0 is nonzero when eta starts before the first step), is
-    sandwiched by the kappa tau Phi(u_0) envelope tightened by
-    beta-weighted entropy differences with |eta|:
-    -env + B <= mid <= env - B where B = beta sum (|eta|_n - |eta|_{n+1}) Ent_n.
+    sandwiched by the SLACK_FACTOR kappa tau Phi(u_0) envelope tightened by
+    BETA-weighted entropy differences with |eta|:
+    -env + B <= mid <= env - B where B = BETA sum (|eta|_n - |eta|_{n+1}) Ent_n.
     The tolerance is the floating-point error bound of mid,
     (M + n_steps + 2) eps times the same sums over absolute terms, so a
     stationary datum (env = 0, mid at rounding level) passes.
@@ -135,12 +135,12 @@ def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
                      * (np.sum(np.abs(d_eta) * abs_phi) + abs_eta[0] * abs0
                         + tau * np.sum(abs_eta[:-1] * abs_nf)))
     ent = traj.entropies[1:traj.n_steps + 1]
-    bterm = float(beta * np.sum((abs_eta[:-1] - abs_eta[1:]) * ent))
+    bterm = float(BETA * np.sum((abs_eta[:-1] - abs_eta[1:]) * ent))
     kappa = phi.sup_d2()
-    env = slack_factor * kappa * tau * eta.c0_norm * traj.energies[0]
+    env = SLACK_FACTOR * kappa * tau * eta.c0_norm * traj.energies[0]
     lower, upper = -env + bterm, env - bterm
     violation = max(lower - mid, mid - upper)
     return CertificateReport(
         name="discrete_weak", lhs=violation, rhs=0.0, tolerance=rounding,
-        context={"mid": mid, "lower": lower, "upper": upper, "beta": beta,
+        context={"mid": mid, "lower": lower, "upper": upper, "beta": BETA,
                  "kappa": kappa, "tau": tau})

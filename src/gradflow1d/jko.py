@@ -40,16 +40,24 @@ import numpy as np
 
 from ._lapack import dgbtrf as _gbtrf, dgbtrs as _gbtrs
 from .transport import (ConfigurationError, GridDensity, boltzmann_entropy,
-                        consecutive_distances, densities_from_maps,
-                        map_from_density, w2sq_between_maps)
+                        densities_from_maps, map_from_density,
+                        w2sq_between_maps)
 from .lagrangian import MobilitySpec
 
 BW = 2  # Hessian bandwidth of the staggered map-coordinate energies
-# grid-edge entries per batched pushforward in `run`, and cell values per
-# stacked block of the per-state array passes: bounds the temporaries of
-# resampling and certifying a whole trajectory
+# values per block of stacked rows (`_row_blocks`), in map nodes, grid
+# edges or cell values: bounds the temporaries of the step distances, the
+# pushforwards and the per-state passes over a whole trajectory
 RESAMPLE_BLOCK = 4096
 GTOL, FTOL = 1e-11, 1e-15  # inner solver: gradient and decrease tolerances
+MAX_ITER = 60  # inner solver: Newton iterations per step
+
+
+def _row_blocks(start: int, stop: int, width: int) -> list[slice]:
+    """Slices covering rows start..stop-1 of a stack whose rows hold
+    `width` values each, about RESAMPLE_BLOCK values a slice."""
+    rows = max(RESAMPLE_BLOCK // width, 1)
+    return [slice(i, min(i + rows, stop)) for i in range(start, stop, rows)]
 
 
 @dataclass
@@ -98,10 +106,9 @@ class JkoTrajectory:
         RESAMPLE_BLOCK values, and the blocks' results are concatenated in
         state order.
         """
-        rows = max(RESAMPLE_BLOCK // self.grid.m, 1)
         # at least one block, empty if values[first:] is
-        parts = [fn(self.values[i:i + rows])
-                 for i in range(first, max(len(self.values), first + 1), rows)]
+        blocks = _row_blocks(first, len(self.values), self.grid.m)
+        parts = [fn(self.values[b]) for b in blocks or [slice(first, None)]]
         if isinstance(parts[0], tuple):
             return tuple(np.concatenate(p) for p in zip(*parts))
         return np.concatenate(parts)
@@ -145,9 +152,9 @@ class MobilityMapEnergy:
         pt.phi = float((d * r).sum())
         return pt
 
-    def value(self, x, dx=None):
-        """The energy alone, sum_i d_i r_i; dx as in `point`."""
-        return self.point(x, dx).phi
+    def value(self, x):
+        """The energy alone, sum_i d_i r_i."""
+        return self.point(x).phi
 
     def value_and_grad(self, x, pt=None):
         """The energy and its gradient in the interior nodes x[1:-1], from
@@ -272,8 +279,7 @@ def _factor(ab, band, lam):
 
 
 def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
-             gap: float, max_iter: int = 60, x_start: np.ndarray | None = None,
-             phi_prev: float | None = None
+             gap: float, phi_prev: float, x_start: np.ndarray | None = None
              ) -> tuple[np.ndarray, float, float, bool]:
     """One minimizing-movement step from the previous map's node positions.
 
@@ -285,10 +291,10 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     with a non-finite entry, or singular with an interior diagonal of 0
     (which no damping changes), ends the solve.
 
-    phi_prev, if given, is Phi(x_prev), which is also Psi(x_prev); it is
-    computed when None.  Newton starts at x_start (same walls as x_prev) if
-    every cell of it is wider than gap and Psi(x_start) < phi_prev, and at
-    x_prev otherwise, exactly as without a start.  When an undamped Newton
+    phi_prev is Phi(x_prev), which is also Psi(x_prev).  Newton starts at
+    x_start (same walls as x_prev) if every cell of it is wider than gap
+    and Psi(x_start) < phi_prev, and at x_prev otherwise, exactly as without
+    a start; it makes at most MAX_ITER iterations.  When an undamped Newton
     direction p (lambda = 0) predicts a decrease -p.g/2 of at most
     FTOL max(|Psi(x)|, 1e-30), x + p is taken if its cells are wider than
     gap and Psi(x + p) <= phi_prev, x is kept otherwise, and the solve stops
@@ -308,8 +314,6 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     """
     obj = _Objective(energy, x_prev, tau)
     x, pt = x_prev, None
-    if phi_prev is None:
-        phi_prev, pt = obj.value(x)
     f = phi = phi_prev
     if x_start is not None:
         dxs = x_start[1:] - x_start[:-1]
@@ -332,7 +336,7 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     # undamped Hessian, None otherwise
     piv = None
     converged = gnorm <= GTOL
-    for _ in range(max_iter if not converged else 0):
+    for _ in range(MAX_ITER if not converged else 0):
         mg = -g
         small = FTOL * max(abs(f), 1e-30)
         moved = final = False
@@ -416,16 +420,16 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
     3 x_{n-1} - 3 x_{n-2} + x_{n-3} from step 3 on.  Energies are those of
     the maps in map coordinates (the coordinates actually minimized), as
     `jko_step` evaluated them, so monotonicity is a property of the
-    optimization, not of resampling.  After the loop the step distances come from batched
-    passes over the stacked nodes (`consecutive_distances`).  The grid
-    states are a view of the maps: their rows are pushforwards on u0's
-    grid, built in blocks of about RESAMPLE_BLOCK grid edges, and the
-    entropies come from array passes over those rows (`per_state`); row 0
-    is the supplied initial datum verbatim.  A step listed in corrupt_steps
-    copies the previous map instead of minimizing — a negative control that
-    breaks the dissipation certificates downstream.  A non-finite Phi(x_0),
-    such as a mobility's constant factor overflowing it, raises
-    ConfigurationError before any step.
+    optimization, not of resampling.  After the loop, blocks of about
+    RESAMPLE_BLOCK values of the stacked rows (`_row_blocks`) give the step
+    distances, from batched passes over the nodes (`w2sq_between_maps`),
+    and the grid states, a view of the maps: their rows are pushforwards on
+    u0's grid, and the entropies come from array passes over those rows
+    (`per_state`); row 0 is the supplied initial datum verbatim.  A step
+    listed in corrupt_steps copies the previous map instead of minimizing —
+    a negative control that breaks the dissipation certificates downstream.
+    A non-finite Phi(x_0), such as a mobility's constant factor overflowing
+    it, raises ConfigurationError before any step.
     """
     dom, n = u0.domain, cfg.n_steps
     x = map_from_density(u0, cfg.k)
@@ -460,12 +464,12 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
             pos[i], _, energies[i], traj.converged[i - 1] = jko_step(
                 pos[i - 1], energy, cfg.tau, dom.gap, x_start=start,
                 phi_prev=energies[i - 1])
-    traj.step_distances[:] = consecutive_distances(pos)
+    for b in _row_blocks(0, n, x.size):
+        traj.step_distances[b] = np.sqrt(
+            w2sq_between_maps(pos[b.start + 1:b.stop + 1], pos[b]))
     traj.values[0] = u0.values
-    rows = max(RESAMPLE_BLOCK // (u0.m + 1), 1)
-    for i in range(1, n + 1, rows):
-        traj.values[i:i + rows] = densities_from_maps(dom, pos[i:i + rows],
-                                                      u0.m)
+    for b in _row_blocks(1, n + 1, u0.m + 1):
+        traj.values[b] = densities_from_maps(dom, pos[b], u0.m)
     traj.entropies[:] = traj.per_state(lambda v: boltzmann_entropy(u0, v))
     return traj
 

@@ -62,15 +62,13 @@ class TestFunction:
         return float(np.max(np.abs(self.d2(x))))
 
     @classmethod
-    def cosine(cls, lo: float, hi: float, k: int = 2,
-               amplitude: float = 1.0) -> "TestFunction":
-        """amplitude * cos(k pi (x-lo)/L): Neumann-admissible for integer k."""
+    def cosine(cls, lo: float, hi: float, k: int = 2) -> "TestFunction":
+        """cos(k pi (x-lo)/L): Neumann-admissible for integer k."""
         om = k * np.pi / (hi - lo)
-        a = amplitude
         return cls(lo, hi,
-                   f=lambda x: a * np.cos(om * (x - lo)),
-                   d1=lambda x: -a * om * np.sin(om * (x - lo)),
-                   d2=lambda x: -a * om ** 2 * np.cos(om * (x - lo)))
+                   f=lambda x: np.cos(om * (x - lo)),
+                   d1=lambda x: -om * np.sin(om * (x - lo)),
+                   d2=lambda x: -om ** 2 * np.cos(om * (x - lo)))
 
 
 @dataclass
@@ -121,7 +119,6 @@ class MobilitySpec:
     f2: Callable
     C: float
     alpha: float
-    delta_bar: float
 
     @classmethod
     def sqrt_mobility(cls) -> "MobilitySpec":
@@ -131,8 +128,7 @@ class MobilitySpec:
     def identity(cls) -> "MobilitySpec":
         # constant derivatives, which broadcast against any z
         return cls(name="identity", f=lambda z: np.asarray(z, dtype=float),
-                   f1=lambda z: 1.0, f2=lambda z: 0.0, C=1.0, alpha=1.0,
-                   delta_bar=0.0)
+                   f1=lambda z: 1.0, f2=lambda z: 0.0, C=1.0, alpha=1.0)
 
     @classmethod
     def power_mobility(cls, C: float, alpha: float,
@@ -141,29 +137,25 @@ class MobilitySpec:
         if not 0.0 < alpha <= 1.0:
             raise ConfigurationError("power mobility exponent must be in (0, 1]")
         a = alpha
-        # f''' f' / f''^2 = (2 - a) / (1 - a); the ratio bound then caps
-        # delta_bar at (2-a)/(1-a) - 2 (for d = 1, see dissipation_constants)
-        dbar = (2 - a) / (1 - a) - 2.0 if a < 1 else 0.0
         return cls(name=name or f"power[{C}*z^{alpha}]",
                    f=lambda z: C * np.asarray(z, float) ** a,
                    f1=lambda z: C * a * np.asarray(z, float) ** (a - 1),
                    f2=lambda z: C * a * (a - 1) * np.asarray(z, float) ** (a - 2),
-                   C=C, alpha=a, delta_bar=dbar)
+                   C=C, alpha=a)
 
 
 # --- weak-form operators --------------------------------------------------
 
 def nf_density(f: MobilitySpec, u: GridDensity, phi: TestFunction,
-               values: np.ndarray | None = None) -> np.ndarray:
-    """N_f(u, phi) = (f(u))'' (f(u))' phi' + u f'(u) (f(u))'' phi'' at the
-    cell midpoints.
+               values: np.ndarray) -> np.ndarray:
+    """N_f(v, phi) = (f(v))'' (f(v))' phi' + v f'(v) (f(v))'' phi'' at the
+    cell midpoints of u's grid, for each row v of the (..., M) stack
+    `values` of cell values on that grid.
 
-    `values`, if given, is a (..., M) stack of cell values on u's grid,
-    taken in place of u.values; each row is then the density of that row.
-    u f'(u) is evaluated at densities clipped below at U_FLOOR; the product
+    v f'(v) is evaluated at densities clipped below at U_FLOOR; the product
     stays finite because z f'(z) has a limit at 0.
     """
-    v = np.maximum(u.values if values is None else values, U_FLOOR)
+    v = np.maximum(values, U_FLOOR)
     h = u.h
     x = u.midpoints
     w = f.f(v)
@@ -213,15 +205,18 @@ def dissipation_constants(f: MobilitySpec, dimension: int = 1) -> tuple[float, f
     chi = sqrt(d / (d + 8)); delta is the largest value in (0, 1] keeping
     delta_bar - delta (delta_bar + 1 - d/2 + sqrt(d^2 + 8 d)/2 - 2) >= 0,
     in closed form, since the condition is linear in delta, and then halved
-    as a safety margin.  A linear mobility f(z) = C z (thin film) has
-    delta = 1: there d/dt Ent = -||(f o u)''||^2 holds exactly.
+    as a safety margin.  delta_bar = (2 - alpha)/(1 - alpha) - 2, the cap
+    that f''' f' / f''^2 = (2 - alpha)/(1 - alpha) puts on it, must be
+    positive.  A linear mobility f(z) = C z (thin film) has delta = 1:
+    there d/dt Ent = -||(f o u)''||^2 holds exactly.
     """
     d = dimension
     chi = float(np.sqrt(d / (d + 8.0)))
     if f.alpha == 1.0:
         return chi, 1.0
-    if f.delta_bar <= 0:
-        raise ConfigurationError("mobility must declare delta_bar > 0")
-    bracket = f.delta_bar + 1.0 - d / 2.0 + 0.5 * np.sqrt(d ** 2 + 8.0 * d) - 2.0
-    delta_max = 1.0 if bracket <= 0 else min(1.0, float(f.delta_bar / bracket))
+    delta_bar = (2 - f.alpha) / (1 - f.alpha) - 2.0
+    if delta_bar <= 0:
+        raise ConfigurationError("mobility must have delta_bar > 0")
+    bracket = delta_bar + 1.0 - d / 2.0 + 0.5 * np.sqrt(d ** 2 + 8.0 * d) - 2.0
+    delta_max = 1.0 if bracket <= 0 else min(1.0, float(delta_bar / bracket))
     return chi, 0.5 * delta_max

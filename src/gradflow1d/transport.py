@@ -24,10 +24,6 @@ from ._lapack import dgtsv as _gtsv
 
 MASS_TOL = 1e-12
 GAP_REL = 1e-9          # minimum node spacing, relative to domain length
-# map nodes per batched call of `consecutive_distances`: 2^15 doubles keep
-# the call's temporaries in cache (at K = 1024 on a 2-core x86 host, 100
-# consecutive pairs took 1.1 ms in one call and 0.52 ms in blocks of 32)
-DIST_BLOCK = 1 << 15
 # iteration cap of the bracketed solve: from the piecewise-linear start it
 # ends after 1-5 iterations on smooth data and about 10 on rough data, and
 # bisection alone would need at most 47
@@ -174,33 +170,12 @@ def w2sq_between_maps(xa: np.ndarray, xb: np.ndarray) -> float | np.ndarray:
     return float(q) if q.ndim == 0 else q
 
 
-def consecutive_distances(positions: np.ndarray) -> np.ndarray:
-    """Exact W2 between consecutive rows of a stack of map nodes.
-
-    Entry k is sqrt(w2sq_between_maps(positions[k + 1], positions[k])),
-    bitwise; the pairs are evaluated in batched calls over blocks of about
-    DIST_BLOCK nodes.
-    """
-    prev, nxt = positions[:-1], positions[1:]
-    out = np.empty(len(nxt))
-    block = max(DIST_BLOCK // positions.shape[-1], 1)
-    for i in range(0, len(out), block):
-        out[i:i + block] = w2sq_between_maps(nxt[i:i + block],
-                                             prev[i:i + block])
-    return np.sqrt(out)
-
-
-def boltzmann_entropy(u: GridDensity, values: np.ndarray | None = None):
-    """int u log u with the 0 log 0 = 0 convention.
-
-    `values`, if given, is a (..., M) stack of cell values on u's grid,
-    taken in place of u.values: the result is then an array of the leading
-    shape, each entry equal to the entropy of that row alone.
-    """
-    v = u.values if values is None else values
-    e = u.h * np.sum(np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0),
-                     axis=-1)
-    return float(e) if values is None else e
+def boltzmann_entropy(u: GridDensity, values: np.ndarray) -> np.ndarray:
+    """int v log v with the 0 log 0 = 0 convention, for each row v of the
+    (..., M) stack `values` of cell values on u's grid: an array of the
+    leading shape, each entry equal to the entropy of that row alone."""
+    logs = np.log(np.where(values > 0, values, 1.0))
+    return u.h * np.sum(np.where(values > 0, values * logs, 0.0), axis=-1)
 
 
 # --- map <-> density conversions ------------------------------------------
@@ -371,10 +346,9 @@ def densities_from_maps(domain: Interval, positions: np.ndarray,
     cell edge between nodes j and j + 1 has a preimage in knot interval j,
     the interval in which the piecewise-linear inverse lands.  The edges are
     inverted there by `_bracketed_inverse`, from that piecewise-linear
-    inverse; the fallback test below reads the residuals the solve computed.
-    Cell values are exact mass differences over the cells.  The block is
-    checked once: its nodes by `_checked_nodes`, whose clipped nodes are the
-    ones resampled, and its rows for unit mass.
+    inverse.  Cell values are exact mass differences over the cells.  The
+    block is checked once: its nodes by `_checked_nodes`, whose clipped
+    nodes are the ones resampled, and its rows for unit mass.
     """
     positions = _checked_nodes(domain, positions)
     k = positions.shape[-1] - 1
@@ -388,14 +362,8 @@ def densities_from_maps(domain: Interval, positions: np.ndarray,
     nodes = np.arange(k + 1.0)
     frac = np.array([np.interp(edges, p, nodes) for p in positions])
     interval = np.minimum(frac.astype(np.intp), k - 1)
-    linear = frac / k
-    s, start, end, _ = _bracketed_inverse(
-        levels, _spline_coefficients(levels, positions), interval, target,
-        linear)
-    # a non-monotone spline (rough maps) can leave a larger residual than
-    # the start's; keep the piecewise-linear inverse wherever it does
-    bad = np.abs(end) > np.abs(start) + 1e-15
-    s = np.where(bad, linear, s)
+    s = _bracketed_inverse(levels, _spline_coefficients(levels, positions),
+                           interval, target, frac / k)[0]
     # pin levels outside the map's range: a non-monotone spline can offer a
     # wrong-branch preimage with a smaller residual at the walls
     s = np.where(edges <= first, 0.0, s)

@@ -809,6 +809,41 @@ def test_main_check_selection(tmp_path):
     assert names == {"energy_monotone", "total_square_distance"}
 
 
+def test_main_check_all_overrides_the_configured_checks(tmp_path):
+    path = write_config(tmp_path, {"checks": ["energy_monotone"]})
+    assert main(["--config", str(path), "--check-all"]) == 0
+    lines = (tmp_path / "out" / "certificates.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in lines[2:]} == set(ALL_CHECKS)
+
+
+def test_main_out_writes_into_the_given_directory(tmp_path):
+    path = write_config(tmp_path, {"checks": ["energy_monotone"]})
+    assert main(["--config", str(path), "--out", str(tmp_path / "given")]) == 0
+    for name in ("trajectory.json", "certificates.csv", "summary.json"):
+        assert (tmp_path / "given" / name).stat().st_size > 0
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_sweep_alpha_on_power_mobility(tmp_path):
+    # alpha = 1.5 leaves the power mobility's (0, 1] window: that row alone
+    # is rejected, and the sweep exits with its code
+    path = write_config(tmp_path, {
+        "lagrangian": {"name": "power_mobility", "alpha": 0.7}})
+    assert main(["--config", str(path), "--sweep", "alpha=0.5,0.8,1.5"]) == 2
+    rows = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    assert [r["alpha"] for r in rows] == [0.5, 0.8, 1.5]
+    assert [r["exit_code"] for r in rows] == [0, 0, 2]
+    assert "exponent" in rows[2]["error"]
+    assert rows[0]["final_energy"] != rows[1]["final_energy"]
+
+
+def test_main_unknown_lagrangian_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"lagrangian": {"name": "porous_medium"}})
+    assert main(["--config", str(path)]) == 2
+    assert "unknown lagrangian 'porous_medium'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_rejects_the_removed_apriori_check(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["--config", str(path), "--check", "apriori"]) == 2

@@ -11,7 +11,7 @@ from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         dissipation_constants, run)
 from gradflow1d.diagnostics import DISTANCE_MARGIN
 from gradflow1d.lagrangian import nf_density
-from gradflow1d.transport import consecutive_distances, w2sq_between_maps
+from gradflow1d.transport import w2sq_between_maps
 
 UNIT = Interval(0.0, 1.0)
 IDENTITY = MobilitySpec.identity()  # thin film in the mobility class
@@ -60,8 +60,8 @@ def test_path_certificates_fail_a_jump_to_the_last_map(default_traj):
     # jumps almost the whole way at its first step and back at its second
     pos = default_traj.positions.copy()
     pos[1] = pos[-1]
-    bad = replace(default_traj, positions=pos,
-                  step_distances=consecutive_distances(pos))
+    bad = replace(default_traj, positions=pos, step_distances=np.sqrt(
+        w2sq_between_maps(pos[1:], pos[:-1])))
     assert check_total_square_distance(default_traj).passed
     # measured: 0.00496 against 0.000493
     total = check_total_square_distance(bad)
@@ -262,7 +262,8 @@ def test_weak_form_mobility(mob_traj):
     terms = sum(
         abs(eta(n * tau) - eta((n + 1) * tau))
         * u.h * np.sum(np.abs(u.values * phi.f(u.midpoints)))
-        + tau * abs(eta(n * tau)) * u.h * np.sum(np.abs(nf_density(f, u, phi)))
+        + tau * abs(eta(n * tau)) * u.h
+        * np.sum(np.abs(nf_density(f, u, phi, u.values)))
         for n, u in enumerate(states[1:], 1))
     bound = (states[0].m + mob_traj.n_steps + 2) * np.finfo(float).eps * terms
     assert 0 < rep.tolerance == pytest.approx(bound, rel=1e-12, abs=0)

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ def energy_mobility(f, u):
 
 def weak_operator_Nf(f, u, phi):
     """int N_f(u, phi): the midpoint sum of nf_density."""
-    return float(u.h * np.sum(nf_density(f, u, phi)))
+    return float(u.h * np.sum(nf_density(f, u, phi, u.values)))
 
 
 def constant_phi(lo, hi):
@@ -49,7 +48,7 @@ def constant_phi(lo, hi):
 # --- test functions and weights --------------------------------------------
 
 def test_cosine_test_function_is_neumann():
-    phi = TestFunction.cosine(0, 1, k=3, amplitude=2.0)
+    phi = TestFunction.cosine(0, 1, k=3)
     assert phi.d1(0.0) == 0.0 and phi.d1(1.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -263,19 +262,27 @@ def test_dissipation_constants():
     # a linear mobility dissipates exactly: delta = 1
     assert dissipation_constants(IDENTITY, 1) == (chi, 1.0)
     with pytest.raises(ConfigurationError):
-        dissipation_constants(replace(sq, delta_bar=0.0), 1)
+        # alpha = 1e-17 rounds delta_bar = (2 - a)/(1 - a) - 2 to 0
+        dissipation_constants(MobilitySpec.power_mobility(1.0, 1e-17), 1)
+
+
+def _delta_bar(f):
+    """(2 - alpha)/(1 - alpha) - 2, the cap that the ratio bound puts on
+    delta_bar for f(z) = C z^alpha."""
+    return (2 - f.alpha) / (1 - f.alpha) - 2.0
 
 
 def _bisected_delta(f, d):
     """delta by the 60 bisection steps on the linear condition that the
     closed form replaced."""
-    bracket = f.delta_bar + 1.0 - d / 2.0 + 0.5 * np.sqrt(d ** 2 + 8.0 * d) - 2.0
+    delta_bar = _delta_bar(f)
+    bracket = delta_bar + 1.0 - d / 2.0 + 0.5 * np.sqrt(d ** 2 + 8.0 * d) - 2.0
     lo, hi = 0.0, 1.0
-    if f.delta_bar - bracket >= 0.0:
+    if delta_bar - bracket >= 0.0:
         return 0.5
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if f.delta_bar - mid * bracket >= 0.0:
+        if delta_bar - mid * bracket >= 0.0:
             lo = mid
         else:
             hi = mid
@@ -288,10 +295,10 @@ def test_dissipation_delta_closed_form(d):
     # halved; at d = 1 the bracket is delta_bar itself, so delta = 1/2
     for alpha in np.linspace(0.3, 0.99, 70):
         f = MobilitySpec.power_mobility(1.0, alpha)
-        bracket = (f.delta_bar + 1.0 - d / 2.0
+        bracket = (_delta_bar(f) + 1.0 - d / 2.0
                    + 0.5 * np.sqrt(d ** 2 + 8.0 * d) - 2.0)
         delta = dissipation_constants(f, d)[1]
-        assert delta == 0.5 * min(1.0, f.delta_bar / bracket)
+        assert delta == 0.5 * min(1.0, _delta_bar(f) / bracket)
         ref = _bisected_delta(f, d)
         assert abs(delta - ref) <= (0.0 if d == 1 else np.spacing(ref))
 

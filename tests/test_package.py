@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -55,6 +56,51 @@ def test_every_export_has_a_caller_in_the_package():
                 read.add(node.attr)
     assert exported
     assert sorted(exported - read) == []
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller_in_the_package():
+    # an option that no run sets is code that no run uses: each defaulted
+    # parameter of a package function is passed, by keyword or by position,
+    # at some call of that name in the package.  Calls are matched to
+    # definitions by name only (f(...) or obj.f(...)), so where two
+    # functions share a name, a call of one counts for the other too (such
+    # as _Objective.value(x, dx) for a dx of MobilityMapEnergy.value).  The
+    # console script calls main() without argv.
+    trees = {m: ast.parse((SRC / m).read_text()) for m in MODULES}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def sets(call, index, name):
+        # a *args or **kwargs at the call may set any parameter
+        return (any(k.arg in (name, None) for k in call.keywords)
+                or len(call.args) > index
+                or any(isinstance(a, ast.Starred) for a in call.args))
+
+    unset = []
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            bound = int(bool(positional)
+                        and positional[0].arg in ("self", "cls"))
+            options = [(i - bound, a.arg) for i, a in enumerate(positional)
+                       if i >= len(positional) - len(args.defaults)]
+            options += [(math.inf, a.arg) for a, default
+                        in zip(args.kwonlyargs, args.kw_defaults)
+                        if default is not None]
+            unset += [f"{module[:-3]}.{fn.name}({name})"
+                      for index, name in options
+                      if not any(sets(c, index, name)
+                                 for c in calls.get(fn.name, []))]
+    assert sorted(set(unset) - {"cli.main(argv)"}) == []
 
 
 def test_readme_quick_start_runs():

@@ -11,14 +11,14 @@ required bit for bit, not within a tolerance.
 import numpy as np
 import pytest
 
-from gradflow1d import jko, transport
+from gradflow1d import jko
 from gradflow1d import (GridDensity, Interval, JkoConfig, MobilityMapEnergy,
                         MobilitySpec, TemporalWeight, TestFunction,
                         boltzmann_entropy, check_discrete_weak_f,
                         check_entropy_dissipation_f, dissipation_constants,
                         run)
 from gradflow1d.lagrangian import U_FLOOR, d1, d2, nf_density
-from gradflow1d.transport import consecutive_distances, w2sq_between_maps
+from gradflow1d.transport import w2sq_between_maps
 
 UNIT = Interval(0.0, 1.0)
 
@@ -153,13 +153,16 @@ def test_entropies_match_loop(case, block):
 
 
 def test_step_distances_match_loop(case, monkeypatch):
-    _, traj = case
-    ref = [np.sqrt(w2sq_between_maps(b, a))
-           for a, b in zip(traj.positions[:-1], traj.positions[1:])]
-    assert _bits(*traj.step_distances) == _bits(*ref)
-    # and in blocks of 5 pairs, the last one shorter
-    monkeypatch.setattr(transport, "DIST_BLOCK", 5 * traj.positions.shape[-1])
-    assert _bits(*consecutive_distances(traj.positions)) == _bits(*ref)
+    f, traj = case
+    # the case's run, and one whose distances come in blocks of 5 pairs,
+    # the last one shorter
+    monkeypatch.setattr(jko, "RESAMPLE_BLOCK", 5 * traj.positions.shape[-1])
+    again = run(traj.grid, MobilityMapEnergy(f),
+                JkoConfig(tau=TAU, n_steps=N_STEPS, k=40))
+    for t in (traj, again):
+        ref = [np.sqrt(w2sq_between_maps(b, a))
+               for a, b in zip(t.positions[:-1], t.positions[1:])]
+        assert _bits(*t.step_distances) == _bits(*ref)
 
 
 def test_entropy_dissipation_matches_loop(case, block):
@@ -224,10 +227,10 @@ def test_helpers_work_row_by_row(m):
         ui = GridDensity(UNIT, row * (m / row.sum()))
         scaled = stack * (m / stack.sum(axis=-1, keepdims=True))
         assert (_bits(*nf_density(f, u, phi, scaled)[i])
-                == _bits(*nf_density(f, ui, phi))
+                == _bits(*nf_density(f, ui, phi, ui.values))
                 == _bits(*_ref_nf_density(f, ui, phi)))
         assert (_bits(boltzmann_entropy(u, scaled)[i])
-                == _bits(boltzmann_entropy(ui))
+                == _bits(boltzmann_entropy(ui, ui.values))
                 == _bits(_ref_boltzmann_entropy(ui)))
 
 

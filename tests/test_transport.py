@@ -7,8 +7,9 @@ from scipy.interpolate import CubicSpline, PPoly
 
 from gradflow1d import (ConfigurationError, DegenerateQuantileError,
                         GridDensity, Interval, JkoConfig, MobilityMapEnergy,
-                        MobilitySpec, MonotonicityError, boltzmann_entropy,
-                        densities_from_maps, map_from_density, run, transport)
+                        MobilitySpec, MonotonicityError, TemporalWeight,
+                        boltzmann_entropy, densities_from_maps,
+                        map_from_density, run, transport)
 from gradflow1d.transport import (MASS_TOL, _bracketed_inverse,
                                   _spline_coefficients, w2sq_between_maps)
 from quantiles import mass, quantile, wasserstein2
@@ -86,6 +87,20 @@ def test_from_samples_normalizes():
     assert abs(mass(u) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: GridDensity(UNIT, [1.0] * 7 + [np.inf]), "non-finite"),
+    (lambda: GridDensity.from_samples(UNIT, np.zeros(8)), "zero-mass"),
+    (lambda: GridDensity.cosine(UNIT, 8, eps=1.0), "amplitude"),
+    (lambda: map_from_density(GridDensity.uniform(UNIT, 8), 7), "K >= 8"),
+    (lambda: TemporalWeight(f=lambda t: float(t > 0), support_lo=0.1,
+                            support_hi=0.2, c0_norm=1.0), "past support"),
+], ids=["non_finite_sample", "zero_mass", "cosine_eps", "k_below_8",
+        "weight_past_support"])
+def test_invalid_input_rejected(make, match):
+    with pytest.raises(ConfigurationError, match=match):
+        make()
+
+
 def test_map_requires_monotone_positions():
     # the node check of both converters, on a one-row block
     pos = np.linspace(0, 1, 17)
@@ -116,6 +131,20 @@ def test_map_from_density_rejects_a_nan_node(node):
         mp.setattr(transport, "_bracketed_inverse", nan_at)
         with pytest.raises(MonotonicityError):
             map_from_density(u, 16)
+
+
+def test_map_from_density_repairs_the_minimum_spacing():
+    # one cell holds all but about 3e-5 of the mass, so every interior level
+    # lands in it, closer than the minimum gap: the repair spreads those
+    # K - 1 nodes 2 gaps apart and keeps them in the domain
+    m = k = 32768
+    values = np.full(m, 1e-9)
+    values[m // 2] = 1.0
+    x = map_from_density(positive_density(values), k)
+    gaps = np.diff(x)
+    assert (gaps > UNIT.gap).all()
+    assert UNIT.lo <= x[0] and x[-1] <= UNIT.hi
+    assert np.isclose(gaps, 2 * UNIT.gap, rtol=1e-6, atol=0).sum() == k - 2
 
 
 # --- quantile --------------------------------------------------------------
@@ -215,17 +244,20 @@ def test_w2sq_batched_matches_single_pairs(k):
 # --- entropy ----------------------------------------------------------------
 
 def test_entropy_uniform_values():
-    assert boltzmann_entropy(GridDensity.uniform(UNIT, 32)) == 0.0
+    uniform = GridDensity.uniform(UNIT, 32)
+    assert boltzmann_entropy(uniform, uniform.values) == 0.0
     half = GridDensity(Interval(0.0, 0.5), np.full(16, 2.0))
-    assert boltzmann_entropy(half) == pytest.approx(np.log(2), abs=1e-12)
+    assert boltzmann_entropy(half, half.values) == pytest.approx(np.log(2),
+                                                                abs=1e-12)
     wide = GridDensity.uniform(Interval(0.0, 2.0), 32)
-    assert boltzmann_entropy(wide) == pytest.approx(-np.log(2), abs=1e-12)
+    assert boltzmann_entropy(wide, wide.values) == pytest.approx(-np.log(2),
+                                                                abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(densities())
 def test_entropy_minimized_by_uniform(u):
-    assert boltzmann_entropy(u) >= -1e-12
+    assert boltzmann_entropy(u, u.values) >= -1e-12
 
 
 # --- map <-> density --------------------------------------------------------
