@@ -113,7 +113,15 @@ def _initial(ini: dict, domain: Interval, m: int) -> GridDensity:
         return GridDensity.bump(domain, m, center=ini.get("center"),
                                 width=ini.get("width"))
     if name == "file":
-        data = np.loadtxt(ini["path"], delimiter=",")
+        path = ini["path"]
+        # open() would take an int for a file descriptor (0 is stdin)
+        if not isinstance(path, str):
+            raise ConfigurationError(
+                f"initial datum 'path' must be a string, not {path!r}")
+        # a plain-text CSV, read from the open file: given a path, loadtxt
+        # goes through numpy's datasource, which imports gzip on first use
+        with open(path) as fh:
+            data = np.loadtxt(fh, delimiter=",")
         return GridDensity.from_samples(domain, data[:, 1])
     raise ConfigurationError(f"unknown initial datum '{name}'")
 

@@ -192,6 +192,9 @@ def _spline_coefficients(knots, y, ends=None):
     its solve_banded((1, 1)) calls, with the rows as right-hand sides in
     place; the coefficients follow CubicHermiteSpline's operation order.
     """
+    # gtsv given a zero-column right-hand side crashes the interpreter
+    if y.shape[0] == 0:
+        raise ValueError("no spline rows to fit")
     n = knots.size
     dx = np.diff(knots)
     slope = np.diff(y, axis=-1) / dx
@@ -348,7 +351,8 @@ def densities_from_maps(domain: Interval, positions: np.ndarray,
     inverted there by `_bracketed_inverse`, from that piecewise-linear
     inverse.  Cell values are exact mass differences over the cells.  The
     block is checked once: its nodes by `_checked_nodes`, whose clipped
-    nodes are the ones resampled, and its rows for unit mass.
+    nodes are the ones resampled, and its rows for unit mass; a block
+    without rows raises ValueError.
     """
     positions = _checked_nodes(domain, positions)
     k = positions.shape[-1] - 1

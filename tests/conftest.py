@@ -1,5 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import gradflow1d
 
 
 def _lemma_value(A, v):
@@ -17,3 +22,12 @@ def lemma_value():
     """The pointwise matrix inequality's left-hand side, shared by the
     acceptance and the diagnostics tests."""
     return _lemma_value
+
+
+@pytest.fixture
+def child_env():
+    """The environment of a child interpreter that imports the same
+    gradflow1d as the tests, installed or not."""
+    src = str(Path(gradflow1d.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}

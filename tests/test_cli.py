@@ -1,10 +1,9 @@
 import csv
+import gzip
 import itertools
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import orjson
@@ -112,21 +111,70 @@ def write_datum(tmp_path, m):
     # values the run used to truncate, convert or ignore; an infinite count
     # exited 3 (runtime error)
     {"m": 64.7}, {"tau": True}, {"m": float("inf")}, {"domain": [0, 1, 5]},
+    # a datum path that is not a string: open() reads an int as a file
+    # descriptor, 0 being stdin
+    *({"initial": {"name": "file", "path": path}}
+      for path in (0, 2, 3.5, ["u0.csv"])),
 ], ids=["tau_text", "m_text", "short_domain", "power_without_alpha",
         "file_without_path", "missing_datum_file", "one_column_datum",
         "m_null", "checks_number", "alpha_text", "bump_zero_width",
         "refine_negative", "refine_one_level", "refine_fraction",
         "cosine_epsilon", "thin_film_nan_C", "uniform_64_bit_tag",
         "power_C_1e160", "power_C_1e300", "power_C_10_400", "m_fraction",
-        "tau_bool", "m_infinite", "three_domain_ends"])
+        "tau_bool", "m_infinite", "three_domain_ends", "path_stdin",
+        "path_stderr", "path_float", "path_list"])
 def test_malformed_config_is_a_configuration_error(tmp_path, extra, capsys):
     np.savetxt(tmp_path / "one_column.csv", np.ones(64))
-    if "path" in extra.get("initial", {}):
-        path = str(tmp_path / extra["initial"]["path"])
-        extra = {"initial": {**extra["initial"], "path": path}}
+    path = extra.get("initial", {}).get("path")
+    if isinstance(path, str):
+        extra = {"initial": {**extra["initial"],
+                             "path": str(tmp_path / path)}}
     assert main(["--config", str(write_config(tmp_path, extra))]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if path is not None and not isinstance(path, str):
+        assert "'path' must be a string" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", [0, 2, 3.5, ["u0.csv"]])
+def test_non_string_datum_path_opens_nothing(monkeypatch, path):
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"opened {args}")
+
+    monkeypatch.setattr("builtins.open", no_open)
+    with pytest.raises(ConfigurationError, match="'path' must be a string"):
+        load_config({**BASE, "initial": {"name": "file", "path": path}})
+
+
+def test_compressed_datum_is_rejected(tmp_path, capsys):
+    # the datum is a plain-text CSV; numpy's path opener used to decompress
+    # a .gz file
+    text = write_datum(tmp_path, 64).read_bytes()
+    path = tmp_path / "u0.csv.gz"
+    path.write_bytes(gzip.compress(text))
+    assert main(["--config", str(write_config(tmp_path, {
+        "initial": {"name": "file", "path": str(path)}}))]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_file_datum_does_not_import_gzip(tmp_path, child_env):
+    # loadtxt given a path imports gzip for its compressed-file openers; from
+    # an open file it reads the lines, and no run or sweep imports gzip
+    path = write_config(tmp_path, {
+        "m": 64, "k": 32, "n_steps": 2, "checks": ["energy_monotone"],
+        "initial": {"name": "file", "path": str(write_datum(tmp_path, 64))}})
+    code = ("import sys\n"
+            "from gradflow1d.cli import execute, load_config, sweep\n"
+            f"cfg = load_config({str(path)!r})\n"
+            "assert 'gzip' not in sys.modules, 'load_config'\n"
+            "assert execute(cfg) == 0\n"
+            "assert sweep(cfg, 'tau', [1e-4, 5e-5])[1] == 0\n"
+            "assert 'gzip' not in sys.modules, 'run'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=child_env)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_largest_finite_initial_energy_runs(tmp_path):
@@ -867,13 +915,9 @@ def test_corruption_in_config_must_be_a_boolean(tmp_path, capsys):
     assert not (tmp_path / "rejected").exists()
 
 
-def test_console_entry_point(tmp_path):
+def test_console_entry_point(tmp_path, child_env):
     path = write_config(tmp_path, {"checks": ["energy_monotone"]})
-    # the child imports the same package as the tests, installed or not
-    src = str(Path(gradflow1d.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "gradflow1d.cli", "--config", str(path)],
-        capture_output=True, env=env)
+        capture_output=True, env=child_env)
     assert proc.returncode == 0

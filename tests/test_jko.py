@@ -635,6 +635,46 @@ def test_mirrored_datum_gives_mirrored_maps(f):
     assert np.array_equal(a.converged, b.converged)
 
 
+def _dilated_runs(f, L, m, k):
+    """The run of the mode-3 cosine on [0, 1] and on [0, L]: for f = z^alpha
+    the energy scales as Phi(u_L) = L^-(2 alpha + 1) Phi(u) and W2^2 as L^2,
+    so with tau' = tau L^(2 alpha + 3) the step objectives are proportional
+    and the maps of the second run are L times those of the first."""
+    alpha = {"identity": 1.0, "sqrt": 0.5}[f.name]
+    ref, out = (run(GridDensity.cosine(Interval(0.0, length), m, eps=0.5, k=3),
+                    MobilityMapEnergy(f),
+                    JkoConfig(tau=1e-4 * length ** (2 * alpha + 3),
+                              n_steps=40, k=k))
+                for length in (1.0, L))
+    assert np.array_equal(out.converged, ref.converged)
+    return ref, out, L ** -(2 * alpha + 1)
+
+
+@pytest.mark.parametrize("m, k", [(64, 64), (128, 96)])
+def test_dilation_by_two_scales_thin_film_maps_exactly(m, k):
+    # at L = 2 (tau' = 32 tau) every scaling is by a power of two, which
+    # rounds nothing: the maps and energies are the same bits
+    ref, out, scale = _dilated_runs(MobilitySpec.identity(), 2.0, m, k)
+    assert np.array_equal(out.positions, 2.0 * ref.positions)
+    assert np.array_equal(out.energies, scale * ref.energies)
+
+
+@pytest.mark.parametrize("m, k", [(64, 64), (128, 96)])
+@pytest.mark.parametrize("f, L", [(MobilitySpec.identity(), 3.0),
+                                  (MobilitySpec.sqrt_mobility(), 2.0),
+                                  (MobilitySpec.sqrt_mobility(), 3.0)],
+                         ids=["thin_film-3", "sqrt-2", "sqrt-3"])
+def test_dilation_scales_maps_and_energies(f, L, m, k):
+    # up to the rounding of the dilated data and of sqrt.  Measured, worst
+    # at sqrt, L = 3, m = 128: nodes within 4.6e-12 L and energies within
+    # 2.0e-14 Phi(u0); the bounds leave 2x and 5x.  The energies fall to
+    # 1e-17 Phi(u0), so they are compared on the scale of Phi(u0)
+    ref, out, scale = _dilated_runs(f, L, m, k)
+    assert np.abs(out.positions - L * ref.positions).max() / L <= 1e-11
+    e = scale * ref.energies
+    assert np.abs(out.energies - e).max() / e[0] <= 1e-13
+
+
 # --- parity of the inner loop with the plain damped Newton loop -------------
 
 def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,

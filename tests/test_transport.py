@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -700,6 +702,28 @@ def test_builder_matches_clamped_cubic_spline(make, domain):
     assert_same_bits(
         _spline_coefficients(u.edges, cdf[None], (v[0], v[-1])),
         row_major(CubicSpline(u.edges, cdf, bc_type=((1, v[0]), (1, v[-1])))))
+
+
+@pytest.mark.parametrize("call", [
+    "_spline_coefficients(np.linspace(0, 1, 41), np.empty((0, 41)))",
+    "densities_from_maps(Interval(0, 1), np.empty((0, 41)), 48)"],
+    ids=["spline", "pushforward"])
+def test_empty_block_is_rejected_before_the_solve(call, child_env):
+    # gtsv given a zero-column right-hand side left the interpreter to die
+    # with SIGSEGV at exit (code -11), after the call had returned or raised
+    # a broadcasting error; in a child, so that such a crash fails the test
+    code = ("import numpy as np\n"
+            "from gradflow1d.transport import (Interval, "
+            "_spline_coefficients, densities_from_maps)\n"
+            "try:\n"
+            f"    {call}\n"
+            "except ValueError as exc:\n"
+            "    assert 'no spline rows' in str(exc), exc\n"
+            "else:\n"
+            "    raise SystemExit('no error')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=child_env)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def quantile_maps(values, k):
