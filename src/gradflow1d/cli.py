@@ -144,7 +144,13 @@ def load_config(source: str | Path | dict,
         if key not in KEYS:
             raise ConfigurationError(f"unknown config key '{key}'")
     try:
-        unknown = [c for c in merged["checks"] if c not in ALL_CHECKS]
+        checks = merged["checks"]
+        # a string would be read as a list of one-letter names
+        if not (isinstance(checks, list)
+                and all(isinstance(c, str) for c in checks)):
+            raise ConfigurationError(
+                f"checks must be a list of check names, not {checks!r}")
+        unknown = [c for c in checks if c not in ALL_CHECKS]
         if unknown:
             raise ConfigurationError(f"unknown checks {unknown}")
         lo, hi = (_number(end, "domain") for end in merged["domain"])
@@ -175,9 +181,10 @@ def load_config(source: str | Path | dict,
             if name in reads and unread:
                 raise ConfigurationError(
                     f"{section} '{name}' does not read {sorted(unread)}")
-            # no value these sections read is a boolean
+            # no number these sections read is a boolean; the datum's
+            # path is text, which `_initial` checks
             flags = sorted(key for key, value in merged[section].items()
-                           if isinstance(value, bool))
+                           if isinstance(value, bool) and key != "path")
             if flags:
                 raise ConfigurationError(
                     f"{section} {flags} must be numbers, not booleans")
@@ -195,7 +202,7 @@ def load_config(source: str | Path | dict,
         cfg = RunConfig(
             domain=domain, m=m, k=k, mobility=f, u0=u0, tau=tau,
             n_steps=n_steps, refine_levels=refine_levels,
-            checks=list(merged["checks"]), out=Path(merged["out"]),
+            checks=list(checks), out=Path(merged["out"]),
             inject_corruption=corrupt, raw=merged)
     except ConfigurationError:
         raise

@@ -3,14 +3,14 @@
 Densities live on a uniform midpoint grid; transport maps are monotone node
 positions at uniform mass levels (the quantile parametrization, in which the
 quadratic Wasserstein distance is a plain weighted L2 distance), held as
-plain node arrays that both converters check with `_checked_nodes`.  Maps
-and densities are converted into each other through cubic splines, built
-row by row in one LAPACK solve (`_spline_coefficients`, bitwise scipy's
-CubicSpline).  Both converters invert a spline with one routine,
-`_bracketed_inverse`, a bracketed Newton solve inside the knot interval in
-which the piecewise-linear inverse lands: the quantile map inverts the
-CDF's spline at the mass levels, the pushforward each quantile spline at
-the grid edges.
+plain node arrays that both converters check with `_checked_nodes`.  The
+quantile map of a density is the exact quantile of its P1 reconstruction,
+in closed form on each piece.  The pushforward of a block of maps
+interpolates each map by a cubic spline in the mass variable, built row by
+row in one LAPACK solve (`_spline_coefficients`, bitwise scipy's
+CubicSpline), and inverts it at the grid edges with `_bracketed_inverse`, a
+bracketed Newton solve inside the knot interval in which the
+piecewise-linear inverse lands.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from ._lapack import dgtsv as _gtsv
 
 MASS_TOL = 1e-12
 GAP_REL = 1e-9          # minimum node spacing, relative to domain length
-# iteration cap of the bracketed solve: from the piecewise-linear start it
-# ends after 1-5 iterations on smooth data and about 10 on rough data, and
-# bisection alone would need at most 47
+# iteration cap of the pushforward's bracketed solve: it ends after 2-4
+# iterations on cosine runs, 4-10 on bump runs and at most 13 on maps with
+# lognormal cell widths; bisection alone would need at most 47
 BRACKET_ITERATIONS = 60
 
 
@@ -101,14 +101,6 @@ class GridDensity:
     def midpoints(self) -> np.ndarray:
         return self.domain.lo + (np.arange(self.m) + 0.5) * self.h
 
-    def cdf_at_edges(self) -> np.ndarray:
-        c = np.concatenate([[0.0], np.cumsum(self.values) * self.h])
-        # snap rounding-level shortfall to 1 so a trailing vacuum stays a
-        # genuinely flat run
-        c[c >= 1.0 - 1e-12] = 1.0
-        c[-1] = 1.0
-        return c
-
     # --- constructors -----------------------------------------------------
 
     @classmethod
@@ -180,14 +172,13 @@ def boltzmann_entropy(u: GridDensity, values: np.ndarray) -> np.ndarray:
 
 # --- map <-> density conversions ------------------------------------------
 
-def _spline_coefficients(knots, y, ends=None):
+def _spline_coefficients(knots, y):
     """Coefficients of the cubic splines through the rows of y at `knots`.
 
     Returns a (4, rows, K) array whose entry [j, r, i] multiplies
-    (t - knots[i])**(3 - j) on interval i of row r's spline: bitwise the
-    `c` of scipy's CubicSpline(knots, y.T) with its last two axes swapped.
-    The ends are not-a-knot, or, given ends = (first, last), clamped to
-    those slopes in every row.  The tridiagonal system for the knot slopes
+    (t - knots[i])**(3 - j) on interval i of row r's not-a-knot spline:
+    bitwise the `c` of scipy's CubicSpline(knots, y.T) with its last two
+    axes swapped.  The tridiagonal system for the knot slopes
     is filled as CubicSpline fills it and solved by the LAPACK gtsv that
     its solve_banded((1, 1)) calls, with the rows as right-hand sides in
     place; the coefficients follow CubicHermiteSpline's operation order.
@@ -205,20 +196,15 @@ def _spline_coefficients(knots, y, ends=None):
     dl[:-1] = dx[1:]
     b = np.empty((y.shape[0], n))
     b[:, 1:-1] = 3 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
-    if ends is None:
-        # the length-1 slices of dx keep scipy's array arithmetic
-        w = knots[2] - knots[0]
-        d[0], du[0] = dx[1], w
-        b[:, 0] = ((dx[:1] + 2 * w) * dx[1:2] * slope[:, 0]
-                   + dx[:1] ** 2 * slope[:, 1]) / w
-        w = knots[-1] - knots[-3]
-        d[-1], dl[-1] = dx[-2], w
-        b[:, -1] = (dx[-1:] ** 2 * slope[:, -2]
-                    + (2 * w + dx[-1:]) * dx[-2:-1] * slope[:, -1]) / w
-    else:
-        d[0] = d[-1] = 1.0
-        du[0] = dl[-1] = 0.0
-        b[:, 0], b[:, -1] = ends
+    # not-a-knot ends; the length-1 slices of dx keep scipy's arithmetic
+    w = knots[2] - knots[0]
+    d[0], du[0] = dx[1], w
+    b[:, 0] = ((dx[:1] + 2 * w) * dx[1:2] * slope[:, 0]
+               + dx[:1] ** 2 * slope[:, 1]) / w
+    w = knots[-1] - knots[-3]
+    d[-1], dl[-1] = dx[-2], w
+    b[:, -1] = (dx[-1:] ** 2 * slope[:, -2]
+                + (2 * w + dx[-1:]) * dx[-2:-1] * slope[:, -1]) / w
     # b.T is Fortran-ordered, so gtsv solves in b without a copy
     s, info = _gtsv(dl, d, du, b.T, 1, 1, 1, 1)[3:]
     if info != 0:
@@ -301,37 +287,39 @@ def _checked_nodes(domain: Interval, positions: np.ndarray) -> np.ndarray:
 def map_from_density(u: GridDensity, k: int = 256) -> np.ndarray:
     """Nodes of the quantile map of u at K+1 uniform mass levels.
 
-    The CDF is interpolated by a clamped cubic spline (end slopes equal to
-    the boundary density values), which keeps second derivatives of the
-    represented density meaningful, as the piecewise-linear inverse would
-    not.  The spline passes through the CDF at the grid edges, so the level
-    j/K has a preimage in the grid cell in which the piecewise-linear
-    inverse lands; `_bracketed_inverse` solves for it there, from that
-    inverse.
+    The map is the exact quantile of u's P1 reconstruction on its support,
+    whose edges are the end nodes: linear through the support's midpoint
+    values, constant on its two end half-cells, and renormalized.  Its CDF is quadratic on each piece, so the mass r that
+    level j/K still needs in its piece is reached at the stable root
+    t = 2r/(a + sqrt(a^2 + 2 slope r)), a the piece's left value.
     """
     if k < 8:
         raise ConfigurationError("need K >= 8 map cells")
     reject_zero_plateau(u)
-    v = u.values
-    cdf = u.cdf_at_edges()
-    edges = u.edges
-    levels = np.linspace(0.0, 1.0, k + 1)
-    cell = np.minimum(np.interp(levels, cdf, np.arange(v.size + 1.0))
-                      .astype(np.intp), v.size - 1)
-    linear = np.interp(levels, cdf, edges)
-    x = _bracketed_inverse(
-        edges, _spline_coefficients(edges, cdf[None], (v[0], v[-1])),
-        cell[None], levels[None], linear[None])[0][0]
-    # pin the ends to the support edges of the sampled density
-    x[0] = edges[np.argmax(v > 0)]
-    x[-1] = edges[v.size - np.argmax(v[::-1] > 0)]
-    lo, hi = u.domain.lo, u.domain.hi
-    x = np.maximum.accumulate(np.clip(x, lo, hi))
+    support = np.flatnonzero(u.values)
+    first, last = support[0], support[-1] + 1
+    ends = np.r_[u.edges[first], u.midpoints[first:last], u.edges[last]]
+    width = np.diff(ends)
+    # the reconstruction's values at the pieces' left and right ends
+    left = u.values[np.r_[first, first:last]]
+    right = u.values[np.r_[first:last, last - 1]]
+    total = np.sum(0.5 * width * (left + right))
+    left, right = left / total, right / total
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * width * (left + right))])
+    level = np.linspace(0.0, 1.0, k + 1)[1:-1]
+    piece = np.searchsorted(cdf, level, "right") - 1
+    r = level - cdf[piece]
+    a, b = left[piece], (right - left)[piece] / width[piece]
+    # a piece ending at an empty cell's midpoint can round a^2 + 2br below
+    # 0, and a level on the start of a piece starting there gives r = a = 0
+    root = a + np.sqrt(np.maximum(a * a + 2.0 * b * r, 0.0))
+    t = np.divide(2.0 * r, root, out=np.zeros_like(r), where=root > 0)
+    x = np.concatenate([ends[:1], ends[piece] + t, ends[-1:]])
     gap = u.domain.gap
     if np.any(np.diff(x) <= gap):  # repair with strict minimum spacing
         for i in range(1, x.size):
             x[i] = max(x[i], x[i - 1] + 2 * gap)
-        x = np.minimum(x, hi)
+        x = np.minimum(x, u.domain.hi)
         for i in range(x.size - 2, -1, -1):
             x[i] = min(x[i], x[i + 1] - 2 * gap)
     return _checked_nodes(u.domain, x)

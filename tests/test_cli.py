@@ -56,6 +56,20 @@ def test_unknown_check_rejected(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("checks", [
+    "energy_monotone", ["energy_monotone", 5], {"energy_monotone": True}],
+    ids=["string", "number_in_list", "object"])
+def test_checks_must_be_a_list_of_names(tmp_path, capsys, checks):
+    # a string was iterated by character: "unknown checks ['e', 'n', ...]"
+    path = write_config(tmp_path, {"checks": checks})
+    with pytest.raises(ConfigurationError,
+                       match="checks must be a list of check names"):
+        load_config(path)
+    assert main(["--config", str(path)]) == 2
+    assert "checks must be a list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -114,7 +128,7 @@ def write_datum(tmp_path, m):
     # a datum path that is not a string: open() reads an int as a file
     # descriptor, 0 being stdin
     *({"initial": {"name": "file", "path": path}}
-      for path in (0, 2, 3.5, ["u0.csv"])),
+      for path in (0, 2, 3.5, ["u0.csv"], True)),
 ], ids=["tau_text", "m_text", "short_domain", "power_without_alpha",
         "file_without_path", "missing_datum_file", "one_column_datum",
         "m_null", "checks_number", "alpha_text", "bump_zero_width",
@@ -122,7 +136,7 @@ def write_datum(tmp_path, m):
         "cosine_epsilon", "thin_film_nan_C", "uniform_64_bit_tag",
         "power_C_1e160", "power_C_1e300", "power_C_10_400", "m_fraction",
         "tau_bool", "m_infinite", "three_domain_ends", "path_stdin",
-        "path_stderr", "path_float", "path_list"])
+        "path_stderr", "path_float", "path_list", "path_bool"])
 def test_malformed_config_is_a_configuration_error(tmp_path, extra, capsys):
     np.savetxt(tmp_path / "one_column.csv", np.ones(64))
     path = extra.get("initial", {}).get("path")
@@ -137,7 +151,7 @@ def test_malformed_config_is_a_configuration_error(tmp_path, extra, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("path", [0, 2, 3.5, ["u0.csv"]])
+@pytest.mark.parametrize("path", [0, 2, 3.5, ["u0.csv"], True])
 def test_non_string_datum_path_opens_nothing(monkeypatch, path):
     def no_open(*args, **kwargs):
         raise AssertionError(f"opened {args}")

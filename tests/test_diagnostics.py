@@ -9,6 +9,7 @@ from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
                         check_discrete_weak_f, check_entropy_dissipation_f,
                         check_total_square_distance, densities_from_maps,
                         dissipation_constants, run)
+from gradflow1d.cli import _certificates, load_config
 from gradflow1d.diagnostics import DISTANCE_MARGIN
 from gradflow1d.lagrangian import nf_density
 from gradflow1d.transport import w2sq_between_maps
@@ -294,6 +295,69 @@ def test_entropy_dissipation_fails_a_rough_state(concave_traj):
         concave_traj, POWER_02, delta))
     reports = check_entropy_dissipation_f(traj, POWER_02, delta)
     assert [rep.step for rep in reports if not rep.passed] == [25]
+
+
+# --- trajectory corruptions of the default run ------------------------------
+
+@pytest.fixture(scope="module")
+def default_run():
+    """The default config and its 50-step run (thin film, cosine eps=0.5
+    k=2, m = k = 256, tau = 1e-4)."""
+    cfg = load_config({})
+    return cfg, run(cfg.u0, MobilityMapEnergy(cfg.mobility),
+                    JkoConfig(tau=cfg.tau, n_steps=cfg.n_steps, k=cfg.k))
+
+
+def with_maps(traj, f, pos):
+    """traj with map rows pos, and its energies, step distances, grid states
+    (row 0 stays the datum) and entropies rebuilt from them."""
+    values = traj.values.copy()
+    values[1:] = densities_from_maps(traj.grid.domain, pos[1:], traj.grid.m)
+    energy = MobilityMapEnergy(f)
+    return replace(
+        traj, positions=pos, values=values,
+        energies=np.array([energy.value(x) for x in pos]),
+        step_distances=np.sqrt(w2sq_between_maps(pos[1:], pos[:-1])),
+        entropies=boltzmann_entropy(traj.grid, values))
+
+
+def skip_ahead(pos):
+    pos[25] = pos[30].copy()
+
+
+def swap(pos):
+    pos[[25, 26]] = pos[[26, 25]]
+
+
+def high_mode(pos):
+    j = np.arange(pos.shape[1])
+    pos[25] += (0.2 * np.diff(pos[25]).min()
+                * np.sin(20 * np.pi * j / (pos.shape[1] - 1)))
+
+
+@pytest.mark.parametrize("corrupt, step", [
+    (None, None), (skip_ahead, 26), (swap, 26), (high_mode, 25)],
+    ids=["clean", "skip_ahead", "swap", "high_mode"])
+def test_dissipation_certificates_fail_where_a_corruption_reaches(
+        default_run, corrupt, step):
+    # row 25 replaced by row 30, rows 25 and 26 swapped, or 0.2 min dX
+    # sin(20 pi j/K) added to node j of row 25: each makes one step raise
+    # the energy and the entropy, which energy_monotone and
+    # entropy_dissipation fail there and nowhere else.  The clean rebuild
+    # is the run itself
+    cfg, traj = default_run
+    pos = traj.positions.copy()
+    if corrupt is not None:
+        corrupt(pos)
+    bad = with_maps(traj, cfg.mobility, pos)
+    if corrupt is None:
+        assert np.array_equal(bad.energies, traj.energies)
+        assert np.array_equal(bad.entropies, traj.entropies)
+    reports = _certificates(cfg, bad)
+    for name in ("energy_monotone", "entropy_dissipation"):
+        failed = [r.step for r in reports if r.name == name and not r.passed]
+        assert failed == ([] if step is None else [step]), name
+    assert len(reports) == 2 * cfg.n_steps + 2
 
 
 # --- algebraic lemmas -------------------------------------------------------

@@ -14,7 +14,7 @@ from gradflow1d import (ConfigurationError, DegenerateQuantileError,
                         map_from_density, run, transport)
 from gradflow1d.transport import (MASS_TOL, _bracketed_inverse,
                                   _spline_coefficients, w2sq_between_maps)
-from quantiles import mass, quantile, wasserstein2
+from quantiles import cdf_at_edges, mass, p1_cdf, quantile, wasserstein2
 
 UNIT = Interval(0.0, 1.0)
 
@@ -117,28 +117,12 @@ def test_map_requires_monotone_positions():
             densities_from_maps(UNIT, nan[None], 16)
 
 
-@pytest.mark.parametrize("node", [1, 5, -2])
-def test_map_from_density_rejects_a_nan_node(node):
-    # a non-finite inversion (injected) fails the node check of the quantile
-    # map; the end nodes are pinned to the support after the inversion
-    u = GridDensity.cosine(UNIT, 64, eps=0.5, k=2)
-
-    def nan_at(*args):
-        x, start, end, iterations = _bracketed_inverse(*args)
-        x = x.copy()
-        x[:, node] = np.nan
-        return x, start, end, iterations
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transport, "_bracketed_inverse", nan_at)
-        with pytest.raises(MonotonicityError):
-            map_from_density(u, 16)
-
-
 def test_map_from_density_repairs_the_minimum_spacing():
-    # one cell holds all but about 3e-5 of the mass, so every interior level
-    # lands in it, closer than the minimum gap: the repair spreads those
-    # K - 1 nodes 2 gaps apart and keeps them in the domain
+    # one cell holds all but about 3e-5 of the mass, which the P1
+    # reconstruction spreads as a tent over the two pieces meeting at its
+    # midpoint, so the interior levels near the tent's peak land closer than
+    # the minimum gap: the repair spreads those nodes 2 gaps apart (29,214
+    # of the K gaps) and keeps them in the domain
     m = k = 32768
     values = np.full(m, 1e-9)
     values[m // 2] = 1.0
@@ -146,7 +130,78 @@ def test_map_from_density_repairs_the_minimum_spacing():
     gaps = np.diff(x)
     assert (gaps > UNIT.gap).all()
     assert UNIT.lo <= x[0] and x[-1] <= UNIT.hi
-    assert np.isclose(gaps, 2 * UNIT.gap, rtol=1e-6, atol=0).sum() == k - 2
+    assert np.isclose(gaps, 2 * UNIT.gap, rtol=1e-6, atol=0).sum() == 29214
+
+
+# --- the P1 quantile map ------------------------------------------------------
+
+def assert_p1_quantile(u, k):
+    """Check u's quantile map at K cells against the P1 oracle and return
+    its nodes: each reaches its level j/K to 4 eps plus the oracle CDF's
+    change across 4 ulps of the node, which no node moved by the gap repair
+    (at least a gap, 1e-9 of the domain) meets; the end nodes are the
+    support edges."""
+    x = map_from_density(u, k)
+    cdf, density = p1_cdf(u, x)
+    eps = np.finfo(float).eps
+    levels = np.arange(k + 1) / k
+    assert np.all(np.abs(cdf - levels) <= 4 * eps * (1 + density * np.abs(x)))
+    support = np.flatnonzero(u.values)
+    assert x[0] == u.edges[support[0]] and x[-1] == u.edges[support[-1] + 1]
+    return x
+
+
+def with_empty_cells(values, cells):
+    values = np.array(values, dtype=float)
+    values[cells] = 0.0
+    return positive_density(values)
+
+
+@pytest.mark.parametrize("u", [
+    GridDensity.cosine(UNIT, 64, eps=0.9, k=1),
+    GridDensity.cosine(UNIT, 64, eps=0.5, k=3),
+    GridDensity.bump(Interval(-2.0, 3.5), 64, center=0.3),
+    *(positive_density(np.random.default_rng(seed).lognormal(0.0, 2.0, 64))
+      for seed in range(3)),
+    with_empty_cells(np.random.default_rng(3).uniform(0.05, 10.0, 64), 20),
+    with_empty_cells(1.0 + 0.5 * np.cos(np.arange(64)), 31),
+    # level 1/2 lands on the empty cell's midpoint, where r = a = 0
+    with_empty_cells(np.ones(9), 4)],
+    ids=["cosine_k1", "cosine_k3", "bump_shifted", "lognormal0",
+         "lognormal1", "lognormal2", "empty_cell_uniform", "empty_cell_cos",
+         "empty_centre_cell"])
+@pytest.mark.parametrize("k", [8, 64, 1000])
+def test_map_from_density_is_the_exact_p1_quantile(u, k):
+    # measured: at most 2.0 of the bound's 4 eps-units
+    assert_p1_quantile(u, k)
+
+
+def test_map_from_density_of_a_linear_density_is_closed_form():
+    # rho = 1/2 + x on [0, 1] is linear, so its P1 reconstruction is rho
+    # itself between the first and last midpoints and rho at those
+    # midpoints on the end half-cells: its quantile is linear there and the
+    # root of one quadratic between them.  Measured: within 2.2e-16
+    m, k = 64, 1000
+    u = positive_density(0.5 + (np.arange(m) + 0.5) / m)
+    h, s = 1.0 / m, np.arange(k + 1) / k
+    first, last = 0.5 + h / 2, 1.5 - h / 2
+    below = first * h / 2
+    c = s - below + h / 4 + h * h / 8
+    ref = np.where(s <= below, s / first, -0.5 + np.sqrt(0.25 + 2 * c))
+    ref = np.where(1 - s <= last * h / 2, 1 - (1 - s) / last, ref)
+    x = map_from_density(u, k)
+    assert np.abs(x - ref).max() <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("m, k, empty", [(8, 1024, [0]), (64, 4096, [0, -1])],
+                         ids=["first", "both"])
+def test_empty_end_cells_pin_the_ends_to_the_support_edges(m, k, empty):
+    # the reconstruction covers the support only, so no mass leaks into an
+    # empty end cell; the nodes increase strictly, by more than the repair's
+    # 2 gaps, and are exact (assert_p1_quantile), so the repair never fired
+    x = assert_p1_quantile(
+        with_empty_cells(1.0 + 0.5 * np.cos(np.arange(m)), empty), k)
+    assert np.diff(x).min() > 2 * UNIT.gap
 
 
 # --- quantile --------------------------------------------------------------
@@ -330,16 +385,6 @@ def fixed_sweeps(spline, target, x, lo, hi, slope_floor, sweeps):
     return x, start, spline(x)[0]
 
 
-def newton_sweeps(knots, coefficients, interval, target, start):
-    """A stand-in for _bracketed_inverse that runs the quantile map's former
-    solve: 50 Newton sweeps over the whole domain (slope floor 1e-13), with
-    the residuals the fallback test reads."""
-    x, at_start, at_end = fixed_sweeps(ppoly_columns(knots, coefficients),
-                                       target, start, knots[0], knots[-1],
-                                       1e-13, 50)
-    return x, at_start - target, at_end - target, 50
-
-
 def pushforward_inversion(x, m, domain=UNIT):
     """Arguments (without the sweep count) of the clipped Newton sweeps that
     invert a block of maps x (one map or rows of maps) at the edges of an
@@ -435,31 +480,13 @@ def rough_map(seed, k=64):
 @settings(max_examples=20, deadline=None)
 @given(densities())
 def test_newton_inverse_exact_on_rough_densities(u):
-    # one bracketed solve per quantile map, and one on that map's
-    # pushforward; each holds its brackets and is the plain loop bitwise
-    ((args, result),) = bracketed_solves(lambda: map_from_density(u, 64))
-    assert_brackets_hold(args, result, u.cdf_at_edges()[None])
-    assert_exact(args)
+    # one bracketed solve on the pushforward of the density's quantile map;
+    # it holds its brackets and is the plain loop bitwise
     x = map_from_density(u, 64)
     ((args, result),) = bracketed_solves(
         lambda: densities_from_maps(UNIT, x[None], u.m))
     assert_brackets_hold(args, result, x[None])
     assert_exact(args)
-
-
-def test_quantile_map_nodes_lie_in_their_bracketing_cells():
-    # every interior node lies in a grid cell whose CDF values bracket its
-    # level; the former sweeps over the whole domain left that cell on 30 of
-    # these 200 densities, by up to 8 cells
-    levels = np.linspace(0.0, 1.0, 65)[1:-1]
-    for seed in range(200):
-        u = positive_density(
-            np.random.default_rng(seed).lognormal(0.0, 1.5, 64))
-        cdf, edges = u.cdf_at_edges(), u.edges
-        x = map_from_density(u, 64)[1:-1]
-        first = np.searchsorted(cdf, levels, "left") - 1
-        last = np.searchsorted(cdf, levels, "right")
-        assert np.all((edges[first] <= x) & (x <= edges[last])), seed
 
 
 @pytest.mark.parametrize("seed", range(2, 6))
@@ -665,7 +692,7 @@ def test_evaluator_matches_ppoly_on_not_a_knot_splines():
                          ids=["cosine", "bump", "rough"])
 def test_evaluator_matches_ppoly_on_clamped_splines(u):
     v = u.values
-    spline = CubicSpline(u.edges, u.cdf_at_edges(),
+    spline = CubicSpline(u.edges, cdf_at_edges(u),
                          bc_type=((1, v[0]), (1, v[-1])))
     assert_matches_ppoly(spline, evaluation_points(u.edges,
                                                    np.random.default_rng(2)))
@@ -686,22 +713,6 @@ def test_builder_matches_not_a_knot_cubic_spline(k, rows):
     pos = np.array([rough_map(seed, k) for seed in range(rows)])
     assert_same_bits(_spline_coefficients(levels, pos),
                      row_major(CubicSpline(levels, pos.T)))
-
-
-@pytest.mark.parametrize("domain", [UNIT, Interval(-2.0, 3.5)],
-                         ids=["unit", "shifted"])
-@pytest.mark.parametrize("make", [
-    lambda dom: GridDensity.cosine(dom, 64, eps=0.9, k=1),
-    lambda dom: GridDensity.bump(dom, 128),
-    lambda dom: positive_density(
-        np.random.default_rng(1).uniform(0.05, 10.0, 32), dom)],
-    ids=["cosine", "bump", "rough"])
-def test_builder_matches_clamped_cubic_spline(make, domain):
-    u = make(domain)
-    v, cdf = u.values, u.cdf_at_edges()
-    assert_same_bits(
-        _spline_coefficients(u.edges, cdf[None], (v[0], v[-1])),
-        row_major(CubicSpline(u.edges, cdf, bc_type=((1, v[0]), (1, v[-1])))))
 
 
 @pytest.mark.parametrize("call", [
@@ -738,16 +749,28 @@ def quantile_maps(values, k):
     return out
 
 
+def p1_newton_sweeps(u, k):
+    """u's quantile map at K cells by 50 plain Newton sweeps on the P1
+    oracle's CDF, clipped to the support, from the piecewise-constant
+    quantile: an inversion independent of the closed form."""
+    levels = np.linspace(0.0, 1.0, k + 1)
+    x = quantile(u, levels)
+    for _ in range(50):
+        cdf, density = p1_cdf(u, x)
+        x = np.clip(x - (cdf - levels) / np.maximum(density, 1e-300),
+                    x[0], x[-1])
+    return x
+
+
 def assert_maps_match_newton_sweeps(values, k):
-    # within 1e-12 of the former solve's maps
-    got = quantile_maps(values, k)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transport, "_bracketed_inverse", newton_sweeps)
-        ref = quantile_maps(values, k)
-    for x, ref_x in zip(got, ref):
-        assert (x is None) == (ref_x is None)
+    # within 1e-12 of the Newton sweeps; a state is rejected exactly when
+    # two adjacent interior cells are empty
+    for x, v in zip(quantile_maps(values, k), values):
+        empty = np.asarray(v)[1:-1] <= 0
+        assert (x is None) == bool(np.any(empty[:-1] & empty[1:]))
         if x is not None:
-            assert np.max(np.abs(x - ref_x)) <= 1e-12
+            ref = p1_newton_sweeps(GridDensity(UNIT, v), k)
+            assert np.max(np.abs(x - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("energy", [
