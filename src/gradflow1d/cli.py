@@ -45,15 +45,10 @@ DEFAULTS = {
     "checks": list(ALL_CHECKS),
     "out": "out",
 }
-# the keys a config may set: the defaults, and the negative control, which
-# is off unless set and so stays out of the config echo
-KEYS = (*DEFAULTS, "inject_corruption")
 
 
 @dataclass
 class RunConfig:
-    domain: Interval
-    m: int
     k: int
     # the energy's mobility (thin film: the identity) and the initial datum,
     # built once from `raw`, which equality compares instead
@@ -64,7 +59,6 @@ class RunConfig:
     refine_levels: int
     checks: list
     out: Path
-    inject_corruption: bool = False
     raw: dict = field(default_factory=dict)
 
 
@@ -75,6 +69,8 @@ READS = {
     "initial": {"uniform": (), "cosine": ("eps", "k"),
                 "bump": ("center", "width"), "file": ("path",)},
 }
+# the section whose entry reads each sweep axis; tau is read by every run
+AXES = {"tau": None, "alpha": "lagrangian", "eps": "initial"}
 
 
 def _number(value, name: str, count: bool = False):
@@ -141,7 +137,7 @@ def load_config(source: str | Path | dict,
                 f"cannot read config {source}: {exc}") from exc
     merged = {**DEFAULTS, **raw, **(overrides or {})}
     for key in raw:
-        if key not in KEYS:
+        if key not in DEFAULTS:
             raise ConfigurationError(f"unknown config key '{key}'")
     try:
         checks = merged["checks"]
@@ -153,6 +149,9 @@ def load_config(source: str | Path | dict,
         unknown = [c for c in checks if c not in ALL_CHECKS]
         if unknown:
             raise ConfigurationError(f"unknown checks {unknown}")
+        # each listed check writes its rows once
+        if len(set(checks)) < len(checks):
+            raise ConfigurationError(f"checks {checks} name a check twice")
         lo, hi = (_number(end, "domain") for end in merged["domain"])
         domain = Interval(lo, hi)
         m, k, n_steps = (_number(merged[key], key, count=True)
@@ -168,11 +167,6 @@ def load_config(source: str | Path | dict,
             raise ConfigurationError(
                 f"refine_levels must be 0 or an integer >= 2, "
                 f"not {merged['refine_levels']!r}")
-        # the negative control is on only for a JSON true, never by truthiness
-        corrupt = merged.get("inject_corruption", False)
-        if not isinstance(corrupt, bool):
-            raise ConfigurationError(
-                f"inject_corruption must be a boolean, not {corrupt!r}")
         for section, reads in READS.items():
             merged[section] = dict(merged[section])
             name = merged[section].get("name")
@@ -200,10 +194,9 @@ def load_config(source: str | Path | dict,
                     + rep.context["worst_clause"])
         u0 = _initial(merged["initial"], domain, m)
         cfg = RunConfig(
-            domain=domain, m=m, k=k, mobility=f, u0=u0, tau=tau,
-            n_steps=n_steps, refine_levels=refine_levels,
-            checks=list(checks), out=Path(merged["out"]),
-            inject_corruption=corrupt, raw=merged)
+            k=k, mobility=f, u0=u0, tau=tau, n_steps=n_steps,
+            refine_levels=refine_levels, checks=list(checks),
+            out=Path(merged["out"]), raw=merged)
     except ConfigurationError:
         raise
     # a malformed or wrongly typed value, an infinite count, a domain
@@ -232,7 +225,7 @@ def _certificates(cfg: RunConfig, traj) -> list[CertificateReport]:
             return dg.check_entropy_dissipation_f(traj, f, delta)
         if name == "discrete_weak":
             horizon = cfg.tau * cfg.n_steps
-            phi = TestFunction.cosine(cfg.domain.lo, cfg.domain.hi, k=2)
+            phi = TestFunction.cosine(cfg.u0.domain.lo, cfg.u0.domain.hi, k=2)
             eta = TemporalWeight.smooth_bump(0.1 * horizon, 0.8 * horizon)
             return [dg.check_discrete_weak_f(traj, f, phi, eta)]
 
@@ -300,15 +293,13 @@ def execute(cfg: RunConfig, row: dict | None = None) -> int:
     try:
         energy = MobilityMapEnergy(cfg.mobility)
         jcfg = JkoConfig(tau=cfg.tau, n_steps=cfg.n_steps, k=cfg.k)
-        corrupt = (max(cfg.n_steps // 2, 1),) if cfg.inject_corruption else ()
-        traj = gaps = None
+        gaps = None
         if cfg.refine_levels > 1:
             trajs, gaps = refine_study(cfg.u0, energy, jcfg,
                                        levels=cfg.refine_levels)
-            if not corrupt:  # the study's level 0 is this run, bitwise
-                traj = trajs[0]
-        if traj is None:
-            traj = run(cfg.u0, energy, jcfg, corrupt_steps=corrupt)
+            traj = trajs[0]  # the study's level 0 is this run, bitwise
+        else:
+            traj = run(cfg.u0, energy, jcfg)
         reports = _certificates(cfg, traj)
         summary = _write_outputs(cfg, traj, reports,
                                  time.perf_counter() - t0, gaps)
@@ -336,17 +327,14 @@ def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
     rejected records the error and exit code 2, one that fails at run time
     the error and exit code 3.
     """
-    if axis not in ("tau", "alpha", "eps"):
+    if axis not in AXES:
         raise ConfigurationError(f"unknown sweep axis '{axis}'")
     # an axis the configured run never reads would give identical rows
-    lagrangian = cfg.raw["lagrangian"]["name"]
-    initial = cfg.raw["initial"]["name"]
-    if axis == "alpha" and lagrangian != "power_mobility":
+    section = AXES[axis]
+    entry = section and cfg.raw[section]["name"]
+    if section and axis not in READS[section][entry]:
         raise ConfigurationError(
-            f"sweep axis 'alpha' is not read by lagrangian '{lagrangian}'")
-    if axis == "eps" and initial != "cosine":
-        raise ConfigurationError(
-            f"sweep axis 'eps' is not read by initial datum '{initial}'")
+            f"sweep axis '{axis}' is not read by {section} '{entry}'")
     dirs = [f"{axis}={val:g}" for val in values]
     if len(set(dirs)) < len(dirs):
         raise ConfigurationError(
@@ -356,12 +344,10 @@ def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
     for val, name in zip(values, dirs):
         raw = dict(cfg.raw)
         raw["out"] = str(cfg.out / name)
-        if axis == "tau":
-            raw["tau"] = val
-        elif axis == "alpha":
-            raw["lagrangian"] = {**raw["lagrangian"], "alpha": val}
+        if section is None:
+            raw[axis] = val
         else:
-            raw["initial"] = {**raw["initial"], "eps": val}
+            raw[section] = {**raw[section], axis: val}
         # strict JSON has no NaN or infinity: such a value is kept as text
         row = {axis: val if np.isfinite(val) else str(val)}
         try:
@@ -388,7 +374,6 @@ def main(argv=None) -> int:
     ap.add_argument("--check-all", action="store_true")
     ap.add_argument("--check", action="append", default=None, metavar="NAME")
     ap.add_argument("--sweep", metavar="AXIS=V1,V2,...")
-    ap.add_argument("--inject-corruption", action="store_true")
     args = ap.parse_args(argv)
 
     overrides = {}
@@ -402,8 +387,6 @@ def main(argv=None) -> int:
         overrides["checks"] = list(ALL_CHECKS)
     elif args.check:
         overrides["checks"] = args.check
-    if args.inject_corruption:
-        overrides["inject_corruption"] = True
 
     try:
         cfg = load_config(args.config, overrides)

@@ -409,8 +409,8 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
 
 # --- trajectories ---------------------------------------------------------
 
-def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
-        corrupt_steps: tuple = ()) -> JkoTrajectory:
+def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig
+        ) -> JkoTrajectory:
     """Iterate the scheme n_steps times from u0.
 
     The loop only steps, writing each step's map nodes and energy into its
@@ -425,10 +425,8 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
     distances, from batched passes over the nodes (`w2sq_between_maps`),
     and the grid states, a view of the maps: their rows are pushforwards on
     u0's grid, and the entropies come from array passes over those rows
-    (`per_state`); row 0 is the supplied initial datum verbatim.  A step
-    listed in corrupt_steps copies the previous map instead of minimizing —
-    a negative control that breaks the dissipation certificates downstream.
-    A non-finite Phi(x_0), such as a mobility's constant factor overflowing
+    (`per_state`); row 0 is the supplied initial datum verbatim.  A
+    non-finite Phi(x_0), such as a mobility's constant factor overflowing
     it, raises ConfigurationError before any step.
     """
     dom, n = u0.domain, cfg.n_steps
@@ -452,18 +450,15 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig,
         raise ConfigurationError(
             f"the initial energy is not finite: {energies[0]}")
     for i in range(1, n + 1):
-        if i in corrupt_steps:
-            pos[i], energies[i] = pos[i - 1], energies[i - 1]
-        else:
-            start = None
-            if i > 1:
-                x1, x2 = pos[i - 1, 1:-1], pos[i - 2, 1:-1]
-                start = pos[i - 1].copy()
-                start[1:-1] = (2 * x1 - x2 if i == 2 else
-                               3 * (x1 - x2) + pos[i - 3, 1:-1])
-            pos[i], _, energies[i], traj.converged[i - 1] = jko_step(
-                pos[i - 1], energy, cfg.tau, dom.gap, x_start=start,
-                phi_prev=energies[i - 1])
+        start = None
+        if i > 1:
+            x1, x2 = pos[i - 1, 1:-1], pos[i - 2, 1:-1]
+            start = pos[i - 1].copy()
+            start[1:-1] = (2 * x1 - x2 if i == 2 else
+                           3 * (x1 - x2) + pos[i - 3, 1:-1])
+        pos[i], _, energies[i], traj.converged[i - 1] = jko_step(
+            pos[i - 1], energy, cfg.tau, dom.gap, x_start=start,
+            phi_prev=energies[i - 1])
     for b in _row_blocks(0, n, x.size):
         traj.step_distances[b] = np.sqrt(
             w2sq_between_maps(pos[b.start + 1:b.stop + 1], pos[b]))

@@ -227,9 +227,10 @@ def test_cosine_mode_decays_at_implicit_euler_rate(f, k, K):
 
 # --- supporting controls -----------------------------------------------------
 
-def test_corruption_is_detected():
+def test_corruption_is_detected(copied_steps):
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=8, k=128)
-    traj = run(u0, MobilityMapEnergy(IDENTITY), cfg, corrupt_steps=(4,))
+    with copied_steps(4):
+        traj = run(u0, MobilityMapEnergy(IDENTITY), cfg)
     reports = check_entropy_dissipation_f(traj, IDENTITY, 1.0)
     assert not all(r.passed for r in reports)

@@ -35,7 +35,7 @@ def write_config(tmp_path, extra=None, name="cfg.json"):
 
 def test_defaults_fill_in(tmp_path):
     cfg = load_config(write_config(tmp_path))
-    assert cfg.domain.lo == 0.0 and cfg.domain.hi == 1.0
+    assert cfg.u0.domain.lo == 0.0 and cfg.u0.domain.hi == 1.0
     assert cfg.checks == list(ALL_CHECKS)
     assert cfg.mobility.name == "identity"  # thin film
 
@@ -67,6 +67,20 @@ def test_checks_must_be_a_list_of_names(tmp_path, capsys, checks):
         load_config(path)
     assert main(["--config", str(path)]) == 2
     assert "checks must be a list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_check_listed_twice_rejected(tmp_path, capsys):
+    # a repeated name ran once, one row per step, yet the config echo
+    # listed it twice
+    twice = ["energy_monotone", "energy_monotone"]
+    path = write_config(tmp_path, {"m": 32, "k": 32, "n_steps": 3,
+                                   "checks": twice})
+    assert main(["--config", str(path)]) == 2
+    assert "name a check twice" in capsys.readouterr().err
+    argv = ["--config", str(write_config(tmp_path, {"m": 32, "k": 32}))]
+    assert main(argv + ["--check", "discrete_weak"] * 2) == 2
+    assert "name a check twice" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -236,13 +250,15 @@ def test_huge_constant_passes_entropy_dissipation(tmp_path, m, alpha, C,
 
 
 @pytest.mark.parametrize("lagrangian", ["thin_film", "sqrt_mobility"])
-def test_copied_step_fails_entropy_dissipation(tmp_path, lagrangian):
+def test_copied_step_fails_entropy_dissipation(tmp_path, lagrangian,
+                                               copied_steps):
     # the default config over 20 steps, step 10 a copy of step 9: the
     # rounding term of the tolerance must not cover the copied step
     cfg = load_config({"n_steps": 20, "lagrangian": {"name": lagrangian},
                        "checks": ["entropy_dissipation"],
-                       "inject_corruption": True, "out": str(tmp_path)})
-    assert execute(cfg) == 1
+                       "out": str(tmp_path)})
+    with copied_steps(10):
+        assert execute(cfg) == 1
     lines = (tmp_path / "certificates.csv").read_text().splitlines()[2:]
     assert [int(row[1]) for row in csv.reader(lines) if row[-1] == "0"] == [10]
 
@@ -337,8 +353,8 @@ def test_load_config_rejects_what_the_run_would_coerce(extra, match):
 def test_integral_float_counts_accepted():
     cfg = load_config({**BASE, "m": 64.0, "k": 32.0, "n_steps": 4.0,
                        "refine_levels": 2.0})
-    assert (cfg.m, cfg.k, cfg.n_steps, cfg.refine_levels) == (64, 32, 4, 2)
-    assert all(type(n) is int for n in (cfg.m, cfg.k, cfg.n_steps,
+    assert (cfg.u0.m, cfg.k, cfg.n_steps, cfg.refine_levels) == (64, 32, 4, 2)
+    assert all(type(n) is int for n in (cfg.u0.m, cfg.k, cfg.n_steps,
                                         cfg.refine_levels))
 
 
@@ -617,9 +633,10 @@ def test_runtime_error_prints_its_traceback(tmp_path, monkeypatch, capsys,
     assert err.rstrip().endswith("runtime error: injected failure")
 
 
-def test_corruption_yields_failure_exit(tmp_path):
-    cfg = load_config(write_config(tmp_path), {"inject_corruption": True})
-    assert execute(cfg) == 1
+def test_corruption_yields_failure_exit(tmp_path, copied_steps):
+    cfg = load_config(write_config(tmp_path))
+    with copied_steps(4):  # the middle step of 8
+        assert execute(cfg) == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["n_failed"] > 0
 
@@ -661,10 +678,9 @@ def test_refinement_gaps_in_summary(tmp_path):
     assert len(summary["refinement_gaps"]) == 1
 
 
-@pytest.mark.parametrize("corrupt", [False, True], ids=["plain", "corrupted"])
-def test_refinement_study_level_0_is_the_run(tmp_path, monkeypatch, corrupt):
-    # refine_study's first level has the run's tau, steps and K, so only a
-    # corrupted run is stepped on its own
+def test_refinement_study_level_0_is_the_run(tmp_path, monkeypatch):
+    # refine_study's first level has the run's tau, steps and K, so a study
+    # steps no run of its own
     calls = []
 
     def counted(*args, **kwargs):
@@ -676,12 +692,10 @@ def test_refinement_study_level_0_is_the_run(tmp_path, monkeypatch, corrupt):
     docs = []
     for levels in (0, 3):
         cfg = load_config(write_config(tmp_path, {"refine_levels": levels}),
-                          {"out": str(tmp_path / str(levels)),
-                           "inject_corruption": corrupt})
+                          {"out": str(tmp_path / str(levels))})
         calls.clear()
-        assert execute(cfg) == (1 if corrupt else 0)
-        # one run per level, plus the corrupted run beside a study
-        assert len(calls) == max(levels, 1) + (1 if corrupt and levels else 0)
+        assert execute(cfg) == 0
+        assert len(calls) == max(levels, 1)  # one run per level
         out = tmp_path / str(levels)
         traj = orjson.loads((out / "trajectory.json").read_bytes())
         summary = json.loads((out / "summary.json").read_text())
@@ -913,19 +927,25 @@ def test_main_rejects_the_removed_apriori_check(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_main_corruption_flag(tmp_path):
+def test_main_corruption_flag(tmp_path, copied_steps, capsys):
+    # the negative control is a test fixture, not a command-line flag
     path = write_config(tmp_path)
-    assert main(["--config", str(path), "--inject-corruption"]) == 1
+    with copied_steps(4):
+        assert main(["--config", str(path)]) == 1
+    rejected = write_config(tmp_path, {"out": str(tmp_path / "rejected")})
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(rejected), "--inject-corruption"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --inject-corruption" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "rejected").exists()
 
 
-def test_corruption_in_config_must_be_a_boolean(tmp_path, capsys):
-    assert main(["--config", str(write_config(
-        tmp_path, {"inject_corruption": True}))]) == 1
-    for value in ("no", 1, 0.0, None):
-        path = write_config(tmp_path, {"inject_corruption": value,
-                                       "out": str(tmp_path / "rejected")})
-        assert main(["--config", str(path)]) == 2
-        assert "inject_corruption must be a boolean" in capsys.readouterr().err
+def test_inject_corruption_is_an_unknown_key(tmp_path, capsys):
+    path = write_config(tmp_path, {"inject_corruption": True,
+                                   "out": str(tmp_path / "rejected")})
+    assert main(["--config", str(path)]) == 2
+    assert "unknown config key 'inject_corruption'" in capsys.readouterr().err
     assert not (tmp_path / "rejected").exists()
 
 

@@ -165,7 +165,8 @@ HARD_DATA = {
 @pytest.mark.parametrize("corrupt", [(), (5,)], ids=["genuine", "corrupted"])
 @pytest.mark.parametrize("tau", [1e-6, 1e-4, 1e-2])
 @pytest.mark.parametrize("name", HARD_DATA)
-def test_holder_hard_data_matches_double_loop(name, tau, corrupt):
+def test_holder_hard_data_matches_double_loop(name, tau, corrupt,
+                                              copied_steps):
     # Hoelder continuity, W2(u_i, u_j) <= sqrt(2 Phi(u_0) (lag + 1) tau)
     # with lag = j - i, follows from total_square_distance: the triangle
     # inequality and Cauchy-Schwarz give W2(u_i, u_j) <= sqrt(lag S), with
@@ -174,8 +175,9 @@ def test_holder_hard_data_matches_double_loop(name, tau, corrupt):
     cosine, f = HARD_DATA[name]
     u0 = (GridDensity.bump(UNIT, 64) if cosine is None
           else GridDensity.cosine(UNIT, 64, **cosine))
-    traj = run(u0, MobilityMapEnergy(f), JkoConfig(tau=tau, n_steps=30, k=64),
-               corrupt_steps=corrupt)
+    with copied_steps(*corrupt):
+        traj = run(u0, MobilityMapEnergy(f),
+                   JkoConfig(tau=tau, n_steps=30, k=64))
     assert check_total_square_distance(traj).passed
     s = float(np.sum(traj.step_distances ** 2))
     rel = rounding_factor(traj)
@@ -206,10 +208,11 @@ def test_entropy_dissipation_mobility(mob_traj):
     assert all(r.passed for r in reports)
 
 
-def test_entropy_dissipation_fails_on_corruption():
+def test_entropy_dissipation_fails_on_corruption(copied_steps):
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=6, k=128)
-    traj = run(u0, MobilityMapEnergy(IDENTITY), cfg, corrupt_steps=(3,))
+    with copied_steps(3):
+        traj = run(u0, MobilityMapEnergy(IDENTITY), cfg)
     reports = thin_film_entropy_dissipation(traj)
     assert not reports[2].passed  # frozen step: no entropy drop, full lhs
 

@@ -253,10 +253,11 @@ def test_relaxation_toward_uniform():
         wasserstein2(u0, flat)
 
 
-def test_corruption_breaks_dissipation():
+def test_corruption_breaks_dissipation(copied_steps):
     u0 = GridDensity.cosine(UNIT, 128, eps=0.5, k=2)
     cfg = JkoConfig(tau=1e-4, n_steps=10, k=128)
-    traj = run(u0, thin_film(), cfg, corrupt_steps=(5,))
+    with copied_steps(5):
+        traj = run(u0, thin_film(), cfg)
     assert traj.energies[5] == pytest.approx(traj.energies[4], abs=1e-15)
     assert traj.step_distances[4] == 0.0
 
@@ -317,10 +318,10 @@ def test_run_resamples_in_blocks(extra):
     assert_states_are_pushforwards(traj, u0)
 
 
-def test_run_resamples_corrupted_steps():
+def test_run_resamples_corrupted_steps(copied_steps):
     u0 = GridDensity.cosine(UNIT, 64, eps=0.5, k=1)
-    traj = run(u0, thin_film(), JkoConfig(tau=1e-4, n_steps=4, k=64),
-               corrupt_steps=(1, 3))
+    with copied_steps(1, 3):
+        traj = run(u0, thin_film(), JkoConfig(tau=1e-4, n_steps=4, k=64))
     assert_states_are_pushforwards(traj, u0)
     assert np.array_equal(traj.values[3], traj.values[2])
     # a step's energy is bitwise that of its map, a corrupted one included
@@ -408,13 +409,13 @@ DESCENT_DATA = {
 
 @pytest.mark.parametrize("tau", [1e-6, 1e-4, 1e-2])
 @pytest.mark.parametrize("name", DESCENT_DATA)
-def test_every_step_descends_from_the_previous_map(name, tau):
+def test_every_step_descends_from_the_previous_map(name, tau, copied_steps):
     # Psi(x_n) <= Phi(x_{n-1}), the bound the energy estimates rest on,
     # wherever Newton started; tau = 1e-2 runs to equilibrium
     u0, f, corrupt = DESCENT_DATA[name]
     e = MobilityMapEnergy(f)
-    traj = run(u0, e, JkoConfig(tau=tau, n_steps=30, k=64),
-               corrupt_steps=corrupt)
+    with copied_steps(*corrupt):
+        traj = run(u0, e, JkoConfig(tau=tau, n_steps=30, k=64))
     pos, energies = traj.positions, traj.energies
     for n in range(1, len(pos)):
         psi = _Objective(e, pos[n - 1], tau).value(pos[n])[0]

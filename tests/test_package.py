@@ -144,11 +144,11 @@ def test_readme_config_table_lists_the_keys_the_loader_accepts(tmp_path):
                       README.read_text(), re.M | re.S).group(1)
     documented = {key for row in table.splitlines()[2:]
                   for key in re.findall(r"`(\w+)`", row.split("|")[1])}
-    assert documented == set(cli.KEYS)
+    assert documented == set(cli.DEFAULTS)
     # each of them may be set in a file, and no other key
     for key in [*documented, "undocumented"]:
         path = tmp_path / f"{key}.json"
-        path.write_text(json.dumps({key: cli.DEFAULTS.get(key, False),
+        path.write_text(json.dumps({key: cli.DEFAULTS.get(key, 0),
                                     "m": 32, "k": 32}))
         if key in documented:
             cli.load_config(path)

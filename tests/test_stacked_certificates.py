@@ -127,12 +127,12 @@ CASES += [("identity", "cosine_eps0.9_k1", (6,)), ("sqrt", "bump", (6,))]
 @pytest.fixture(scope="module", params=CASES,
                 ids=[f"{f}-{d}" + ("-corrupt" if c else "")
                      for f, d, c in CASES])
-def case(request):
+def case(request, copied_steps):
     name, datum, corrupt = request.param
     f = MOBILITIES[name]
-    traj = run(DATA[datum](M), MobilityMapEnergy(f),
-               JkoConfig(tau=TAU, n_steps=N_STEPS, k=40),
-               corrupt_steps=corrupt)
+    with copied_steps(*corrupt):
+        traj = run(DATA[datum](M), MobilityMapEnergy(f),
+                   JkoConfig(tau=TAU, n_steps=N_STEPS, k=40))
     return f, traj
 
 
