@@ -5,8 +5,7 @@ from .transport import (ConfigurationError, DegenerateQuantileError,
                         GridDensity, Interval, MonotonicityError,
                         boltzmann_entropy, densities_from_maps,
                         map_from_density)
-from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction,
-                         alpha_window, dissipation_constants,
+from .lagrangian import (MobilitySpec, alpha_window, dissipation_constants,
                          validate_assumption_f)
 from .jko import (JkoConfig, JkoTrajectory, MobilityMapEnergy, jko_step,
                   refine_study, run)

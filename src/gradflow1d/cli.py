@@ -25,8 +25,8 @@ import orjson
 from .report import CSV_HEADER, CSV_SCHEMA_VERSION, CertificateReport
 from .transport import (ConfigurationError, GridDensity, Interval,
                         reject_zero_plateau)
-from .lagrangian import (MobilitySpec, TemporalWeight, TestFunction,
-                         dissipation_constants, validate_assumption_f)
+from .lagrangian import (MobilitySpec, dissipation_constants,
+                         validate_assumption_f)
 from .jko import JkoConfig, MobilityMapEnergy, run, refine_study
 from . import diagnostics as dg
 
@@ -213,26 +213,17 @@ def load_config(source: str | Path | dict,
 
 
 def _certificates(cfg: RunConfig, traj) -> list[CertificateReport]:
-    f = cfg.mobility
-
-    def eval_check(name):
+    f, reports = cfg.mobility, []
+    for name in (c for c in ALL_CHECKS if c in cfg.checks):
         if name == "energy_monotone":
-            return dg.check_energy_monotone(traj)
-        if name == "total_square_distance":
-            return [dg.check_total_square_distance(traj)]
-        if name == "entropy_dissipation":
+            reports += dg.check_energy_monotone(traj)
+        elif name == "total_square_distance":
+            reports.append(dg.check_total_square_distance(traj))
+        elif name == "entropy_dissipation":
             delta = dissipation_constants(f, 1)[1]
-            return dg.check_entropy_dissipation_f(traj, f, delta)
-        if name == "discrete_weak":
-            horizon = cfg.tau * cfg.n_steps
-            phi = TestFunction.cosine(cfg.u0.domain.lo, cfg.u0.domain.hi, k=2)
-            eta = TemporalWeight.smooth_bump(0.1 * horizon, 0.8 * horizon)
-            return [dg.check_discrete_weak_f(traj, f, phi, eta)]
-
-    reports = []
-    for name in ALL_CHECKS:
-        if name in cfg.checks:
-            reports.extend(eval_check(name))
+            reports += dg.check_entropy_dissipation_f(traj, f, delta)
+        elif name == "discrete_weak":
+            reports.append(dg.check_discrete_weak_f(traj, f))
     return reports
 
 

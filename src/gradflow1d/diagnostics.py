@@ -7,13 +7,9 @@ run's stacked map nodes and grid states (`JkoTrajectory`).
 The per-step dissipation and weak-form checks take a mobility f and serve
 every energy of the class: thin film is the identity mobility, for which the
 dissipation constant is delta = 1.  Each report is named after its check.
-
-The per-state parts of the dissipation and weak-form checks are computed
-by array passes over blocks of rows of the (states x M) cell values, about
-RESAMPLE_BLOCK values each (`JkoTrajectory.per_state`): the stencils and
-N_f work along the last axis, and each row of a row reduction is bitwise
-the one-dimensional sum over that state, so the reports equal those of a
-loop over states.
+Their per-state parts are array passes over blocks of rows of the cell
+values (`JkoTrajectory.per_state`) or of the map nodes, each row reduced
+bitwise as alone, so the reports equal those of a loop over states.
 """
 
 from __future__ import annotations
@@ -21,15 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from .report import CertificateReport
-from .transport import ConfigurationError
-from .lagrangian import (U_FLOOR, MobilitySpec, TemporalWeight, TestFunction,
-                         d2, nf_density)
-from .jko import JkoTrajectory
+from .lagrangian import MobilitySpec
+from .jko import JkoTrajectory, MobilityMapEnergy, _row_blocks
 
-SLACK_FACTOR = 2.0   # headroom on the discrete weak-formulation envelopes
-BETA = 1e-3          # entropy weight on the same envelopes
+U_FLOOR = 1e-12  # density clip before mobility derivatives near vacuum
 INNER_TOL = 1e-10    # relative energy tolerance of energy_monotone
 DISTANCE_MARGIN = 1.001  # margin of total_square_distance
+WEAK_MODES = (1, 2, 3)  # j of the test functions cos(j pi (x - lo) / L)
 
 
 # --- classical trajectory estimates ---------------------------------------
@@ -52,6 +46,12 @@ def check_total_square_distance(traj: JkoTrajectory) -> CertificateReport:
 
 
 # --- per-step dissipation certificates ------------------------------------
+
+def d2(w: np.ndarray, h: float) -> np.ndarray:
+    """Central second difference, reflecting ends, along the last axis."""
+    wg = np.concatenate([w[..., :1], w, w[..., -1:]], axis=-1)
+    return (wg[..., 2:] - 2 * wg[..., 1:-1] + wg[..., :-2]) / h ** 2
+
 
 def check_entropy_dissipation_f(traj: JkoTrajectory, f: MobilitySpec,
                                 delta: float) -> list[CertificateReport]:
@@ -90,57 +90,75 @@ def check_entropy_dissipation_f(traj: JkoTrajectory, f: MobilitySpec,
         for i in range(traj.n_steps)]
 
 
-# --- discrete weak formulations -------------------------------------------
+# --- discrete weak formulation in the map nodes ----------------------------
 
-def _quadratures(a: np.ndarray, h: float) -> tuple:
-    """Midpoint sums h sum(a) and h sum(|a|) of each row of a stack."""
-    return h * np.sum(a, axis=-1), h * np.sum(np.abs(a), axis=-1)
+def weak_terms(traj: JkoTrajectory, f: MobilitySpec) -> tuple:
+    """The (modes x steps) residuals, bounds and rounding terms of
+    `check_discrete_weak_f`, over blocks of map rows (`_row_blocks`)."""
+    eps, dom = np.finfo(float).eps, traj.grid.domain
+    pos, energy = traj.positions, MobilityMapEnergy(f)
+    k = pos.shape[-1] - 1
+    om = np.array(WEAK_MODES)[:, None] * np.pi / dom.length
+    sigma = (2 + 3 * om * dom.length) * eps  # the rounding of each sine
+
+    def node_terms(x):
+        # nodes on axis 0 for the gradient, then rows again for the sums
+        pt = energy.point(x.T)
+        g = energy.value_and_grad(x.T, pt)[1].T
+        dx, u, w1 = pt.dx.T, pt.u.T, np.abs(pt.w1.T)
+        sines = np.sin(om[:, :, None] * (x - dom.lo))
+        mass = np.sum((sines[..., 1:] - sines[..., :-1]) / dx, axis=-1)
+        w = f.f(u)  # R = (W(a) + W(b)) / s >= |r|, as f >= 0
+        big_r = (w[:, :-1] + w[:, 1:]) / pt.s.T
+        q = np.sum(big_r * (w1[:, :-1] + w1[:, 1:] + big_r), axis=-1)
+        return (mass / (k * om), -om * np.sum(g * sines[..., 1:-1], axis=-1),
+                2 * sigma / om * np.sum(u, axis=-1) + (k + 6) * eps,
+                om * ((sigma + (k + 5) * eps) * np.sum(np.abs(g), axis=-1)
+                      + 80 * eps * q), np.max(dx, axis=-1) ** 2)
+
+    parts = [node_terms(pos[b]) for b in _row_blocks(0, len(pos), k + 1)]
+    mass, grad, mass_err, grad_err, dx2 = (np.concatenate(p, axis=-1)
+                                           for p in zip(*parts))
+    tau, w2 = traj.tau, traj.step_distances
+    return (mass[:, 1:] - mass[:, :-1] + tau * grad[:, 1:],
+            0.5 * om ** 2 * w2 ** 2 + om ** 3 / 8 * dx2[1:] * w2,
+            mass_err[:, 1:] + mass_err[:, :-1] + tau * grad_err[:, 1:])
 
 
-def check_discrete_weak_f(traj: JkoTrajectory, f: MobilitySpec,
-                          phi: TestFunction,
-                          eta: TemporalWeight) -> CertificateReport:
-    """Two-sided discrete weak formulation for the mobility class.
+def check_discrete_weak_f(traj: JkoTrajectory,
+                          f: MobilitySpec) -> CertificateReport:
+    """Per step n and mode j, the weak formulation in the map nodes:
+    |int phi d(u_n - u_{n-1}) + tau <grad Phi(x_n), xi_n>| <= 1/2 w^2 W2(n)^2
+    + w^3 / 8 max dX_n^2 W2(n), for phi = cos(w (x - lo)), w = j pi / L
+    (`WEAK_MODES`), xi_n = phi' at x_n's interior nodes, W2(n) the step's
+    distance.
 
-    The transport + operator sum
-    mid = sum_n (eta_n - eta_{n+1}) int u_n phi - eta_1 int u_0 phi
-          + tau sum_n eta_n int N_f(u_n),
-    summed by parts from sum_n eta_n int (u_n - u_{n-1}) phi (the boundary
-    term at u_0 is nonzero when eta starts before the first step), is
-    sandwiched by the SLACK_FACTOR kappa tau Phi(u_0) envelope tightened by
-    BETA-weighted entropy differences with |eta|:
-    -env + B <= mid <= env - B where B = BETA sum (|eta|_n - |eta|_{n+1}) Ent_n.
-    The tolerance is the floating-point error bound of mid,
-    (M + n_steps + 2) eps times the same sums over absolute terms, so a
-    stationary datum (env = 0, mid at rounding level) passes.
+    Tested against xi_n, step n's Euler-Lagrange equation is
+    <M (x_n - x_{n-1}), xi_n> = -tau <grad Phi(x_n), xi_n> up to the
+    solver's residual, M the P1 mass matrix in the mass variable m.  By
+    Taylor's theorem, int phi d(u_n - u_{n-1}) is within 1/2 sup|phi''|
+    W2(n)^2 of int phi'(X_n) (X_n - X_{n-1}) dm, which the P1 interpolation
+    of phi' o X_n in m puts within sup|phi'''| max dX_n^2 / 8 times
+    int |X_n - X_{n-1}| dm <= W2(n) of the mass-matrix product.  On the map,
+    int phi du_n = dm sum_i (S_{i+1} - S_i) / (w dX_i) exactly, with
+    S = sin(w (x - lo)), and xi = -w S.
+
+    The tolerance bounds the rounding of the left side.  Each S is within
+    sigma = (2 + 3 j pi) eps, so int phi du_n within 2 sigma / w sum_i u_i
+    + (K + 6) eps.  In the gradient, W = f(u) is within 4 eps, d = W(b) -
+    W(a) within 5 eps (W(a) + W(b)), r = d / s within 7 eps R for
+    R = (W(a) + W(b)) / s, each interface term within 18 eps R (2 |W'| + R),
+    and the nodal errors sum to at most 80 eps Q, Q = sum R (|W'(a)| +
+    |W'(b)| + R); so tau <g, xi> is within tau w ((sigma + (K + 5) eps)
+    sum |g_i| + 80 eps Q).  One report, at the step and mode of the largest
+    |residual| / (bound + rounding), gives that |residual|, its bound and
+    its rounding.  It reads the map nodes, step distances, tau and domain.
     """
-    if eta.support_hi > traj.times[-1] + 1e-12:
-        raise ConfigurationError("temporal weight support exceeds the horizon")
-    tau = traj.tau
-    grid = traj.grid
-    # array passes over the step times and the stacked states u_1 .. u_N
-    eta_n = eta(np.arange(1, traj.n_steps + 2) * tau)
-    h = grid.h
-    phi_mid = phi.f(grid.midpoints)
-    mass_phi, abs_phi, nvals, abs_nf = traj.per_state(
-        lambda v: (_quadratures(v * phi_mid, h)
-                   + _quadratures(nf_density(f, grid, phi, v), h)), first=1)
-    mass0, abs0 = _quadratures(traj.values[0] * phi_mid, h)
-    d_eta = eta_n[:-1] - eta_n[1:]
-    t_transport = float(np.sum(d_eta * mass_phi))
-    t_operator = float(tau * np.sum(eta_n[:-1] * nvals))
-    mid = t_transport + t_operator - float(eta_n[0] * mass0)
-    abs_eta = np.abs(eta_n)
-    rounding = float((grid.m + traj.n_steps + 2) * np.finfo(float).eps
-                     * (np.sum(np.abs(d_eta) * abs_phi) + abs_eta[0] * abs0
-                        + tau * np.sum(abs_eta[:-1] * abs_nf)))
-    ent = traj.entropies[1:traj.n_steps + 1]
-    bterm = float(BETA * np.sum((abs_eta[:-1] - abs_eta[1:]) * ent))
-    kappa = phi.sup_d2()
-    env = SLACK_FACTOR * kappa * tau * eta.c0_norm * traj.energies[0]
-    lower, upper = -env + bterm, env - bterm
-    violation = max(lower - mid, mid - upper)
+    res, bound, rounding = weak_terms(traj, f)
+    ratio = np.abs(res) / (bound + rounding)
+    j, n = np.unravel_index(np.argmax(ratio), ratio.shape)
     return CertificateReport(
-        name="discrete_weak", lhs=violation, rhs=0.0, tolerance=rounding,
-        context={"mid": mid, "lower": lower, "upper": upper, "beta": BETA,
-                 "kappa": kappa, "tau": tau})
+        name="discrete_weak", lhs=float(abs(res[j, n])),
+        rhs=float(bound[j, n]), tolerance=float(rounding[j, n]),
+        step=int(n) + 1,
+        context={"mode": WEAK_MODES[j], "ratio": float(ratio[j, n])})

@@ -159,7 +159,8 @@ class MobilityMapEnergy:
     def value_and_grad(self, x, pt=None):
         """The energy and its gradient in the interior nodes x[1:-1], from
         x's record pt (built when None), to which f'(u) and W'(t) are
-        added for the Hessian."""
+        added for the Hessian.  x may hold one map per column (nodes on
+        axis 0): each gradient column is bitwise that map's."""
         pt = pt or self.point(x)
         dx, u, r = pt.dx, pt.u, pt.r
         pt.f1 = f1 = self.f.f1(u)
@@ -172,7 +173,7 @@ class MobilityMapEnergy:
         two = 2 * w1
         ta = r * (two[:-1] + r)
         tb = r * (two[1:] - r)
-        g_dx = np.empty(len(dx))
+        g_dx = np.empty_like(dx)
         np.subtract(tb[:-1], ta[1:], out=g_dx[1:-1])
         g_dx[0], g_dx[-1] = -ta[0], tb[-1]
         return pt.phi, g_dx[:-1] - g_dx[1:]

@@ -1,23 +1,25 @@
 """The per-state certificates evaluated in one pass over the stacked states
 must give bitwise what their per-state loops gave.
 
-Below are those loops verbatim, with the one-dimensional helpers they called,
-as references; they read each state as its own GridDensity, rebuilt from
-its row of the trajectory's values.  Row reductions along the last axis of a contiguous stack sum
-each row exactly as the one-dimensional reduction does, so equality is
-required bit for bit, not within a tolerance.
+Below are those loops, with the one-dimensional helpers they called, as
+references: the dissipation loop verbatim, reading each state as its own
+GridDensity rebuilt from its row of the trajectory's values, and the weak
+form one map at a time.  Row reductions along the last axis of a contiguous
+stack sum each row exactly as the one-dimensional reduction does, so
+equality is required bit for bit, not within a tolerance.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gradflow1d import jko
 from gradflow1d import (GridDensity, Interval, JkoConfig, MobilityMapEnergy,
-                        MobilitySpec, TemporalWeight, TestFunction,
-                        boltzmann_entropy, check_discrete_weak_f,
+                        MobilitySpec, boltzmann_entropy, check_discrete_weak_f,
                         check_entropy_dissipation_f, dissipation_constants,
                         run)
-from gradflow1d.lagrangian import U_FLOOR, d1, d2, nf_density
+from gradflow1d.diagnostics import U_FLOOR, WEAK_MODES, d2, weak_terms
 from gradflow1d.transport import w2sq_between_maps
 
 UNIT = Interval(0.0, 1.0)
@@ -25,23 +27,9 @@ UNIT = Interval(0.0, 1.0)
 
 # --- the one-dimensional helpers and per-state loops, verbatim --------------
 
-def _ref_d1(w, h):
-    wg = np.concatenate([[w[0]], w, [w[-1]]])
-    return (wg[2:] - wg[:-2]) / (2 * h)
-
-
 def _ref_d2(w, h):
     wg = np.concatenate([[w[0]], w, [w[-1]]])
     return (wg[2:] - 2 * wg[1:-1] + wg[:-2]) / h ** 2
-
-
-def _ref_nf_density(f, u, phi):
-    v = np.maximum(u.values, U_FLOOR)
-    h = u.h
-    x = u.midpoints
-    w = f.f(v)
-    wp, wpp = _ref_d1(w, h), _ref_d2(w, h)
-    return wpp * wp * phi.d1(x) + v * f.f1(v) * wpp * phi.d2(x)
 
 
 def _ref_boltzmann_entropy(u):
@@ -75,35 +63,43 @@ def _ref_entropy_dissipation(traj, f, delta):
     return out
 
 
-def _ref_discrete_weak(traj, f, phi, eta, beta=1e-3, slack_factor=2.0):
-    tau = traj.tau
-    states = _states(traj)[1:traj.n_steps + 1]
-    eta_n = np.array([eta(n * tau) for n in range(1, traj.n_steps + 2)])
-    uphi = [u.values * phi.f(u.midpoints) for u in states]
-    nf = [_ref_nf_density(f, u, phi) for u in states]
-    h = states[0].h
-    mass_phi = np.array([h * np.sum(a) for a in uphi])
-    nvals = np.array([h * np.sum(n) for n in nf])
-    d_eta = eta_n[:-1] - eta_n[1:]
-    t_transport = float(np.sum(d_eta * mass_phi))
-    t_operator = float(tau * np.sum(eta_n[:-1] * nvals))
-    # the summation-by-parts boundary term at u_0
-    uphi0 = traj.values[0] * phi.f(states[0].midpoints)
-    mid = t_transport + t_operator - float(eta_n[0] * (h * np.sum(uphi0)))
-    abs_eta = np.abs(eta_n)
-    abs_phi = np.array([h * np.sum(np.abs(a)) for a in uphi])
-    abs_nf = np.array([h * np.sum(np.abs(n)) for n in nf])
-    rounding = float((states[0].m + traj.n_steps + 2) * np.finfo(float).eps
-                     * (np.sum(np.abs(d_eta) * abs_phi)
-                        + abs_eta[0] * (h * np.sum(np.abs(uphi0)))
-                        + tau * np.sum(abs_eta[:-1] * abs_nf)))
-    ent = traj.entropies[1:traj.n_steps + 1]
-    bterm = float(beta * np.sum((abs_eta[:-1] - abs_eta[1:]) * ent))
-    kappa = phi.sup_d2()
-    env = slack_factor * kappa * tau * eta.c0_norm * traj.energies[0]
-    lower, upper = -env + bterm, env - bterm
-    violation = max(lower - mid, mid - upper)
-    return violation, rounding, mid, lower, upper
+def _ref_discrete_weak(traj, f):
+    """The weak form's residuals, bounds and rounding from per-map sums,
+    one map and one mode at a time, and the report's worst entry."""
+    eps = np.finfo(float).eps
+    lo, length = traj.grid.domain.lo, traj.grid.domain.length
+    energy = MobilityMapEnergy(f)
+    k = traj.positions.shape[-1] - 1
+    modes = np.array(WEAK_MODES) * np.pi / length
+    n_maps = len(traj.positions)
+    mass, grad, mass_err, grad_err = np.empty((4, len(modes), n_maps))
+    dx2 = np.empty(n_maps)
+    for n, x in enumerate(traj.positions):
+        pt = energy.point(x)
+        g = energy.value_and_grad(x, pt)[1]
+        for j, om in enumerate(modes):
+            sines = np.sin(om * (x - lo))
+            mass[j, n] = np.sum((sines[1:] - sines[:-1]) / pt.dx) / (k * om)
+            grad[j, n] = -om * np.sum(g * sines[1:-1])
+        w = f.f(pt.u)
+        big_r = (w[:-1] + w[1:]) / pt.s
+        q = np.sum(big_r * (np.abs(pt.w1[:-1]) + np.abs(pt.w1[1:])
+                            + big_r))
+        for j, om in enumerate(modes):
+            sigma = (2 + 3 * om * length) * eps
+            mass_err[j, n] = 2 * sigma / om * np.sum(pt.u) + (k + 6) * eps
+            grad_err[j, n] = om * ((sigma + (k + 5) * eps) * np.sum(np.abs(g))
+                                   + 80 * eps * q)
+        dx2[n] = np.max(pt.dx) ** 2
+    # the per-step combination, elementwise as in the check
+    om, tau, w2 = modes[:, None], traj.tau, traj.step_distances
+    res = mass[:, 1:] - mass[:, :-1] + tau * grad[:, 1:]
+    bound = 0.5 * om ** 2 * w2 ** 2 + om ** 3 / 8 * dx2[1:] * w2
+    rounding = mass_err[:, 1:] + mass_err[:, :-1] + tau * grad_err[:, 1:]
+    ratio = np.abs(res) / (bound + rounding)
+    j, n = np.unravel_index(np.argmax(ratio), ratio.shape)
+    worst = (abs(res[j, n]), bound[j, n], rounding[j, n], ratio[j, n])
+    return (res, bound, rounding), worst, n + 1, WEAK_MODES[j]
 
 
 def _bits(*values):
@@ -177,26 +173,33 @@ def test_entropy_dissipation_matches_loop(case, block):
                      rep.context["entropy_drop"]) == _bits(lhs, rhs, tol, dent)
 
 
-def assert_discrete_weak_matches_loop(case, eta):
-    f, traj = case
-    phi = TestFunction.cosine(0.0, 1.0, k=2)
-    rep = check_discrete_weak_f(traj, f, phi, eta)
-    c = rep.context
-    assert (_bits(rep.lhs, rep.tolerance, c["mid"], c["lower"], c["upper"])
-            == _bits(*_ref_discrete_weak(traj, f, phi, eta)))
+def assert_discrete_weak_matches_loop(f, traj):
+    rep = check_discrete_weak_f(traj, f)
+    arrays, worst, step, mode = _ref_discrete_weak(traj, f)
+    for got, ref in zip(weak_terms(traj, f), arrays):
+        assert _bits(*got.ravel()) == _bits(*ref.ravel())
+    assert (rep.step, rep.context["mode"]) == (step, mode)
+    assert (_bits(rep.lhs, rep.rhs, rep.tolerance, rep.context["ratio"])
+            == _bits(*worst))
+    return rep
 
 
 def test_discrete_weak_matches_loop(case, block):
-    eta = TemporalWeight.smooth_bump(0.1 * N_STEPS * TAU, 0.8 * N_STEPS * TAU)
-    assert_discrete_weak_matches_loop(case, eta)
+    assert_discrete_weak_matches_loop(*case)
 
 
 def test_discrete_weak_boundary_term_matches_loop(case, block):
-    # a weight that is nonzero at the first step time: the summation-by-parts
-    # term at u_0 enters mid and its rounding bound
-    eta = TemporalWeight.smooth_bump(0.05 * N_STEPS * TAU, 0.8 * N_STEPS * TAU)
-    assert eta(TAU) > 0
-    assert_discrete_weak_matches_loop(case, eta)
+    # the term at u_0: only step 1 reads row 0, the initial map.  With each
+    # interior node of that map moved right by 0.3 of its narrower cell, on
+    # the first five steps (before any copied step), step 1 is the worst
+    # entry, and its report must still match the loop's
+    f, traj = case
+    pos = traj.positions[:6].copy()
+    dx = np.diff(pos[0])
+    pos[0, 1:-1] += 0.3 * np.minimum(dx[:-1], dx[1:])
+    moved = replace(traj, positions=pos,
+                    step_distances=traj.step_distances[:5])
+    assert assert_discrete_weak_matches_loop(f, moved).step == 1
 
 
 def test_zero_steps_give_no_dissipation_rows(block):
@@ -213,29 +216,33 @@ def test_zero_steps_give_no_dissipation_rows(block):
 def test_helpers_work_row_by_row(m):
     rng = np.random.default_rng(m)
     stack = rng.uniform(0.0, 2.0, (7, m))
-    stack[1, :m // 3] = 0.0          # a vacuum: 0 log 0 and the U_FLOOR clip
+    stack[1, :m // 3] = 0.0          # a vacuum: 0 log 0
     stack[2] = 1.0                   # log 1 = 0 everywhere
     u = GridDensity.uniform(UNIT, m)
     h = u.h
-    phi = TestFunction.cosine(0.0, 1.0, k=3)
-    f = MOBILITIES["power0.7"]
     for i, row in enumerate(stack):
-        assert _bits(*d1(stack, h)[i]) == _bits(*d1(row, h)) \
-            == _bits(*_ref_d1(row, h))
         assert _bits(*d2(stack, h)[i]) == _bits(*d2(row, h)) \
             == _bits(*_ref_d2(row, h))
         ui = GridDensity(UNIT, row * (m / row.sum()))
         scaled = stack * (m / stack.sum(axis=-1, keepdims=True))
-        assert (_bits(*nf_density(f, u, phi, scaled)[i])
-                == _bits(*nf_density(f, ui, phi, ui.values))
-                == _bits(*_ref_nf_density(f, ui, phi)))
         assert (_bits(boltzmann_entropy(u, scaled)[i])
                 == _bits(boltzmann_entropy(ui, ui.values))
                 == _bits(_ref_boltzmann_entropy(ui)))
 
 
-@pytest.mark.parametrize("tau", [1e-6, 3e-5, 1e-4, 1e-2])
-def test_temporal_weight_on_an_array_of_times(tau):
-    eta = TemporalWeight.smooth_bump(0.1 * 300 * tau, 0.8 * 300 * tau)
-    loop = np.array([eta(n * tau) for n in range(1, 302)])
-    assert _bits(*eta(np.arange(1, 302) * tau)) == _bits(*loop)
+@pytest.mark.parametrize("k", [64, 1024])
+@pytest.mark.parametrize("name", MOBILITIES)
+def test_gradient_of_a_transposed_block_is_the_per_map_gradient(name, k):
+    # the weak form's gradient pass: a block of maps, nodes on axis 0 and
+    # one map per column, against one call per map, bit for bit; the maps
+    # have cell widths within a factor 3 and share their walls
+    rng = np.random.default_rng(k)
+    widths = rng.uniform(0.5, 1.5, (9, k))
+    maps = np.concatenate([np.zeros((9, 1)), np.cumsum(widths, axis=-1)],
+                          axis=-1)
+    maps /= maps[:, -1:]
+    energy = MobilityMapEnergy(MOBILITIES[name])
+    block = energy.value_and_grad(maps.T)[1]
+    assert block.shape == (k - 1, 9)
+    for i, x in enumerate(maps):
+        assert _bits(*block[:, i]) == _bits(*energy.value_and_grad(x)[1])

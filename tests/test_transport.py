@@ -9,9 +9,9 @@ from scipy.interpolate import CubicSpline, PPoly
 
 from gradflow1d import (ConfigurationError, DegenerateQuantileError,
                         GridDensity, Interval, JkoConfig, MobilityMapEnergy,
-                        MobilitySpec, MonotonicityError, TemporalWeight,
-                        boltzmann_entropy, densities_from_maps,
-                        map_from_density, run, transport)
+                        MobilitySpec, MonotonicityError, boltzmann_entropy,
+                        densities_from_maps, map_from_density, run,
+                        transport)
 from gradflow1d.transport import (MASS_TOL, _bracketed_inverse,
                                   _spline_coefficients, w2sq_between_maps)
 from quantiles import cdf_at_edges, mass, p1_cdf, quantile, wasserstein2
@@ -94,10 +94,7 @@ def test_from_samples_normalizes():
     (lambda: GridDensity.from_samples(UNIT, np.zeros(8)), "zero-mass"),
     (lambda: GridDensity.cosine(UNIT, 8, eps=1.0), "amplitude"),
     (lambda: map_from_density(GridDensity.uniform(UNIT, 8), 7), "K >= 8"),
-    (lambda: TemporalWeight(f=lambda t: float(t > 0), support_lo=0.1,
-                            support_hi=0.2, c0_norm=1.0), "past support"),
-], ids=["non_finite_sample", "zero_mass", "cosine_eps", "k_below_8",
-        "weight_past_support"])
+], ids=["non_finite_sample", "zero_mass", "cosine_eps", "k_below_8"])
 def test_invalid_input_rejected(make, match):
     with pytest.raises(ConfigurationError, match=match):
         make()
