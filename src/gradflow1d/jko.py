@@ -266,6 +266,14 @@ def _norm(g):
     return float(top) * math.sqrt(r @ r)
 
 
+def _stationary(x, g, H) -> bool:
+    """Whether x, with gradient g and Hessian band block H, is stationary
+    to working precision: each gradient component is within what moving
+    the nodes by one ulp of the domain scale changes it by."""
+    ulp = np.spacing(max(abs(x[0]), abs(x[-1])))
+    return bool((np.abs(g) <= ulp * np.abs(H).sum(axis=0)).all())
+
+
 # LAPACK's banded LU takes the band with BW fill-in rows above it, which it
 # sets itself: entry (i, j) of the matrix sits at ab[2 BW + i - j, j].
 def _factor(ab, band, lam):
@@ -304,6 +312,12 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     gradient with that LU (a chord step); a direction that meets this rule
     ends the solve the same way, and one that does not is discarded before
     the new point's Hessian is assembled.  A damped LU is never reused.
+    An accepted step that decreases Psi by less than FTOL relatively ends
+    the solve as converged, except a damped one that does not decrease it
+    at all (a stall): the solve goes on undamped, and if x is stationary
+    to working precision (the test that also judges a solve that runs out
+    of iterations), the undamped direction is tried as the last step only
+    and the solve ends as converged either way.
 
     Line-search trials make the value pass only, from the cell widths of
     their feasibility check; an accepted point keeps its record for its
@@ -336,6 +350,8 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     # the pivots of ab while it holds the LU of the previous point's
     # undamped Hessian, None otherwise
     piv = None
+    # whether the last accepted step was damped and Psi rounded it away
+    stalled = False
     converged = gnorm <= GTOL
     for _ in range(MAX_ITER if not converged else 0):
         mg = -g
@@ -350,15 +366,18 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         if not final:
             H = energy.hessian(pt, obj.mass)
             finite = np.isfinite(H).all() and np.isfinite(g).all()
+            # after a stall at a stationary x, the undamped direction is
+            # tried as the last step only, and the solve ends either way
+            last = stalled and _stationary(x, g, H)
         # no trial without a finite system, or once lam cannot grow
-        for _trial in range(30 if not final and finite else 0):
+        for _trial in range(0 if final or not finite else 1 if last else 30):
             piv = _factor(ab, H, lam)
             p = None if piv is None else _gbtrs(ab, BW, BW, mg, piv)[0]
             if p is not None and (slope := p @ g) < -1e-30:
                 # an undamped step that predicts less than FTOL of decrease
                 # is the last one
                 final = lam == 0 and -0.5 * slope <= small
-                if final:
+                if final or last:
                     break
                 alpha = 1.0
                 for _ in range(40):
@@ -388,23 +407,23 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
             converged = True
             break
         if not moved:
+            converged = last
             break
         if lam:  # never reuse a damped LU
             piv = None
         df = f - fn
+        # a damped step whose Psi rounds to the previous value says nothing
+        # about x: Newton goes on undamped
+        stalled = lam > 0 and df <= 0
         x, f, phi, pt = xn, fn, ptn.phi, ptn
         g = obj.grad(x, pt)
-        lam *= 0.1
-        if _norm(g) < GTOL * gref or df < FTOL * max(abs(f), 1e-30):
+        lam = 0.0 if stalled else 0.1 * lam
+        if _norm(g) < GTOL * gref or (
+                df < FTOL * max(abs(f), 1e-30) and not stalled):
             converged = True
             break
-    if not converged:
-        # stalled in rounding noise near equilibrium: x is still stationary
-        # to working precision if each gradient component is within what
-        # moving the nodes by one ulp of the domain scale changes it by
-        ulp = np.spacing(max(abs(x[0]), abs(x[-1])))
-        row = np.abs(energy.hessian(pt, obj.mass)).sum(axis=0)
-        converged = bool((np.abs(g) <= ulp * row).all())
+    if not converged:  # stalled in rounding noise near equilibrium
+        converged = _stationary(x, g, energy.hessian(pt, obj.mass))
     return x, f, phi, converged
 
 
