@@ -90,7 +90,9 @@ def _ref_discrete_weak(traj, f):
             mass_err[j, n] = 2 * sigma / om * np.sum(pt.u) + (k + 6) * eps
             grad_err[j, n] = om * ((sigma + (k + 5) * eps) * np.sum(np.abs(g))
                                    + 80 * eps * q)
-        dx2[n] = np.max(pt.dx) ** 2
+        # squared as the check squares its array of widths: a numpy
+        # scalar's ** 2 calls libm pow, which is not correctly rounded
+        dx2[n] = np.square(np.max(pt.dx))
     # the per-step combination, elementwise as in the check
     om, tau, w2 = modes[:, None], traj.tau, traj.step_distances
     res = mass[:, 1:] - mass[:, :-1] + tau * grad[:, 1:]
