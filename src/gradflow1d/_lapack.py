@@ -1,7 +1,7 @@
 """The three LAPACK routines of the solver, taken from scipy's `_flapack`.
 
-`dgbtrf` and `dgbtrs` factor and solve each JKO step's banded Newton system
-(`jko`); `dgtsv` solves the tridiagonal spline systems of resampling
+`dpbtrf` and `dpbtrs` Cholesky-factor and solve each JKO step's banded
+symmetric positive definite Newton system (`jko`); `dgtsv` solves the tridiagonal spline systems of resampling
 (`transport`).  They are the f2py functions that scipy.linalg's
 `get_lapack_funcs` returns for float64 arrays, but the extension is loaded
 by file: importing scipy.linalg runs its package `__init__`, which imports
@@ -37,4 +37,4 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgbtrf, dgbtrs, dgtsv = _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dgtsv
+dpbtrf, dpbtrs, dgtsv = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dgtsv

@@ -5,7 +5,10 @@ the transport term is exactly quadratic in this parametrization and mass /
 nonnegativity are automatic.  The domain is fixed, so the two end nodes stay
 on the walls and the unknowns are the interior nodes.  The inner solver is a
 damped banded Newton method on the interior block of the exact pentadiagonal
-Hessian, assembled from one local interface kernel.  It starts from the
+Hessian, assembled from one local interface kernel.  Every Newton system is
+symmetric positive definite or damped until it is: it is factored by
+banded Cholesky, and a system that is not SPD grows the Levenberg damping,
+so each direction descends (modified Newton).  It starts from the
 second-order extrapolation 3 x_{n-1} - 3 x_{n-2} + x_{n-3} (the linear
 2 x_1 - x_0 at step 2) when every cell of that map is wider than the
 minimum gap and its Psi is below Phi(x_{n-1}), and from x_{n-1} otherwise.
@@ -13,8 +16,9 @@ An undamped Newton step that predicts less than FTOL of relative decrease
 is the last one: it is taken whole if it keeps every cell and Psi at most
 Phi(x_{n-1}), and the solve stops without another gradient.  After an
 accepted undamped step, the new gradient is first solved with that step's
-LU (the chord direction): if it is such a last step it is taken as one, and
-no Hessian is assembled at the new point; otherwise it is discarded.  So
+Cholesky factor (the chord direction): if it is such a last step it is
+taken as one, and no Hessian is assembled at the new point; otherwise it
+is discarded.  So
 every step ends with Psi(x_n) <= Phi(x_{n-1}), the descent that the
 discrete energy estimates need, and a step that converges in one Newton
 iteration factors one Hessian.  Each Newton point's arrays are built once,
@@ -24,7 +28,8 @@ from x_{n-1}.  Line-search trials make that pass only.  An accepted point
 keeps its trial's record; its gradient and at most one Hessian read it and
 are built for the interior nodes only.  The Hessian is written straight
 into its interior band block, checked finite once for all its trials, and
-factored by LAPACK gbtrf in one work array, which the chord step reuses.
+its lower band, scaled by a power of two fixed for the step, is factored
+by LAPACK pbtrf in one work array, which the chord step reuses.
 A run is kept as two stacked arrays, one row per step: the map nodes and
 their pushforwards' cell values.  After the stepping loop, the step
 distances, the grid states and the entropies are computed by array passes
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dgbtrf as _gbtrf, dgbtrs as _gbtrs
+from ._lapack import dpbtrf as _pbtrf, dpbtrs as _pbtrs
 from .transport import (ConfigurationError, GridDensity, boltzmann_entropy,
                         densities_from_maps, map_from_density,
                         w2sq_between_maps)
@@ -224,13 +229,22 @@ class _Objective:
     """Phi(x) + W2^2(x#, x_prev#)/(2 tau) over maps with x_prev's walls.
     The transport term is exactly quadratic in the nodes: W2^2 is dm/3 times
     the sum over cells of a^2 + ab + b^2, with a and b the displacements of
-    the cell's nodes, and its Hessian is dm/(6 tau) tridiag(1, 4, 1)."""
+    the cell's nodes, and its Hessian is dm/(6 tau) tridiag(1, 4, 1).
+
+    `scale` is the power of two 2^-e by which each Newton system is scaled
+    before it is factored: e is the binary exponent of the mass coefficient
+    dm/(6 tau), which 2^-e brings into [1/2, 1), or 0 where that
+    coefficient is below 1/2, so that a system is never scaled up (and
+    never overflows).  Dilating the domain by a power of two scales the
+    coefficient and the whole Hessian by one power of two, so the scaled
+    systems, and their Cholesky factors, keep the same bits."""
 
     def __init__(self, energy: MobilityMapEnergy, x_prev: np.ndarray,
                  tau: float):
         self.energy, self.x_prev, self.tau = energy, x_prev, tau
         self.c = 1.0 / (len(x_prev) - 1) / 3.0
         self.mass = 1.0 / (6.0 * (len(x_prev) - 1) * tau)
+        self.scale = 2.0 ** -max(math.frexp(self.mass)[1], 0)
 
     def value(self, x, dx=None) -> tuple[float, _Point]:
         """The objective value and x's record, whose phi is the energy
@@ -274,17 +288,21 @@ def _stationary(x, g, H) -> bool:
     return bool((np.abs(g) <= ulp * np.abs(H).sum(axis=0)).all())
 
 
-# LAPACK's banded LU takes the band with BW fill-in rows above it, which it
-# sets itself: entry (i, j) of the matrix sits at ab[2 BW + i - j, j].
-def _factor(ab, band, lam):
-    """LU-factor H + lam I on the interior nodes, whose finite band block is
-    `band` (LAPACK ignores its corners outside the block), in place in the
-    Fortran-ordered (3 BW + 1, n - 2) work array ab.  Returns the pivots
-    that `_gbtrs` takes with ab, or None where the system is singular."""
-    ab[BW:] = band
-    ab[2 * BW] += lam
-    _, piv, info = _gbtrf(ab, BW, BW, overwrite_ab=True)
-    return piv if info == 0 else None
+# LAPACK's banded Cholesky takes the lower band of a symmetric matrix: entry
+# (i, j), i >= j, sits at ab[i - j, j], which is band[BW + i - j, j] of the
+# Hessian's band block, so ab holds band[BW:].
+def _factor(ab, band, lam, scale):
+    """Cholesky-factor scale (H + lam I) on the interior nodes, whose finite
+    band block is `band` (LAPACK ignores its corners outside the block), in
+    place in the Fortran-ordered (BW + 1, n - 2) work array ab, for
+    `_pbtrs` to solve with.  scale is a power of two, so it rounds
+    nothing; it keeps the factor's square roots exact under a dilation of
+    the domain, which scales the Hessian by a power of two too.  Returns
+    whether the system is positive definite; where it is not, ab holds no
+    factor."""
+    np.multiply(band[BW:], scale, out=ab)
+    ab[0] += scale * lam
+    return _pbtrf(ab, lower=1, overwrite_ab=1)[1] == 0
 
 
 def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
@@ -295,9 +313,10 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     The end nodes x_prev[0] and x_prev[-1] are the fixed walls; the interior
     nodes are the unknowns.  Damped Newton on the penalized objective Psi
     with the interior block of the exact banded Hessian of the local
-    interface kernel, Levenberg regularization when a step is rejected, and
-    Armijo backtracking that keeps every cell wider than gap.  A system
-    with a non-finite entry, or singular with an interior diagonal of 0
+    interface kernel, Levenberg regularization when a system is not
+    positive definite or a step is rejected, and Armijo backtracking that
+    keeps every cell wider than gap.  A system with a non-finite entry, or
+    one that is not positive definite with an interior diagonal of 0
     (which no damping changes), ends the solve.
 
     phi_prev is Phi(x_prev), which is also Psi(x_prev).  Newton starts at
@@ -309,23 +328,26 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     gap and Psi(x + p) <= phi_prev, x is kept otherwise, and the solve stops
     as converged without a further gradient.  After an accepted step whose
     factorization was undamped, the next iteration first solves its new
-    gradient with that LU (a chord step); a direction that meets this rule
-    ends the solve the same way, and one that does not is discarded before
-    the new point's Hessian is assembled.  A damped LU is never reused.
-    An accepted step that decreases Psi by less than FTOL relatively ends
-    the solve as converged, except a damped one that does not decrease it
-    at all (a stall): the solve goes on undamped, and if x is stationary
-    to working precision (the test that also judges a solve that runs out
-    of iterations), the undamped direction is tried as the last step only
-    and the solve ends as converged either way.
+    gradient with that Cholesky factor (a chord step); a direction that
+    meets this rule ends the solve the same way, and one that does not is
+    discarded before the new point's Hessian is assembled.  A damped
+    factor is never reused.  An accepted step that decreases Psi by less
+    than FTOL relatively ends the solve as converged, except a damped one
+    that does not decrease it at all (a stall): the solve goes on
+    undamped, and if x is stationary to working precision (the test that
+    also judges a solve that runs out of iterations), the undamped
+    direction is tried as the last step only and the solve ends as
+    converged either way.
 
     Line-search trials make the value pass only, from the cell widths of
     their feasibility check; an accepted point keeps its record for its
     gradient and next Hessian.  Each Hessian's band is checked finite once
-    for all its trials, and each banded system is factored by LAPACK gbtrf
-    and solved by gbtrs in one work array.  Returns (positions, objective
-    value, its energy part Phi, converged flag); Psi(positions) <= phi_prev
-    holds whatever the flag, so the per-step energy estimates hold.
+    for all its trials.  Each system is scaled by the step's power of two
+    (`_Objective.scale`), factored by LAPACK pbtrf and solved by pbtrs in
+    one work array; a system that is not positive definite grows lambda.
+    Returns (positions, objective value, its energy part Phi, converged
+    flag); Psi(positions) <= phi_prev holds whatever the flag, so the
+    per-step energy estimates hold.
     """
     obj = _Objective(energy, x_prev, tau)
     x, pt = x_prev, None
@@ -346,21 +368,20 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     gnorm = _norm(g)
     gref = max(gnorm, 1e-30)
     lam = 0.0
-    ab = np.empty((3 * BW + 1, len(x) - 2), order="F")
-    # the pivots of ab while it holds the LU of the previous point's
-    # undamped Hessian, None otherwise
-    piv = None
+    ab = np.empty((BW + 1, len(x) - 2), order="F")
+    # whether ab holds the factor of the previous point's undamped Hessian
+    chord = False
     # whether the last accepted step was damped and Psi rounded it away
     stalled = False
     converged = gnorm <= GTOL
     for _ in range(MAX_ITER if not converged else 0):
-        mg = -g
+        rhs = g * -obj.scale
         small = FTOL * max(abs(f), 1e-30)
         moved = final = False
-        if piv is not None:
-            # the chord direction: that LU against the new gradient; it is
-            # taken only as the last step, and discarded otherwise
-            p = _gbtrs(ab, BW, BW, mg, piv)[0]
+        if chord:
+            # the chord direction: that factor against the new gradient; it
+            # is taken only as the last step, and discarded otherwise
+            p = _pbtrs(ab, rhs, lower=1)[0]
             slope = p @ g
             final = slope < -1e-30 and -0.5 * slope <= small
         if not final:
@@ -369,10 +390,11 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
             # after a stall at a stationary x, the undamped direction is
             # tried as the last step only, and the solve ends either way
             last = stalled and _stationary(x, g, H)
-        # no trial without a finite system, or once lam cannot grow
+        # no trial without a finite system, or once lam cannot grow; one
+        # undamped trial after a stall at a stationary x
         for _trial in range(0 if final or not finite else 1 if last else 30):
-            piv = _factor(ab, H, lam)
-            p = None if piv is None else _gbtrs(ab, BW, BW, mg, piv)[0]
+            chord = _factor(ab, H, lam, obj.scale)
+            p = _pbtrs(ab, rhs, lower=1)[0] if chord else None
             if p is not None and (slope := p @ g) < -1e-30:
                 # an undamped step that predicts less than FTOL of decrease
                 # is the last one
@@ -409,8 +431,8 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         if not moved:
             converged = last
             break
-        if lam:  # never reuse a damped LU
-            piv = None
+        if lam:  # never reuse a damped factor
+            chord = False
         df = f - fn
         # a damped step whose Psi rounds to the previous value says nothing
         # about x: Newton goes on undamped
@@ -422,7 +444,7 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
                 df < FTOL * max(abs(f), 1e-30) and not stalled):
             converged = True
             break
-    if not converged:  # stalled in rounding noise near equilibrium
+    if not converged:  # no step found, or out of iterations
         converged = _stationary(x, g, energy.hessian(pt, obj.mass))
     return x, f, phi, converged
 

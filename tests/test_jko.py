@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import get_lapack_funcs, solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 from scipy.optimize import minimize
 
 from gradflow1d import (ConfigurationError, GridDensity, Interval, JkoConfig,
@@ -491,41 +491,81 @@ def test_steps_factor_about_one_hessian(monkeypatch, f, tau):
     assert len(count) <= 1.3 * 20
 
 
-@pytest.mark.parametrize("u0, f, tau", [
-    (GridDensity.bump(UNIT, 64), MobilitySpec.power_mobility(1.0, 0.7), 1e-5),
-    (GridDensity.cosine(UNIT, 64, eps=0.9, k=1), MobilitySpec.identity(),
-     1e-2)], ids=["bump-power0.7", "cosine_eps0.9_k1-identity"])
-def test_damped_lu_is_never_reused(monkeypatch, u0, f, tau):
-    # a solve right after a factorization is that trial's direction; any
-    # other solve is a chord step on the LU left by the previous point,
-    # which must be undamped
+def _solver_events(monkeypatch, u0, f, tau):
+    """The solver's calls over a 20-step run at K = 64, in order: each
+    factorization with its lambda and whether it succeeded, each solve,
+    gradient and Hessian."""
     events = []
-    factor, solve = jko._factor, jko._gbtrs
-    monkeypatch.setattr(jko, "_factor", lambda ab, band, lam: (
-        events.append(("factor", lam)) or factor(ab, band, lam)))
-    monkeypatch.setattr(jko, "_gbtrs", lambda *a: (
-        events.append(("solve", None)) or solve(*a)))
+    factor, solve = jko._factor, jko._pbtrs
+
+    def counted_factor(ab, band, lam, scale):
+        ok = factor(ab, band, lam, scale)
+        events.append(("factor", (lam, ok)))
+        return ok
+
+    monkeypatch.setattr(jko, "_factor", counted_factor)
+    monkeypatch.setattr(jko, "_pbtrs", lambda *a, **kw: (
+        events.append(("solve", None)) or solve(*a, **kw)))
     hessian = MobilityMapEnergy.hessian
     monkeypatch.setattr(MobilityMapEnergy, "hessian", lambda self, *a: (
         events.append(("hessian", None)) or hessian(self, *a)))
     e = MobilityMapEnergy(f)
     grad = e.value_and_grad
     e.value_and_grad = lambda *a: events.append(("grad", None)) or grad(*a)
-    run(u0, e, JkoConfig(tau=tau, n_steps=20, k=64))
+    assert run(u0, e, JkoConfig(tau=tau, n_steps=20, k=64)).converged.all()
+    return events
+
+
+def _chord_solves(events):
+    """The number of chord steps, after checking that every solve reads a
+    factor that succeeded: a solve right after a factorization is that
+    trial's direction, and any other is a chord step on the factor left
+    by the previous point, which must be undamped."""
     kinds = [kind for kind, _ in events]
-    lam, chords, damped_then_hessian = None, 0, 0
+    lam = ok = None
+    chords = 0
     for i, (kind, value) in enumerate(events):
         if kind == "factor":
-            lam = value
-        elif kind == "solve" and kinds[i - 1] != "factor":
-            chords += 1
-            assert lam == 0
-        # a damped direction accepted, and its next point's Newton system
-        # assembled afresh
-        if (kinds[i:i + 4] == ["factor", "solve", "grad", "hessian"]
-                and value > 0):
-            damped_then_hessian += 1
-    assert chords > 0 and damped_then_hessian > 0
+            lam, ok = value
+        elif kind == "solve":
+            assert ok
+            if kinds[i - 1] != "factor":
+                chords += 1
+                assert lam == 0
+    return chords
+
+
+@pytest.mark.parametrize("u0, f, tau", [
+    (GridDensity.bump(UNIT, 64), MobilitySpec.power_mobility(1.0, 0.7), 1e-5),
+    (GridDensity.cosine(UNIT, 64, eps=0.9, k=1), MobilitySpec.identity(),
+     1e-2)], ids=["bump-power0.7", "cosine_eps0.9_k1-identity"])
+def test_damped_lu_is_never_reused(monkeypatch, u0, f, tau):
+    # the chord step reuses only an undamped factor; a damped direction
+    # accepted is followed by its next point's Newton system, assembled
+    # afresh
+    events = _solver_events(monkeypatch, u0, f, tau)
+    kinds = [kind for kind, _ in events]
+    damped_then_hessian = sum(
+        kinds[i:i + 4] == ["factor", "solve", "grad", "hessian"]
+        and events[i][1][0] > 0 for i in range(len(events)))
+    assert _chord_solves(events) > 0 and damped_then_hessian > 0
+
+
+@pytest.mark.parametrize("f", [MobilitySpec.identity(),
+                               MobilitySpec.power_mobility(1.0, 0.7)],
+                         ids=lambda f: f.name)
+def test_indefinite_systems_grow_lambda(monkeypatch, f):
+    # on the bump the energy is not convex along the way: some undamped
+    # Newton systems are not positive definite.  Their Cholesky fails, is
+    # never solved with, and the next trial factors a damped system
+    events = _solver_events(monkeypatch, GridDensity.bump(UNIT, 64), f, 1e-5)
+    failed = [i for i, (kind, value) in enumerate(events)
+              if kind == "factor" and value == (0.0, False)]
+    assert failed
+    for i in failed:
+        kind, (lam, _) = events[i + 1]
+        assert kind == "factor" and lam > 0
+    _chord_solves(events)
 
 
 # amplitudes a_1..a_4 of the benchmark's seed-7 datum 0: u0 is
@@ -553,7 +593,7 @@ EVALUATIONS = {
                 "43224 43224 43224 43224 43224 43224 43224 43224 43224 43224"),
     "dynamic_k1024": (_bench_datum(1024), MobilitySpec.identity(), 1e-5, 1024,
                       "44336 43224 43224 43224 43224 43224 43224 43224 43224 "
-                      "43224 43224 43224 43224 43224 43224 43224 43224 43224 "
+                      "43224 43224 43224 43224 43224 43224 43224 43224 33223 "
                       "32112 32112"),
     "relax_long": (_bench_datum(128), MobilitySpec.identity(), 1e-4, 64,
                    "55448 54336 54336 54336 54336 43224 43224 43224 43224 "
@@ -564,7 +604,7 @@ EVALUATIONS = {
                    "32112 32112 32112 32112 32112 32112 32112 32112 32112 "
                    "32112 32112"),
 }
-FIXTURE_TOTALS = [6314, 606, 423, 498, 762]
+FIXTURE_TOTALS = [6319, 607, 424, 499, 764]
 
 
 def _count_evaluations(monkeypatch, u0, f, tau, k, n_steps):
@@ -572,7 +612,7 @@ def _count_evaluations(monkeypatch, u0, f, tau, k, n_steps):
     factorizations and banded solves, taken through the solver's seams."""
     total = [0] * 5
     seams = [(_Objective, "value"), (MobilityMapEnergy, "value_and_grad"),
-             (MobilityMapEnergy, "hessian"), (jko, "_gbtrf"), (jko, "_gbtrs")]
+             (MobilityMapEnergy, "hessian"), (jko, "_pbtrf"), (jko, "_pbtrs")]
     for i, (owner, name) in enumerate(seams):
         def counted(*a, _fn=getattr(owner, name), _i=i, **kw):
             total[_i] += 1
@@ -689,15 +729,28 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
                         ftol=1e-15):
     """The inner loop in its plain form: the end nodes stay on the walls,
     every line-search trial evaluates value and gradient, each Hessian
-    recomputes its interface arrays, and the interior block goes to scipy's
-    solve_banded.  An undamped step predicting less than ftol of decrease is
-    taken whole if it keeps the cells and the start's value, and ends the
-    loop; after an undamped accepted step, the previous Hessian's direction
-    at the new point is tried first as that last step.  After a damped step
-    that Psi rounds away, Newton goes on undamped, and at a stationary
-    point only as that last step.  jko_step must return bitwise what this
-    returns."""
+    recomputes its interface arrays, and the interior block's lower band,
+    scaled as the solver scales it, goes to scipy's solveh_banded.  An
+    undamped step predicting less than ftol of decrease is taken whole if
+    it keeps the cells and the start's value, and ends the loop; after an
+    undamped accepted step, the previous Hessian's direction at the new
+    point is tried first as that last step.  After a damped step that Psi
+    rounds away, Newton goes on undamped, and at a stationary point only
+    as that last step.  jko_step must return bitwise what this returns."""
     obj = _Objective(energy, x_prev, tau)
+    scale = obj.scale
+
+    def direction(H, lam, g):
+        # solveh_banded reads the lower band only, so the whole band is
+        # checked finite here, as the solver checks it
+        if not np.isfinite(H).all():
+            return None
+        Hd = H[BW:] * scale
+        Hd[0] += scale * lam
+        try:
+            return solveh_banded(Hd, g * -scale, lower=True)
+        except (ValueError, np.linalg.LinAlgError):
+            return None
 
     def stationary(x, g):
         ulp = np.spacing(max(abs(x[0]), abs(x[-1])))
@@ -715,22 +768,14 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
     for _ in range(max_iter if not converged else 0):
         moved = final = False
         if H_prev is not None:
-            try:
-                p = solve_banded((BW, BW), H_prev, -g)
-                final = (p @ g < -1e-30
-                         and -0.5 * (p @ g) <= ftol * max(abs(f), 1e-30))
-            except (ValueError, np.linalg.LinAlgError):
-                pass
+            p = direction(H_prev, 0.0, g)
+            final = (p is not None and p @ g < -1e-30
+                     and -0.5 * (p @ g) <= ftol * max(abs(f), 1e-30))
         if not final:
             H = hessian(obj, x)
             last = stuck and stationary(x, g)
         for _trial in range(0 if final else 1 if last else 30):
-            Hd = H.copy()
-            Hd[BW] += lam
-            try:
-                p = solve_banded((BW, BW), Hd, -g)
-            except (ValueError, np.linalg.LinAlgError):
-                p = None
+            p = direction(H, lam, g)
             if p is not None and p @ g < -1e-30:
                 final = (lam == 0
                          and -0.5 * (p @ g) <= ftol * max(abs(f), 1e-30))
@@ -913,26 +958,26 @@ def _g_free(g, x, lo, hi):
     return gf
 
 
-_gbsv, = get_lapack_funcs(("gbsv",), (np.zeros(1),))
+# a pinned wall's row and column in the lower band: column 0 below the
+# diagonal, or row K left of it
 _o = np.arange(BW + 1)
-_PIN = {0: (np.r_[2 * BW - _o, 2 * BW + _o], np.r_[_o, 0 * _o]),
-        -1: (np.r_[2 * BW + _o, 2 * BW - _o], np.r_[-1 - _o, -1 + 0 * _o])}
+_PIN = {0: (_o, 0 * _o), -1: (_o, -1 - _o)}
 
 
-def _free_wall_direction(ab, H, lam, g, pinned):
-    ab[:BW] = 0.0
-    ab[BW:] = H
-    ab[2 * BW] += lam
-    rhs = -g
+def _free_wall_direction(H, lam, g, pinned, scale):
+    ab = H[BW:] * scale
+    ab[0] += scale * lam
+    rhs = g * -scale
     for j in pinned:
         ab[_PIN[j]] = 0.0
-        ab[2 * BW, j] = 1.0
+        ab[0, j] = 1.0
         rhs[j] = 0.0
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+    if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
         return None
-    _, _, p, info = _gbsv(BW, BW, ab, rhs, overwrite_ab=True,
-                          overwrite_b=True)
-    return p if info == 0 else None
+    try:
+        return solveh_banded(ab, rhs, lower=True)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
@@ -950,14 +995,14 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
     f0 = f
     gref = max(np.linalg.norm(g), 1e-30)
     lam = 0.0
-    ab = np.empty((3 * BW + 1, len(x)))
+    scale = obj.scale
     converged = np.linalg.norm(_g_free(g, x, lo, hi)) <= gtol
     prev = None  # the previous iteration's Hessian and pinned walls
     stuck = False
     for _ in range(max_iter if not converged else 0):
         moved = final = False
         if prev is not None:
-            p = _free_wall_direction(ab, prev[0], 0.0, g, prev[1])
+            p = _free_wall_direction(prev[0], 0.0, g, prev[1], scale)
             final = (p is not None and (slope := p @ g) < -1e-30
                      and -0.5 * slope <= ftol * max(abs(f), 1e-30))
         if not final:
@@ -966,7 +1011,7 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
         for _trial in range(0 if final else 1 if last else 30):
             pinned = []
             for _resolve in range(3):
-                p = _free_wall_direction(ab, H, lam, g, pinned)
+                p = _free_wall_direction(H, lam, g, pinned, scale)
                 if p is None:
                     break
                 new = [j for j, out in ((0, x[0] + p[0] < lo - 1e-15),

@@ -17,23 +17,23 @@ def _bits(a):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_banded_factor_and_solve_match_scipy_linalg(seed):
-    # a random pentadiagonal system in LAPACK band storage, with BW fill-in
-    # rows above the band, factored in place and solved as jko does
+    # a random symmetric positive definite pentadiagonal system as the
+    # lower band of LAPACK's symmetric band storage, Cholesky-factored in
+    # place and solved as jko does
     rng = np.random.default_rng(seed)
     n = 40
-    ab = np.zeros((3 * BW + 1, n), order="F")
-    ab[BW:] = rng.standard_normal((2 * BW + 1, n))
-    ab[2 * BW] += 4.0
+    ab = np.asfortranarray(rng.standard_normal((BW + 1, n)))
+    ab[0] = 2 * BW + 1 + np.abs(ab[0])
     rhs = rng.standard_normal(n)
-    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), ZERO)
+    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), ZERO)
     results = []
-    for factor, solve in ((_lapack.dgbtrf, _lapack.dgbtrs), (gbtrf, gbtrs)):
-        lu = ab.copy(order="F")
-        _, piv, info = factor(lu, BW, BW, overwrite_ab=True)
+    for factor, solve in ((_lapack.dpbtrf, _lapack.dpbtrs), (pbtrf, pbtrs)):
+        c = ab.copy(order="F")
+        _, info = factor(c, lower=1, overwrite_ab=1)
         assert info == 0
-        x, info = solve(lu, BW, BW, rhs, piv)
+        x, info = solve(c, rhs, lower=1)
         assert info == 0
-        results.append((_bits(lu), piv, _bits(x)))
+        results.append((_bits(c), _bits(x)))
     for ours, ref in zip(*results):
         assert np.array_equal(ours, ref)
 
