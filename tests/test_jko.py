@@ -738,17 +738,16 @@ def _reference_jko_step(x_prev, energy, tau, gap, max_iter=60, gtol=1e-11,
     rounds away, Newton goes on undamped, and at a stationary point only
     as that last step.  jko_step must return bitwise what this returns."""
     obj = _Objective(energy, x_prev, tau)
-    scale = obj.scale
 
     def direction(H, lam, g):
         # solveh_banded reads the lower band only, so the whole band is
         # checked finite here, as the solver checks it
         if not np.isfinite(H).all():
             return None
-        Hd = H[BW:] * scale
-        Hd[0] += scale * lam
+        Hd = H[BW:] * obj.scale
+        Hd[0] += obj.scale * lam
         try:
-            return solveh_banded(Hd, g * -scale, lower=True)
+            return solveh_banded(Hd, g * -obj.scale, lower=True)
         except (ValueError, np.linalg.LinAlgError):
             return None
 
@@ -893,11 +892,12 @@ def test_stationary_exit_matches_reference(monkeypatch):
 # The solver this one replaced let a wall node leave its wall through an
 # endpoint active set.  On even-mode data at small steps its walls stayed
 # put, so holding them fixed must give bitwise its results there.  Below is
-# that solver verbatim, with its objective's gradient and Hessian in every
-# node (the full-size assembly the fixed-wall solver replaced) and its
-# wall-row mass-matrix entries, plus the undamped final step of
-# `_reference_jko_step`, which it may take along the previous iteration's
-# undamped system.
+# that solver, with its objective's gradient and Hessian in every node (the
+# full-size assembly the fixed-wall solver replaced) and its wall-row
+# mass-matrix entries, plus the undamped final step and the stall rule of
+# `_reference_jko_step`; its systems are scaled and Cholesky-factored as
+# the fixed-wall solver's are, with pinned walls as unit rows of the lower
+# band.
 
 def _with_ends(op, first, left, right, last, out=None):
     """[first, op(left, right)..., last] in out, or in a new array."""
@@ -984,7 +984,7 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
                         gtol=1e-11, ftol=1e-15):
     obj = _FreeWallObjective(energy, x_prev, tau)
 
-    def stationary(g, pt):
+    def stationary(x, g, pt):
         ulp = np.spacing(max(abs(lo), abs(hi)))
         row = np.abs(obj.full_hessian(pt)).sum(axis=0)
         return bool(np.all(np.abs(_g_free(g, x, lo, hi)) <= ulp * row))
@@ -995,23 +995,22 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
     f0 = f
     gref = max(np.linalg.norm(g), 1e-30)
     lam = 0.0
-    scale = obj.scale
     converged = np.linalg.norm(_g_free(g, x, lo, hi)) <= gtol
     prev = None  # the previous iteration's Hessian and pinned walls
-    stuck = False
+    stuck = False  # the last step was damped, and Psi rounded it away
     for _ in range(max_iter if not converged else 0):
         moved = final = False
         if prev is not None:
-            p = _free_wall_direction(prev[0], 0.0, g, prev[1], scale)
+            p = _free_wall_direction(prev[0], 0.0, g, prev[1], obj.scale)
             final = (p is not None and (slope := p @ g) < -1e-30
                      and -0.5 * slope <= ftol * max(abs(f), 1e-30))
         if not final:
             H = obj.full_hessian(pt)
-            last = stuck and stationary(g, pt)
+            last = stuck and stationary(x, g, pt)
         for _trial in range(0 if final else 1 if last else 30):
             pinned = []
             for _resolve in range(3):
-                p = _free_wall_direction(H, lam, g, pinned, scale)
+                p = _free_wall_direction(H, lam, g, pinned, obj.scale)
                 if p is None:
                     break
                 new = [j for j, out in ((0, x[0] + p[0] < lo - 1e-15),
@@ -1056,7 +1055,7 @@ def _free_wall_jko_step(x_prev, energy, tau, lo, hi, gap, max_iter=60,
             converged = True
             break
     if not converged:
-        converged = stationary(g, pt)
+        converged = stationary(x, g, pt)
     return x, f, converged
 
 
