@@ -9,9 +9,10 @@ Hessian, assembled from one local interface kernel.  Every Newton system is
 symmetric positive definite or damped until it is: it is factored by
 banded Cholesky, and a system that is not SPD grows the Levenberg damping,
 so each direction descends (modified Newton).  It starts from the
-second-order extrapolation 3 x_{n-1} - 3 x_{n-2} + x_{n-3} (the linear
-2 x_1 - x_0 at step 2) when every cell of that map is wider than the
-minimum gap and its Psi is below Phi(x_{n-1}), and from x_{n-1} otherwise.
+polynomial extrapolation through the last q = min(ORDER, n) maps,
+x_{n-1} + sum_{k<q} nabla^k x_{n-1} (the linear 2 x_1 - x_0 at step 2),
+when every cell of that map is wider than the minimum gap and its Psi is
+below Phi(x_{n-1}), and from x_{n-1} otherwise.
 An undamped Newton step that predicts less than FTOL of relative decrease
 is the last one: it is taken whole if it keeps every cell and Psi at most
 Phi(x_{n-1}), and the solve stops without another gradient.  After an
@@ -56,6 +57,13 @@ BW = 2  # Hessian bandwidth of the staggered map-coordinate energies
 RESAMPLE_BLOCK = 4096
 GTOL, FTOL = 1e-11, 1e-15  # inner solver: gradient and decrease tolerances
 MAX_ITER = 60  # inner solver: Newton iterations per step
+# each step's start extrapolates the last ORDER maps; orders 6-8 measured
+# alike on the benchmark data, and a higher order amplifies fast modes
+ORDER = 7
+# the start's weights of the last q - 1 step differences, oldest first:
+# x_{n-1} + sum_{k<q} nabla^k x_{n-1}, the polynomial through the last q maps
+_PREDICT = {q: np.array([(-1.0) ** (q - 2 - j) * math.comb(q - 1, q - 1 - j)
+                         for j in range(q - 1)]) for q in range(2, ORDER + 1)}
 
 
 def _row_blocks(start: int, stop: int, width: int) -> list[slice]:
@@ -458,8 +466,13 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig
     The loop only steps, writing each step's map nodes and energy into its
     row.  From the second step on, `jko_step` gets the stored Phi(x_{n-1})
     as its descent bound and an extrapolated map as its start, walls
-    unchanged: 2 x_1 - x_0 at step 2 and the second-order
-    3 x_{n-1} - 3 x_{n-2} + x_{n-3} from step 3 on.  Energies are those of
+    unchanged: the polynomial through the last q = min(ORDER, n) maps,
+    x_{n-1} + sum_{k<q} nabla^k x_{n-1}, in one product of the fixed
+    weights `_PREDICT[q]` with the q - 1 step differences.  That form
+    starts after equal maps at x_{n-1} bitwise, and it is exact for maps
+    polynomial of degree < q in n; as in an implicit integrator's
+    predictor, it brings most steps to their last Newton direction at the
+    first iteration.  Energies are those of
     the maps in map coordinates (the coordinates actually minimized), as
     `jko_step` evaluated them, so monotonicity is a property of the
     optimization, not of resampling.  After the loop, blocks of about
@@ -494,10 +507,9 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig
     for i in range(1, n + 1):
         start = None
         if i > 1:
-            x1, x2 = pos[i - 1, 1:-1], pos[i - 2, 1:-1]
+            q = min(ORDER, i)
             start = pos[i - 1].copy()
-            start[1:-1] = (2 * x1 - x2 if i == 2 else
-                           3 * (x1 - x2) + pos[i - 3, 1:-1])
+            start[1:-1] += _PREDICT[q] @ np.diff(pos[i - q:i, 1:-1], axis=0)
         pos[i], _, energies[i], traj.converged[i - 1] = jko_step(
             pos[i - 1], energy, cfg.tau, dom.gap, x_start=start,
             phi_prev=energies[i - 1])
