@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 certificate failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -27,7 +26,8 @@ from .transport import (ConfigurationError, GridDensity, Interval,
                         reject_zero_plateau)
 from .lagrangian import (MobilitySpec, dissipation_constants,
                          validate_assumption_f)
-from .jko import JkoConfig, MobilityMapEnergy, run, refine_study
+from .jko import (JkoConfig, MobilityMapEnergy, _row_blocks, run,
+                  refine_study)
 from . import diagnostics as dg
 
 ALL_CHECKS = ("energy_monotone", "total_square_distance",
@@ -227,6 +227,13 @@ def _certificates(cfg: RunConfig, traj) -> list[CertificateReport]:
     return reports
 
 
+def _csv_text(rows) -> str:
+    """rows as csv.writer writes them in its default dialect: each row's
+    fields joined by commas, ending in \\r\\n.  Exact for fields that hold
+    no comma, quote or line break, as certificate rows do."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in rows)
+
+
 def _write_outputs(cfg: RunConfig, traj, reports, elapsed: float,
                    gaps=None) -> dict:
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -238,21 +245,20 @@ def _write_outputs(cfg: RunConfig, traj, reports, elapsed: float,
         "step_distances": traj.step_distances,
         "converged": traj.converged,
     }
-    # the compact text of the document with "states" last, one state at a
-    # time; floats are written as their shortest round-trip form
+    # the compact text of the document with "states" last, one block of
+    # states (`_row_blocks`) at a time, its outer brackets stripped; floats
+    # are written as their shortest round-trip form
     opt = orjson.OPT_SERIALIZE_NUMPY
+    states = _row_blocks(0, len(traj.values), traj.grid.m)
     with open(cfg.out / "trajectory.json", "wb") as fh:
         fh.write(orjson.dumps(traj_doc, option=opt)[:-1] + b',"states":[')
-        for n, row in enumerate(traj.values):
-            fh.write((b"," if n else b"") + orjson.dumps(row, option=opt))
+        fh.write(b",".join(orjson.dumps(traj.values[b], option=opt)[1:-1]
+                           for b in states))
         fh.write(b"]}")
 
     with open(cfg.out / "certificates.csv", "w", newline="") as fh:
         fh.write(f"# schema_version={CSV_SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for rep in reports:
-            writer.writerow(rep.row())
+        fh.write(_csv_text([CSV_HEADER, *(rep.row() for rep in reports)]))
 
     n_pass = int(sum(bool(r.passed) for r in reports))
     worst = {}

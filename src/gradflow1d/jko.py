@@ -19,18 +19,24 @@ Phi(x_{n-1}), and the solve stops without another gradient.  After an
 accepted undamped step, the new gradient is first solved with that step's
 Cholesky factor (the chord direction): if it is such a last step it is
 taken as one, and no Hessian is assembled at the new point; otherwise it
-is discarded.  So
-every step ends with Psi(x_n) <= Phi(x_{n-1}), the descent that the
-discrete energy estimates need, and a step that converges in one Newton
-iteration factors one Hessian.  Each Newton point's arrays are built once,
-into one record (`_Point`) by the point's value pass: cell widths,
-densities, the interface arrays d, s and r = d/s, and the displacements
-from x_{n-1}.  Line-search trials make that pass only.  An accepted point
-keeps its trial's record; its gradient and at most one Hessian read it and
-are built for the interior nodes only.  The Hessian is written straight
-into its interior band block, checked finite once for all its trials, and
-its lower band, scaled by a power of two fixed for the step, is factored
-by LAPACK pbtrf in one work array, which the chord step reuses.
+is discarded.  `run` keeps one Cholesky work array between steps, and a
+step that ended on its first, undamped direction, no component of it
+longer than TINY_ULPS ulps of the domain scale, hands its factor on: the
+next step's first direction is that factor's chord direction, taken as
+the last step only if it meets the same rule and the same ulp bound, and
+discarded otherwise.  So every step ends with Psi(x_n) <= Phi(x_{n-1}),
+the descent that the discrete energy estimates need, a step that
+converges in one Newton iteration factors at most one Hessian, and one
+that starts within rounding of its minimizer usually factors none.  Each
+Newton point's arrays are built once, into one record (`_Point`) by the
+point's value pass: cell widths, densities, the interface arrays d, s and
+r = d/s, and the displacements from x_{n-1}.  Line-search trials make
+that pass only.  An accepted point keeps its trial's record; its
+gradient and at most one Hessian read it and are built for the interior
+nodes only.  The Hessian is written straight into its interior band
+block, checked finite once for all its trials, and its lower band, scaled
+by a power of two fixed for the step, is factored by LAPACK pbtrf in one
+work array, which the chord step reuses.
 A run is kept as two stacked arrays, one row per step: the map nodes and
 their pushforwards' cell values.  After the stepping loop, the step
 distances, the grid states and the entropies are computed by array passes
@@ -64,6 +70,15 @@ ORDER = 7
 # x_{n-1} + sum_{k<q} nabla^k x_{n-1}, the polynomial through the last q maps
 _PREDICT = {q: np.array([(-1.0) ** (q - 2 - j) * math.comb(q - 1, q - 1 - j)
                          for j in range(q - 1)]) for q in range(2, ORDER + 1)}
+# a step hands its Cholesky factor on to the next one, which may end on that
+# factor's direction, only where both directions have no component longer
+# than TINY_ULPS ulps of the domain scale: there the chord direction is
+# the Newton one to rounding.  On the relax_long benchmark's datum (seed
+# 7, datum 0, 300 steps) 32 to 128 measured alike: 137-157 Hessians
+# instead of 321, maps within 2 ulps of those of fresh factors.  At 8 no
+# factor is handed on; at 512 maps moved by 1.1e-13 and the objective
+# values rose from 671 to 694
+TINY_ULPS = 64
 
 
 def _row_blocks(start: int, stop: int, width: int) -> list[slice]:
@@ -203,31 +218,35 @@ class MobilityMapEnergy:
         D^T H D with D the difference matrix dX = D x.  The band rows are
         built in place, without scatter-adds.
         """
-        dx, u, d, s, r, w1 = pt.dx, pt.u, pt.d, pt.s, pt.r, pt.w1
-        # W''(t) = f''(u) dm^2 / t^4 + 2 f'(u) dm / t^3
-        w2 = (self.f.f2(u) * u + 2 * pt.f1) * u / dx ** 2
-        a, b = w1[:-1] + r, w1[1:] - r
-        off = -2 * a * b / s
-        # diag is the cell-width Hessian's diagonal, each cell's block entry
-        # from the interface on its right plus the one from its left; sup is
-        # the node Hessian's first off-diagonal without the mass
-        ha = 2 * (a * a - d * w2[:-1]) / s
-        hb = 2 * (b * b + d * w2[1:]) / s
-        diag, sup = np.empty((2, len(dx)))
-        np.add(ha[1:], hb[:-1], out=diag[1:-1])
-        diag[0], diag[-1] = ha[0], hb[-1]
-        np.add(off[:-1], off[1:], out=sup[1:-1])
-        sup[0], sup[-1] = off[0], off[-1]
-        sup -= diag
-        H = np.empty((2 * BW + 1, len(off)))
-        np.add(diag[1:], diag[:-1], out=H[BW])
-        H[BW] -= 2 * off
-        H[BW] += 4 * c
-        np.add(sup[:-1], c, out=H[BW - 1])
-        np.add(sup[1:], c, out=H[BW + 1])
-        np.negative(off[:-1], out=H[BW - 2, 1:])
-        np.negative(off[1:], out=H[BW + 2, :-1])
-        H[BW - 2, 0] = H[BW + 2, -1] = 0.0
+        # an entry that overflows is left inf or NaN, for the solver's
+        # finiteness check to refuse
+        with np.errstate(over="ignore"):
+            dx, u, d, s, r, w1 = pt.dx, pt.u, pt.d, pt.s, pt.r, pt.w1
+            # W''(t) = f''(u) dm^2 / t^4 + 2 f'(u) dm / t^3
+            w2 = (self.f.f2(u) * u + 2 * pt.f1) * u / dx ** 2
+            a, b = w1[:-1] + r, w1[1:] - r
+            off = -2 * a * b / s
+            # diag is the cell-width Hessian's diagonal, each cell's block
+            # entry from the interface on its right plus the one from its
+            # left; sup is the node Hessian's first off-diagonal without the
+            # mass
+            ha = 2 * (a * a - d * w2[:-1]) / s
+            hb = 2 * (b * b + d * w2[1:]) / s
+            diag, sup = np.empty((2, len(dx)))
+            np.add(ha[1:], hb[:-1], out=diag[1:-1])
+            diag[0], diag[-1] = ha[0], hb[-1]
+            np.add(off[:-1], off[1:], out=sup[1:-1])
+            sup[0], sup[-1] = off[0], off[-1]
+            sup -= diag
+            H = np.empty((2 * BW + 1, len(off)))
+            np.add(diag[1:], diag[:-1], out=H[BW])
+            H[BW] -= 2 * off
+            H[BW] += 4 * c
+            np.add(sup[:-1], c, out=H[BW - 1])
+            np.add(sup[1:], c, out=H[BW + 1])
+            np.negative(off[:-1], out=H[BW - 2, 1:])
+            np.negative(off[1:], out=H[BW + 2, :-1])
+            H[BW - 2, 0] = H[BW + 2, -1] = 0.0
         return H
 
 
@@ -288,12 +307,36 @@ def _norm(g):
     return float(top) * math.sqrt(r @ r)
 
 
+def _ulp(x):
+    """One ulp of the domain scale, the larger magnitude of map x's walls."""
+    return np.spacing(max(abs(x[0]), abs(x[-1])))
+
+
+def _rounding_level(p, x) -> bool:
+    """Whether no component of the direction p is longer than TINY_ULPS
+    ulps of the domain scale of map x."""
+    return np.abs(p).max() <= TINY_ULPS * _ulp(x)
+
+
 def _stationary(x, g, H) -> bool:
     """Whether x, with gradient g and Hessian band block H, is stationary
     to working precision: each gradient component is within what moving
     the nodes by one ulp of the domain scale changes it by."""
-    ulp = np.spacing(max(abs(x[0]), abs(x[-1])))
-    return bool((np.abs(g) <= ulp * np.abs(H).sum(axis=0)).all())
+    with np.errstate(over="ignore"):  # a column sum may overflow to inf
+        change = _ulp(x) * np.abs(H).sum(axis=0)
+    return bool((np.abs(g) <= change).all())
+
+
+class _Factor:
+    """A Cholesky work array for the interior nodes of n + 2 node maps, in
+    LAPACK's lower band storage, and whether it holds a factor that the
+    step which last wrote it hands on to the next step."""
+
+    __slots__ = ("ab", "reusable")
+
+    def __init__(self, n: int):
+        self.ab = np.empty((BW + 1, n), order="F")
+        self.reusable = False
 
 
 # LAPACK's banded Cholesky takes the lower band of a symmetric matrix: entry
@@ -309,12 +352,14 @@ def _factor(ab, band, lam, scale):
     whether the system is positive definite; where it is not, ab holds no
     factor."""
     np.multiply(band[BW:], scale, out=ab)
-    ab[0] += scale * lam
+    if lam:
+        ab[0] += scale * lam
     return _pbtrf(ab, lower=1, overwrite_ab=1)[1] == 0
 
 
 def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
-             gap: float, phi_prev: float, x_start: np.ndarray | None = None
+             gap: float, phi_prev: float, x_start: np.ndarray | None = None,
+             factor: _Factor | None = None
              ) -> tuple[np.ndarray, float, float, bool]:
     """One minimizing-movement step from the previous map's node positions.
 
@@ -347,6 +392,17 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     direction is tried as the last step only and the solve ends as
     converged either way.
 
+    factor, if given, is the Cholesky work array that `run` keeps between
+    steps.  If the step that last wrote it handed its factor on, the first
+    iteration solves its gradient with that factor, through the same
+    chord branch, and that direction ends the solve as above only if,
+    besides, no component of it is longer than TINY_ULPS ulps of the
+    domain scale; otherwise it is discarded, at the cost of one solve.
+    The step hands its own factor on only if it ended on its first,
+    undamped direction, with no component longer than that: there the
+    chord direction is the Newton one to rounding.  Without a factor, or
+    with one not handed on, the step is the same, bitwise.
+
     Line-search trials make the value pass only, from the cell widths of
     their feasibility check; an accepted point keeps its record for its
     gradient and next Hessian.  Each Hessian's band is checked finite once
@@ -376,13 +432,15 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
     gnorm = _norm(g)
     gref = max(gnorm, 1e-30)
     lam = 0.0
-    ab = np.empty((BW + 1, len(x) - 2), order="F")
-    # whether ab holds the factor of the previous point's undamped Hessian
-    chord = False
+    if factor is None:
+        factor = _Factor(len(x) - 2)
+    # whether ab holds the factor of the previous point's undamped Hessian,
+    # or at the first iteration one handed on by the previous step
+    ab, chord, factor.reusable = factor.ab, factor.reusable, False
     # whether the last accepted step was damped and Psi rounded it away
     stalled = False
     converged = gnorm <= GTOL
-    for _ in range(MAX_ITER if not converged else 0):
+    for it in range(MAX_ITER if not converged else 0):
         rhs = g * -obj.scale
         small = FTOL * max(abs(f), 1e-30)
         moved = final = False
@@ -391,10 +449,15 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
             # is taken only as the last step, and discarded otherwise
             p = _pbtrs(ab, rhs, lower=1)[0]
             slope = p @ g
-            final = slope < -1e-30 and -0.5 * slope <= small
+            # a handed-on factor's direction must be rounding-level too
+            final = slope < -1e-30 and -0.5 * slope <= small and (
+                it > 0 or _rounding_level(p, x))
         if not final:
             H = energy.hessian(pt, obj.mass)
-            finite = np.isfinite(H).all() and np.isfinite(g).all()
+            # g's norm is finite only if every entry is; an infinite one
+            # can also be an overflow of finite entries
+            finite = np.isfinite(H).all() and (
+                math.isfinite(gnorm) or np.isfinite(g).all())
             # after a stall at a stationary x, the undamped direction is
             # tried as the last step only, and the solve ends either way
             last = stalled and _stationary(x, g, H)
@@ -427,6 +490,8 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
                 break
             lam = grown
         if final:
+            # only an undamped factor ends a step at its first iteration
+            factor.reusable = it == 0 and _rounding_level(p, x)
             xn = x.copy()
             xn[1:-1] += p
             dxn = xn[1:] - xn[:-1]
@@ -447,8 +512,9 @@ def jko_step(x_prev: np.ndarray, energy: MobilityMapEnergy, tau: float,
         stalled = lam > 0 and df <= 0
         x, f, phi, pt = xn, fn, ptn.phi, ptn
         g = obj.grad(x, pt)
+        gnorm = _norm(g)
         lam = 0.0 if stalled else 0.1 * lam
-        if _norm(g) < GTOL * gref or (
+        if gnorm < GTOL * gref or (
                 df < FTOL * max(abs(f), 1e-30) and not stalled):
             converged = True
             break
@@ -472,7 +538,10 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig
     starts after equal maps at x_{n-1} bitwise, and it is exact for maps
     polynomial of degree < q in n; as in an implicit integrator's
     predictor, it brings most steps to their last Newton direction at the
-    first iteration.  Energies are those of
+    first iteration.  One Cholesky work array (`_Factor`) goes from each
+    step to the next, so that a step which starts within rounding of its
+    minimizer can end on the previous step's factor, with no Hessian of
+    its own.  Energies are those of
     the maps in map coordinates (the coordinates actually minimized), as
     `jko_step` evaluated them, so monotonicity is a property of the
     optimization, not of resampling.  After the loop, blocks of about
@@ -504,15 +573,17 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig
     if not math.isfinite(energies[0]):
         raise ConfigurationError(
             f"the initial energy is not finite: {energies[0]}")
+    factor = _Factor(x.size - 2)
     for i in range(1, n + 1):
         start = None
         if i > 1:
             q = min(ORDER, i)
             start = pos[i - 1].copy()
-            start[1:-1] += _PREDICT[q] @ np.diff(pos[i - q:i, 1:-1], axis=0)
+            last = pos[i - q:i, 1:-1]
+            start[1:-1] += _PREDICT[q] @ (last[1:] - last[:-1])
         pos[i], _, energies[i], traj.converged[i - 1] = jko_step(
             pos[i - 1], energy, cfg.tau, dom.gap, x_start=start,
-            phi_prev=energies[i - 1])
+            phi_prev=energies[i - 1], factor=factor)
     for b in _row_blocks(0, n, x.size):
         traj.step_distances[b] = np.sqrt(
             w2sq_between_maps(pos[b.start + 1:b.stop + 1], pos[b]))

@@ -1,5 +1,6 @@
 import csv
 import gzip
+import io
 import itertools
 import json
 import subprocess
@@ -13,6 +14,7 @@ import gradflow1d
 from gradflow1d import (ConfigurationError, JkoConfig, MobilityMapEnergy,
                         cli, jko, run)
 from gradflow1d.cli import ALL_CHECKS, execute, load_config, main, sweep
+from gradflow1d.report import CSV_HEADER, CertificateReport
 from gradflow1d.jko import jko_step
 from gradflow1d.diagnostics import d2
 
@@ -472,15 +474,35 @@ def test_elapsed_seconds_ignore_wall_clock_steps(tmp_path, monkeypatch):
     assert 0.0 <= summary["elapsed_seconds"] < 3600.0
 
 
-def test_trajectory_json_is_the_dumps_of_its_document(tmp_path):
-    # the file is written one state at a time, as the text orjson.dumps
-    # gives for the whole document
+@pytest.mark.parametrize("rows", [None, 2, 3], ids=["one_block", "2", "3"])
+def test_trajectory_json_is_the_dumps_of_its_document(tmp_path, monkeypatch,
+                                                       rows):
+    # the file is written one block of states at a time, in blocks of
+    # `rows` states (one block by default), as the text orjson.dumps gives
+    # for the whole document
+    if rows:
+        monkeypatch.setattr(jko, "RESAMPLE_BLOCK", rows * BASE["m"])
     cfg = load_config(write_config(tmp_path, {"checks": ["energy_monotone"]}))
     execute(cfg)
     text = (tmp_path / "out" / "trajectory.json").read_bytes()
     doc = orjson.loads(text)
     assert list(doc)[-1] == "states" and len(doc["states"]) == 9
     assert text == orjson.dumps(doc)
+
+
+def test_certificate_rows_are_written_as_csv_writer_writes_them():
+    reports = [CertificateReport("energy_monotone", 1.0, 2.0),
+               CertificateReport("total_square_distance", float("inf"),
+                                 float("nan"), step=None),
+               CertificateReport("entropy_dissipation", -0.0, 1e-05, 1e-12,
+                                 step=3),
+               CertificateReport("discrete_weak", 1e+16, -2.5e-300, 0.0,
+                                 step=12)]
+    rows = [CSV_HEADER, *(rep.row() for rep in reports)]
+    assert reports[-1].slack < 0
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    assert cli._csv_text(rows) == buf.getvalue()
 
 
 def same_bits(parsed, arr):
