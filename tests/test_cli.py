@@ -474,20 +474,27 @@ def test_elapsed_seconds_ignore_wall_clock_steps(tmp_path, monkeypatch):
     assert 0.0 <= summary["elapsed_seconds"] < 3600.0
 
 
-@pytest.mark.parametrize("rows", [None, 2, 3], ids=["one_block", "2", "3"])
-def test_trajectory_json_is_the_dumps_of_its_document(tmp_path, monkeypatch,
-                                                       rows):
-    # the file is written one block of states at a time, in blocks of
-    # `rows` states (one block by default), as the text orjson.dumps gives
-    # for the whole document
-    if rows:
-        monkeypatch.setattr(jko, "RESAMPLE_BLOCK", rows * BASE["m"])
+def assert_trajectory_json_is_the_dumps_of_its_document(tmp_path):
     cfg = load_config(write_config(tmp_path, {"checks": ["energy_monotone"]}))
     execute(cfg)
     text = (tmp_path / "out" / "trajectory.json").read_bytes()
     doc = orjson.loads(text)
     assert list(doc)[-1] == "states" and len(doc["states"]) == 9
     assert text == orjson.dumps(doc)
+
+
+def test_trajectory_json_is_the_dumps_of_its_document(tmp_path):
+    # the file is written one block of states at a time (one block at this
+    # size), as the text orjson.dumps gives for the whole document
+    assert_trajectory_json_is_the_dumps_of_its_document(tmp_path)
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_trajectory_json_in_small_blocks_is_the_dumps_of_its_document(
+        tmp_path, monkeypatch, rows):
+    # blocks of `rows` states, the last one short, give the same text
+    monkeypatch.setattr(jko, "RESAMPLE_BLOCK", rows * BASE["m"])
+    assert_trajectory_json_is_the_dumps_of_its_document(tmp_path)
 
 
 def test_certificate_rows_are_written_as_csv_writer_writes_them():
