@@ -26,8 +26,7 @@ from .transport import (ConfigurationError, GridDensity, Interval,
                         reject_zero_plateau)
 from .lagrangian import (MobilitySpec, dissipation_constants,
                          validate_assumption_f)
-from .jko import (JkoConfig, MobilityMapEnergy, _row_blocks, run,
-                  refine_study)
+from .jko import JkoConfig, MobilityMapEnergy, run, refine_study
 from . import diagnostics as dg
 
 ALL_CHECKS = ("energy_monotone", "total_square_distance",
@@ -234,6 +233,13 @@ def _csv_text(rows) -> str:
     return "".join(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
+def _strict_json(doc) -> str:
+    """doc as indented JSON, each NaN or infinity (which strict JSON lacks)
+    written as its Python text: "nan", "inf" or "-inf"."""
+    doc = json.loads(json.dumps(doc), parse_constant=lambda c: str(float(c)))
+    return json.dumps(doc, indent=2)
+
+
 def _write_outputs(cfg: RunConfig, traj, reports, elapsed: float,
                    gaps=None) -> dict:
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -244,17 +250,11 @@ def _write_outputs(cfg: RunConfig, traj, reports, elapsed: float,
         "entropies": traj.entropies,
         "step_distances": traj.step_distances,
         "converged": traj.converged,
+        "states": traj.values,
     }
-    # the compact text of the document with "states" last, one block of
-    # states (`_row_blocks`) at a time, its outer brackets stripped; floats
-    # are written as their shortest round-trip form
-    opt = orjson.OPT_SERIALIZE_NUMPY
-    states = _row_blocks(0, len(traj.values), traj.grid.m)
-    with open(cfg.out / "trajectory.json", "wb") as fh:
-        fh.write(orjson.dumps(traj_doc, option=opt)[:-1] + b',"states":[')
-        fh.write(b",".join(orjson.dumps(traj.values[b], option=opt)[1:-1]
-                           for b in states))
-        fh.write(b"]}")
+    # compact, floats in their shortest round-trip form
+    (cfg.out / "trajectory.json").write_bytes(
+        orjson.dumps(traj_doc, option=orjson.OPT_SERIALIZE_NUMPY))
 
     with open(cfg.out / "certificates.csv", "w", newline="") as fh:
         fh.write(f"# schema_version={CSV_SCHEMA_VERSION}\n")
@@ -276,7 +276,7 @@ def _write_outputs(cfg: RunConfig, traj, reports, elapsed: float,
     }
     if gaps is not None:
         summary["refinement_gaps"] = [float(g) for g in gaps]
-    (cfg.out / "summary.json").write_text(json.dumps(summary, indent=2))
+    (cfg.out / "summary.json").write_text(_strict_json(summary))
     return summary
 
 
@@ -345,8 +345,7 @@ def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
             raw[axis] = val
         else:
             raw[section] = {**raw[section], axis: val}
-        # strict JSON has no NaN or infinity: such a value is kept as text
-        row = {axis: val if np.isfinite(val) else str(val)}
+        row = {axis: val}
         try:
             sub = load_config(raw)
             row["exit_code"] = execute(sub, row)
@@ -356,7 +355,7 @@ def sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list, int]:
 
     worst = max((r["exit_code"] for r in rows), default=0)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    (cfg.out / "sweep.json").write_text(json.dumps(rows, indent=2))
+    (cfg.out / "sweep.json").write_text(_strict_json(rows))
     return rows, worst
 
 

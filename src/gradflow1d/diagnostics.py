@@ -8,8 +8,8 @@ The per-step dissipation and weak-form checks take a mobility f and serve
 every energy of the class: thin film is the identity mobility, for which the
 dissipation constant is delta = 1.  Each report is named after its check.
 Their per-state parts are array passes over blocks of rows of the cell
-values (`JkoTrajectory.per_state`) or of the map nodes, each row reduced
-bitwise as alone, so the reports equal those of a loop over states.
+values or of the map nodes (`jko.per_row`), each row reduced bitwise as
+alone, so the reports equal those of a loop over states.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .report import CertificateReport
 from .lagrangian import MobilitySpec
-from .jko import JkoTrajectory, MobilityMapEnergy, _row_blocks
+from .jko import JkoTrajectory, MobilityMapEnergy, per_row
 
 U_FLOOR = 1e-12  # density clip before mobility derivatives near vacuum
 INNER_TOL = 1e-10    # relative energy tolerance of energy_monotone
@@ -41,7 +41,8 @@ def check_energy_monotone(traj: JkoTrajectory) -> list[CertificateReport]:
 def check_total_square_distance(traj: JkoTrajectory) -> CertificateReport:
     """sum_n W2(u_{n-1}, u_n)^2 <= 2 tau Phi(u_0) (with a 0.1% margin)."""
     lhs = float(np.sum(traj.step_distances ** 2))
-    rhs = float(2.0 * traj.tau * traj.energies[0] * DISTANCE_MARGIN)
+    # Python floats: an overflow is an infinite bound, with no warning
+    rhs = 2.0 * traj.tau * float(traj.energies[0]) * DISTANCE_MARGIN
     return CertificateReport(name="total_square_distance", lhs=lhs, rhs=rhs)
 
 
@@ -78,7 +79,7 @@ def check_entropy_dissipation_f(traj: JkoTrajectory, f: MobilitySpec,
         e = np.sqrt(h * np.sum((d2(dw, h) + 4 * dw / h ** 2) ** 2, axis=-1))
         return h * np.sum(d2(f.f(u), h) ** 2, axis=-1), e
 
-    lhs, e = traj.per_state(lhs_and_rounding, first=1)
+    lhs, e = per_row(lhs_and_rounding, traj.values[1:])
     dent = traj.entropies[:-1] - traj.entropies[1:]
     rhs = dent / (delta * traj.tau)
     tol = (0.1 * lhs + 1e-12 / (delta * traj.tau)
@@ -94,7 +95,7 @@ def check_entropy_dissipation_f(traj: JkoTrajectory, f: MobilitySpec,
 
 def weak_terms(traj: JkoTrajectory, f: MobilitySpec) -> tuple:
     """The (modes x steps) residuals, bounds and rounding terms of
-    `check_discrete_weak_f`, over blocks of map rows (`_row_blocks`)."""
+    `check_discrete_weak_f`, by `per_row` over the map rows."""
     eps, dom = np.finfo(float).eps, traj.grid.domain
     pos, energy = traj.positions, MobilityMapEnergy(f)
     k = pos.shape[-1] - 1
@@ -105,20 +106,17 @@ def weak_terms(traj: JkoTrajectory, f: MobilitySpec) -> tuple:
         # nodes on axis 0 for the gradient, then rows again for the sums
         pt = energy.point(x.T)
         g = energy.value_and_grad(x.T, pt)[1].T
-        dx, u, w1 = pt.dx.T, pt.u.T, np.abs(pt.w1.T)
+        dx, u, w, w1 = pt.dx.T, pt.u.T, pt.w.T, np.abs(pt.w1.T)
         sines = np.sin(om[:, :, None] * (x - dom.lo))
         mass = np.sum((sines[..., 1:] - sines[..., :-1]) / dx, axis=-1)
-        w = f.f(u)  # R = (W(a) + W(b)) / s >= |r|, as f >= 0
-        big_r = (w[:, :-1] + w[:, 1:]) / pt.s.T
+        big_r = (w[:, :-1] + w[:, 1:]) / pt.s.T  # R >= |r|, as f >= 0
         q = np.sum(big_r * (w1[:, :-1] + w1[:, 1:] + big_r), axis=-1)
         return (mass / (k * om), -om * np.sum(g * sines[..., 1:-1], axis=-1),
                 2 * sigma / om * np.sum(u, axis=-1) + (k + 6) * eps,
                 om * ((sigma + (k + 5) * eps) * np.sum(np.abs(g), axis=-1)
                       + 80 * eps * q), np.max(dx, axis=-1) ** 2)
 
-    parts = [node_terms(pos[b]) for b in _row_blocks(0, len(pos), k + 1)]
-    mass, grad, mass_err, grad_err, dx2 = (np.concatenate(p, axis=-1)
-                                           for p in zip(*parts))
+    mass, grad, mass_err, grad_err, dx2 = per_row(node_terms, pos)
     tau, w2 = traj.tau, traj.step_distances
     return (mass[:, 1:] - mass[:, :-1] + tau * grad[:, 1:],
             0.5 * om ** 2 * w2 ** 2 + om ** 3 / 8 * dx2[1:] * w2,

@@ -40,7 +40,7 @@ work array, which the chord step reuses.
 A run is kept as two stacked arrays, one row per step: the map nodes and
 their pushforwards' cell values.  After the stepping loop, the step
 distances, the grid states and the entropies are computed by array passes
-over blocks of those rows.
+over blocks of those rows, which only this module slices.
 """
 
 from __future__ import annotations
@@ -88,6 +88,20 @@ def _row_blocks(start: int, stop: int, width: int) -> list[slice]:
     return [slice(i, min(i + rows, stop)) for i in range(start, stop, rows)]
 
 
+def per_row(fn, rows: np.ndarray):
+    """fn's per-row results over a stack of rows (grid states or maps).
+
+    fn maps a block of about RESAMPLE_BLOCK values of rows to an array, or
+    a tuple of arrays, with one entry per row along the last axis, along
+    which the blocks' results are concatenated in row order."""
+    # at least one block, empty if the stack is
+    parts = [fn(rows[b]) for b in _row_blocks(0, len(rows), rows.shape[-1])
+             or [slice(None)]]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
+    return np.concatenate(parts, axis=-1)
+
+
 @dataclass
 class JkoConfig:
     tau: float
@@ -126,30 +140,15 @@ class JkoTrajectory:
         n = np.ceil(np.asarray(t) / self.tau - 1e-12).astype(int)
         return np.clip(n, 0, self.n_steps)
 
-    def per_state(self, fn, first: int = 0):
-        """fn's per-state results over values[first:], from array passes.
-
-        fn maps a block of rows of `values` to an array, or a tuple of
-        arrays, with one entry per row; it runs on blocks of about
-        RESAMPLE_BLOCK values, and the blocks' results are concatenated in
-        state order.
-        """
-        # at least one block, empty if values[first:] is
-        blocks = _row_blocks(first, len(self.values), self.grid.m)
-        parts = [fn(self.values[b]) for b in blocks or [slice(first, None)]]
-        if isinstance(parts[0], tuple):
-            return tuple(np.concatenate(p) for p in zip(*parts))
-        return np.concatenate(parts)
-
 
 # --- map-coordinate energies ----------------------------------------------
 
 class _Point:
-    """One Newton point's arrays: cell widths dx, densities u, per interface
-    d = W(b) - W(a), s = a + b and r = d / s, the energy phi, and the node
-    displacements e = x - x_prev; its gradient adds f'(u) and W'(t)."""
+    """One Newton point's arrays: cell widths dx, densities u, w = f(u), per
+    interface d = W(b) - W(a), s = a + b and r = d / s, the energy phi and
+    the node displacements e = x - x_prev; its gradient adds f'(u), W'(t)."""
 
-    __slots__ = ("dx", "u", "d", "s", "r", "phi", "e", "f1", "w1")
+    __slots__ = ("dx", "u", "w", "d", "s", "r", "phi", "e", "f1", "w1")
 
 
 class MobilityMapEnergy:
@@ -173,7 +172,7 @@ class MobilityMapEnergy:
         pt = _Point()
         pt.dx = dx = x[1:] - x[:-1] if dx is None else dx
         pt.u = u = 1.0 / (len(dx) * dx)
-        w = self.f.f(u)
+        pt.w = w = self.f.f(u)
         pt.d = d = w[1:] - w[:-1]
         pt.s = s = dx[:-1] + dx[1:]
         pt.r = r = d / s
@@ -549,7 +548,7 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig
     distances, from batched passes over the nodes (`w2sq_between_maps`),
     and the grid states, a view of the maps: their rows are pushforwards on
     u0's grid, and the entropies come from array passes over those rows
-    (`per_state`); row 0 is the supplied initial datum verbatim.  A
+    (`per_row`); row 0 is the supplied initial datum verbatim.  A
     non-finite Phi(x_0), such as a mobility's constant factor overflowing
     it, raises ConfigurationError before any step.
     """
@@ -590,7 +589,8 @@ def run(u0: GridDensity, energy: MobilityMapEnergy, cfg: JkoConfig
     traj.values[0] = u0.values
     for b in _row_blocks(1, n + 1, u0.m + 1):
         traj.values[b] = densities_from_maps(dom, pos[b], u0.m)
-    traj.entropies[:] = traj.per_state(lambda v: boltzmann_entropy(u0, v))
+    traj.entropies[:] = per_row(lambda v: boltzmann_entropy(u0, v),
+                                traj.values)
     return traj
 
 

@@ -474,7 +474,7 @@ def test_elapsed_seconds_ignore_wall_clock_steps(tmp_path, monkeypatch):
     assert 0.0 <= summary["elapsed_seconds"] < 3600.0
 
 
-def assert_trajectory_json_is_the_dumps_of_its_document(tmp_path):
+def test_trajectory_json_is_the_dumps_of_its_document(tmp_path):
     cfg = load_config(write_config(tmp_path, {"checks": ["energy_monotone"]}))
     execute(cfg)
     text = (tmp_path / "out" / "trajectory.json").read_bytes()
@@ -483,18 +483,22 @@ def assert_trajectory_json_is_the_dumps_of_its_document(tmp_path):
     assert text == orjson.dumps(doc)
 
 
-def test_trajectory_json_is_the_dumps_of_its_document(tmp_path):
-    # the file is written one block of states at a time (one block at this
-    # size), as the text orjson.dumps gives for the whole document
-    assert_trajectory_json_is_the_dumps_of_its_document(tmp_path)
-
-
 @pytest.mark.parametrize("rows", [2, 3])
-def test_trajectory_json_in_small_blocks_is_the_dumps_of_its_document(
-        tmp_path, monkeypatch, rows):
-    # blocks of `rows` states, the last one short, give the same text
+def test_small_blocks_leave_the_outputs_byte_identical(tmp_path, monkeypatch,
+                                                       rows):
+    # the run's 9 states in one block, then in blocks of `rows` states (of
+    # rows - 1 maps for resampling and the weak form), the last one short:
+    # resampling, the entropies, both per-state certificates and the writer
+    # give the same bytes
+    def outputs(out):
+        path = write_config(tmp_path, {"out": str(tmp_path / out)})
+        code = execute(load_config(path))
+        return code, [(tmp_path / out / name).read_bytes()
+                      for name in ("trajectory.json", "certificates.csv")]
+
+    default = outputs("default")
     monkeypatch.setattr(jko, "RESAMPLE_BLOCK", rows * BASE["m"])
-    assert_trajectory_json_is_the_dumps_of_its_document(tmp_path)
+    assert outputs("blocks") == default
 
 
 def test_certificate_rows_are_written_as_csv_writer_writes_them():
@@ -890,19 +894,38 @@ def test_infinite_tau_in_config_rejected(tmp_path):
     assert main(["--config", str(path)]) == 2
 
 
-def test_sweep_nan_tau_row_is_a_configuration_error(tmp_path):
-    path = write_config(tmp_path, {"checks": ["energy_monotone"]})
-    assert main(["--config", str(path), "--sweep", "tau=1e-4,nan,inf"]) == 2
-
+def strict_json(path):
+    """The JSON document in the file at path, which must hold no NaN or
+    infinity."""
     def reject(token):
         raise ValueError(f"{token} is not strict JSON")
 
-    rows = json.loads((tmp_path / "out" / "sweep.json").read_text(),
-                      parse_constant=reject)
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_sweep_nan_tau_row_is_a_configuration_error(tmp_path):
+    path = write_config(tmp_path, {"checks": ["energy_monotone"]})
+    assert main(["--config", str(path), "--sweep", "tau=1e-4,nan,inf"]) == 2
+    rows = strict_json(tmp_path / "out" / "sweep.json")
     assert rows[0]["exit_code"] == 0 and rows[0]["tau"] == 1e-4
     for row, text in zip(rows[1:], ("nan", "inf")):
         assert row["tau"] == text
         assert row["exit_code"] == 2 and "error" in row
+
+
+def test_an_infinite_bound_is_written_as_strict_json(tmp_path):
+    # 2 tau Phi(u_0) overflows, so total_square_distance has an infinite
+    # bound and slack; summary.json and sweep.json write it as text
+    path = write_config(tmp_path, {
+        "m": 32, "k": 32, "n_steps": 3, "tau": 1e10,
+        "lagrangian": {"name": "power_mobility", "alpha": 0.7, "C": 1e150}})
+    assert main(["--config", str(path)]) == 0
+    summary = strict_json(tmp_path / "out" / "summary.json")
+    assert summary["worst_slack"]["total_square_distance"] == "inf"
+    assert main(["--config", str(path), "--check", "total_square_distance",
+                 "--sweep", "tau=1e10"]) == 0
+    rows = strict_json(tmp_path / "out" / "sweep.json")
+    assert rows[0]["worst_slack"] == "inf"
 
 
 def test_main_check_selection(tmp_path):

@@ -10,6 +10,7 @@ from gradflow1d import (GridDensity, Interval, JkoConfig, JkoTrajectory,
                         dissipation_constants, run)
 from gradflow1d.cli import _certificates, load_config
 from gradflow1d.diagnostics import DISTANCE_MARGIN, WEAK_MODES, weak_terms
+from gradflow1d.jko import per_row
 from gradflow1d.transport import w2sq_between_maps
 
 UNIT = Interval(0.0, 1.0)
@@ -329,8 +330,8 @@ def test_entropy_dissipation_fails_a_rough_state(concave_traj):
     # with the entropies recomputed as `run` computes them
     traj = replace(concave_traj, values=concave_traj.values.copy())
     traj.values[25] = GridDensity.cosine(UNIT, 64, eps=0.9, k=20).values
-    traj.entropies = traj.per_state(
-        lambda v: boltzmann_entropy(traj.grid, v))
+    traj.entropies = per_row(lambda v: boltzmann_entropy(traj.grid, v),
+                             traj.values)
     delta = dissipation_constants(POWER_02, 1)[1]
     assert all(rep.passed for rep in check_entropy_dissipation_f(
         concave_traj, POWER_02, delta))

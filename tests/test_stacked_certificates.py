@@ -147,7 +147,8 @@ def test_entropies_match_loop(case, block):
     ref = _bits(*[_ref_boltzmann_entropy(u) for u in _states(traj)])
     assert _bits(*traj.entropies) == ref
     u0 = traj.grid
-    assert _bits(*traj.per_state(lambda v: boltzmann_entropy(u0, v))) == ref
+    assert _bits(*jko.per_row(lambda v: boltzmann_entropy(u0, v),
+                              traj.values)) == ref
 
 
 def test_step_distances_match_loop(case, monkeypatch):
